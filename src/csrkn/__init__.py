@@ -1,5 +1,11 @@
 """Symplectic and symmetric Runge-Kutta-Nystrom integrators built from
-weighted orthogonal polynomial families."""
+weighted orthogonal polynomial families.
+
+Diagnostics go to the ``csrkn`` logger, which is silent unless the
+application configures logging.
+"""
+
+import logging
 
 from .basis import (Family, OrthonormalBasis, double_primitive,
                     family_from_name, inner_product, make_basis,
@@ -39,3 +45,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+logging.getLogger("csrkn").addHandler(logging.NullHandler())

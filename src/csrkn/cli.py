@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .basis import family_from_name, make_basis
@@ -29,6 +30,16 @@ NUMERICAL_ERROR = 2
 
 class SystemExit2(Exception):
     """Usage-level failure raised before any numerics run."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a negative number in exponent notation (``--gamma -4e-05``) as
+    a value; argparse's own pattern (Python < 3.13) takes it for a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _add_method_arguments(parser: argparse.ArgumentParser,
@@ -136,7 +147,7 @@ def _cmd_order(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="csrkn",
         description="Derive, check and run symplectic RKN methods built "
                     "from weighted orthogonal polynomials.")

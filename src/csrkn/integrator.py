@@ -7,19 +7,25 @@ the last force evaluations, so each step realizes the tableau's map up to
 the iteration tolerance; two extra sweeps after the tolerance is met push
 stage consistency to the rounding floor, which keeps quadratic invariants
 flat over long runs.  Non-convergence and non-finite force values raise,
-never degrade.
+never degrade; running out of sweeps during the polish sweeps is logged as a
+warning on the ``csrkn`` logger.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import RKNTableau
-from .problems import SecondOrderProblem
+from .problems import SecondOrderProblem, invariant_drift
 
 _POLISH_SWEEPS = 2
+
+_log = logging.getLogger("csrkn")
 
 
 class StageConvergenceError(RuntimeError):
@@ -63,42 +69,89 @@ class Trajectory:
     problem: str = ""
 
 
-def _solve_stages(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
-                  q: np.ndarray, qp: np.ndarray, h: float,
-                  config: SolverConfig):
-    """Return stage forces and the iteration count for one step."""
-    c = tableau.c
-    base = q[None, :] + (h * c)[:, None] * qp[None, :]
-    stages = base
-    t_stage = t + c * h
-    scale = config.fp_tol * (1.0 + float(np.max(np.abs(q))))
-    h2 = h * h
-    delta = None
-    polish = 0
-    for iteration in range(1, config.max_iters + 1):
-        try:
-            forces = np.asarray(problem.f(t_stage, stages), dtype=float)
-        except (ValueError, ArithmeticError) as err:
-            raise StageConvergenceError(
-                f"force evaluation failed: {err}",
-                time=t, iterations=iteration, last_delta=delta) from err
-        if not np.all(np.isfinite(forces)):
+def _extrapolation(c: np.ndarray) -> np.ndarray | None:
+    """E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated
+    one step ahead: E @ forces extrapolates one step's stage forces to the
+    next step's stage times.  None when the nodes are not distinct."""
+    s = len(c)
+    if len(np.unique(c)) < s:
+        return None
+    ahead = 1.0 + c
+    matrix = np.ones((s, s))
+    for j in range(s):
+        for m in range(s):
+            if m != j:
+                matrix[:, j] *= (ahead - c[m]) / (c[j] - c[m])
+    return matrix
+
+
+def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
+           q: np.ndarray, qp: np.ndarray, h: float, config: SolverConfig):
+    """Yield (q, qp, sweeps) after each step from (t0, q, qp), without end.
+
+    sweeps counts the fixed-point sweeps of the step, one ``problem.f`` call
+    each.  The first step starts its stage iteration from the explicit
+    guess q + c h q'; every later step starts from the previous step's stage
+    forces extrapolated to the new stage times (Hairer, Lubich & Wanner,
+    Geometric Numerical Integration, 2006, sec. VIII.6.1), which changes
+    the sweep count, not the fixed point.
+    """
+    f = problem.f
+    fp_tol, max_iters = config.fp_tol, config.max_iters
+    ch = h * tableau.c
+    ch_column = ch[:, None]
+    h2_a_bar = (h * h) * tableau.a_bar
+    h2_b_bar = (h * h) * tableau.b_bar
+    h_b_prime = h * tableau.b_prime
+    predictor = None
+    for step in itertools.count():
+        t = t0 + step * h
+        t_stage = t + ch
+        base = q + ch_column * qp
+        stages = base if predictor is None else base + predictor.dot(forces)
+        scale = fp_tol * (1.0 + float(np.abs(q).max()))
+        delta = None
+        polish = 0
+        for sweep in range(1, max_iters + 1):
+            try:
+                forces = np.asarray(f(t_stage, stages), dtype=float)
+            except (ValueError, ArithmeticError) as err:
+                raise StageConvergenceError(
+                    f"force evaluation failed: {err}",
+                    time=t, iterations=sweep, last_delta=delta) from err
+            updated = base + h2_a_bar.dot(forces)
+            increment = float(np.abs(updated - stages).max())
+            if not math.isfinite(increment):
+                raise StageConvergenceError(
+                    "force evaluation returned a non-finite value",
+                    time=t, iterations=sweep, last_delta=delta)
+            delta = increment
+            stages = updated
+            if delta < scale:
+                if polish >= _POLISH_SWEEPS or delta == 0.0:
+                    break
+                polish += 1
+        else:
+            if not polish:
+                raise StageConvergenceError(
+                    f"stage iteration did not reach tolerance within "
+                    f"{max_iters} sweeps (last increment {delta:.3e})",
+                    time=t, iterations=max_iters, last_delta=delta)
+            _log.warning("stage iteration at t = %g reached max_iters = %d "
+                         "during the polish sweeps (last increment %.3e)",
+                         t, max_iters, delta)
+        if not np.isfinite(forces).all():
             raise StageConvergenceError(
                 "force evaluation returned a non-finite value",
-                time=t, iterations=iteration, last_delta=delta)
-        updated = base + h2 * (tableau.a_bar @ forces)
-        delta = float(np.max(np.abs(updated - stages)))
-        stages = updated
-        if delta < scale:
-            if polish >= _POLISH_SWEEPS or delta == 0.0:
-                return stages, forces, iteration
-            polish += 1
-    if polish:
-        return stages, forces, config.max_iters
-    raise StageConvergenceError(
-        f"stage iteration did not reach tolerance within "
-        f"{config.max_iters} sweeps (last increment {delta:.3e})",
-        time=t, iterations=config.max_iters, last_delta=delta)
+                time=t, iterations=sweep, last_delta=delta)
+        q = q + h * qp + h2_b_bar.dot(forces)
+        qp = qp + h_b_prime.dot(forces)
+        yield q, qp, sweep
+        # built after the first step, which rkn_step takes alone
+        if predictor is None:
+            extrapolation = _extrapolation(tableau.c)
+            if extrapolation is not None:
+                predictor = h2_a_bar.dot(extrapolation)
 
 
 def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
@@ -107,12 +160,9 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
     """Advance (q, q') by one step of size h (negative h is allowed)."""
     if h == 0.0:
         raise ValueError("step size must be nonzero")
-    config = config or SolverConfig()
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qp, dtype=float)
-    _, forces, _ = _solve_stages(tableau, problem, t, q, qp, h, config)
-    q1 = q + h * qp + (h * h) * (tableau.b_bar @ forces)
-    qp1 = qp + h * (tableau.b_prime @ forces)
+    q1, qp1, _ = next(_steps(tableau, problem, t, np.asarray(q, dtype=float),
+                             np.asarray(qp, dtype=float), h,
+                             config or SolverConfig()))
     return q1, qp1
 
 
@@ -128,26 +178,22 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     q = np.array(q0, dtype=float)
     qp = np.array(qp0, dtype=float)
     times = [t0]
-    qs = [q.copy()]
-    qps = [qp.copy()]
+    qs = [q]
+    qps = [qp]
     iterations = np.zeros(n_steps, dtype=int)
-    h2 = h * h
+    steps = _steps(tableau, problem, t0, q, qp, h, config)
     for step in range(n_steps):
-        t = t0 + step * h
         try:
-            _, forces, iterations[step] = _solve_stages(
-                tableau, problem, t, q, qp, h, config)
+            q, qp, iterations[step] = next(steps)
         except StageConvergenceError as err:
             raise StageConvergenceError(
-                f"step {step} (t = {t:g}) failed: {err}",
-                step_index=step, time=t, iterations=err.iterations,
+                f"step {step} (t = {err.time:g}) failed: {err}",
+                step_index=step, time=err.time, iterations=err.iterations,
                 last_delta=err.last_delta) from err
-        q = q + h * qp + h2 * (tableau.b_bar @ forces)
-        qp = qp + h * (tableau.b_prime @ forces)
         if (step + 1) % config.record_every == 0 or step == n_steps - 1:
             times.append(t0 + (step + 1) * h)
-            qs.append(q.copy())
-            qps.append(qp.copy())
+            qs.append(q)
+            qps.append(qp)
     return Trajectory(times=np.array(times), q=np.array(qs),
                       qp=np.array(qps), iterations=iterations,
                       problem=problem.name)
@@ -168,13 +214,8 @@ def write_trajectory_csv(trajectory: Trajectory,
         drifts["H"] = problem.hamiltonian
     drifts.update(problem.invariants)
     for name, func in drifts.items():
-        values = [np.atleast_1d(np.asarray(func(q, qp), dtype=float))
-                  for q, qp in zip(trajectory.q, trajectory.qp)]
-        reference = values[0]
-        drift = np.array([float(np.max(np.abs(v - reference)))
-                          for v in values])
         header.append(f"{name}_err")
-        columns.append(drift)
+        columns.append(invariant_drift(trajectory, func))
     stream.write(",".join(header) + "\n")
     for row in zip(*columns):
         stream.write(",".join(f"{value:.17g}" for value in row) + "\n")

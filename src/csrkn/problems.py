@@ -43,10 +43,10 @@ def kepler() -> SecondOrderProblem:
 
     def f(t, q):
         q = np.asarray(q, dtype=float)
-        r2 = np.sum(q * q, axis=-1, keepdims=True)
-        if np.any(r2 == 0.0):
+        r2 = (q * q).sum(axis=-1, keepdims=True)
+        if not r2.all():
             raise ValueError("acceleration is undefined at the origin")
-        return -q / r2 ** 1.5
+        return q / (-r2 * np.sqrt(r2))
 
     def hamiltonian(q, qp):
         return 0.5 * float(qp @ qp) - 1.0 / float(np.hypot(q[0], q[1]))
@@ -79,8 +79,10 @@ def henon_heiles() -> SecondOrderProblem:
     def f(t, q):
         q = np.asarray(q, dtype=float)
         q1, q2 = q[..., 0], q[..., 1]
-        return np.stack([-q1 - 2.0 * q1 * q2,
-                         -q2 - q1 * q1 + q2 * q2], axis=-1)
+        force = np.empty_like(q)
+        force[..., 0] = -q1 - 2.0 * q1 * q2
+        force[..., 1] = -q2 - q1 * q1 + q2 * q2
+        return force
 
     def hamiltonian(q, qp):
         return float(0.5 * (qp @ qp) + 0.5 * (q @ q)

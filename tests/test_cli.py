@@ -55,6 +55,29 @@ def test_derive_custom_with_pinned_alpha(tmp_path):
     np.testing.assert_allclose(custom.b_bar, builtin.b_bar, atol=1e-13)
 
 
+def test_negative_exponent_values_parse(tmp_path, capsys):
+    # argparse alone reads "-4e-05" as a flag and exits with a usage error
+    out = tmp_path / "g.txt"
+    assert main(["derive", "--method", "legendre4", "--gamma", "-4e-05",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == csrkn.serialize_tableau(
+        csrkn.builtin_tableau("legendre4", -4e-05))
+    assert main(["derive", "--family", "standard-hermite", "--stages", "3",
+                 "--set-alpha", "0", "1", "-4.7069813188835746e-1",
+                 "--set-alpha", "1", "2", "0",
+                 "--set-alpha", "2", "2", "0",
+                 "--out", str(out)]) == 0
+    np.testing.assert_allclose(csrkn.parse_tableau(out.read_text()).a_bar,
+                               csrkn.builtin_tableau("hermite3").a_bar,
+                               atol=1e-13)
+    csv = tmp_path / "t0.csv"
+    assert main(["run", "--method", "legendre4", "--problem", "harmonic",
+                 "--h", "0.1", "--steps", "2", "--t0", "-1e-3",
+                 "--out", str(csv)]) == 0
+    assert float(csv.read_text().splitlines()[1].split(",")[0]) == -1e-3
+    capsys.readouterr()
+
+
 def test_check_hermite3_report(capsys, tmp_path):
     out = tmp_path / "report.csv"
     assert main(["check", "--method", "hermite3", "--out", str(out)]) == 0

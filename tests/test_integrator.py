@@ -1,6 +1,7 @@
 """Stage iteration, stepping, determinism, and failure modes."""
 
 import io
+import logging
 import math
 
 import numpy as np
@@ -178,3 +179,118 @@ def test_trajectory_csv_layout(tableaux):
     assert len(lines) == 1 + 6
     first = [float(x) for x in lines[1].split(",")]
     assert first[0] == 0.0 and first[1] == 1.0 and first[4] == 1.0
+
+
+# Kepler, legendre4, h = 0.1, 5 steps, as written before the CSV writer
+# shared invariant_drift; the state columns are read back from it below.
+KEPLER_CSV = (
+    "t,q1,q2,p1,p2,H_err,angmom_err,rlp_err\n"
+    "0,1,0,0,1,0,0,0\n"
+    "0.10000000000000001,0.99500415451263469,0.09983333315712585,"
+    "-0.099833715676378942,0.99500415441732182,7.2608585810485238e-14,0,"
+    "3.8061776072573217e-07\n"
+    "0.20000000000000001,0.98006653442957348,0.19866916242454552,"
+    "-0.19866993495529331,0.98006653291406276,2.8976820942716586e-13,0,"
+    "7.5743261135352569e-07\n"
+    "0.30000000000000004,0.95533639017844807,0.2955199503259075,"
+    "-0.29552112732671659,0.95533638257166642,6.4914740249832903e-13,"
+    "2.2204460492503131e-16,1.126679631757721e-06\n"
+    "0.40000000000000002,0.92106081508827509,0.38941799264709231,"
+    "-0.38941959451425684,0.92106079132842811,1.1477485628574868e-12,"
+    "2.2204460492503131e-16,1.4846695021164535e-06\n"
+    "0.5,0.87758227669841471,0.4794250871502469,-0.47942713873203302,"
+    "0.87758221955964555,1.7795764861716634e-12,2.2204460492503131e-16,"
+    "1.827825358402535e-06\n")
+
+
+def test_trajectory_csv_pinned_bytes():
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in KEPLER_CSV.splitlines()[1:]])
+    trajectory = csrkn.Trajectory(times=rows[:, 0], q=rows[:, 1:3],
+                                  qp=rows[:, 3:5],
+                                  iterations=np.zeros(5, dtype=int))
+    buffer = io.StringIO()
+    csrkn.write_trajectory_csv(trajectory, csrkn.kepler(), buffer)
+    assert buffer.getvalue() == KEPLER_CSV
+
+
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_integrate_matches_chained_steps(tableaux, name):
+    # integrate warm-starts every step after the first, rkn_step always
+    # starts cold; both solve the same fixed point.  Measured difference
+    # after 50 steps: 0.0 for all four methods (bitwise equal on x86-64);
+    # the bound is ten stage tolerances.
+    kepler = csrkn.kepler()
+    tableau = tableaux[name]
+    trajectory = csrkn.integrate(tableau, kepler, 0.0, kepler.q0,
+                                 kepler.qp0, 0.1, 50)
+    q, qp = kepler.q0, kepler.qp0
+    for step in range(50):
+        q, qp = csrkn.rkn_step(tableau, kepler, step * 0.1, q, qp, 0.1)
+    assert np.max(np.abs(trajectory.q[-1] - q)) < 1e-13
+    assert np.max(np.abs(trajectory.qp[-1] - qp)) < 1e-13
+
+
+def test_repeated_nodes_start_cold():
+    # the midpoint rule split into two equal stages: repeated nodes have no
+    # extrapolation matrix, so every step starts from the explicit guess
+    tableau = csrkn.RKNTableau(c=np.array([0.5, 0.5]),
+                               a_bar=np.full((2, 2), 1.0 / 16.0),
+                               b_bar=np.array([0.25, 0.25]),
+                               b_prime=np.array([0.5, 0.5]))
+    kepler = csrkn.kepler()
+    trajectory = csrkn.integrate(tableau, kepler, 0.0, kepler.q0,
+                                 kepler.qp0, 0.1, 5)
+    q, qp = kepler.q0, kepler.qp0
+    for step in range(5):
+        q, qp = csrkn.rkn_step(tableau, kepler, step * 0.1, q, qp, 0.1)
+    np.testing.assert_array_equal(trajectory.q[-1], q)
+    np.testing.assert_array_equal(trajectory.qp[-1], qp)
+
+
+def test_non_finite_force_on_warm_step_raises():
+    kepler = csrkn.kepler()
+
+    def f(t, q):
+        if np.max(t) > 0.25:
+            return np.full_like(q, np.nan)
+        return kepler.f(t, q)
+
+    bad = csrkn.SecondOrderProblem(name="late-nan", dim=2, f=f,
+                                   q0=kepler.q0, qp0=kepler.qp0)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(csrkn.builtin_tableau("legendre4"), bad, 0.0,
+                        bad.q0, bad.qp0, 0.1, 10)
+    # step 2 is the first whose stage times pass 0.25
+    assert info.value.step_index == 2
+    assert info.value.iterations == 1
+
+
+# Total fixed-point sweeps over 200 Kepler steps at h = 0.1 from the
+# circular orbit; the iteration is deterministic, so the count is exact.
+KEPLER_SWEEPS = {"legendre4": 1208, "chebyshev4": 1037, "hermite4": 1025,
+                 "hermite3": 1402}
+
+
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_kepler_sweep_count_pinned(tableaux, name):
+    kepler = csrkn.kepler()
+    trajectory = csrkn.integrate(tableaux[name], kepler, 0.0, kepler.q0,
+                                 kepler.qp0, 0.1, 200)
+    assert int(trajectory.iterations.sum()) == KEPLER_SWEEPS[name]
+
+
+def test_polish_cap_is_logged(tableaux, caplog):
+    # a tiny constant force meets the tolerance on the first sweep with a
+    # nonzero increment, so max_iters = 1 runs out before the polish sweeps
+    nudge = csrkn.SecondOrderProblem(
+        name="nudge", dim=2,
+        f=lambda t, q: np.full_like(np.asarray(q, dtype=float), 1e-12),
+        q0=np.array([0.25, -1.5]), qp0=np.array([2.0, 0.5]))
+    config = csrkn.SolverConfig(max_iters=1)
+    with caplog.at_level(logging.WARNING, logger="csrkn"):
+        trajectory = csrkn.integrate(tableaux["legendre4"], nudge, 0.0,
+                                     nudge.q0, nudge.qp0, 0.1, 1, config)
+    assert trajectory.iterations[0] == 1
+    assert [r.name for r in caplog.records] == ["csrkn"]
+    assert "polish" in caplog.records[0].getMessage()

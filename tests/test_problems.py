@@ -52,6 +52,22 @@ def test_kepler_singularity():
     problem = csrkn.kepler()
     with pytest.raises(ValueError):
         problem.f(0.0, np.zeros(2))
+    batch = np.ones((4, 3, 2))
+    batch[2, 1] = 0.0
+    with pytest.raises(ValueError):
+        problem.f(0.0, batch)
+
+
+@pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
+def test_force_broadcasts_over_batch(factory):
+    problem = factory()
+    batch = np.random.default_rng(7).uniform(-1.2, 1.2, size=(5, 3, 2))
+    forces = problem.f(0.0, batch)
+    assert forces.shape == batch.shape
+    for n in range(batch.shape[0]):
+        for i in range(batch.shape[1]):
+            np.testing.assert_array_equal(forces[n, i],
+                                          problem.f(0.0, batch[n, i]))
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.harmonic])
