@@ -8,13 +8,13 @@ application configures logging.
 import logging
 
 from .basis import (Family, OrthonormalBasis, double_primitive,
-                    family_from_name, inner_product, make_basis,
-                    unit_interval_integral)
+                    family_from_name, inner_product, make_basis)
 from .construction import (BUILTIN_METHODS, ConstructionError,
                            ConstructionSpec, ContinuousCoefficients,
                            RKNTableau, assemble, build_b,
-                           builtin_coefficients, builtin_tableau, discretize,
-                           parse_tableau, serialize_tableau, solve_alpha)
+                           builtin_coefficients, builtin_tableau, derive,
+                           discretize, parse_tableau, serialize_tableau,
+                           solve_alpha)
 from .integrator import (SolverConfig, StageConvergenceError, Trajectory,
                          integrate, rkn_step, write_trajectory_csv)
 from .problems import (PROBLEMS, SecondOrderProblem, harmonic, henon_heiles,
@@ -34,14 +34,13 @@ __all__ = [
     "QuadratureRule", "RKNTableau", "SecondOrderProblem", "SolverConfig",
     "StageConvergenceError", "Trajectory", "adjoint_tableau", "assemble",
     "build_b", "builtin_coefficients", "builtin_tableau", "check_continuous",
-    "check_discrete", "check_symmetric", "check_symplectic",
+    "check_discrete", "check_symmetric", "check_symplectic", "derive",
     "discretize", "double_primitive", "empirical_order", "exactness_degree",
     "family_from_name", "gauss_rule", "harmonic", "henon_heiles",
     "inner_product", "integrate", "interpolatory_weights", "invariant_drift",
     "kepler", "make_basis", "order_bound", "order_bound_with_quadrature",
     "parse_tableau", "problem_from_name", "report_csv", "report_lines",
-    "rkn_step", "serialize_tableau", "solve_alpha", "unit_interval_integral",
-    "write_trajectory_csv",
+    "rkn_step", "serialize_tableau", "solve_alpha", "write_trajectory_csv",
 ]
 
 __version__ = "0.1.0"

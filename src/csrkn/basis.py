@@ -110,20 +110,13 @@ def _decimal_moments(family: Family, count: int) -> list[decimal.Decimal]:
     return out
 
 
-def _moments(family: Family, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form moments m_k = int_I x^k w(x) dx as hi/lo double pairs."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        exact = _decimal_moments(family, count)
-        hi = np.array([float(m) for m in exact])
-        lo = np.array([float(m - decimal.Decimal(h))
-                       for m, h in zip(exact, hi)])
-    return hi, lo
-
-
 def _decimal_recurrence(family: Family, k: int) -> tuple[decimal.Decimal,
                                                          decimal.Decimal]:
-    """(diag_k, off_k) of the orthonormal recurrence, in working precision."""
+    """(diag_k, off_k) of the orthonormal recurrence, in working precision.
+
+    The shifted families are the classical ones under x -> (u+1)/2, which
+    maps the Jacobi matrix J to (J + I)/2.
+    """
     two = decimal.Decimal(2)
     if family is Family.SHIFTED_LEGENDRE:
         off = (k + 1) / (decimal.Decimal((2 * k + 1) * (2 * k + 3)).sqrt() * 2)
@@ -141,6 +134,7 @@ def _decimal_coeffs(family: Family, max_degree: int,
     zero = decimal.Decimal(0)
     polys = [[1 / m0.sqrt()]]
     prev: list[decimal.Decimal] = []
+    off_prev = zero
     for k in range(max_degree):
         diag, off = _decimal_recurrence(family, k)
         cur = polys[k]
@@ -148,12 +142,10 @@ def _decimal_coeffs(family: Family, max_degree: int,
         for i, c in enumerate(cur):
             nxt[i + 1] += c
             nxt[i] -= diag * c
-        if k > 0:
-            _, off_prev = _decimal_recurrence(family, k - 1)
-            for i, c in enumerate(prev):
-                nxt[i] -= off_prev * c
+        for i, c in enumerate(prev):
+            nxt[i] -= off_prev * c
         polys.append([c / off for c in nxt])
-        prev = cur
+        prev, off_prev = cur, off
     return polys
 
 
@@ -161,25 +153,14 @@ def recurrence_coefficients(family: Family, n: int) -> tuple[np.ndarray, np.ndar
     """Jacobi coefficients of the orthonormal three-term recurrence.
 
     Returns (diag, off) with x p_k = off[k] p_{k+1} + diag[k] p_k
-    + off[k-1] p_{k-1}.  The shifted families are the classical ones under
-    x -> (u+1)/2, which maps the Jacobi matrix J to (J + I)/2.
+    + off[k-1] p_{k-1}: the working-precision coefficients that build the
+    basis, correctly rounded to double.
     """
-    k = np.arange(n, dtype=float)
-    if family is Family.SHIFTED_LEGENDRE:
-        off = (k + 1) / np.sqrt((2 * k + 1) * (2 * k + 3)) / 2.0
-        diag = np.full(n, 0.5)
-    elif family is Family.SHIFTED_CHEBYSHEV1:
-        off = np.full(n, 0.25)
-        if n > 0:
-            off[0] = 1.0 / (2.0 * math.sqrt(2.0))
-        diag = np.full(n, 0.5)
-    elif family is Family.SHIFTED_HERMITE:
-        off = np.sqrt((k + 1) / 2.0) / 2.0
-        diag = np.full(n, 0.5)
-    else:
-        off = np.sqrt((k + 1) / 2.0)
-        diag = np.zeros(n)
-    return diag, off
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        pairs = [_decimal_recurrence(family, k) for k in range(n)]
+    return (np.array([float(d) for d, _ in pairs]),
+            np.array([float(o) for _, o in pairs]))
 
 
 @dataclass(frozen=True)
@@ -238,6 +219,13 @@ class OrthonormalBasis:
             (c, 0.0, k) for k, c in enumerate(poly) if c != 0.0)
 
 
+def _hi_lo(values: list[decimal.Decimal]) -> tuple[np.ndarray, np.ndarray]:
+    """Correctly rounded doubles of values and of their remainders."""
+    hi = np.array([float(v) for v in values])
+    return hi, np.array([float(v - decimal.Decimal(h))
+                         for v, h in zip(values, hi)])
+
+
 def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
     """Build the orthonormal family from its three-term recurrence.
 
@@ -251,19 +239,12 @@ def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         exact_moments = _decimal_moments(family, 2 * max_degree + 3)
-        moments = np.array([float(m) for m in exact_moments])
-        moments_lo = np.array([float(m - decimal.Decimal(h))
-                               for m, h in zip(exact_moments, moments)])
-        exact_coeffs = _decimal_coeffs(family, max_degree, exact_moments[0])
-        coeffs = []
-        coeffs_lo = []
-        for poly in exact_coeffs:
-            hi = np.array([float(c) for c in poly])
-            coeffs.append(hi)
-            coeffs_lo.append(np.array([float(c - decimal.Decimal(h))
-                                       for c, h in zip(poly, hi)]))
+        moments, moments_lo = _hi_lo(exact_moments)
+        coeffs = [_hi_lo(poly) for poly in
+                  _decimal_coeffs(family, max_degree, exact_moments[0])]
     return OrthonormalBasis(family=family, max_degree=max_degree,
-                            coeffs=tuple(coeffs), coeffs_lo=tuple(coeffs_lo),
+                            coeffs=tuple(hi for hi, _ in coeffs),
+                            coeffs_lo=tuple(lo for _, lo in coeffs),
                             moments=moments, moments_lo=moments_lo)
 
 
@@ -301,16 +282,6 @@ def unit_integral(poly) -> float:
     """Plain int_0^1 p(x) dx for a monomial-coefficient vector."""
     poly = np.asarray(poly, dtype=float)
     return float(sum(c / (k + 1) for k, c in enumerate(poly)))
-
-
-def unit_interval_integral(basis: OrthonormalBasis, n: int) -> float:
-    """int_0^1 P_n(x) dx.
-
-    The range [0, 1] is fixed for every family, including those weighted on
-    the whole real line: the stage interval is always the unit interval even
-    when the polynomial family lives elsewhere.
-    """
-    return unit_integral(basis.poly(n))
 
 
 def double_primitive(basis: OrthonormalBasis, n: int) -> np.ndarray:

@@ -12,15 +12,14 @@ import argparse
 import re
 import sys
 
-from .basis import family_from_name, make_basis
+from .basis import family_from_name
 from .construction import (BUILTIN_METHODS, ConstructionError,
-                           ConstructionSpec, RKNTableau, assemble, build_b,
-                           builtin_tableau, discretize, serialize_tableau,
-                           solve_alpha)
+                           ConstructionSpec, RKNTableau, builtin_tableau,
+                           derive, serialize_tableau)
 from .integrator import (SolverConfig, StageConvergenceError, integrate,
                          write_trajectory_csv)
 from .problems import problem_from_name
-from .quadrature import EigenConvergenceError, gauss_rule
+from .quadrature import EigenConvergenceError
 from .verification import (check_discrete, empirical_order, report_csv,
                            report_lines)
 
@@ -42,8 +41,7 @@ class _ArgumentParser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _add_method_arguments(parser: argparse.ArgumentParser,
-                          with_stages: bool) -> None:
+def _add_method_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=BUILTIN_METHODS,
                         help="built-in method name")
     parser.add_argument("--gamma", type=float, default=0.0,
@@ -64,9 +62,8 @@ def _add_method_arguments(parser: argparse.ArgumentParser,
                         metavar=("I", "J", "VALUE"),
                         help="pin a coupling coefficient of a custom "
                         "construction (repeatable)")
-    if with_stages:
-        parser.add_argument("--stages", type=int,
-                            help="Gauss points of a custom construction")
+    parser.add_argument("--stages", type=int,
+                        help="Gauss points of a custom construction")
 
 
 def _resolve_tableau(args) -> RKNTableau:
@@ -75,21 +72,16 @@ def _resolve_tableau(args) -> RKNTableau:
     if args.family is None:
         raise SystemExit2("either --method or --family is required")
     family = family_from_name(args.family)
-    stages = getattr(args, "stages", None)
-    if stages is None:
+    if args.stages is None:
         raise SystemExit2("--stages is required with --family")
-    free_alpha = {}
-    for i, j, value in args.set_alpha:
-        free_alpha[(int(i), int(j))] = float(value)
+    free_alpha = {(int(i), int(j)): float(value)
+                  for i, j, value in args.set_alpha}
     spec = ConstructionSpec(family=family, b_order=args.b_order,
                             cn_order=args.cn_order,
                             tau_degree=args.tau_degree,
                             free_alpha=free_alpha,
                             symmetric=args.symmetric)
-    basis = make_basis(family, max(8, args.b_order, stages))
-    coeffs = assemble(basis, build_b(basis, spec),
-                      solve_alpha(basis, spec), spec=spec)
-    return discretize(coeffs, gauss_rule(basis, stages))
+    return derive(spec, args.stages)
 
 
 def _cmd_derive(args) -> int:
@@ -154,17 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_derive = sub.add_parser("derive", help="write a tableau to disk")
-    _add_method_arguments(p_derive, with_stages=True)
+    _add_method_arguments(p_derive)
     p_derive.add_argument("--out", help="output path (stdout when omitted)")
     p_derive.set_defaults(handler=_cmd_derive)
 
     p_check = sub.add_parser("check", help="print the condition report")
-    _add_method_arguments(p_check, with_stages=True)
+    _add_method_arguments(p_check)
     p_check.add_argument("--out", help="also write the report as CSV")
     p_check.set_defaults(handler=_cmd_check)
 
     p_run = sub.add_parser("run", help="integrate a benchmark problem")
-    _add_method_arguments(p_run, with_stages=True)
+    _add_method_arguments(p_run)
     p_run.add_argument("--problem", required=True)
     p_run.add_argument("--h", type=float, required=True, help="step size")
     p_run.add_argument("--steps", type=int, required=True)
@@ -176,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(handler=_cmd_run)
 
     p_order = sub.add_parser("order", help="step-halving order study")
-    _add_method_arguments(p_order, with_stages=True)
+    _add_method_arguments(p_order)
     p_order.add_argument("--problem", required=True)
     p_order.add_argument("--h0", type=float, required=True,
                          help="coarsest step size")

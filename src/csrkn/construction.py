@@ -25,14 +25,14 @@ odd-sum coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .basis import (Family, OrthonormalBasis, double_primitive, inner_product,
-                    make_basis, unit_integral, unit_interval_integral)
+                    make_basis, unit_integral)
 from .quadrature import QuadratureRule, gauss_rule
 
 TABLEAU_TOL = 1e-12
@@ -97,9 +97,10 @@ def _trim(poly: np.ndarray) -> np.ndarray:
 def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
     """Series coefficients of the velocity-weight function B.
 
-    The first b_order coefficients are pinned to int_0^1 P_j dx, which makes
-    the weight moment conditions hold by construction; later ones come from
-    free_lambda (default 0).
+    The first b_order coefficients are pinned to int_0^1 P_j dx (the stage
+    interval is [0, 1] for every family), which makes the weight moment
+    conditions hold by construction; later ones come from free_lambda
+    (default 0).
     """
     if spec.b_order > basis.max_degree:
         raise ConstructionError("b_order exceeds basis degree")
@@ -117,12 +118,17 @@ def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
     size = max([spec.b_order] + [j + 1 for j in tail])
     lam = np.zeros(size)
     for j in range(spec.b_order):
-        lam[j] = unit_interval_integral(basis, j)
+        lam[j] = unit_integral(basis.poly(j))
     for j, v in tail.items():
         lam[j] = v
     # snap rounding noise so the stored degree matches the true one
     lam[np.abs(lam) < 1e-13 * max(1.0, float(np.max(np.abs(lam))))] = 0.0
     return lam
+
+
+def _gap(basis: OrthonormalBasis) -> float:
+    """<x, P_1>_w, the offset alpha[1,0] - alpha[0,1] of a symplectic kernel."""
+    return inner_product(basis, np.array([0.0, 1.0]), basis.poly(1))
 
 
 def _plain_products(basis: OrthonormalBasis, j: int, k: int) -> float:
@@ -144,7 +150,7 @@ def solve_alpha(basis: OrthonormalBasis,
     r = spec.alpha_range
     if r > basis.max_degree:
         raise ConstructionError("alpha_range exceeds basis degree")
-    gap = inner_product(basis, np.array([0.0, 1.0]), basis.poly(1))
+    gap = _gap(basis)
     pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
 
     pinned: dict[tuple[int, int], float] = {}
@@ -176,9 +182,8 @@ def solve_alpha(basis: OrthonormalBasis,
             return out
         if pair == (0, 1):
             # alpha[0,1] appears directly and through alpha[1,0] = alpha[0,1] + gap
-            p1 = basis.poly(1)
-            out[: len(p1)] = u_k * p1
-            out[0] += unit_integral(np.convolve(p1, basis.poly(k)))
+            out[:2] = u_k * basis.poly(1)
+            out[0] += _plain_products(basis, 1, k)
             return out
         pi = basis.poly(i)
         out[: len(pi)] += _plain_products(basis, j, k) * pi
@@ -320,7 +325,7 @@ def assemble(basis: OrthonormalBasis, lam: np.ndarray,
              spec: ConstructionSpec | None = None) -> ContinuousCoefficients:
     """Combine the weight series and coupling coefficients; verify invariants."""
     lam = np.asarray(lam, dtype=float)
-    gap = inner_product(basis, np.array([0.0, 1.0]), basis.poly(1))
+    gap = _gap(basis)
     alpha = {key: float(v) for key, v in alpha.items()}
     if abs(alpha.get((0, 1), 0.0) - alpha.get((1, 0), 0.0) + gap) > TABLEAU_TOL:
         raise ConstructionError(
@@ -448,8 +453,7 @@ def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
     if name == "hermite3":
         # the non-symmetric construction: split the first-order constraint
         # evenly by hand, zero the remaining upper coefficients
-        basis = make_basis(Family.STANDARD_HERMITE, 2)
-        gap = inner_product(basis, np.array([0.0, 1.0]), basis.poly(1))
+        gap = _gap(make_basis(Family.STANDARD_HERMITE, 2))
         return ConstructionSpec(
             family=Family.STANDARD_HERMITE, symmetric=False,
             free_alpha={(0, 1): -0.5 * gap, (1, 2): 0.0, (2, 2): 0.0})
@@ -457,28 +461,30 @@ def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
         f"unknown method {name!r}; choose from {', '.join(BUILTIN_METHODS)}")
 
 
-def builtin_stages(name: str) -> int:
-    return 2 if name == "legendre4" else 3
+def _coefficients(spec: ConstructionSpec,
+                  min_degree: int) -> ContinuousCoefficients:
+    """Continuous coefficients on a basis of degree max(8, b_order, min_degree)."""
+    basis = make_basis(spec.family, max(8, spec.b_order, min_degree))
+    return assemble(basis, build_b(basis, spec), solve_alpha(basis, spec),
+                    spec=spec)
 
 
-def builtin_coefficients(name: str, gamma: float = 0.0,
-                         max_degree: int = 8) -> ContinuousCoefficients:
-    spec = method_spec(name, gamma)
-    basis = make_basis(spec.family, max_degree)
-    lam = build_b(basis, spec)
-    alpha = solve_alpha(basis, spec)
-    return assemble(basis, lam, alpha, spec=spec)
+def derive(spec: ConstructionSpec, stages: int) -> RKNTableau:
+    """The stages-point tableau of a construction: its continuous
+    coefficients sampled at the family's Gauss rule."""
+    coeffs = _coefficients(spec, stages)
+    return discretize(coeffs, gauss_rule(coeffs.basis, stages))
 
 
-def builtin_tableau(name: str, gamma: float = 0.0,
-                    max_degree: int = 8) -> RKNTableau:
+def builtin_coefficients(name: str, gamma: float = 0.0) -> ContinuousCoefficients:
+    return _coefficients(method_spec(name, gamma), min_degree=0)
+
+
+def builtin_tableau(name: str, gamma: float = 0.0) -> RKNTableau:
     """One of the four shipped methods (hermite3 has no free parameter)."""
-    coeffs = builtin_coefficients(name, gamma, max_degree)
-    rule = gauss_rule(coeffs.basis, builtin_stages(name))
-    tableau = discretize(coeffs, rule)
-    return RKNTableau(c=tableau.c, a_bar=tableau.a_bar, b_bar=tableau.b_bar,
-                      b_prime=tableau.b_prime, family=tableau.family,
-                      method=name, gamma=gamma, spec=coeffs.spec)
+    stages = 2 if name == "legendre4" else 3
+    return replace(derive(method_spec(name, gamma), stages),
+                   method=name, gamma=gamma)
 
 
 def serialize_tableau(tableau: RKNTableau) -> str:

@@ -1,12 +1,11 @@
 """Gauss rules for the supported weight functions.
 
 Nodes and weights come from the Golub-Welsch eigenproblem on the symmetric
-tridiagonal Jacobi matrix of the family recurrence.  The eigensolver is a
-small implicit-shift QL sweep kept in-repo: the matrices never exceed
-MAX_DEGREE x MAX_DEGREE and a non-converging sweep must surface as an error,
-never as a silently degraded rule.  Every rule is cross-checked on
-construction against the interpolatory weight definition
-b_i = int_I l_i(x) w(x) dx.
+tridiagonal Jacobi matrix of the family recurrence, solved by
+``numpy.linalg.eigh``.  A failed solve must surface as an error, never as a
+silently degraded rule, so every rule is cross-checked on construction
+against the Christoffel identity 1/w_i = sum_{k<s} P_k(x_i)^2, with the
+orthonormal P_k evaluated by the same three-term recurrence.
 """
 
 from __future__ import annotations
@@ -18,72 +17,12 @@ import numpy as np
 
 from .basis import Family, OrthonormalBasis, recurrence_coefficients
 
-_QL_MAX_SWEEPS = 50
 _INTERP_RTOL = 1e-11
 
 
 class EigenConvergenceError(RuntimeError):
-    """QL iteration failed to isolate an eigenvalue within the sweep budget."""
-
-
-def tridiagonal_eigen(diag, off) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric tridiagonal matrix.
-
-    Implicit-shift QL with Wilkinson shifts, accumulating the full
-    eigenvector matrix.  Returns (values ascending, vectors as columns).
-    """
-    d = np.asarray(diag, dtype=float).copy()
-    n = d.size
-    e = np.zeros(n)
-    e[: n - 1] = np.asarray(off, dtype=float)
-    z = np.eye(n)
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _QL_MAX_SWEEPS:
-                raise EigenConvergenceError(
-                    f"QL sweep budget ({_QL_MAX_SWEEPS}) exhausted at "
-                    f"eigenvalue {l} of {n}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                fcol = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * fcol
-                z[:, i] = c * z[:, i] - s * fcol
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
+    """The Golub-Welsch eigenproblem did not converge, or its weights fail
+    the Christoffel cross-check."""
 
 
 @dataclass(frozen=True)
@@ -117,27 +56,40 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     if not 1 <= s <= basis.max_degree:
         raise ValueError(f"s must be in 1..{basis.max_degree}, got {s}")
     diag, off = recurrence_coefficients(basis.family, s)
-    nodes, vectors = tridiagonal_eigen(diag, off[: s - 1])
-    weights = basis.moments[0] * vectors[0, :] ** 2
-    ref = interpolatory_weights(basis, nodes)
-    drift = np.max(np.abs(weights - ref) / np.abs(ref))
+    jacobi = np.diag(diag) + np.diag(off[: s - 1], 1) + np.diag(off[: s - 1], -1)
+    try:
+        nodes, vectors = np.linalg.eigh(jacobi)
+    except np.linalg.LinAlgError as err:
+        raise EigenConvergenceError(
+            f"Golub-Welsch eigenproblem did not converge: {err}") from err
+    m0 = float(basis.moments[0])
+    weights = m0 * vectors[0, :] ** 2
+    prev, cur = 0.0, np.full(s, 1.0 / math.sqrt(m0))
+    total = cur * cur
+    for k in range(s - 1):
+        back = off[k - 1] * prev if k else 0.0
+        prev, cur = cur, ((nodes - diag[k]) * cur - back) / off[k]
+        total += cur * cur
+    drift = np.max(np.abs(weights * total - 1.0))
     if drift > _INTERP_RTOL:
         raise EigenConvergenceError(
-            f"Golub-Welsch weights disagree with the interpolatory "
-            f"definition (relative drift {drift:.3e})")
+            f"Golub-Welsch weights disagree with the Christoffel identity "
+            f"(relative drift {drift:.3e})")
     return QuadratureRule(family=basis.family, s=s, nodes=nodes, weights=weights)
 
 
 def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis,
                      rtol: float = 1e-10) -> int:
-    """Largest d with sum b_i c_i^k == m_k for every k <= d."""
+    """Largest d with sum b_i c_i^k == m_k for every k <= d, to rtol times
+    sum |b_i c_i^k| (the odd moments of a symmetric weight vanish)."""
     if rule.family is not basis.family:
         raise ValueError("rule and basis families differ")
     degree = -1
     powers = np.ones_like(rule.nodes)
     for k in range(len(basis.moments)):
-        mk = basis.moments[k]
-        if abs(float(rule.weights @ powers) - mk) >= rtol * max(1.0, abs(mk)):
+        terms = rule.weights * powers
+        scale = max(1.0, float(np.sum(np.abs(terms))))
+        if abs(float(np.sum(terms)) - basis.moments[k]) >= rtol * scale:
             break
         degree = k
         powers = powers * rule.nodes

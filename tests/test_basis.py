@@ -121,13 +121,13 @@ def test_inner_product_degree_overflow(bases):
 
 def test_unit_interval_integral(bases):
     leg = bases[csrkn.Family.SHIFTED_LEGENDRE]
-    assert csrkn.unit_interval_integral(leg, 1) == pytest.approx(0.0, abs=1e-15)
+    assert unit_integral(leg.poly(1)) == pytest.approx(0.0, abs=1e-15)
     cheb = bases[csrkn.Family.SHIFTED_CHEBYSHEV1]
-    assert csrkn.unit_interval_integral(cheb, 2) == pytest.approx(
+    assert unit_integral(cheb.poly(2)) == pytest.approx(
         -2.0 / (3.0 * math.sqrt(PI)), abs=1e-14)
     sherm = bases[csrkn.Family.SHIFTED_HERMITE]
     for j in (1, 3, 5, 7):
-        assert abs(csrkn.unit_interval_integral(sherm, j)) < 1e-13
+        assert abs(unit_integral(sherm.poly(j))) < 1e-13
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -41,6 +41,15 @@ def test_derive_custom_family_matches_builtin(tmp_path):
     np.testing.assert_allclose(custom.b_prime, builtin.b_prime, atol=1e-13)
 
 
+def test_derive_custom_writes_derive_output(tmp_path):
+    out = tmp_path / "custom.txt"
+    assert main(["derive", "--family", "shifted-legendre", "--stages", "2",
+                 "--symmetric", "--out", str(out)]) == 0
+    spec = csrkn.ConstructionSpec(family=csrkn.Family.SHIFTED_LEGENDRE,
+                                  symmetric=True)
+    assert out.read_text() == csrkn.serialize_tableau(csrkn.derive(spec, 2))
+
+
 def test_derive_custom_with_pinned_alpha(tmp_path):
     # rebuild the non-symmetric 3-stage method through the generic surface
     out = tmp_path / "pinned.txt"

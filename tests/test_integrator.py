@@ -268,7 +268,7 @@ def test_non_finite_force_on_warm_step_raises():
 
 # Total fixed-point sweeps over 200 Kepler steps at h = 0.1 from the
 # circular orbit; the iteration is deterministic, so the count is exact.
-KEPLER_SWEEPS = {"legendre4": 1208, "chebyshev4": 1037, "hermite4": 1025,
+KEPLER_SWEEPS = {"legendre4": 1207, "chebyshev4": 1029, "hermite4": 1029,
                  "hermite3": 1402}
 
 
