@@ -1,5 +1,6 @@
 """Stage iteration, stepping, determinism, and failure modes."""
 
+import hashlib
 import io
 import logging
 import math
@@ -278,6 +279,52 @@ def test_kepler_sweep_count_pinned(tableaux, name):
     trajectory = csrkn.integrate(tableaux[name], kepler, 0.0, kepler.q0,
                                  kepler.qp0, 0.1, 200)
     assert int(trajectory.iterations.sum()) == KEPLER_SWEEPS[name]
+
+
+# The same count for Henon-Heiles from its standard start state.
+HENON_HEILES_SWEEPS = {"legendre4": 1230, "chebyshev4": 1144,
+                       "hermite4": 1132, "hermite3": 1497}
+
+
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_henon_heiles_sweep_count_pinned(tableaux, name):
+    problem = csrkn.henon_heiles()
+    trajectory = csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
+                                 problem.qp0, 0.1, 200)
+    assert int(trajectory.iterations.sum()) == HENON_HEILES_SWEEPS[name]
+
+
+# sha256 of the CSV of a 300-step run at h = 0.1 from each problem's start
+# state; any change to a state, an invariant or the formatting moves it.
+RUN_CSV_SHA256 = {
+    ("legendre4", "kepler"):
+        "c2ceed32284089689c3d123223f3f52e04ed887a97e54be3aeddf7a79ae5142e",
+    ("legendre4", "henon-heiles"):
+        "9b0d32af1be24074dbf215bd46ccef54eaf8343a8f4777e5c402a9491ea09886",
+    ("chebyshev4", "kepler"):
+        "2567834efa7b3c3f0e6677eb11faccf6ca7af5ca3ffab427ba6feec4caa377d4",
+    ("chebyshev4", "henon-heiles"):
+        "26168f8b6b6daebe011468a2136657f6ff2457825ccd4eca12043c80473d997f",
+    ("hermite4", "kepler"):
+        "c850003cbbd41246d591f7b1b004bc3bfba79eff9c21871aa5630f41d3589fd3",
+    ("hermite4", "henon-heiles"):
+        "2f40838fc994af25ac1aa7b220d81c65907b902a872fd038aec2bc02b015259c",
+    ("hermite3", "kepler"):
+        "a922cfb9a9c5fd89bc176c69813b8e97953d9d8c82826eea52eb3e8ad94bb135",
+    ("hermite3", "henon-heiles"):
+        "62bf26dc5f410a82a385465ccc496b1fcdc063bade920f7ab796945de9f92dfe",
+}
+
+
+@pytest.mark.parametrize("name,problem_name", sorted(RUN_CSV_SHA256))
+def test_run_csv_pinned_sha256(tableaux, name, problem_name):
+    problem = csrkn.problem_from_name(problem_name)
+    trajectory = csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
+                                 problem.qp0, 0.1, 300)
+    buffer = io.StringIO()
+    csrkn.write_trajectory_csv(trajectory, problem, buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == RUN_CSV_SHA256[name, problem_name]
 
 
 def test_polish_cap_is_logged(tableaux, caplog):
