@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -178,10 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call rather than at import; parse_args keeps no
+# state between calls (append defaults are copied, not extended)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return USAGE_ERROR if err.code else 0
     try:

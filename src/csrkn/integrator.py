@@ -85,6 +85,16 @@ def _extrapolation(c: np.ndarray) -> np.ndarray | None:
     return matrix
 
 
+def _max_abs(a: np.ndarray) -> float:
+    """float(np.abs(a).max()) without a numpy reduction, which costs more
+    than the whole loop on a few stage values.  The sum of the magnitudes is
+    NaN exactly when one of them is, and max() would skip a NaN that is not
+    first, so NaN anywhere gives NaN here as in numpy."""
+    magnitudes = list(map(abs, a.ravel().tolist()))
+    total = sum(magnitudes)
+    return max(magnitudes) if total == total else total
+
+
 def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
            q: np.ndarray, qp: np.ndarray, h: float, config: SolverConfig):
     """Yield (q, qp, sweeps) after each step from (t0, q, qp), without end.
@@ -109,7 +119,7 @@ def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         t_stage = t + ch
         base = q + ch_column * qp
         stages = base if predictor is None else base + predictor.dot(forces)
-        scale = fp_tol * (1.0 + float(np.abs(q).max()))
+        scale = fp_tol * (1.0 + _max_abs(q))
         delta = None
         polish = 0
         for sweep in range(1, max_iters + 1):
@@ -120,7 +130,7 @@ def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                     f"force evaluation failed: {err}",
                     time=t, iterations=sweep, last_delta=delta) from err
             updated = base + h2_a_bar.dot(forces)
-            increment = float(np.abs(updated - stages).max())
+            increment = _max_abs(updated - stages)
             if not math.isfinite(increment):
                 raise StageConvergenceError(
                     "force evaluation returned a non-finite value",
@@ -140,7 +150,7 @@ def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             _log.warning("stage iteration at t = %g reached max_iters = %d "
                          "during the polish sweeps (last increment %.3e)",
                          t, max_iters, delta)
-        if not np.isfinite(forces).all():
+        if not math.isfinite(_max_abs(forces)):
             raise StageConvergenceError(
                 "force evaluation returned a non-finite value",
                 time=t, iterations=sweep, last_delta=delta)
@@ -217,5 +227,6 @@ def write_trajectory_csv(trajectory: Trajectory,
         header.append(f"{name}_err")
         columns.append(invariant_drift(trajectory, func))
     stream.write(",".join(header) + "\n")
-    for row in zip(*columns):
-        stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    stream.writelines(row_format % tuple(row)
+                      for row in np.column_stack(columns).tolist())

@@ -1,5 +1,9 @@
 """Command-line interface: verbs, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -85,6 +89,32 @@ def test_negative_exponent_values_parse(tmp_path, capsys):
                  "--out", str(csv)]) == 0
     assert float(csv.read_text().splitlines()[1].split(",")[0]) == -1e-3
     capsys.readouterr()
+
+
+def test_successive_calls_share_no_arguments(tmp_path):
+    # main reuses one parser per process; a second call must see only its
+    # own --set-alpha pin (both pins together are inconsistent and exit 1)
+    outputs = []
+    for pin in (["0", "2", "0.1"], ["2", "2", "0"]):
+        out = tmp_path / f"pin{len(outputs)}.txt"
+        assert main(["derive", "--family", "shifted-chebyshev1",
+                     "--stages", "3", "--symmetric", "--set-alpha", *pin,
+                     "--out", str(out)]) == 0
+        outputs.append(out.read_text())
+    spec = csrkn.ConstructionSpec(family=csrkn.Family.SHIFTED_CHEBYSHEV1,
+                                  symmetric=True, free_alpha={(2, 2): 0.0})
+    assert outputs[1] == csrkn.serialize_tableau(csrkn.derive(spec, 3))
+    assert outputs[0] != outputs[1]
+    assert csrkn.cli._parser() is csrkn.cli._parser()
+
+
+def test_parser_not_built_at_import():
+    code = ("import csrkn.cli; "
+            "print(csrkn.cli._parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0"
 
 
 def test_check_hermite3_report(capsys, tmp_path):

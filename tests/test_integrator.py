@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import csrkn
+from csrkn.integrator import _max_abs
 
 from conftest import SYMMETRIC_METHODS
 
@@ -134,6 +135,41 @@ def test_non_finite_force_raises():
     with pytest.raises(csrkn.StageConvergenceError):
         csrkn.rkn_step(csrkn.builtin_tableau("legendre4"), bad, 0.0,
                        bad.q0, bad.qp0, 0.1)
+
+    # NaN in one component of the middle stage only, never the first entry
+    # the increment's max-norm looks at
+    kepler = csrkn.kepler()
+
+    def f(t, q):
+        forces = kepler.f(t, q)
+        forces[1, 1] = np.nan
+        return forces
+
+    bad = csrkn.SecondOrderProblem(name="one-nan", dim=2, f=f,
+                                   q0=kepler.q0, qp0=kepler.qp0)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.rkn_step(csrkn.builtin_tableau("chebyshev4"), bad, 0.0,
+                       bad.q0, bad.qp0, 0.1)
+    assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, -0.0])
+@pytest.mark.parametrize("position", [0, 3, 5])
+def test_max_abs_matches_numpy(special, position):
+    for base in (np.array([0.5, -2.0, 1e-300, -0.0, 7.0, -3.5]),
+                 np.zeros(6), np.full(6, -0.0)):
+        a = base.copy()
+        a[position] = special
+        for shaped in (a, a.reshape(3, 2)):
+            expected = float(np.abs(shaped).max())
+            value = _max_abs(shaped)
+            assert type(value) is float
+            if math.isnan(expected):
+                assert math.isnan(value)
+            else:
+                assert value == expected
+                assert math.copysign(1.0, value) == math.copysign(1.0,
+                                                                  expected)
 
 
 def test_zero_step_rejected(tableaux):

@@ -52,10 +52,44 @@ def test_kepler_singularity():
     problem = csrkn.kepler()
     with pytest.raises(ValueError):
         problem.f(0.0, np.zeros(2))
-    batch = np.ones((4, 3, 2))
-    batch[2, 1] = 0.0
-    with pytest.raises(ValueError):
-        problem.f(0.0, batch)
+    for row in [(0, 0), (2, 1), (3, 2)]:
+        batch = np.ones((4, 3, 2))
+        batch[row] = 0.0
+        with pytest.raises(ValueError):
+            problem.f(0.0, batch)
+
+
+# The forces as written with numpy reductions and fresh temporaries; the
+# problems compute the same IEEE operations in the same order, so the
+# results must agree to the bit.
+def kepler_force_reference(q):
+    r2 = (q * q).sum(-1, keepdims=True)
+    return q / (-r2 * np.sqrt(r2))
+
+
+def henon_heiles_force_reference(q):
+    q1, q2 = q[..., 0], q[..., 1]
+    force = np.empty_like(q)
+    force[..., 0] = -q1 - 2.0 * q1 * q2
+    force[..., 1] = -q2 - q1 * q1 + q2 * q2
+    return force
+
+
+@pytest.mark.parametrize("factory,reference", [
+    (csrkn.kepler, kepler_force_reference),
+    (csrkn.henon_heiles, henon_heiles_force_reference)])
+def test_force_bitwise_equals_reference(factory, reference):
+    problem = factory()
+    rng = np.random.default_rng(11)
+    batch = rng.uniform(-1.2, 1.2, size=(5, 3, 2))
+    # signed zeros and magnitudes far from 1 stress rounding and sign rules
+    batch[0, 0] = [-0.0, 0.75]
+    batch[4, 2] = [1e-150, -3e100]
+    for q in (batch, batch[1, 2], problem.q0):
+        forces = problem.f(0.0, q)
+        expected = reference(q)
+        assert forces.shape == expected.shape
+        assert forces.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
@@ -143,6 +177,23 @@ def test_invariant_drift_vector_max_norm():
     drift = csrkn.invariant_drift(trajectory, lambda q, qp: np.array(
         [q[0], 2.0 * q[1], 0.0]))
     np.testing.assert_allclose(drift, [0.0, 2.0])
+
+
+def test_invariant_drift_matches_row_by_row():
+    rng = np.random.default_rng(5)
+    trajectory = csrkn.Trajectory(
+        times=np.arange(6.0), q=rng.uniform(-1, 1, (6, 2)),
+        qp=rng.uniform(-1, 1, (6, 2)), iterations=np.zeros(5, dtype=int))
+    trajectory.q[3, 1] = np.nan
+    kepler = csrkn.kepler()
+    for invariant in [kepler.hamiltonian, *kepler.invariants.values()]:
+        values = [np.atleast_1d(np.asarray(invariant(q, qp), dtype=float))
+                  for q, qp in zip(trajectory.q, trajectory.qp)]
+        expected = np.array([float(np.max(np.abs(v - values[0])))
+                             for v in values])
+        drift = csrkn.invariant_drift(trajectory, invariant)
+        assert np.isnan(drift[3])
+        assert drift.tobytes() == expected.tobytes()
 
 
 def test_problem_registry():
