@@ -1,5 +1,6 @@
 """Orthonormal polynomial families: recurrences, moments, integrals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -182,3 +183,28 @@ def test_family_from_name():
     assert csrkn.family_from_name("shifted-legendre") is csrkn.Family.SHIFTED_LEGENDRE
     with pytest.raises(ValueError):
         csrkn.family_from_name("nope")
+
+
+# sha256 over the coeffs, coeffs_lo, moments and moments_lo bytes of every
+# degree 0..MAX_DEGREE basis of a family, in that order.
+BASIS_SHA256 = {
+    csrkn.Family.SHIFTED_LEGENDRE:
+        "d57c32d5dc1ff38e24dc3e8d252cbb1d61142bf40c1534430499c2511bcfdb7a",
+    csrkn.Family.SHIFTED_CHEBYSHEV1:
+        "50f348451153c128bc6fe74d9743c0a07649a6a5c24bbbdf267385e93f1c0813",
+    csrkn.Family.SHIFTED_HERMITE:
+        "9b48accb8d3184d870f2d20d39ddbbe6996fb95684d102d0a905edeea2664812",
+    csrkn.Family.STANDARD_HERMITE:
+        "8136ab5039456dae90541e3c3e6d6cc78db8ee797e6ff66752a84dae62efa764",
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_basis_tables_pinned_sha256(family):
+    digest = hashlib.sha256()
+    for degree in range(MAX_DEGREE + 1):
+        basis = csrkn.make_basis(family, degree)
+        for array in (*basis.coeffs, *basis.coeffs_lo, basis.moments,
+                      basis.moments_lo):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == BASIS_SHA256[family]

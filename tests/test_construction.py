@@ -1,5 +1,6 @@
 """Construction pipeline: weight series, coupling solve, tableaux."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -212,3 +213,41 @@ def test_tableau_position_weights_follow_nodes(tableaux):
     for tableau in tableaux.values():
         np.testing.assert_allclose(
             tableau.b_bar, tableau.b_prime * (1.0 - tableau.c), atol=1e-14)
+
+
+# sha256 of the serialized built-in tableaux; any change to a derived bit
+# moves it.  hermite3 has no free coupling coefficient, so gamma leaves it
+# unchanged.
+BUILTIN_TABLEAU_SHA256 = {
+    ("legendre4", -0.4):
+        "13dae8a5ea9430fbd104ddd83dc4366da29e439f5d128cf7a10b03740cbf8e74",
+    ("legendre4", 0.0):
+        "2f0f7a15ad63846ace6d0db30d8d23fdf6ce0352cc2a69a04958462fb296cd11",
+    ("legendre4", 0.3):
+        "cf16fdba2a87e8a0774145e9446092eecdd9b409567b47a6cf596ac4d67fe82a",
+    ("chebyshev4", -0.4):
+        "efc4568df61d2ecfb132d5f234ab01908e041a3830c5d4aeedc59425a684659a",
+    ("chebyshev4", 0.0):
+        "e522d734fa03aec53b9c999b71483925242f4f939bea5cf0ea453746a41176fa",
+    ("chebyshev4", 0.3):
+        "ab37adec3970496d521e7baabddfbc97f7d55483b845973b91f84bf3ec298f5d",
+    ("hermite4", -0.4):
+        "df8acf68c18e0cd1a22de85e5dde5da1a680a11758d43168f53213363bc064a2",
+    ("hermite4", 0.0):
+        "ce6b0bf46e6734ca3b10a002a943a93991aadd4a1b8b1be743cda100caba272f",
+    ("hermite4", 0.3):
+        "761273303a1fb5e31bc944208ea9de4ea7c403e4716cd3febdef66a1ac8141e6",
+    ("hermite3", -0.4):
+        "6afdd4c5463d51559ddd0be61472ba4ced2ea96eb0b8220f5ec8c3282dcbbcb7",
+    ("hermite3", 0.0):
+        "6afdd4c5463d51559ddd0be61472ba4ced2ea96eb0b8220f5ec8c3282dcbbcb7",
+    ("hermite3", 0.3):
+        "6afdd4c5463d51559ddd0be61472ba4ced2ea96eb0b8220f5ec8c3282dcbbcb7",
+}
+
+
+@pytest.mark.parametrize("name,gamma", sorted(BUILTIN_TABLEAU_SHA256))
+def test_builtin_tableau_pinned_sha256(name, gamma):
+    text = csrkn.serialize_tableau(csrkn.builtin_tableau(name, gamma))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BUILTIN_TABLEAU_SHA256[name, gamma]
