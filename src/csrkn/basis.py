@@ -12,12 +12,18 @@ pairs and the weighted dots run in compensated double-double arithmetic.
 That confines the error of inner products to what the stored coefficient
 vectors themselves carry, which for the capped degrees stays well under
 1e-12.
+
+A family's tables depend only on (family, degree), so ``make_basis`` and
+``recurrence_coefficients`` build each of them once per process and hand
+every caller the same read-only arrays; copy an array before modifying it.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,18 +155,45 @@ def _decimal_coeffs(family: Family, max_degree: int,
     return polys
 
 
+def _shared_table(build):
+    """Memoize build(family, degree), checking the key before the cache so
+    only the 4 x (MAX_DEGREE + 1) valid keys are ever stored.  Callers share
+    each result, so its arrays must be read-only; ``__wrapped__`` is build."""
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def table(family, degree):
+        if not isinstance(family, Family):
+            raise TypeError(f"family must be a Family member, got {family!r}")
+        degree = operator.index(degree)
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValueError(
+                f"degree must be in 0..{MAX_DEGREE} (monomial conditioning), "
+                f"got {degree}")
+        return cached(family, degree)
+
+    return table
+
+
+def _frozen(values) -> np.ndarray:
+    """Read-only array of the values rounded to double."""
+    out = np.array([float(v) for v in values])
+    out.flags.writeable = False
+    return out
+
+
+@_shared_table
 def recurrence_coefficients(family: Family, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi coefficients of the orthonormal three-term recurrence.
 
     Returns (diag, off) with x p_k = off[k] p_{k+1} + diag[k] p_k
-    + off[k-1] p_{k-1}: the working-precision coefficients that build the
-    basis, correctly rounded to double.
+    + off[k-1] p_{k-1} for k < n: the working-precision coefficients that
+    build the basis, correctly rounded to double (shared and read-only).
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         pairs = [_decimal_recurrence(family, k) for k in range(n)]
-    return (np.array([float(d) for d, _ in pairs]),
-            np.array([float(o) for _, o in pairs]))
+    return _frozen(d for d, _ in pairs), _frozen(o for _, o in pairs)
 
 
 @dataclass(frozen=True)
@@ -172,6 +205,9 @@ class OrthonormalBasis:
     correctly rounded doubles; their sub-ulp remainders and those of the
     moment table are kept alongside so the family's own inner products do
     not inherit the monomial cancellation loss.
+
+    ``make_basis`` shares one basis per (family, max_degree) per process,
+    so all four tables are read-only: copy before modifying.
     """
 
     family: Family
@@ -221,21 +257,19 @@ class OrthonormalBasis:
 
 def _hi_lo(values: list[decimal.Decimal]) -> tuple[np.ndarray, np.ndarray]:
     """Correctly rounded doubles of values and of their remainders."""
-    hi = np.array([float(v) for v in values])
-    return hi, np.array([float(v - decimal.Decimal(h))
-                         for v, h in zip(values, hi)])
+    hi = _frozen(values)
+    return hi, _frozen(v - decimal.Decimal(h) for v, h in zip(values, hi))
 
 
+@_shared_table
 def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
     """Build the orthonormal family from its three-term recurrence.
 
     The recurrence runs in 50-digit working precision and the results are
     rounded to double; everything downstream works on the rounded vectors.
+    Each (family, max_degree) is built once per process and every caller
+    gets the same read-only basis; copy its arrays before modifying them.
     """
-    if not 0 <= max_degree <= MAX_DEGREE:
-        raise ValueError(
-            f"max_degree must be in 0..{MAX_DEGREE} (monomial conditioning), "
-            f"got {max_degree}")
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         exact_moments = _decimal_moments(family, 2 * max_degree + 3)

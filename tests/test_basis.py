@@ -10,7 +10,7 @@ from numpy.polynomial import hermite as np_hermite
 from numpy.polynomial import polynomial as npoly
 
 import csrkn
-from csrkn.basis import MAX_DEGREE, unit_integral
+from csrkn.basis import MAX_DEGREE, recurrence_coefficients, unit_integral
 
 ALL_FAMILIES = list(csrkn.Family)
 PI = math.pi
@@ -157,10 +157,68 @@ def test_double_primitive_degree(bases, family):
 
 
 def test_make_basis_degree_bounds():
-    with pytest.raises(ValueError):
-        csrkn.make_basis(csrkn.Family.SHIFTED_LEGENDRE, MAX_DEGREE + 1)
-    with pytest.raises(ValueError):
-        csrkn.make_basis(csrkn.Family.SHIFTED_LEGENDRE, -1)
+    # a repeated call raises again: an error is never cached as a result
+    for table in (csrkn.make_basis, recurrence_coefficients):
+        for degree in (MAX_DEGREE + 1, -1, MAX_DEGREE + 1):
+            with pytest.raises(ValueError):
+                table(csrkn.Family.SHIFTED_LEGENDRE, degree)
+
+
+@pytest.mark.parametrize("table", [csrkn.make_basis, recurrence_coefficients])
+@pytest.mark.parametrize("family", ["shifted-legendre", "x", None, 0])
+def test_non_family_raises_type_error(table, family):
+    for _ in range(2):
+        with pytest.raises(TypeError, match="Family member"):
+            table(family, 2)
+
+
+@pytest.mark.parametrize("table", [csrkn.make_basis, recurrence_coefficients])
+def test_non_integer_degree_raises_type_error(table):
+    table(csrkn.Family.SHIFTED_LEGENDRE, 3)
+    with pytest.raises(TypeError):
+        table(csrkn.Family.SHIFTED_LEGENDRE, 3.0)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_make_basis_is_shared(family):
+    for degree in range(MAX_DEGREE + 1):
+        basis = csrkn.make_basis(family, degree)
+        assert csrkn.make_basis(family, degree) is basis
+        assert csrkn.make_basis(family, np.int64(degree)) is basis
+        assert type(basis.max_degree) is int
+        assert recurrence_coefficients(family, degree) is \
+            recurrence_coefficients(family, degree)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_shared_tables_are_read_only(family):
+    basis = csrkn.make_basis(family, 4)
+    diag, off = recurrence_coefficients(family, 4)
+    for array in (basis.coeffs[2], basis.coeffs_lo[2], basis.moments,
+                  basis.moments_lo, diag, off):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    for n in range(5):
+        assert not basis.coeffs[n].flags.writeable
+        assert not basis.coeffs_lo[n].flags.writeable
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cached_tables_equal_fresh_builds(family):
+    for degree in range(MAX_DEGREE + 1):
+        cached = csrkn.make_basis(family, degree)
+        fresh = csrkn.make_basis.__wrapped__(family, degree)
+        assert fresh is not cached
+        assert fresh.max_degree == cached.max_degree
+        for name in ("coeffs", "coeffs_lo"):
+            for a, b in zip(getattr(fresh, name), getattr(cached, name),
+                            strict=True):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(fresh.moments, cached.moments)
+        np.testing.assert_array_equal(fresh.moments_lo, cached.moments_lo)
+        for a, b in zip(recurrence_coefficients.__wrapped__(family, degree),
+                        recurrence_coefficients(family, degree), strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_weight_functions():

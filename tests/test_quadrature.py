@@ -55,6 +55,19 @@ def test_eigensolver_failure_is_typed(bases, monkeypatch):
         csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 3)
 
 
+def test_gauss_rule_is_not_cached(bases, monkeypatch):
+    # the basis is shared, but every rule still runs its own eigh solve
+    basis = bases[csrkn.Family.SHIFTED_CHEBYSHEV1]
+    csrkn.gauss_rule(basis, 3)
+
+    def no_convergence(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(EigenConvergenceError, match="did not converge"):
+        csrkn.gauss_rule(basis, 3)
+
+
 def test_christoffel_check_rejects_drifted_weights(bases, monkeypatch):
     eigh = np.linalg.eigh
 
