@@ -7,8 +7,8 @@ application configures logging.
 
 import logging
 
-from .basis import (Family, OrthonormalBasis, double_primitive,
-                    family_from_name, inner_product, make_basis)
+from .basis import (Family, OrthonormalBasis, family_from_name,
+                    inner_product, make_basis)
 from .construction import (BUILTIN_METHODS, ConstructionError,
                            ConstructionSpec, ContinuousCoefficients,
                            RKNTableau, assemble, build_b,
@@ -35,7 +35,7 @@ __all__ = [
     "StageConvergenceError", "Trajectory", "adjoint_tableau", "assemble",
     "build_b", "builtin_coefficients", "builtin_tableau", "check_continuous",
     "check_discrete", "check_symmetric", "check_symplectic", "derive",
-    "discretize", "double_primitive", "empirical_order", "exactness_degree",
+    "discretize", "empirical_order", "exactness_degree",
     "family_from_name", "gauss_rule", "harmonic", "henon_heiles",
     "inner_product", "integrate", "interpolatory_weights", "invariant_drift",
     "kepler", "make_basis", "order_bound", "order_bound_with_quadrature",

@@ -1,17 +1,16 @@
 """Weighted orthonormal polynomial families.
 
 Four families are supported: shifted Legendre and shifted Chebyshev (first
-kind) on [0, 1], and standard/shifted Hermite on the whole real line.  Each
-polynomial is stored as a dense monomial coefficient vector (ascending
-powers), so that every integral against the weight reduces to a dot product
-with precomputed moments.
+kind) on [0, 1], and standard/shifted Hermite on the whole real line.  The
+construction works in orthonormal coefficients and evaluates P_n with
+``values``, the three-term recurrence (Gautschi, *Orthogonal Polynomials:
+Computation and Approximation*, OUP 2004, sections 2.1-2.2).
 
-High-degree products cancel violently in the monomial basis (terms near
-1e10 summing to order one), so the moment table is kept as hi/lo double
-pairs and the weighted dots run in compensated double-double arithmetic.
-That confines the error of inner products to what the stored coefficient
-vectors themselves carry, which for the capped degrees stays well under
-1e-12.
+``poly``, ``moments`` and ``inner_product`` are the monomial view: P_n as
+ascending coefficient vectors.  High-degree products cancel violently in
+that form (terms near 1e10 summing to order one), so coefficients and
+moments are kept as hi/lo double pairs and weighted dots run in compensated
+double-double arithmetic, well under 1e-12 for the capped degrees.
 
 A family's tables depend only on (family, degree), so ``make_basis`` and
 ``recurrence_coefficients`` build each of them once per process and hand
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 MAX_DEGREE = 12
 
@@ -196,12 +194,13 @@ def recurrence_coefficients(family: Family, n: int) -> tuple[np.ndarray, np.ndar
     return _frozen(d for d, _ in pairs), _frozen(o for _, o in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Orthonormal polynomials P_0 .. P_max_degree for one weight function.
 
-    ``coeffs[n]`` holds the monomial coefficients of P_n (ascending powers,
-    length n + 1, positive leading coefficient).  The coefficients are
+    ``values`` evaluates them by the three-term recurrence; that is what the
+    construction uses.  ``coeffs[n]`` holds the monomial view of P_n
+    (ascending powers, length n + 1, positive leading coefficient) as
     correctly rounded doubles; their sub-ulp remainders and those of the
     moment table are kept alongside so the family's own inner products do
     not inherit the monomial cancellation loss.
@@ -222,9 +221,27 @@ class OrthonormalBasis:
             raise ValueError(f"degree {n} outside 0..{self.max_degree}")
         return self.coeffs[n]
 
+    def values(self, x, degree: int) -> np.ndarray:
+        """P_0(x) .. P_degree(x) stacked on a new leading axis, shape
+        (degree + 1,) + shape(x), from the three-term recurrence."""
+        if not 0 <= degree <= self.max_degree:
+            raise ValueError(f"degree {degree} outside 0..{self.max_degree}")
+        x = np.asarray(x, dtype=float)
+        diag, off = recurrence_coefficients(self.family, degree)
+        out = np.empty((degree + 1,) + x.shape)
+        out[0] = 1.0 / math.sqrt(self.moments[0])
+        for k in range(degree):
+            nxt = out[k + 1, ...]
+            np.subtract(x, diag[k], out=nxt)
+            nxt *= out[k]
+            if k:
+                nxt -= off[k - 1] * out[k - 1]
+            nxt /= off[k]
+        return out
+
     def eval(self, n: int, x):
         """Evaluate P_n at x (vectorized)."""
-        return npoly.polyval(np.asarray(x, dtype=float), self.poly(n))
+        return self.values(x, n)[n]
 
     def _resolve(self, poly) -> tuple[np.ndarray, np.ndarray]:
         """Attach the stored remainder when poly is one of the family."""
@@ -310,18 +327,3 @@ def inner_product(basis: OrthonormalBasis, p, q) -> float:
                 yield chi, clo, m + n
 
     return basis._moment_dot(terms())
-
-
-def unit_integral(poly) -> float:
-    """Plain int_0^1 p(x) dx for a monomial-coefficient vector."""
-    poly = np.asarray(poly, dtype=float)
-    return float(sum(c / (k + 1) for k, c in enumerate(poly)))
-
-
-def double_primitive(basis: OrthonormalBasis, n: int) -> np.ndarray:
-    """Coefficients of int_0^tau int_0^a P_n(x) dx da, a degree n+2 polynomial."""
-    p = basis.poly(n)
-    out = np.zeros(len(p) + 2)
-    for k, c in enumerate(p):
-        out[k + 2] = c / ((k + 1) * (k + 2))
-    return out

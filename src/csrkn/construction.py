@@ -1,14 +1,14 @@
 """Construction of symplectic Runge-Kutta-Nystrom methods.
 
-The pipeline has three steps.  First the velocity-weight function B is fixed
-by its series in the orthonormal family, which enforces the quadrature-weight
-moment conditions up to the requested order.  Second, the coupling kernel is
-written as B(sigma) times a truncated double expansion with coefficients
-``alpha[(i, j)]`` constrained so the method is symplectic (and optionally
+A construction is stored as coefficients in one weighted orthonormal family:
+the velocity weight B = sum_j lam[j] P_j and the coupling coefficients
+``alpha[(i, j)]``.  The pipeline has three steps.  First lam is pinned to
+int_0^1 P_j up to b_order, which enforces the weight moment conditions.
+Second, alpha is constrained so the method is symplectic (and optionally
 time-reversible), and the remaining coefficients are solved from the stage
-moment conditions by matching polynomial coefficients in tau.  Third, the
-continuous coefficients are sampled at a Gauss rule, which preserves
-symplecticity exactly.
+moment conditions, compared coefficient by coefficient in the family.
+Third, B and the kernel are evaluated by the three-term recurrence at a
+Gauss rule of the same family, which preserves symplecticity exactly.
 
 The expansion convention for the coupling kernel is
 
@@ -19,24 +19,25 @@ i.e. the three lowest terms carry no P_0 factors while the general terms do.
 The symplectic constraints are alpha[0,1] - alpha[1,0] = -<x, P_1>_w and
 alpha[i,j] = alpha[j,i] for i + j > 1; time reversibility additionally needs
 a reflection-symmetric weight, alpha[0,1] = -alpha[1,0], and vanishing
-odd-sum coefficients.
+odd-sum alpha and odd-index lam, since P_j(1 - x) = (-1)^j P_j(x) then.
+Both are checked exactly on the coefficients.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import legendre
 
-from .basis import (Family, OrthonormalBasis, double_primitive, inner_product,
-                    make_basis, unit_integral)
+from .basis import (MAX_DEGREE, Family, OrthonormalBasis,
+                    make_basis, recurrence_coefficients)
 from .quadrature import QuadratureRule, gauss_rule
 
 TABLEAU_TOL = 1e-12
-_GRID = 20
 
 BUILTIN_METHODS = ("legendre4", "chebyshev4", "hermite4", "hermite3")
 
@@ -86,21 +87,64 @@ class ConstructionSpec:
         return min(self.tau_degree, self.b_order - self.cn_order + 1)
 
 
-def _trim(poly: np.ndarray) -> np.ndarray:
-    """Drop exactly-zero trailing coefficients (degree bookkeeping)."""
-    end = len(poly)
-    while end > 1 and poly[end - 1] == 0.0:
-        end -= 1
-    return poly[:end]
+@functools.cache
+def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The MAX_DEGREE-point Gauss-Legendre rule on [0, 1], exact to degree
+    2 MAX_DEGREE - 1: (nodes, weights), built once per process."""
+    nodes, weights = legendre.leggauss(MAX_DEGREE)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+@functools.cache
+def interval_integrals(family: Family,
+                       degree: int) -> tuple[np.ndarray, ...]:
+    """Integrals over [0, 1] of the family's P_0 .. P_degree.
+
+    Returns (ones, gram, targets): ones[j] = int_0^1 P_j, gram[j, k] =
+    int_0^1 P_j P_k, and targets[k, m] = <D_k, P_m>_w, the coefficients of
+    the stage-condition right side D_k(tau) = int_0^tau int_0^a P_k dx da =
+    tau^2 int_0^1 (1 - u) P_k(tau u) du, for every test index k a spec on
+    this basis can have (cn_order <= (b_order + 1) / 2 <= (degree + 1) / 2).
+    The [0, 1] rule is exact for all of them but gram[MAX_DEGREE,
+    MAX_DEGREE], which is never read; D_k has degree k + 2, so the
+    (k + 3)-point Gauss rule of the family projects it exactly.  Entries
+    that vanish by parity are set to exactly 0.  Built once per (family,
+    degree); shared and read-only.
+    """
+    basis = make_basis(family, degree)
+    t, w = _unit_rule()
+    vals = basis.values(t, degree)
+    ones = vals @ w
+    gram = (vals * w) @ vals.T
+    if family.symmetric_weight:
+        # P_j(1 - x) = (-1)^j P_j(x)
+        odd = np.arange(degree + 1) % 2
+        ones[odd == 1] = 0.0
+        gram[(odd[:, None] + odd[None, :]) == 1] = 0.0
+    targets = np.zeros((max((degree + 1) // 2 - 1, 0), degree + 1))
+    for k in range(len(targets)):
+        own = gauss_rule(basis, k + 3)
+        x = own.nodes
+        inner = basis.values(np.multiply.outer(x, t), k)[k] @ (w * (1.0 - t))
+        targets[k, : k + 3] = ((inner * x * x * own.weights)
+                               @ basis.values(x, k + 2).T)
+    if family is Family.STANDARD_HERMITE:
+        # P_j(-x) = (-1)^j P_j(x) and D_k(-tau) = (-1)^k D_k(tau)
+        odd = np.add.outer(np.arange(len(targets)), np.arange(degree + 1))
+        targets[odd % 2 == 1] = 0.0
+    for table in (ones, gram, targets):
+        table.flags.writeable = False
+    return ones, gram, targets
 
 
 def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
-    """Series coefficients of the velocity-weight function B.
+    """Series coefficients lam of the velocity-weight function B.
 
     The first b_order coefficients are pinned to int_0^1 P_j dx (the stage
     interval is [0, 1] for every family), which makes the weight moment
     conditions hold by construction; later ones come from free_lambda
-    (default 0).
+    (default 0).  For a reflection-symmetric weight the odd pinned terms
+    are exactly 0.
     """
     if spec.b_order > basis.max_degree:
         raise ConstructionError("b_order exceeds basis degree")
@@ -117,23 +161,49 @@ def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
                 "symmetric methods need vanishing odd-index weight terms")
     size = max([spec.b_order] + [j + 1 for j in tail])
     lam = np.zeros(size)
-    for j in range(spec.b_order):
-        lam[j] = unit_integral(basis.poly(j))
+    ones = interval_integrals(basis.family, basis.max_degree)[0]
+    lam[: spec.b_order] = ones[: spec.b_order]
     for j, v in tail.items():
         lam[j] = v
-    # snap rounding noise so the stored degree matches the true one
+    # snap rounding noise so the support matches the true degree
     lam[np.abs(lam) < 1e-13 * max(1.0, float(np.max(np.abs(lam))))] = 0.0
     return lam
 
 
 def _gap(basis: OrthonormalBasis) -> float:
-    """<x, P_1>_w, the offset alpha[1,0] - alpha[0,1] of a symplectic kernel."""
-    return inner_product(basis, np.array([0.0, 1.0]), basis.poly(1))
+    """<x, P_1>_w = off[0] sqrt(m0), the offset alpha[1,0] - alpha[0,1] of a
+    symplectic kernel."""
+    off = recurrence_coefficients(basis.family, 1)[1]
+    return float(off[0]) * math.sqrt(basis.moments[0])
 
 
-def _plain_products(basis: OrthonormalBasis, j: int, k: int) -> float:
-    """int_0^1 P_j(x) P_k(x) dx (no weight)."""
-    return unit_integral(np.convolve(basis.poly(j), basis.poly(k)))
+def _expand(upper: Mapping[tuple[int, int], float],
+            gap: float) -> dict[tuple[int, int], float]:
+    """Every alpha from the upper triangle: alpha[j,i] = alpha[i,j] for
+    i + j > 1 and alpha[1,0] = alpha[0,1] + gap."""
+    full = dict(upper)
+    for (i, j), value in upper.items():
+        if i + j > 1:
+            full[(j, i)] = value
+    full[(1, 0)] = full.get((0, 1), 0.0) + gap
+    return full
+
+
+def kernel_matrix(basis: OrthonormalBasis,
+                  alpha: Mapping[tuple[int, int], float],
+                  size: int) -> np.ndarray:
+    """K (size x size, size >= 2) with A(tau, sigma) = B(sigma)
+    sum_ij K[i, j] P_i(tau) P_j(sigma); alpha must be 0 beyond size."""
+    kernel = np.zeros((size, size))
+    for key, value in alpha.items():
+        if value != 0.0:
+            kernel[key] = value
+    # the three lowest terms of the convention carry no P_0 factors
+    p0 = 1.0 / math.sqrt(basis.moments[0])
+    kernel[0, 0] /= p0 * p0
+    kernel[0, 1] /= p0
+    kernel[1, 0] /= p0
+    return kernel
 
 
 def solve_alpha(basis: OrthonormalBasis,
@@ -141,11 +211,12 @@ def solve_alpha(basis: OrthonormalBasis,
     """Solve the stage moment conditions for the coupling coefficients.
 
     For each test polynomial P_k, k = 0 .. cn_order - 2, the condition is a
-    polynomial identity in tau; matching monomial coefficients yields a
-    linear system in the upper-triangle unknowns alpha[i <= j].  Symmetric
-    and user pins are substituted first; unknowns the system never touches
-    fall back to zero; any remaining coupled rank deficiency or inconsistent
-    equation is reported rather than resolved silently.
+    polynomial identity in tau of degree at most alpha_range; matching its
+    coefficients on P_0(tau) .. P_alpha_range(tau) yields a linear system in
+    the upper-triangle unknowns alpha[i <= j].  Symmetric and user pins are
+    substituted first; unknowns the system never touches fall back to zero;
+    any remaining coupled rank deficiency or inconsistent equation is
+    reported rather than resolved silently.
     """
     r = spec.alpha_range
     if r > basis.max_degree:
@@ -170,52 +241,25 @@ def solve_alpha(basis: OrthonormalBasis,
                 f"constraint value {pinned[(i, j)]}")
         pinned[(i, j)] = float(value)
 
-    n_powers = max(r, spec.cn_order) + 1
-
-    def column(pair: tuple[int, int], k: int) -> np.ndarray:
-        """tau-polynomial multiplying alpha[pair] in the k-th condition."""
-        out = np.zeros(n_powers)
-        i, j = pair
-        u_k = unit_integral(basis.poly(k))
-        if pair == (0, 0):
-            out[0] = u_k
-            return out
-        if pair == (0, 1):
-            # alpha[0,1] appears directly and through alpha[1,0] = alpha[0,1] + gap
-            out[:2] = u_k * basis.poly(1)
-            out[0] += _plain_products(basis, 1, k)
-            return out
-        pi = basis.poly(i)
-        out[: len(pi)] += _plain_products(basis, j, k) * pi
-        if i != j:
-            pj = basis.poly(j)
-            out[: len(pj)] += _plain_products(basis, i, k) * pj
-        return out
-
-    unknowns = [p for p in pairs if p not in pinned]
-    rows: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
-    labels: list[tuple[int, int]] = []
-    for k in range(spec.cn_order - 1):
-        target = np.zeros(n_powers)
-        dp = double_primitive(basis, k)
-        target[: len(dp)] = dp
-        # alpha[1,0] = alpha[0,1] + gap contributes a known P_1(tau) term
-        shift = gap * unit_integral(basis.poly(k)) * basis.poly(1)
-        target[: len(shift)] -= shift
-        for pair, value in pinned.items():
-            target -= value * column(pair, k)
-        block = np.zeros((n_powers, len(unknowns)))
-        for col, pair in enumerate(unknowns):
-            block[:, col] = column(pair, k)
-        rows.append(block)
-        rhs.append(target)
-        labels.extend((k, power) for power in range(n_powers))
-
     solution = dict(pinned)
-    if rows:
-        matrix = np.vstack(rows) if unknowns else np.zeros((len(labels), 0))
-        vector = np.concatenate(rhs)
+    n_cond = spec.cn_order - 1
+    if n_cond:
+        # a condition needs b_order >= 3, so r <= b_order - 1 < MAX_DEGREE
+        # and every integral read here is exact
+        _, gram, targets = interval_integrals(basis.family, basis.max_degree)
+        weights = gram[: r + 1, :n_cond]
+
+        def left_sides(alpha) -> np.ndarray:
+            """Coefficients on P_0(tau) .. P_r(tau) of the conditions' left
+            sides int_0^1 A(tau, s) / B(s) P_k(s) ds, k outermost."""
+            return (kernel_matrix(basis, alpha, r + 1) @ weights).T.ravel()
+
+        unknowns = [p for p in pairs if p not in pinned]
+        vector = targets[:n_cond, : r + 1].ravel() - left_sides(
+            _expand(pinned, gap))
+        matrix = np.zeros((len(vector), len(unknowns)))
+        for col, pair in enumerate(unknowns):
+            matrix[:, col] = left_sides(_expand({pair: 1.0}, 0.0))
         scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 1.0)
         # coefficients the conditions never touch take their default value 0
         active: list[tuple[int, int]] = []
@@ -228,61 +272,62 @@ def solve_alpha(basis: OrthonormalBasis,
                 kept.append(idx)
         matrix = matrix[:, kept]
         if active:
-            sing = np.linalg.svd(matrix, compute_uv=False)
-            rank = int(np.sum(sing > 1e-10 * sing[0]))
-            if rank < len(active):
+            values, _, _, sing = np.linalg.lstsq(matrix, vector, rcond=None)
+            if np.sum(sing > 1e-10 * sing[0]) < len(active):
                 raise ConstructionError(
                     f"rank deficiency couples the alpha coefficients "
                     f"{', '.join(map(str, active))}; pin some of them via "
                     f"free_alpha")
-            values, *_ = np.linalg.lstsq(matrix, vector, rcond=None)
         else:
             values = np.zeros(0)
-        residual = np.abs(matrix @ values - vector) if matrix.size else np.abs(vector)
-        if residual.size:
-            worst = int(np.argmax(residual))
-            if residual[worst] > 1e-10 * max(1.0, float(np.max(np.abs(vector)))):
-                k, power = labels[worst]
-                raise ConstructionError(
-                    f"stage moment conditions are inconsistent: test index "
-                    f"{k}, tau^{power} residual {residual[worst]:.3e}")
+        residual = np.abs(matrix @ values - vector)
+        worst = int(np.argmax(residual))
+        if residual[worst] > 1e-10 * max(1.0, float(np.max(np.abs(vector)))):
+            k, m = divmod(worst, r + 1)
+            raise ConstructionError(
+                f"stage moment conditions are inconsistent: test index "
+                f"{k}, P_{m}(tau) residual {residual[worst]:.3e}")
         for pair, value in zip(active, values):
             solution[pair] = float(value)
     for pair in pairs:
         solution.setdefault(pair, 0.0)
-
-    full = dict(solution)
-    for (i, j), value in solution.items():
-        if i + j > 1:
-            full[(j, i)] = value
-    full[(1, 0)] = full[(0, 1)] + gap
-    return full
+    return _expand(solution, gap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuousCoefficients:
     """The assembled continuous-stage coefficient functions.
 
-    ``b_poly`` holds the monomial coefficients of the velocity weight B;
-    ``a_poly[m, n]`` is the tau^m sigma^n coefficient of the coupling kernel
-    (already multiplied by B(sigma)).  The position weight is
-    B(tau) (1 - tau) and the abscissa function is the identity.
+    Stored as coefficients in the orthonormal family: the velocity weight is
+    B = sum_j lam[j] P_j and the coupling kernel A(tau, sigma) is B(sigma)
+    times the ``alpha`` expansion of the module docstring.  The position
+    weight is B(tau) (1 - tau) and the abscissa function is the identity.
     """
 
     basis: OrthonormalBasis
     lam: np.ndarray
     alpha: dict[tuple[int, int], float]
-    b_poly: np.ndarray
-    a_poly: np.ndarray
     spec: ConstructionSpec | None = None
 
     @property
     def family(self) -> Family:
         return self.basis.family
 
+    @property
+    def degrees(self) -> tuple[int, int, int]:
+        """(deg B, tau-degree of A, sigma-degree of A), read from the
+        support of lam and alpha."""
+        deg_b = int(max(np.flatnonzero(self.lam), default=0))
+        keys = [key for key, value in self.alpha.items() if value != 0.0]
+        return (deg_b, max((i for i, _ in keys), default=0),
+                max((j for _, j in keys), default=0) + deg_b)
+
     def b(self, tau):
         """Velocity weight B(tau)."""
-        return npoly.polyval(np.asarray(tau, dtype=float), self.b_poly)
+        deg = self.degrees[0]
+        values = self.basis.values(tau, deg)
+        flat = self.lam[: deg + 1] @ values.reshape(deg + 1, -1)
+        return flat.reshape(values.shape[1:])[()]
 
     def b_bar(self, tau):
         """Position weight B(tau) (1 - tau)."""
@@ -293,97 +338,57 @@ class ContinuousCoefficients:
         """Coupling kernel at (tau, sigma)."""
         tau, sigma = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                          np.asarray(sigma, dtype=float))
-        return npoly.polyval2d(tau, sigma, self.a_poly)
+        deg_b, deg_tau, deg_sigma = self.degrees
+        n = max(deg_tau, deg_sigma - deg_b, 1) + 1
+        kernel = kernel_matrix(self.basis, self.alpha, n)
+        p_tau = self.basis.values(tau, n - 1).reshape(n, -1)
+        p_sigma = self.basis.values(sigma, n - 1).reshape(n, -1)
+        flat = np.sum(p_tau * (kernel @ p_sigma), axis=0)
+        return flat.reshape(tau.shape)[()] * self.b(sigma)
 
     @property
-    def degrees(self) -> tuple[int, int, int]:
-        """(deg B, tau-degree of A, sigma-degree of A), ignoring coefficients
-        at rounding level."""
+    def symplectic_residual(self) -> float:
+        """Largest violation of alpha[0,1] - alpha[1,0] = -<x, P_1>_w and
+        alpha[i,j] = alpha[j,i] (i + j > 1)."""
+        a = self.alpha
+        return max([abs(a.get((0, 1), 0.0) - a.get((1, 0), 0.0)
+                        + _gap(self.basis))]
+                   + [abs(v - a.get((j, i), 0.0))
+                      for (i, j), v in a.items() if i + j > 1])
 
-        def top(mask) -> int:
-            hits = np.flatnonzero(mask)
-            return int(hits.max()) if hits.size else 0
-
-        cut_b = 1e-12 * max(1.0, float(np.max(np.abs(self.b_poly))))
-        cut_a = 1e-12 * max(1.0, float(np.max(np.abs(self.a_poly))))
-        big = np.abs(self.a_poly) > cut_a
-        return (top(np.abs(self.b_poly) > cut_b),
-                top(big.any(axis=1)), top(big.any(axis=0)))
-
-
-def _series_to_poly(basis: OrthonormalBasis, lam: np.ndarray) -> np.ndarray:
-    poly = np.zeros(len(lam))
-    for j, coeff in enumerate(lam):
-        if coeff != 0.0:
-            pj = basis.poly(j)
-            poly[: len(pj)] += coeff * pj
-    return _trim(poly)
+    @property
+    def symmetry_residual(self) -> float:
+        """Largest violation of the time-reversal conditions for a
+        reflection-symmetric weight: alpha[0,1] = -alpha[1,0] and vanishing
+        odd-sum alpha and odd-index lam."""
+        a = self.alpha
+        return max([abs(a.get((0, 1), 0.0) + a.get((1, 0), 0.0))]
+                   + [abs(v) for (i, j), v in a.items() if (i + j) % 2 == 1
+                      and i + j > 1]
+                   + [float(abs(v)) for v in self.lam[1::2]])
 
 
 def assemble(basis: OrthonormalBasis, lam: np.ndarray,
              alpha: Mapping[tuple[int, int], float],
              spec: ConstructionSpec | None = None) -> ContinuousCoefficients:
-    """Combine the weight series and coupling coefficients; verify invariants."""
-    lam = np.asarray(lam, dtype=float)
-    gap = _gap(basis)
-    alpha = {key: float(v) for key, v in alpha.items()}
-    if abs(alpha.get((0, 1), 0.0) - alpha.get((1, 0), 0.0) + gap) > TABLEAU_TOL:
-        raise ConstructionError(
-            "alpha[0,1] - alpha[1,0] must equal -<x, P_1>_w")
-    top = max((max(i, j) for (i, j) in alpha), default=0)
-    for i in range(top + 1):
-        for j in range(i + 1, top + 1):
-            if i + j > 1:
-                left = alpha.get((i, j), 0.0)
-                right = alpha.get((j, i), 0.0)
-                if abs(left - right) > TABLEAU_TOL:
-                    raise ConstructionError(
-                        f"alpha[{i},{j}] and alpha[{j},{i}] must match")
-
-    b_poly = _series_to_poly(basis, lam)
-    p0 = basis.poly(0)[0]
-    kernel = np.zeros((top + 1, top + 1))
-    for (i, j), value in alpha.items():
-        if value == 0.0:
-            continue
-        if (i, j) == (0, 0):
-            value = value / (p0 * p0)
-        elif (i, j) in ((0, 1), (1, 0)):
-            value = value / p0
-        pi, pj = basis.poly(i), basis.poly(j)
-        kernel[: i + 1, : j + 1] += value * np.outer(pi, pj)
-    a_poly = np.zeros((top + 1, top + len(b_poly)))
-    for row in range(top + 1):
-        a_poly[row, :] = np.convolve(kernel[row, :], b_poly)
-
-    coeffs = ContinuousCoefficients(basis=basis, lam=lam, alpha=alpha,
-                                    b_poly=b_poly, a_poly=a_poly, spec=spec)
-    grid = np.linspace(0.0, 1.0, _GRID)
-    residual = symplectic_identity_residual(coeffs, grid)
+    """Combine the weight series and coupling coefficients after checking
+    symplecticity on alpha and, for a symmetric spec, the parity of lam."""
+    coeffs = ContinuousCoefficients(
+        basis=basis, lam=np.asarray(lam, dtype=float),
+        alpha={key: float(v) for key, v in alpha.items()}, spec=spec)
+    residual = coeffs.symplectic_residual
     if residual > TABLEAU_TOL:
         raise ConstructionError(
-            f"continuous symplecticity identity violated "
-            f"(grid residual {residual:.3e})")
-    if spec is not None and spec.symmetric:
-        reflect = np.max(np.abs(coeffs.b(grid) - coeffs.b(1.0 - grid)))
-        if reflect > TABLEAU_TOL:
-            raise ConstructionError(
-                f"velocity weight is not reflection-symmetric "
-                f"(residual {reflect:.3e})")
+            f"alpha violates alpha[0,1] - alpha[1,0] = -<x, P_1>_w or "
+            f"alpha[i,j] = alpha[j,i] (residual {residual:.3e})")
+    if spec is not None and spec.symmetric and np.any(coeffs.lam[1::2]):
+        raise ConstructionError(
+            "velocity weight is not reflection-symmetric "
+            "(odd-index lam must vanish)")
     return coeffs
 
 
-def symplectic_identity_residual(coeffs: ContinuousCoefficients,
-                                 grid: np.ndarray) -> float:
-    """Max residual of B_t A(t,s) - B_s A(s,t) - B_t B_s (t - s) on grid^2."""
-    tt, ss = np.meshgrid(grid, grid, indexing="ij")
-    bt = coeffs.b(tt)
-    bs = coeffs.b(ss)
-    lhs = bt * coeffs.a_bar(tt, ss) - bs * coeffs.a_bar(ss, tt)
-    return float(np.max(np.abs(lhs - bt * bs * (tt - ss))))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RKNTableau:
     """Discrete method: nodes c, coupling matrix a_bar, position weights
     b_bar, velocity weights b_prime (quadrature weights already folded in)."""
@@ -412,7 +417,7 @@ def discretize(coeffs: ContinuousCoefficients,
     c = rule.nodes
     b_values = coeffs.b(c)
     a_bar = rule.weights[None, :] * coeffs.a_bar(c[:, None], c[None, :])
-    b_bar = rule.weights * coeffs.b_bar(c)
+    b_bar = rule.weights * (b_values * (1.0 - c))
     b_prime = rule.weights * b_values
     tableau = RKNTableau(c=c, a_bar=a_bar, b_bar=b_bar, b_prime=b_prime,
                          family=coeffs.family, spec=coeffs.spec)

@@ -10,7 +10,6 @@ orthonormal P_k evaluated by the same three-term recurrence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ class EigenConvergenceError(RuntimeError):
     the Christoffel cross-check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """s-point Gauss rule: nodes are the zeros of P_s, weights are positive."""
 
@@ -62,14 +61,8 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     except np.linalg.LinAlgError as err:
         raise EigenConvergenceError(
             f"Golub-Welsch eigenproblem did not converge: {err}") from err
-    m0 = float(basis.moments[0])
-    weights = m0 * vectors[0, :] ** 2
-    prev, cur = 0.0, np.full(s, 1.0 / math.sqrt(m0))
-    total = cur * cur
-    for k in range(s - 1):
-        back = off[k - 1] * prev if k else 0.0
-        prev, cur = cur, ((nodes - diag[k]) * cur - back) / off[k]
-        total += cur * cur
+    weights = float(basis.moments[0]) * vectors[0, :] ** 2
+    total = np.sum(basis.values(nodes, s - 1) ** 2, axis=0)
     drift = np.max(np.abs(weights * total - 1.0))
     if drift > _INTERP_RTOL:
         raise EigenConvergenceError(

@@ -1,11 +1,13 @@
 """Condition checks for continuous coefficients and discrete tableaux.
 
-All algebraic checks reduce to exact moment sums or small matrix algebra;
-nothing is sampled except the two-variable identities, which are polynomial
-and therefore fully pinned by a dense grid.  The order bound used throughout
-is min(b_order, 2*cn_order + 2, cn_order + dn_order) on whatever condition
-orders actually hold, which reproduces the classical simplifying-assumption
-bound for RKN methods.
+The continuous checks work on the stored orthonormal coefficients: every
+weighted integral comes from a Gauss rule of the family with enough points
+to be exact, each polynomial identity is compared coefficient by coefficient
+in the orthonormal family, and the symplecticity and time-reversal residuals
+are the coefficient conditions that ``assemble`` enforces.  The order bound
+used throughout is min(b_order, 2*cn_order + 2, cn_order + dn_order) on
+whatever condition orders actually hold, which reproduces the classical
+simplifying-assumption bound for RKN methods.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import MAX_DEGREE, make_basis
 from .construction import (ContinuousCoefficients, RKNTableau,
-                           discrete_symplectic_residual,
-                           symplectic_identity_residual)
+                           discrete_symplectic_residual, kernel_matrix)
 from .integrator import SolverConfig, integrate
 from .problems import SecondOrderProblem
+from .quadrature import gauss_rule
 
 TOL_ALGEBRAIC = 1e-12
 TOL_CHAINED = 1e-10
@@ -82,57 +85,48 @@ def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
     """Measure the moment conditions of a continuous coefficient set.
 
     The weight condition of order kappa asks the weighted moment of
-    B(tau) tau^(kappa-1) to equal 1/kappa; the stage and transpose
-    conditions are polynomial identities whose residual is the largest
-    stray coefficient.  The scan runs past the construction orders so the
-    report shows where each condition chain breaks.
+    B(tau) tau^(kappa-1) to equal 1/kappa.  The stage and transpose
+    conditions are polynomial identities in one variable (the transpose one
+    after dividing out B(sigma)); the residual is the largest coefficient
+    of left minus right in the orthonormal family.  The scan runs past the
+    construction orders so the report shows where each condition chain
+    breaks.  Raises ValueError if exact integrals would need a Gauss rule
+    of more than MAX_DEGREE points.
     """
-    basis = coeffs.basis
-    moments = basis.moments
-    b_poly = coeffs.b_poly
-    a_poly = coeffs.a_poly
+    deg_b, deg_tau, deg_sigma = coeffs.degrees
+    top = max(deg_tau, deg_sigma - deg_b, 1)
+    n_coef = max(top, kappa_max) + 1
+    need = max(deg_b + top + kappa_max - 2, n_coef - 1 + kappa_max)
+    points = need // 2 + 1
+    if points > MAX_DEGREE:
+        raise ValueError(
+            f"exact condition integrals need a {points}-point Gauss rule; "
+            f"at most {MAX_DEGREE} are available")
+    basis = make_basis(coeffs.family, MAX_DEGREE)
+    rule = gauss_rule(basis, points)
+    x, w = rule.nodes, rule.weights
+    powers = x ** np.arange(kappa_max + 1)[:, None]
+    b_values = coeffs.b(x)
+    b_res = [abs(float((w * b_values) @ powers[kappa - 1]) - 1.0 / kappa)
+             for kappa in range(1, kappa_max + 1)]
 
-    b_res = []
-    for kappa in range(1, kappa_max + 1):
-        value = float(np.dot(b_poly, moments[kappa - 1: kappa - 1 + len(b_poly)]))
-        b_res.append(abs(value - 1.0 / kappa))
-
+    # coefficients of a function on P_0 .. P_{n_coef - 1}, from its values
+    project = (basis.values(x, n_coef - 1) * w).T
+    kernel = kernel_matrix(coeffs.basis, coeffs.alpha, n_coef)
+    # moments[kappa - 1, j] = int B(x) x^(kappa - 1) P_j(x) w(x) dx
+    moments = (b_values * powers[: kappa_max - 1]) @ project
     cn_res = []
-    n_tau, n_sigma = a_poly.shape
-    for kappa in range(1, kappa_max):
-        lhs = np.array([
-            float(np.dot(a_poly[m, :], moments[kappa - 1: kappa - 1 + n_sigma]))
-            for m in range(n_tau)])
-        diff = np.zeros(max(n_tau, kappa + 2))
-        diff[:n_tau] = lhs
-        diff[kappa + 1] -= 1.0 / (kappa * (kappa + 1))
-        cn_res.append(float(np.max(np.abs(diff))))
-
-    # the transpose condition carries the weight on tau only
-    ba = np.zeros((n_tau + len(b_poly) - 1, n_sigma))
-    for col in range(n_sigma):
-        ba[:, col] = np.convolve(b_poly, a_poly[:, col])
     dn_res = []
     for kappa in range(1, kappa_max):
-        lhs = np.array([
-            float(np.dot(ba[:, col], moments[kappa - 1: kappa - 1 + ba.shape[0]]))
-            for col in range(n_sigma)])
-        target = np.zeros(kappa + 2)
-        target[kappa + 1] = 1.0 / (kappa * (kappa + 1))
-        target[1] -= 1.0 / kappa
-        target[0] += 1.0 / (kappa + 1)
-        rhs = np.convolve(b_poly, target)
-        diff = np.zeros(max(len(lhs), len(rhs)))
-        diff[: len(lhs)] = lhs
-        diff[: len(rhs)] -= rhs
-        dn_res.append(float(np.max(np.abs(diff))))
+        stage = powers[kappa + 1] / (kappa * (kappa + 1))
+        transpose = stage - x / kappa + 1.0 / (kappa + 1)
+        cn_res.append(float(np.max(np.abs(
+            kernel @ moments[kappa - 1] - stage @ project))))
+        dn_res.append(float(np.max(np.abs(
+            kernel.T @ moments[kappa - 1] - transpose @ project))))
 
-    grid = np.linspace(0.0, 1.0, 24)
-    symplectic = symplectic_identity_residual(coeffs, grid)
-    symmetry = None
-    if coeffs.family.symmetric_weight:
-        symmetry = _continuous_symmetry_residual(coeffs, grid)
-
+    symmetry = (coeffs.symmetry_residual if coeffs.family.symmetric_weight
+                else None)
     b_order = _orders_from_residuals(b_res, tol, 0)
     cn_order = _orders_from_residuals(cn_res, tol, 1)
     dn_order = _orders_from_residuals(dn_res, tol, 1)
@@ -140,19 +134,9 @@ def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
         kind="continuous", b_residuals=tuple(b_res),
         cn_residuals=tuple(cn_res), dn_residuals=tuple(dn_res),
         b_order=b_order, cn_order=cn_order, dn_order=dn_order,
-        symplectic_residual=symplectic, symmetry_residual=symmetry,
+        symplectic_residual=coeffs.symplectic_residual,
+        symmetry_residual=symmetry,
         predicted_order=order_bound(b_order, cn_order, dn_order))
-
-
-def _continuous_symmetry_residual(coeffs: ContinuousCoefficients,
-                                  grid: np.ndarray) -> float:
-    """Residual of the time-reversal conditions on the coefficient functions."""
-    tt, ss = np.meshgrid(grid, grid, indexing="ij")
-    adjoint = (coeffs.b(1.0 - ss) * tt - coeffs.b_bar(1.0 - ss)
-               + coeffs.a_bar(1.0 - tt, 1.0 - ss))
-    res = float(np.max(np.abs(adjoint - coeffs.a_bar(tt, ss))))
-    res = max(res, float(np.max(np.abs(coeffs.b(grid) - coeffs.b(1.0 - grid)))))
-    return res
 
 
 def check_discrete(tableau: RKNTableau, kappa_max: int | None = None,

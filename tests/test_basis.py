@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from numpy.polynomial import hermite as np_hermite
 from numpy.polynomial import polynomial as npoly
 
 import csrkn
-from csrkn.basis import MAX_DEGREE, recurrence_coefficients, unit_integral
+from csrkn.basis import MAX_DEGREE, recurrence_coefficients
+from csrkn.construction import interval_integrals
 
 ALL_FAMILIES = list(csrkn.Family)
 PI = math.pi
@@ -120,40 +122,66 @@ def test_inner_product_degree_overflow(bases):
         csrkn.inner_product(basis, big, big)
 
 
+def _exact_poly(basis, n):
+    """P_n's monomial coefficients hi + lo as exact fractions."""
+    return [Fraction(hi) + Fraction(lo)
+            for hi, lo in zip(basis.coeffs[n], basis.coeffs_lo[n])]
+
+
+def _monomial_double_primitive(poly) -> np.ndarray:
+    """Monomial coefficients of int_0^tau int_0^a p(x) dx da."""
+    out = np.zeros(len(poly) + 2)
+    for k, c in enumerate(poly):
+        out[k + 2] = c / ((k + 1) * (k + 2))
+    return out
+
+
 def test_unit_interval_integral(bases):
-    leg = bases[csrkn.Family.SHIFTED_LEGENDRE]
-    assert unit_integral(leg.poly(1)) == pytest.approx(0.0, abs=1e-15)
-    cheb = bases[csrkn.Family.SHIFTED_CHEBYSHEV1]
-    assert unit_integral(cheb.poly(2)) == pytest.approx(
-        -2.0 / (3.0 * math.sqrt(PI)), abs=1e-14)
-    sherm = bases[csrkn.Family.SHIFTED_HERMITE]
+    ones = interval_integrals(csrkn.Family.SHIFTED_LEGENDRE, 8)[0]
+    assert ones[1] == pytest.approx(0.0, abs=1e-15)
+    ones = interval_integrals(csrkn.Family.SHIFTED_CHEBYSHEV1, 8)[0]
+    assert ones[2] == pytest.approx(-2.0 / (3.0 * math.sqrt(PI)), abs=1e-14)
+    ones = interval_integrals(csrkn.Family.SHIFTED_HERMITE, 8)[0]
     for j in (1, 3, 5, 7):
-        assert abs(unit_integral(sherm.poly(j))) < 1e-13
+        assert ones[j] == 0.0
+    for table in interval_integrals(csrkn.Family.SHIFTED_HERMITE, 8):
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_double_primitive_of_constant(bases, family):
+    # stage target of P_0 = c0: c0 tau^2 / 2, as coefficients in the family
     basis = bases[family]
-    prim = csrkn.double_primitive(basis, 0)
-    c0 = basis.poly(0)[0]
-    np.testing.assert_allclose(prim, [0.0, 0.0, c0 / 2.0], atol=1e-15)
+    targets = interval_integrals(family, MAX_DEGREE)[2]
+    prim = [0.0, 0.0, basis.poly(0)[0] / 2.0]
+    oracle = [csrkn.inner_product(basis, prim, basis.poly(m))
+              for m in range(9)]
+    np.testing.assert_allclose(targets[0, :9], oracle, atol=1e-14)
 
 
 def test_double_primitive_legendre_linear(bases):
     basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
-    prim = csrkn.double_primitive(basis, 1)
+    targets = interval_integrals(csrkn.Family.SHIFTED_LEGENDRE, 8)[2]
     s3 = math.sqrt(3)
-    np.testing.assert_allclose(prim, [0.0, 0.0, -s3 / 2.0, s3 / 3.0],
-                               atol=1e-15)
+    prim = [0.0, 0.0, -s3 / 2.0, s3 / 3.0]
+    oracle = [csrkn.inner_product(basis, prim, basis.poly(m))
+              for m in range(9)]
+    np.testing.assert_allclose(targets[1, :9], oracle, atol=1e-15)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_double_primitive_degree(bases, family):
     basis = bases[family]
-    for n in range(6):
-        prim = csrkn.double_primitive(basis, n)
-        assert len(prim) == n + 3
-        assert prim[-1] != 0.0
+    targets = interval_integrals(family, MAX_DEGREE)[2]
+    assert len(targets) == 5  # test indices k < cn_order - 1 <= 5
+    for n in range(5):
+        # degree n + 2: nonzero top coefficient, exact zeros above it
+        assert targets[n, n + 2] != 0.0
+        assert not np.any(targets[n, n + 3:])
+        prim = _monomial_double_primitive(basis.poly(n))
+        oracle = [csrkn.inner_product(basis, prim, basis.poly(m))
+                  for m in range(n + 3)]
+        np.testing.assert_allclose(targets[n, : n + 3], oracle, atol=1e-12)
 
 
 def test_make_basis_degree_bounds():
@@ -233,8 +261,45 @@ def test_weight_functions():
     assert np.all(leg.weight(np.linspace(0, 1, 5)) == 1.0)
 
 
-def test_unit_integral_helper():
-    assert unit_integral([1.0, 2.0, 3.0]) == pytest.approx(1 + 1 + 1)
+def test_unit_integral_helper(bases):
+    # the [0, 1] rule against int_0^1 x^k dx = 1 / (k + 1), in exact arithmetic
+    for family, basis in bases.items():
+        ones, gram, _ = interval_integrals(family, 8)
+        polys = [_exact_poly(basis, j) for j in range(9)]
+        for j, pj in enumerate(polys):
+            exact = sum(c / (k + 1) for k, c in enumerate(pj))
+            assert ones[j] == pytest.approx(float(exact), abs=1e-14)
+            for k, pk in enumerate(polys):
+                exact = sum(a * b / (m + n + 1) for m, a in enumerate(pj)
+                            for n, b in enumerate(pk))
+                assert gram[j, k] == pytest.approx(float(exact), abs=1e-13)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_values_match_monomial_view(bases, family):
+    basis = bases[family]
+    x = np.linspace(-0.5, 1.5, 21)
+    values = basis.values(x, basis.max_degree)
+    assert values.shape == (basis.max_degree + 1, x.size)
+    for n in range(basis.max_degree + 1):
+        poly = _exact_poly(basis, n)
+        exact = [float(sum(c * Fraction(v) ** k for k, c in enumerate(poly)))
+                 for v in x]
+        np.testing.assert_allclose(values[n], exact, rtol=1e-13, atol=1e-14)
+        np.testing.assert_array_equal(basis.eval(n, x), values[n])
+    assert basis.values(0.25, 2).shape == (3,)
+    with pytest.raises(ValueError):
+        basis.values(x, basis.max_degree + 1)
+
+
+def test_basis_equality_and_hash_do_not_raise():
+    family = csrkn.Family.SHIFTED_LEGENDRE
+    cached = csrkn.make_basis(family, 3)
+    fresh = csrkn.make_basis.__wrapped__(family, 3)
+    assert (fresh == cached) is False
+    assert cached == cached
+    assert hash(cached) == hash(csrkn.make_basis(family, 3))
+    assert isinstance(hash(fresh), int)
 
 
 def test_family_from_name():

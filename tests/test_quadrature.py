@@ -203,3 +203,12 @@ def test_exactness_family_mismatch(bases):
     rule = csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 2)
     with pytest.raises(ValueError):
         csrkn.exactness_degree(rule, bases[csrkn.Family.STANDARD_HERMITE])
+
+
+def test_rule_equality_and_hash_do_not_raise(bases):
+    basis = bases[csrkn.Family.SHIFTED_CHEBYSHEV1]
+    rule = csrkn.gauss_rule(basis, 3)
+    again = csrkn.gauss_rule(basis, 3)
+    assert (again == rule) is False
+    assert rule == rule
+    assert isinstance(hash(rule), int) and isinstance(hash(again), int)

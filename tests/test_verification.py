@@ -184,3 +184,16 @@ def test_report_rendering(tableaux):
     assert float(rows[("B", "4")]) == pytest.approx(0.5, abs=1e-12)
     symmetric_csv = csrkn.report_csv(csrkn.check_discrete(tableaux["legendre4"]))
     assert "\nsymmetry,0," in symmetric_csv
+
+
+def test_continuous_check_needs_exact_rules():
+    # deg B = 12 and a degree-12 kernel would need a 15-point rule
+    basis = csrkn.make_basis(csrkn.Family.SHIFTED_LEGENDRE, 12)
+    alpha = dict(csrkn.builtin_coefficients("legendre4").alpha)
+    alpha[(12, 12)] = 0.1
+    lam = np.zeros(13)
+    lam[[0, 12]] = 1.0, 0.1
+    coeffs = csrkn.assemble(basis, lam, alpha)
+    assert coeffs.degrees == (12, 12, 24)
+    with pytest.raises(ValueError, match="15-point Gauss rule"):
+        csrkn.check_continuous(coeffs)
