@@ -20,7 +20,7 @@ from .integrator import (SolverConfig, StageConvergenceError, Trajectory,
 from .problems import (PROBLEMS, SecondOrderProblem, harmonic, henon_heiles,
                        invariant_drift, kepler, problem_from_name)
 from .quadrature import (EigenConvergenceError, QuadratureRule,
-                         exactness_degree, gauss_rule, interpolatory_weights)
+                         exactness_degree, gauss_rule)
 from .verification import (ConditionReport, OrderEstimate, adjoint_tableau,
                            check_continuous, check_discrete, check_symmetric,
                            check_symplectic, empirical_order, order_bound,
@@ -37,8 +37,8 @@ __all__ = [
     "check_discrete", "check_symmetric", "check_symplectic", "derive",
     "discretize", "empirical_order", "exactness_degree",
     "family_from_name", "gauss_rule", "harmonic", "henon_heiles",
-    "inner_product", "integrate", "interpolatory_weights", "invariant_drift",
-    "kepler", "make_basis", "order_bound", "order_bound_with_quadrature",
+    "inner_product", "integrate", "invariant_drift", "kepler",
+    "make_basis", "order_bound", "order_bound_with_quadrature",
     "parse_tableau", "problem_from_name", "report_csv", "report_lines",
     "rkn_step", "serialize_tableau", "solve_alpha", "write_trajectory_csv",
 ]

@@ -6,11 +6,10 @@ construction works in orthonormal coefficients and evaluates P_n with
 ``values``, the three-term recurrence (Gautschi, *Orthogonal Polynomials:
 Computation and Approximation*, OUP 2004, sections 2.1-2.2).
 
-``poly``, ``moments`` and ``inner_product`` are the monomial view: P_n as
-ascending coefficient vectors.  High-degree products cancel violently in
-that form (terms near 1e10 summing to order one), so coefficients and
-moments are kept as hi/lo double pairs and weighted dots run in compensated
-double-double arithmetic, well under 1e-12 for the capped degrees.
+``poly``, ``moments`` and ``inner_product`` are the monomial view.  Every
+family has a rational monic recurrence and rational moment ratios m_k / m_0,
+so that view is kept exact in fractions (see ``OrthonormalBasis``) and the
+violent cancellation of high-degree monomial products costs nothing.
 
 A family's tables depend only on (family, degree), so ``make_basis`` and
 ``recurrence_coefficients`` build each of them once per process and hand
@@ -25,30 +24,13 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 MAX_DEGREE = 12
 
-_PI_50 = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah = _SPLIT * a
-    ah -= ah - a
-    al = a - ah
-    bh = _SPLIT * b
-    bh -= bh - b
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+_HALF = Fraction(1, 2)
 
 
 class Family(Enum):
@@ -88,69 +70,40 @@ def family_from_name(name: str) -> Family:
                      f"{', '.join(f.value for f in Family)}")
 
 
-def _decimal_moments(family: Family, count: int) -> list[decimal.Decimal]:
-    one = decimal.Decimal(1)
+def _moment_ratios(family: Family, count: int) -> list[Fraction]:
+    """m_k / m_0 for k < count, exactly."""
     if family is Family.SHIFTED_LEGENDRE:
-        return [one / (k + 1) for k in range(count)]
+        return [Fraction(1, k + 1) for k in range(count)]
     if family is Family.SHIFTED_CHEBYSHEV1:
-        # m_k = (pi/2) * binom(2k, k) / 4^k via the ratio recurrence
-        m = [_PI_50 / 2]
-        for k in range(1, count):
-            m.append(m[k - 1] * (2 * k - 1) / (2 * k))
-        return m
-    if family is Family.STANDARD_HERMITE:
-        # odd moments vanish, even ones follow the Gamma-function recurrence
-        m = [_PI_50.sqrt(), decimal.Decimal(0)]
-        for k in range(2, count):
-            m.append(m[k - 2] * (k - 1) / 2)
-        return m[:count]
-    # shift x -> (u+1)/2 turns these into a binomial mix of the standard
-    # Hermite moments
-    std = _decimal_moments(Family.STANDARD_HERMITE, count)
-    out = []
-    for k in range(count):
-        acc = sum(math.comb(k, j) * std[j] for j in range(0, k + 1, 2))
-        out.append(acc / decimal.Decimal(2) ** (k + 1))
-    return out
+        return [Fraction(math.comb(2 * k, k), 4 ** k) for k in range(count)]
+    # Hermite: s_k = base**k m_k / m_0 are integers, from integration by
+    # parts on w' = -4(2x-1)w (shifted: base 8) or on w' = -2xw (base 2)
+    shifted = family is Family.SHIFTED_HERMITE
+    s = [1, 4 if shifted else 0]
+    for k in range(1, count - 1):
+        s.append(4 * s[k] + 8 * k * s[k - 1] if shifted else 2 * k * s[k - 1])
+    return [Fraction(v, (8 if shifted else 2) ** k) for k, v in enumerate(s)]
 
 
-def _decimal_recurrence(family: Family, k: int) -> tuple[decimal.Decimal,
-                                                         decimal.Decimal]:
-    """(diag_k, off_k) of the orthonormal recurrence, in working precision.
+def _rational_recurrence(family: Family, k: int) -> tuple[Fraction, Fraction]:
+    """(diag_k, off_k**2) of the orthonormal recurrence, exactly.
 
     The shifted families are the classical ones under x -> (u+1)/2, which
     maps the Jacobi matrix J to (J + I)/2.
     """
-    two = decimal.Decimal(2)
     if family is Family.SHIFTED_LEGENDRE:
-        off = (k + 1) / (decimal.Decimal((2 * k + 1) * (2 * k + 3)).sqrt() * 2)
-        return 1 / two, off
+        return _HALF, Fraction((k + 1) ** 2, 4 * (2 * k + 1) * (2 * k + 3))
     if family is Family.SHIFTED_CHEBYSHEV1:
-        off = 1 / (2 * two.sqrt()) if k == 0 else decimal.Decimal("0.25")
-        return 1 / two, off
+        return _HALF, Fraction(1, 8 if k == 0 else 16)
     if family is Family.SHIFTED_HERMITE:
-        return 1 / two, (decimal.Decimal(k + 1) / 2).sqrt() / 2
-    return decimal.Decimal(0), (decimal.Decimal(k + 1) / 2).sqrt()
+        return _HALF, Fraction(k + 1, 8)
+    return Fraction(0), Fraction(k + 1, 2)
 
 
-def _decimal_coeffs(family: Family, max_degree: int,
-                    m0: decimal.Decimal) -> list[list[decimal.Decimal]]:
-    zero = decimal.Decimal(0)
-    polys = [[1 / m0.sqrt()]]
-    prev: list[decimal.Decimal] = []
-    off_prev = zero
-    for k in range(max_degree):
-        diag, off = _decimal_recurrence(family, k)
-        cur = polys[k]
-        nxt = [zero] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += c
-            nxt[i] -= diag * c
-        for i, c in enumerate(prev):
-            nxt[i] -= off_prev * c
-        polys.append([c / off for c in nxt])
-        prev, off_prev = cur, off
-    return polys
+def _times(scale: float, num: int, den: int) -> float:
+    """scale * num / den, rounded once (int / int is correctly rounded)."""
+    top, bottom = scale.as_integer_ratio()
+    return top * num / (bottom * den)
 
 
 def _shared_table(build):
@@ -165,9 +118,8 @@ def _shared_table(build):
             raise TypeError(f"family must be a Family member, got {family!r}")
         degree = operator.index(degree)
         if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(
-                f"degree must be in 0..{MAX_DEGREE} (monomial conditioning), "
-                f"got {degree}")
+            raise ValueError(f"degree must be in 0..{MAX_DEGREE} (the cap "
+                             f"bounds the memo), got {degree}")
         return cached(family, degree)
 
     return table
@@ -185,13 +137,15 @@ def recurrence_coefficients(family: Family, n: int) -> tuple[np.ndarray, np.ndar
     """Jacobi coefficients of the orthonormal three-term recurrence.
 
     Returns (diag, off) with x p_k = off[k] p_{k+1} + diag[k] p_k
-    + off[k-1] p_{k-1} for k < n: the working-precision coefficients that
-    build the basis, correctly rounded to double (shared and read-only).
+    + off[k-1] p_{k-1} for k < n, correctly rounded to double from the
+    exact rational diag_k and off_k**2 (shared and read-only).
     """
+    pairs = [_rational_recurrence(family, k) for k in range(n)]
     with decimal.localcontext() as ctx:
         ctx.prec = 50
-        pairs = [_decimal_recurrence(family, k) for k in range(n)]
-    return _frozen(d for d, _ in pairs), _frozen(o for _, o in pairs)
+        off = [(decimal.Decimal(o.numerator) / o.denominator).sqrt()
+               for _, o in pairs]
+    return _frozen(d for d, _ in pairs), _frozen(off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,22 +153,22 @@ class OrthonormalBasis:
     """Orthonormal polynomials P_0 .. P_max_degree for one weight function.
 
     ``values`` evaluates them by the three-term recurrence; that is what the
-    construction uses.  ``coeffs[n]`` holds the monomial view of P_n
-    (ascending powers, length n + 1, positive leading coefficient) as
-    correctly rounded doubles; their sub-ulp remainders and those of the
-    moment table are kept alongside so the family's own inner products do
-    not inherit the monomial cancellation loss.
+    construction uses.  The monomial view is exact: ``monic[n]`` is
+    (sigma_n, pi_n) with P_n = sigma_n pi_n, pi_n the monic polynomial in
+    fractions (ascending powers) and sigma_n a double, and ``ratios[k]`` is
+    m_k / m_0 as a fraction.  ``coeffs[n]`` (length n + 1, positive leading
+    coefficient) and ``moments`` are those values rounded once to double.
 
     ``make_basis`` shares one basis per (family, max_degree) per process,
-    so all four tables are read-only: copy before modifying.
+    so its arrays are read-only: copy before modifying.
     """
 
     family: Family
     max_degree: int
     coeffs: tuple[np.ndarray, ...]
-    coeffs_lo: tuple[np.ndarray, ...]
     moments: np.ndarray
-    moments_lo: np.ndarray
+    monic: tuple[tuple[float, tuple[Fraction, ...]], ...]
+    ratios: tuple[Fraction, ...]
 
     def poly(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.max_degree:
@@ -243,87 +197,81 @@ class OrthonormalBasis:
         """Evaluate P_n at x (vectorized)."""
         return self.values(x, n)[n]
 
-    def _resolve(self, poly) -> tuple[np.ndarray, np.ndarray]:
-        """Attach the stored remainder when poly is one of the family."""
+    def _exact(self, poly) -> tuple[float, tuple[Fraction, ...]]:
+        """(scale, exact coefficients) of poly: (sigma_n, pi_n) when poly
+        is the family's own P_n, else (1, poly's doubles as fractions)."""
         poly = np.asarray(poly, dtype=float)
         n = len(poly) - 1
         if 0 <= n <= self.max_degree and np.array_equal(poly, self.coeffs[n]):
-            return self.coeffs[n], self.coeffs_lo[n]
-        return poly, np.zeros_like(poly)
-
-    def _moment_dot(self, terms) -> float:
-        """Compensated sum of (hi, lo, moment index) triples."""
-        hi = lo = 0.0
-        for chi, clo, k in terms:
-            p, err = _two_prod(chi, self.moments[k])
-            err += chi * self.moments_lo[k] + clo * self.moments[k]
-            hi, carry = _two_sum(hi, p)
-            lo += carry + err
-        return hi + lo
-
-    def weighted_integral(self, poly) -> float:
-        """int_I p(x) w(x) dx for a monomial-coefficient vector p."""
-        poly = np.asarray(poly, dtype=float)
-        if len(poly) > len(self.moments):
-            raise ValueError(
-                f"degree {len(poly) - 1} exceeds stored moments "
-                f"(max degree {len(self.moments) - 1})")
-        return self._moment_dot(
-            (c, 0.0, k) for k, c in enumerate(poly) if c != 0.0)
+            return self.monic[n]
+        return 1.0, tuple(map(Fraction, poly.tolist()))
 
 
-def _hi_lo(values: list[decimal.Decimal]) -> tuple[np.ndarray, np.ndarray]:
-    """Correctly rounded doubles of values and of their remainders."""
-    hi = _frozen(values)
-    return hi, _frozen(v - decimal.Decimal(h) for v, h in zip(values, hi))
+# m_0 of each weight, correctly rounded (math.sqrt(math.pi) is one ulp low)
+_SQRT_PI = 1.772453850905516
+_M0 = {Family.SHIFTED_LEGENDRE: 1.0, Family.SHIFTED_CHEBYSHEV1: math.pi / 2,
+       Family.SHIFTED_HERMITE: _SQRT_PI / 2, Family.STANDARD_HERMITE: _SQRT_PI}
 
 
 @_shared_table
 def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
-    """Build the orthonormal family from its three-term recurrence.
+    """Build the orthonormal family from its rational monic recurrence.
 
-    The recurrence runs in 50-digit working precision and the results are
-    rounded to double; everything downstream works on the rounded vectors.
-    Each (family, max_degree) is built once per process and every caller
-    gets the same read-only basis; copy its arrays before modifying them.
+    pi_{k+1} = (x - diag_k) pi_k - off_{k-1}**2 pi_{k-1} runs exactly, on
+    integer numerators over a common denominator, and P_n = sigma_n pi_n
+    with sigma_n = 1 / sqrt(m_0 rho_n), rho_n = prod_{k<n} off_k**2, since
+    ||pi_n||**2 = m_0 rho_n.  Each (family, max_degree) is built once per
+    process and every caller gets the same read-only basis; copy its arrays
+    before modifying them.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        exact_moments = _decimal_moments(family, 2 * max_degree + 3)
-        moments, moments_lo = _hi_lo(exact_moments)
-        coeffs = [_hi_lo(poly) for poly in
-                  _decimal_coeffs(family, max_degree, exact_moments[0])]
-    return OrthonormalBasis(family=family, max_degree=max_degree,
-                            coeffs=tuple(hi for hi, _ in coeffs),
-                            coeffs_lo=tuple(lo for _, lo in coeffs),
-                            moments=moments, moments_lo=moments_lo)
+    m0 = _M0[family]
+    ratios = _moment_ratios(family, 2 * max_degree + 3)
+    monic, coeffs = [], []
+    # pi_k, pi_{k-1} as integer numerators over denominators, and rho_k
+    cur, den, prev, den_prev = (1,), 1, (), 1
+    rho, off2_prev = Fraction(1), Fraction(0)
+    for k in range(max_degree + 1):
+        sigma = math.sqrt(_times(1.0 / m0, rho.denominator, rho.numerator))
+        monic.append((sigma, tuple(Fraction(v, den) for v in cur)))
+        coeffs.append(_frozen(_times(sigma, v, den) for v in cur))
+        if k == max_degree:
+            break
+        diag, off2 = _rational_recurrence(family, k)
+        step = (Fraction(1, den), diag / den, off2_prev / den_prev)
+        common = math.lcm(*(f.denominator for f in step))
+        up, mid, low = (f.numerator * (common // f.denominator) for f in step)
+        nxt = [0, *(up * v for v in cur)]
+        for i, v in enumerate(cur):
+            nxt[i] -= mid * v
+        for i, v in enumerate(prev):
+            nxt[i] -= low * v
+        cur, den, prev, den_prev = nxt, common, cur, den
+        rho, off2_prev = rho * off2, off2
+    return OrthonormalBasis(
+        family=family, max_degree=max_degree, coeffs=tuple(coeffs),
+        moments=_frozen(_times(m0, r.numerator, r.denominator)
+                        for r in ratios),
+        monic=tuple(monic), ratios=tuple(ratios))
 
 
 def inner_product(basis: OrthonormalBasis, p, q) -> float:
     """Weighted inner product <p, q>_w of two monomial-coefficient vectors.
 
-    Summed as sum_{m,n} p_m q_n m_{m+n} with exact term products, so the
-    violent cancellation of high-degree cross terms costs no accuracy.
-    Vectors recognized as the family's own polynomials are evaluated with
-    their stored sub-ulp refinements.
+    sum_{m,n} p_m q_n m_{m+n} / m_0 is summed exactly in fractions and then
+    multiplied by m_0 sigma_p sigma_q, so the violent cancellation of
+    high-degree cross terms costs no accuracy and the result rounds once.
+    A vector equal to the family's own ``poly(n)`` is read as its exact
+    sigma_n pi_n; any other vector as its doubles (sigma = 1).
     """
-    p, p_lo = basis._resolve(p)
-    q, q_lo = basis._resolve(q)
+    sp, p = basis._exact(p)
+    sq, q = basis._exact(q)
     deg = (len(p) - 1) + (len(q) - 1)
     if deg > 2 * basis.max_degree + 2:
         raise ValueError(
             f"product degree {deg} exceeds moment table "
             f"({2 * basis.max_degree + 2})")
-
-    def terms():
-        for m, cm in enumerate(p):
-            if cm == 0.0 and p_lo[m] == 0.0:
-                continue
-            for n, dn in enumerate(q):
-                if dn == 0.0 and q_lo[n] == 0.0:
-                    continue
-                chi, clo = _two_prod(float(cm), float(dn))
-                clo += float(cm) * q_lo[n] + p_lo[m] * float(dn)
-                yield chi, clo, m + n
-
-    return basis._moment_dot(terms())
+    ratios = basis.ratios
+    total = sum((a * b * ratios[m + n] for m, a in enumerate(p) if a
+                 for n, b in enumerate(q) if b), Fraction(0))
+    return _times(float(basis.moments[0]) * sp * sq,
+                  total.numerator, total.denominator)

@@ -81,6 +81,12 @@ class ConstructionSpec:
                 f"{self.family.value} weight is not reflection-symmetric; "
                 f"a symmetric method cannot be requested")
 
+    def __hash__(self):
+        # the generated __eq__ compares the mappings by items
+        return hash((self.family, self.b_order, self.cn_order,
+                     self.tau_degree, frozenset(self.free_alpha.items()),
+                     frozenset(self.free_lambda.items()), self.symmetric))
+
     @property
     def alpha_range(self) -> int:
         """Largest index r carried by the ansatz; alpha[i,j] = 0 beyond it."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import Family, OrthonormalBasis, recurrence_coefficients
 
-_INTERP_RTOL = 1e-11
+_CHRISTOFFEL_RTOL = 1e-11
 
 
 class EigenConvergenceError(RuntimeError):
@@ -34,22 +34,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _lagrange_coeffs(nodes: np.ndarray, i: int) -> np.ndarray:
-    """Monomial coefficients of the i-th Lagrange cardinal polynomial."""
-    poly = np.array([1.0])
-    for j, cj in enumerate(nodes):
-        if j == i:
-            continue
-        poly = np.convolve(poly, np.array([-cj, 1.0])) / (nodes[i] - cj)
-    return poly
-
-
-def interpolatory_weights(basis: OrthonormalBasis, nodes: np.ndarray) -> np.ndarray:
-    """Weights from the literal definition b_i = int_I l_i(x) w(x) dx."""
-    return np.array([basis.weighted_integral(_lagrange_coeffs(nodes, i))
-                     for i in range(len(nodes))])
-
-
 def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     """s-point Gauss rule for the basis family (exact to degree 2s - 1)."""
     if not 1 <= s <= basis.max_degree:
@@ -64,7 +48,7 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     weights = float(basis.moments[0]) * vectors[0, :] ** 2
     total = np.sum(basis.values(nodes, s - 1) ** 2, axis=0)
     drift = np.max(np.abs(weights * total - 1.0))
-    if drift > _INTERP_RTOL:
+    if drift > _CHRISTOFFEL_RTOL:
         raise EigenConvergenceError(
             f"Golub-Welsch weights disagree with the Christoffel identity "
             f"(relative drift {drift:.3e})")

@@ -11,6 +11,7 @@ from numpy.polynomial import hermite as np_hermite
 from numpy.polynomial import polynomial as npoly
 
 import csrkn
+from csrkn import basis as basis_module
 from csrkn.basis import MAX_DEGREE, recurrence_coefficients
 from csrkn.construction import interval_integrals
 
@@ -33,13 +34,48 @@ def gauss_oracle(family, n_points=24):
     return u, w
 
 
+def _orthonormality_error(basis):
+    size = basis.max_degree + 1
+    return max(abs(csrkn.inner_product(basis, basis.poly(i), basis.poly(j))
+                   - (i == j)) for i in range(size) for j in range(size))
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-def test_orthonormality(bases, family):
-    basis = bases[family]
-    for i in range(9):
-        for j in range(9):
-            value = csrkn.inner_product(basis, basis.poly(i), basis.poly(j))
-            assert abs(value - (1.0 if i == j else 0.0)) < 1e-12
+def test_orthonormality(family):
+    assert _orthonormality_error(csrkn.make_basis(family, MAX_DEGREE)) < 1e-15
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_orthonormality_sees_a_perturbed_recurrence(monkeypatch, family):
+    # the exact moments are derived independently of the recurrence, so a
+    # 1e-9 relative error in one off_k**2 must show in the inner products
+    exact = basis_module._rational_recurrence
+
+    def perturbed(fam, k):
+        diag, off2 = exact(fam, k)
+        return diag, off2 * (1 + Fraction(1, 10**9)) if k == 3 else off2
+
+    monkeypatch.setattr(basis_module, "_rational_recurrence", perturbed)
+    fresh = csrkn.make_basis.__wrapped__(family, MAX_DEGREE)
+    assert _orthonormality_error(fresh) > 1e-12
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_moments_match_closed_forms(family):
+    moments = csrkn.make_basis(family, MAX_DEGREE).moments
+    k = np.arange(2 * MAX_DEGREE + 3)
+    assert len(moments) == len(k)
+    if family is csrkn.Family.SHIFTED_LEGENDRE:
+        expected = 1.0 / (k + 1)
+    elif family is csrkn.Family.SHIFTED_CHEBYSHEV1:
+        expected = [PI / 2 * math.comb(2 * n, n) / 4**n for n in k.tolist()]
+    elif family is csrkn.Family.STANDARD_HERMITE:
+        expected = [0.0 if n % 2 else math.gamma((n + 1) / 2)
+                    for n in k.tolist()]
+    else:
+        nodes, weights = gauss_oracle(family)
+        expected = [float(weights @ nodes**n) for n in k.tolist()]
+    np.testing.assert_allclose(moments, expected, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -123,9 +159,9 @@ def test_inner_product_degree_overflow(bases):
 
 
 def _exact_poly(basis, n):
-    """P_n's monomial coefficients hi + lo as exact fractions."""
-    return [Fraction(hi) + Fraction(lo)
-            for hi, lo in zip(basis.coeffs[n], basis.coeffs_lo[n])]
+    """P_n's monomial coefficients sigma_n pi_n as exact fractions."""
+    sigma, monic = basis.monic[n]
+    return [Fraction(sigma) * c for c in monic]
 
 
 def _monomial_double_primitive(poly) -> np.ndarray:
@@ -222,13 +258,12 @@ def test_make_basis_is_shared(family):
 def test_shared_tables_are_read_only(family):
     basis = csrkn.make_basis(family, 4)
     diag, off = recurrence_coefficients(family, 4)
-    for array in (basis.coeffs[2], basis.coeffs_lo[2], basis.moments,
-                  basis.moments_lo, diag, off):
+    for array in (basis.coeffs[2], basis.moments, diag, off):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     for n in range(5):
         assert not basis.coeffs[n].flags.writeable
-        assert not basis.coeffs_lo[n].flags.writeable
+    assert isinstance(basis.monic, tuple) and isinstance(basis.ratios, tuple)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -238,12 +273,11 @@ def test_cached_tables_equal_fresh_builds(family):
         fresh = csrkn.make_basis.__wrapped__(family, degree)
         assert fresh is not cached
         assert fresh.max_degree == cached.max_degree
-        for name in ("coeffs", "coeffs_lo"):
-            for a, b in zip(getattr(fresh, name), getattr(cached, name),
-                            strict=True):
-                np.testing.assert_array_equal(a, b)
+        for a, b in zip(fresh.coeffs, cached.coeffs, strict=True):
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(fresh.moments, cached.moments)
-        np.testing.assert_array_equal(fresh.moments_lo, cached.moments_lo)
+        assert fresh.monic == cached.monic
+        assert fresh.ratios == cached.ratios
         for a, b in zip(recurrence_coefficients.__wrapped__(family, degree),
                         recurrence_coefficients(family, degree), strict=True):
             np.testing.assert_array_equal(a, b)
@@ -308,17 +342,17 @@ def test_family_from_name():
         csrkn.family_from_name("nope")
 
 
-# sha256 over the coeffs, coeffs_lo, moments and moments_lo bytes of every
-# degree 0..MAX_DEGREE basis of a family, in that order.
+# sha256 over the coeffs and moments bytes of every degree 0..MAX_DEGREE
+# basis of a family, in that order.
 BASIS_SHA256 = {
     csrkn.Family.SHIFTED_LEGENDRE:
-        "d57c32d5dc1ff38e24dc3e8d252cbb1d61142bf40c1534430499c2511bcfdb7a",
+        "26d24816b9465791ddf6b16b9dc8f8fe38419117014fe23a971c4b598f19a9df",
     csrkn.Family.SHIFTED_CHEBYSHEV1:
-        "50f348451153c128bc6fe74d9743c0a07649a6a5c24bbbdf267385e93f1c0813",
+        "76d6b3ae1ac9c4b5ee512bad0631ee933b21af1d6288fb3690d98c230bfbab0e",
     csrkn.Family.SHIFTED_HERMITE:
-        "9b48accb8d3184d870f2d20d39ddbbe6996fb95684d102d0a905edeea2664812",
+        "e1012b3e3c4a9d081e95973fff7958ec1f96fa3676e77d85aedf336e3addaa5f",
     csrkn.Family.STANDARD_HERMITE:
-        "8136ab5039456dae90541e3c3e6d6cc78db8ee797e6ff66752a84dae62efa764",
+        "3478bc505f8e73faeb7b7c2538828ada7d61ac3d0c3d37d300a17c2b7ad24f88",
 }
 
 
@@ -327,7 +361,6 @@ def test_basis_tables_pinned_sha256(family):
     digest = hashlib.sha256()
     for degree in range(MAX_DEGREE + 1):
         basis = csrkn.make_basis(family, degree)
-        for array in (*basis.coeffs, *basis.coeffs_lo, basis.moments,
-                      basis.moments_lo):
+        for array in (*basis.coeffs, basis.moments):
             digest.update(array.tobytes())
     assert digest.hexdigest() == BASIS_SHA256[family]

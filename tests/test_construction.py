@@ -357,3 +357,23 @@ def test_coefficients_equality_and_hash_do_not_raise(coefficient_sets):
     assert (again == coeffs) is False
     assert coeffs == coeffs
     assert isinstance(hash(coeffs), int)
+
+
+def test_spec_hash_is_consistent_with_equality():
+    family = csrkn.Family.SHIFTED_LEGENDRE
+    spec = csrkn.ConstructionSpec(family, b_order=5, cn_order=3, tau_degree=3,
+                                  free_alpha={(0, 3): 0.5, (1, 2): -1.0},
+                                  free_lambda={4: 0.25})
+    same = csrkn.ConstructionSpec(family, b_order=5, cn_order=3, tau_degree=3,
+                                  free_alpha={(1, 2): -1.0, (0, 3): 0.5},
+                                  free_lambda={4: 0.25})
+    other = csrkn.ConstructionSpec(family, b_order=5, cn_order=3, tau_degree=3,
+                                   free_alpha={(0, 3): 0.5},
+                                   free_lambda={4: 0.25})
+    assert same == spec and other != spec
+    assert hash(same) == hash(spec)
+    assert hash(csrkn.ConstructionSpec(family)) == \
+        hash(csrkn.ConstructionSpec(family))
+    assert {spec, same, other} == {spec, other}
+    table = {spec: "spec"}
+    assert table[same] == "spec" and other not in table

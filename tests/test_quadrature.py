@@ -9,8 +9,7 @@ from numpy.polynomial import hermite as np_hermite
 
 import csrkn
 from csrkn.basis import MAX_DEGREE, recurrence_coefficients
-from csrkn.quadrature import (EigenConvergenceError, QuadratureRule,
-                              interpolatory_weights)
+from csrkn.quadrature import EigenConvergenceError, QuadratureRule
 
 ALL_FAMILIES = list(csrkn.Family)
 PI = math.pi
@@ -181,14 +180,6 @@ def test_perturbed_rule_loses_exactness(bases, family):
     broken = QuadratureRule(family=rule.family, s=3, nodes=nodes,
                             weights=rule.weights)
     assert csrkn.exactness_degree(broken, basis) < 2 * 3 - 1
-
-
-def test_interpolatory_weights_agree(bases):
-    for family in ALL_FAMILIES:
-        basis = bases[family]
-        rule = csrkn.gauss_rule(basis, 4)
-        ref = interpolatory_weights(basis, rule.nodes)
-        assert np.max(np.abs(rule.weights - ref) / ref) < 1e-11
 
 
 def test_stage_count_bounds(bases):
