@@ -1,5 +1,8 @@
 """Condition reports, symmetry/symplecticity checks, order measurement."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -197,3 +200,51 @@ def test_continuous_check_needs_exact_rules():
     assert coeffs.degrees == (12, 12, 24)
     with pytest.raises(ValueError, match="15-point Gauss rule"):
         csrkn.check_continuous(coeffs)
+
+
+
+def _condition_table_rows():
+    """One line per input: the built-ins at five gammas, then every (spec,
+    stages) the CLI's custom flags reach with b_order <= 8, tau_degree <= 4
+    and stages <= 6 (2,520 inputs, of which 840 fail to derive)."""
+    inputs = [(f"{name} {gamma}", lambda name=name, gamma=gamma:
+               csrkn.builtin_tableau(name, gamma))
+              for name in csrkn.BUILTIN_METHODS
+              for gamma in (-0.5, -0.25, 0.0, 0.25, 0.5)]
+    for family, symmetric, b, cn, tau in itertools.product(
+            csrkn.Family, (False, True), range(1, 9), range(1, 5),
+            range(1, 5)):
+        try:
+            spec = csrkn.ConstructionSpec(family=family, b_order=b,
+                                          cn_order=cn, tau_degree=tau,
+                                          symmetric=symmetric)
+        except csrkn.ConstructionError:
+            continue
+        inputs.extend((f"{family.value} {symmetric} {b} {cn} {tau} {s}",
+                       lambda spec=spec, s=s: csrkn.derive(spec, s))
+                      for s in range(1, 7))
+    for label, build in inputs:
+        try:
+            report = csrkn.check_discrete(build())
+        except ValueError as err:
+            yield f"{label}: {type(err).__name__}"
+            continue
+        flags = [None if res is None else res <= 1e-12
+                 for res in (report.symplectic_residual,
+                             report.symmetry_residual)]
+        yield (f"{label}: {report.b_order} {report.cn_order} "
+               f"{report.dn_order} {report.predicted_order} {flags}")
+
+
+# sha256 over _condition_table_rows: any change in a condition order, a
+# structural flag or the set of inputs that derive moves it
+CONDITION_TABLE_SHA256 = (
+    "e7db27ed3d1228c66bef9c8ced9e23a07290f58d993903085ac4061f820b385f")
+
+
+def test_condition_table_over_every_input_is_pinned():
+    rows = list(_condition_table_rows())
+    assert len(rows) == 20 + 2520
+    assert sum(row.endswith("ConstructionError") for row in rows) == 840
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == CONDITION_TABLE_SHA256
