@@ -46,8 +46,9 @@ def _add_method_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=BUILTIN_METHODS,
                         help="built-in method name")
     parser.add_argument("--gamma", type=float, default=0.0,
-                        help="free parameter of the built-in families "
-                        "(ignored by hermite3)")
+                        help="free parameter of legendre4, chebyshev4 and "
+                        "hermite4; hermite3 has none and ignores it, with a "
+                        "warning on the csrkn logger")
     parser.add_argument("--family", help="polynomial family for a custom "
                         "construction (e.g. shifted-legendre)")
     parser.add_argument("--b-order", type=int, default=3,

@@ -7,8 +7,9 @@ int_0^1 P_j up to b_order, which enforces the weight moment conditions.
 Second, alpha is constrained so the method is symplectic (and optionally
 time-reversible), and the remaining coefficients are solved from the stage
 moment conditions, compared coefficient by coefficient in the family.
-Third, B and the kernel are evaluated by the three-term recurrence at a
-Gauss rule of the same family, which preserves symplecticity exactly.
+Third, ``discretize`` evaluates P_0 .. P_n once at the nodes of a Gauss
+rule of the same family, builds B and the kernel from that sample, and
+checks both discrete symplecticity identities with ``check_symplectic``.
 
 The expansion convention for the coupling kernel is
 
@@ -26,6 +27,7 @@ Both are checked exactly on the coefficients.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -38,6 +40,8 @@ from .basis import (MAX_DEGREE, Family, OrthonormalBasis,
 from .quadrature import QuadratureRule, gauss_rule
 
 TABLEAU_TOL = 1e-12
+
+_log = logging.getLogger("csrkn")
 
 BUILTIN_METHODS = ("legendre4", "chebyshev4", "hermite4", "hermite3")
 
@@ -335,11 +339,6 @@ class ContinuousCoefficients:
         flat = self.lam[: deg + 1] @ values.reshape(deg + 1, -1)
         return flat.reshape(values.shape[1:])[()]
 
-    def b_bar(self, tau):
-        """Position weight B(tau) (1 - tau)."""
-        tau = np.asarray(tau, dtype=float)
-        return self.b(tau) * (1.0 - tau)
-
     def a_bar(self, tau, sigma):
         """Coupling kernel at (tau, sigma)."""
         tau, sigma = np.broadcast_arrays(np.asarray(tau, dtype=float),
@@ -413,37 +412,41 @@ class RKNTableau:
         return len(self.c)
 
 
+def check_symplectic(tableau: RKNTableau) -> float:
+    """Max residual of the two discrete symplecticity identities:
+    b_bar = b_prime (1 - c) and b'_i (b_bar_j - a_ij) = b'_j (b_bar_i - a_ji)."""
+    bp = tableau.b_prime
+    m = bp[:, None] * (tableau.b_bar[None, :] - tableau.a_bar)
+    position = tableau.b_bar - bp * (1.0 - tableau.c)
+    return float(max(np.max(np.abs(m - m.T)), np.max(np.abs(position))))
+
+
 def discretize(coeffs: ContinuousCoefficients,
                rule: QuadratureRule) -> RKNTableau:
-    """Sample the continuous coefficients at a Gauss rule of the same family."""
+    """Sample the continuous coefficients at a Gauss rule of the same family:
+    P_0 .. P_n are evaluated at the nodes once, and B and the kernel are
+    built from that one sample."""
     if rule.family is not coeffs.family:
         raise ConstructionError(
             f"rule family {rule.family.value} does not match "
             f"coefficients family {coeffs.family.value}")
-    c = rule.nodes
-    b_values = coeffs.b(c)
-    a_bar = rule.weights[None, :] * coeffs.a_bar(c[:, None], c[None, :])
-    b_bar = rule.weights * (b_values * (1.0 - c))
-    b_prime = rule.weights * b_values
-    tableau = RKNTableau(c=c, a_bar=a_bar, b_bar=b_bar, b_prime=b_prime,
-                         family=coeffs.family, spec=coeffs.spec)
-    position_gap = np.max(np.abs(b_bar - b_prime * (1.0 - c)))
-    if position_gap > TABLEAU_TOL:
-        raise ConstructionError(
-            f"position weights violate b_bar = b_prime (1 - c) "
-            f"(residual {position_gap:.3e})")
-    pair = discrete_symplectic_residual(tableau)
-    if pair > TABLEAU_TOL:
-        raise ConstructionError(
-            f"discrete symplecticity identity violated (residual {pair:.3e})")
+    c, w = rule.nodes, rule.weights
+    deg_b, deg_tau, deg_sigma = coeffs.degrees
+    n = max(deg_tau, deg_sigma - deg_b, 1) + 1
+    p = coeffs.basis.values(c, max(n - 1, deg_b))
+    b_values = coeffs.lam[: deg_b + 1] @ p[: deg_b + 1]
+    kernel = kernel_matrix(coeffs.basis, coeffs.alpha, n)
+    p = p[:n]
+    grid = np.sum(p[:, :, None] * (kernel @ p)[:, None, :], axis=0)
+    tableau = RKNTableau(c=c, a_bar=w * (grid * b_values),
+                         b_bar=w * (b_values * (1.0 - c)),
+                         b_prime=w * b_values, family=coeffs.family,
+                         spec=coeffs.spec)
+    residual = check_symplectic(tableau)
+    if residual > TABLEAU_TOL:
+        raise ConstructionError(f"discrete symplecticity identities "
+                                f"violated (residual {residual:.3e})")
     return tableau
-
-
-def discrete_symplectic_residual(tableau: RKNTableau) -> float:
-    """Max pairwise residual of the discrete symplecticity identity."""
-    bp = tableau.b_prime
-    m = bp[:, None] * (tableau.b_bar[None, :] - tableau.a_bar)
-    return float(np.max(np.abs(m - m.T)))
 
 
 def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
@@ -492,10 +495,16 @@ def builtin_coefficients(name: str, gamma: float = 0.0) -> ContinuousCoefficient
 
 
 def builtin_tableau(name: str, gamma: float = 0.0) -> RKNTableau:
-    """One of the four shipped methods (hermite3 has no free parameter)."""
+    """One of the four shipped methods.  hermite3 has no free parameter: its
+    gamma is None, and a nonzero gamma is ignored with a warning."""
     stages = 2 if name == "legendre4" else 3
-    return replace(derive(method_spec(name, gamma), stages),
-                   method=name, gamma=gamma)
+    tableau = derive(method_spec(name, gamma), stages)
+    if name == "hermite3":
+        if gamma != 0.0:
+            _log.warning("hermite3 has no free parameter; gamma = %r is "
+                         "ignored", gamma)
+        gamma = None
+    return replace(tableau, method=name, gamma=gamma)
 
 
 def serialize_tableau(tableau: RKNTableau) -> str:

@@ -4,10 +4,13 @@ The continuous checks work on the stored orthonormal coefficients: every
 weighted integral comes from a Gauss rule of the family with enough points
 to be exact, each polynomial identity is compared coefficient by coefficient
 in the orthonormal family, and the symplecticity and time-reversal residuals
-are the coefficient conditions that ``assemble`` enforces.  The order bound
+are the coefficient conditions that ``assemble`` enforces.  The discrete
+checks are the same B, CN and DN conditions on the tableau; both reports
+share one table of right sides and one order reading.  The order bound
 used throughout is min(b_order, 2*cn_order + 2, cn_order + dn_order) on
 whatever condition orders actually hold, which reproduces the classical
-simplifying-assumption bound for RKN methods.
+simplifying-assumption bound for RKN methods.  ``check_symplectic`` is
+defined next to ``RKNTableau`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .basis import MAX_DEGREE, make_basis
 from .construction import (ContinuousCoefficients, RKNTableau,
-                           discrete_symplectic_residual, kernel_matrix)
+                           check_symplectic, kernel_matrix)
 from .integrator import SolverConfig, integrate
 from .problems import SecondOrderProblem
 from .quadrature import gauss_rule
@@ -70,14 +73,27 @@ def order_bound_with_quadrature(b_order: int, cn_order: int, dn_order: int,
     return order_bound(rho, alpha, beta)
 
 
-def _orders_from_residuals(residuals, tol: float, start: int) -> int:
-    """Largest n such that the first (n - start + 1) residuals pass."""
-    order = start
-    for res in residuals:
-        if res > tol:
-            break
-        order += 1
-    return order
+def _condition_sides(x: np.ndarray, kappa_max: int):
+    """x^(kappa-1) and 1/kappa for kappa = 1 .. kappa_max, and the stage and
+    transpose right sides x^(kappa+1) / (kappa (kappa+1)) and that minus
+    x / kappa plus 1 / (kappa+1) for kappa = 1 .. kappa_max - 1; one row
+    per kappa."""
+    powers = x ** np.arange(kappa_max + 1)[:, None]
+    kappa = np.arange(1, kappa_max)[:, None]
+    stage = powers[2:] / (kappa * (kappa + 1))
+    return (powers[:-1], 1.0 / np.arange(1, kappa_max + 1), stage,
+            stage - x / kappa + 1.0 / (kappa + 1))
+
+
+def _report(kind: str, b_res, cn_res, dn_res, symplectic: float,
+            symmetry: float | None, tol: float) -> ConditionReport:
+    """The report of three residual rows; each condition order is the start
+    order plus the number of leading residuals within tol."""
+    rows = [tuple(map(float, res)) for res in (b_res, cn_res, dn_res)]
+    orders = [start + next((k for k, r in enumerate(row) if r > tol), len(row))
+              for start, row in zip((0, 1, 1), rows)]
+    return ConditionReport(kind, *rows, *orders, symplectic, symmetry,
+                           order_bound(*orders))
 
 
 def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
@@ -105,86 +121,33 @@ def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
     basis = make_basis(coeffs.family, MAX_DEGREE)
     rule = gauss_rule(basis, points)
     x, w = rule.nodes, rule.weights
-    powers = x ** np.arange(kappa_max + 1)[:, None]
+    powers, weight, stage, transpose = _condition_sides(x, kappa_max)
     b_values = coeffs.b(x)
-    b_res = [abs(float((w * b_values) @ powers[kappa - 1]) - 1.0 / kappa)
-             for kappa in range(1, kappa_max + 1)]
-
     # coefficients of a function on P_0 .. P_{n_coef - 1}, from its values
     project = (basis.values(x, n_coef - 1) * w).T
     kernel = kernel_matrix(coeffs.basis, coeffs.alpha, n_coef)
     # moments[kappa - 1, j] = int B(x) x^(kappa - 1) P_j(x) w(x) dx
-    moments = (b_values * powers[: kappa_max - 1]) @ project
-    cn_res = []
-    dn_res = []
-    for kappa in range(1, kappa_max):
-        stage = powers[kappa + 1] / (kappa * (kappa + 1))
-        transpose = stage - x / kappa + 1.0 / (kappa + 1)
-        cn_res.append(float(np.max(np.abs(
-            kernel @ moments[kappa - 1] - stage @ project))))
-        dn_res.append(float(np.max(np.abs(
-            kernel.T @ moments[kappa - 1] - transpose @ project))))
-
-    symmetry = (coeffs.symmetry_residual if coeffs.family.symmetric_weight
-                else None)
-    b_order = _orders_from_residuals(b_res, tol, 0)
-    cn_order = _orders_from_residuals(cn_res, tol, 1)
-    dn_order = _orders_from_residuals(dn_res, tol, 1)
-    return ConditionReport(
-        kind="continuous", b_residuals=tuple(b_res),
-        cn_residuals=tuple(cn_res), dn_residuals=tuple(dn_res),
-        b_order=b_order, cn_order=cn_order, dn_order=dn_order,
-        symplectic_residual=coeffs.symplectic_residual,
-        symmetry_residual=symmetry,
-        predicted_order=order_bound(b_order, cn_order, dn_order))
+    moments = (b_values * powers[:-1]) @ project
+    return _report(
+        "continuous", np.abs(powers @ (w * b_values) - weight),
+        np.max(np.abs(moments @ kernel.T - stage @ project), axis=1),
+        np.max(np.abs(moments @ kernel - transpose @ project), axis=1),
+        coeffs.symplectic_residual,
+        coeffs.symmetry_residual if coeffs.family.symmetric_weight else None,
+        tol)
 
 
 def check_discrete(tableau: RKNTableau, kappa_max: int | None = None,
                    tol: float = TOL_CHAINED) -> ConditionReport:
     """Measure the classical simplifying assumptions of a tableau."""
-    s = tableau.s
-    if kappa_max is None:
-        kappa_max = 2 * s + 2
-    c = tableau.c
-    bp = tableau.b_prime
-    a = tableau.a_bar
-
-    b_res = []
-    for kappa in range(1, kappa_max + 1):
-        b_res.append(abs(float(bp @ c ** (kappa - 1)) - 1.0 / kappa))
-
-    cn_res = []
-    for kappa in range(1, kappa_max):
-        lhs = a @ c ** (kappa - 1)
-        rhs = c ** (kappa + 1) / (kappa * (kappa + 1))
-        cn_res.append(float(np.max(np.abs(lhs - rhs))))
-
-    dn_res = []
-    for kappa in range(1, kappa_max):
-        lhs = (bp * c ** (kappa - 1)) @ a
-        rhs = bp * (c ** (kappa + 1) / (kappa * (kappa + 1))
-                    - c / kappa + 1.0 / (kappa + 1))
-        dn_res.append(float(np.max(np.abs(lhs - rhs))))
-
-    symmetry = check_symmetric(tableau)
-    b_order = _orders_from_residuals(b_res, tol, 0)
-    cn_order = _orders_from_residuals(cn_res, tol, 1)
-    dn_order = _orders_from_residuals(dn_res, tol, 1)
-    return ConditionReport(
-        kind="discrete", b_residuals=tuple(b_res),
-        cn_residuals=tuple(cn_res), dn_residuals=tuple(dn_res),
-        b_order=b_order, cn_order=cn_order, dn_order=dn_order,
-        symplectic_residual=check_symplectic(tableau),
-        symmetry_residual=symmetry,
-        predicted_order=order_bound(b_order, cn_order, dn_order))
-
-
-def check_symplectic(tableau: RKNTableau) -> float:
-    """Max residual of the two algebraic symplecticity identities."""
-    pairwise = discrete_symplectic_residual(tableau)
-    position = float(np.max(np.abs(
-        tableau.b_bar - tableau.b_prime * (1.0 - tableau.c))))
-    return max(pairwise, position)
+    kappa_max = 2 * tableau.s + 2 if kappa_max is None else kappa_max
+    bp, a = tableau.b_prime, tableau.a_bar
+    powers, weight, stage, transpose = _condition_sides(tableau.c, kappa_max)
+    return _report(
+        "discrete", np.abs(powers @ bp - weight),
+        np.max(np.abs(powers[:-1] @ a.T - stage), axis=1),
+        np.max(np.abs((bp * powers[:-1]) @ a - bp * transpose), axis=1),
+        check_symplectic(tableau), check_symmetric(tableau), tol)
 
 
 def adjoint_tableau(tableau: RKNTableau) -> RKNTableau:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev, legendre
 from numpy.polynomial import hermite as np_hermite
-from numpy.polynomial import polynomial as npoly
 
 import csrkn
 from csrkn import basis as basis_module
@@ -78,15 +77,40 @@ def test_moments_match_closed_forms(family):
     np.testing.assert_allclose(moments, expected, rtol=1e-14, atol=0.0)
 
 
+def closed_form_moments(family, count):
+    """(m_0, [m_k / m_0 for k < count]) from the textbook closed forms, the
+    ratios as exact fractions."""
+    def hermite(k):
+        # int x^k exp(-x^2) / sqrt(pi) = (k - 1)!! / 2^(k/2) for even k
+        return Fraction(0) if k % 2 else Fraction(
+            math.prod(range(k - 1, 0, -2)), 2 ** (k // 2))
+
+    if family is csrkn.Family.SHIFTED_LEGENDRE:
+        return 1.0, [Fraction(1, k + 1) for k in range(count)]
+    if family is csrkn.Family.SHIFTED_CHEBYSHEV1:
+        return PI / 2, [Fraction(math.comb(2 * k, k), 4**k)
+                        for k in range(count)]
+    if family is csrkn.Family.STANDARD_HERMITE:
+        return math.sqrt(PI), [hermite(k) for k in range(count)]
+    # x = (1 + u) / 2 with u weighted by exp(-u^2): binomial expansion
+    return math.sqrt(PI) / 2, [
+        sum((math.comb(k, l) * hermite(l) for l in range(k + 1)),
+            Fraction(0)) / 2**k for k in range(count)]
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_inner_product_matches_quadrature_oracle(bases, family):
     basis = bases[family]
-    nodes, weights = gauss_oracle(family)
+    # exact sums over the monic polynomials and closed-form moments: the
+    # oracle rounds only in its last products, so the bound can be 1e-15
+    m0, ratios = closed_form_moments(family, 11)
     for i, j in [(0, 0), (1, 2), (3, 3), (2, 5), (4, 4)]:
-        product = np.convolve(basis.poly(i), basis.poly(j))
-        oracle = float(weights @ npoly.polyval(nodes, product))
+        (si, monic_i), (sj, monic_j) = basis.monic[i], basis.monic[j]
+        total = sum(a * b * ratios[m + n] for m, a in enumerate(monic_i)
+                    for n, b in enumerate(monic_j))
+        oracle = m0 * si * sj * float(total)
         assert abs(csrkn.inner_product(basis, basis.poly(i), basis.poly(j))
-                   - oracle) < 1e-11
+                   - oracle) < 1e-15
 
 
 def test_first_polynomials(bases):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -179,11 +180,19 @@ def test_gamma_touches_only_the_corner_pattern():
                                atol=1e-13)
 
 
-def test_hermite3_ignores_gamma():
-    plain = csrkn.builtin_tableau("hermite3", 0.0)
-    shifted = csrkn.builtin_tableau("hermite3", 5.0)
+def test_hermite3_ignores_gamma(caplog):
+    with caplog.at_level(logging.WARNING, logger="csrkn"):
+        plain = csrkn.builtin_tableau("hermite3", 0.0)
+        assert caplog.records == []
+        shifted = csrkn.builtin_tableau("hermite3", 5.0)
     np.testing.assert_allclose(plain.a_bar, shifted.a_bar, atol=0)
     np.testing.assert_allclose(plain.b_prime, shifted.b_prime, atol=0)
+    # the label does not claim a parameter the method lacks
+    assert plain.gamma is None and shifted.gamma is None
+    assert [(r.name, r.levelname) for r in caplog.records] == [
+        ("csrkn", "WARNING")]
+    assert "gamma = 5.0 is ignored" in caplog.records[0].getMessage()
+    assert csrkn.builtin_tableau("legendre4", 0.3).gamma == 0.3
 
 
 def test_builtin_unknown_name():
@@ -195,6 +204,32 @@ def test_discretize_family_mismatch(bases, coefficient_sets):
     rule = csrkn.gauss_rule(bases[csrkn.Family.STANDARD_HERMITE], 3)
     with pytest.raises(csrkn.ConstructionError):
         csrkn.discretize(coefficient_sets["legendre4"], rule)
+
+
+def test_discretize_samples_the_basis_once(monkeypatch, coefficient_sets):
+    coeffs = coefficient_sets["hermite3"]
+    rule = csrkn.gauss_rule(coeffs.basis, 3)
+    values = csrkn.OrthonormalBasis.values
+    shapes = []
+
+    def counted(self, x, degree):
+        shapes.append(np.shape(x))
+        return values(self, x, degree)
+
+    monkeypatch.setattr(csrkn.OrthonormalBasis, "values", counted)
+    csrkn.discretize(coeffs, rule)
+    assert shapes == [(3,)]
+
+
+def test_discretize_raises_through_check_symplectic(coefficient_sets):
+    coeffs = coefficient_sets["legendre4"]
+    # bypasses assemble, which would reject the broken alpha[0,1]
+    broken = csrkn.ContinuousCoefficients(
+        basis=coeffs.basis, lam=coeffs.lam,
+        alpha={**coeffs.alpha, (0, 1): coeffs.alpha[(0, 1)] + 0.1})
+    with pytest.raises(csrkn.ConstructionError,
+                       match="symplecticity identities violated"):
+        csrkn.discretize(broken, csrkn.gauss_rule(coeffs.basis, 2))
 
 
 def test_serialize_parse_round_trip(tableaux):
@@ -256,11 +291,11 @@ BUILTIN_TABLEAU_SHA256 = {
     ("hermite4", 0.3):
         "9898d911de2cc575afa7bcceee13b92e122f7e99c431f16eb1481106d407172a",
     ("hermite3", -0.4):
-        "34a848e3030913f3bf9a703ab0d919bab7d59b61cb02fa40fa5b9627a8154a35",
+        "33481a8c1c6b2dbe90cbc253e13999c983e17ff04344ed1659926077699d3f36",
     ("hermite3", 0.0):
-        "34a848e3030913f3bf9a703ab0d919bab7d59b61cb02fa40fa5b9627a8154a35",
+        "33481a8c1c6b2dbe90cbc253e13999c983e17ff04344ed1659926077699d3f36",
     ("hermite3", 0.3):
-        "34a848e3030913f3bf9a703ab0d919bab7d59b61cb02fa40fa5b9627a8154a35",
+        "33481a8c1c6b2dbe90cbc253e13999c983e17ff04344ed1659926077699d3f36",
 }
 
 
