@@ -1,5 +1,6 @@
 """Condition reports, symmetry/symplecticity checks, order measurement."""
 
+import functools
 import hashlib
 import itertools
 
@@ -203,10 +204,12 @@ def test_continuous_check_needs_exact_rules():
 
 
 
-def _condition_table_rows():
-    """One line per input: the built-ins at five gammas, then every (spec,
-    stages) the CLI's custom flags reach with b_order <= 8, tau_degree <= 4
-    and stages <= 6 (2,520 inputs, of which 840 fail to derive)."""
+@functools.cache
+def _condition_table_inputs():
+    """(label, tableau or the ValueError its derivation raised) per input:
+    the built-ins at five gammas, then every (spec, stages) the CLI's custom
+    flags reach with b_order <= 8, tau_degree <= 4 and stages <= 6 (2,520
+    inputs, of which 840 fail to derive).  Derived once per session."""
     inputs = [(f"{name} {gamma}", lambda name=name, gamma=gamma:
                csrkn.builtin_tableau(name, gamma))
               for name in csrkn.BUILTIN_METHODS
@@ -223,12 +226,23 @@ def _condition_table_rows():
         inputs.extend((f"{family.value} {symmetric} {b} {cn} {tau} {s}",
                        lambda spec=spec, s=s: csrkn.derive(spec, s))
                       for s in range(1, 7))
+    derived = []
     for label, build in inputs:
         try:
-            report = csrkn.check_discrete(build())
+            derived.append((label, build()))
         except ValueError as err:
-            yield f"{label}: {type(err).__name__}"
+            derived.append((label, err))
+    return tuple(derived)
+
+
+def _condition_table_rows():
+    """One line per input of _condition_table_inputs: its condition orders
+    and structural flags, or the type of the error it raised."""
+    for label, tableau in _condition_table_inputs():
+        if isinstance(tableau, ValueError):
+            yield f"{label}: {type(tableau).__name__}"
             continue
+        report = csrkn.check_discrete(tableau)
         flags = [None if res is None else res <= 1e-12
                  for res in (report.symplectic_residual,
                              report.symmetry_residual)]
@@ -248,3 +262,35 @@ def test_condition_table_over_every_input_is_pinned():
     assert sum(row.endswith("ConstructionError") for row in rows) == 840
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == CONDITION_TABLE_SHA256
+
+
+# sha256 over the raw bytes of c, a_bar, b_bar and b_prime of every input
+# of _condition_table_inputs (or its full error message), then the node and
+# weight bytes of every family's s-point Gauss rule, s = 1 .. 12 (or the
+# error type): any change of one bit in a derived tableau or rule moves it
+DERIVED_BYTES_SHA256 = (
+    "b48dfa7e12c5f8010fec6d526380cf5d35bb29faee9ede2cb13abea2343499c1")
+
+
+def test_derived_tableau_and_rule_bytes_are_pinned():
+    digest = hashlib.sha256()
+    failures = 0
+    for label, tableau in _condition_table_inputs():
+        digest.update(label.encode())
+        if isinstance(tableau, ValueError):
+            failures += 1
+            digest.update(f"{type(tableau).__name__}: {tableau}".encode())
+            continue
+        for array in (tableau.c, tableau.a_bar, tableau.b_bar,
+                      tableau.b_prime):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert failures == 840
+    for family, s in itertools.product(csrkn.Family, range(1, 13)):
+        digest.update(f"{family.value} {s}".encode())
+        try:
+            rule = csrkn.gauss_rule(csrkn.make_basis(family, max(8, s)), s)
+        except (ValueError, RuntimeError) as err:
+            digest.update(type(err).__name__.encode())
+            continue
+        digest.update(rule.nodes.tobytes() + rule.weights.tobytes())
+    assert digest.hexdigest() == DERIVED_BYTES_SHA256
