@@ -216,6 +216,24 @@ def kernel_matrix(basis: OrthonormalBasis,
     return kernel
 
 
+def _condition_matrix(basis: OrthonormalBasis,
+                      unknowns: list[tuple[int, int]],
+                      weights: np.ndarray) -> np.ndarray:
+    """Column per unknown alpha[i, j], i <= j: (kernel_matrix(unit) @
+    weights).T.ravel() for a unit alpha[i, j] = alpha[j, i], built in one
+    pass: K_ij weights[j] on the P_i(tau) rows, K_ij weights[i] on the
+    P_j(tau) rows, with K_ij = 1 scaled by P_0 as in kernel_matrix."""
+    size, n_cond = weights.shape
+    i, j = np.array(unknowns, dtype=int).reshape(-1, 2).T
+    p0 = 1.0 / math.sqrt(basis.moments[0])
+    unit = np.array([1.0 / (p0 * p0), 1.0 / p0, 1.0])[np.minimum(i + j, 2)]
+    cols = np.arange(len(i))
+    matrix = np.zeros((n_cond, size, len(i)))
+    matrix[:, i, cols] = (unit[:, None] * weights[j]).T
+    matrix[:, j, cols] = (unit[:, None] * weights[i]).T
+    return matrix.reshape(n_cond * size, len(i))
+
+
 def solve_alpha(basis: OrthonormalBasis,
                 spec: ConstructionSpec) -> dict[tuple[int, int], float]:
     """Solve the stage moment conditions for the coupling coefficients.
@@ -258,32 +276,23 @@ def solve_alpha(basis: OrthonormalBasis,
         # and every integral read here is exact
         _, gram, targets = interval_integrals(basis.family, basis.max_degree)
         weights = gram[: r + 1, :n_cond]
-
-        def left_sides(alpha) -> np.ndarray:
-            """Coefficients on P_0(tau) .. P_r(tau) of the conditions' left
-            sides int_0^1 A(tau, s) / B(s) P_k(s) ds, k outermost."""
-            return (kernel_matrix(basis, alpha, r + 1) @ weights).T.ravel()
-
+        # coefficients on P_0(tau) .. P_r(tau) of the conditions' left sides
+        # int_0^1 A(tau, s) / B(s) P_k(s) ds, k outermost
         unknowns = [p for p in pairs if p not in pinned]
-        vector = targets[:n_cond, : r + 1].ravel() - left_sides(
-            _expand(pinned, gap))
-        matrix = np.zeros((len(vector), len(unknowns)))
-        for col, pair in enumerate(unknowns):
-            matrix[:, col] = left_sides(_expand({pair: 1.0}, 0.0))
-        scale = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 1.0)
+        vector = targets[:n_cond, : r + 1].ravel() - (kernel_matrix(
+            basis, _expand(pinned, gap), r + 1) @ weights).T.ravel()
+        matrix = _condition_matrix(basis, unknowns, weights)
+        column_max = np.abs(matrix).max(axis=0)
+        scale = max(1.0, float(column_max.max()) if matrix.size else 1.0)
         # coefficients the conditions never touch take their default value 0
-        active: list[tuple[int, int]] = []
-        kept: list[int] = []
-        for idx, pair in enumerate(unknowns):
-            if np.max(np.abs(matrix[:, idx])) <= 1e-13 * scale:
-                solution[pair] = 0.0
-            else:
-                active.append(pair)
-                kept.append(idx)
-        matrix = matrix[:, kept]
+        idle = column_max <= 1e-13 * scale
+        flags = list(zip(unknowns, idle.tolist()))
+        solution.update((pair, 0.0) for pair, off in flags if off)
+        active = [pair for pair, off in flags if not off]
+        matrix = matrix[:, ~idle]
         if active:
             values, _, _, sing = np.linalg.lstsq(matrix, vector, rcond=None)
-            if np.sum(sing > 1e-10 * sing[0]) < len(active):
+            if (sing > 1e-10 * sing[0]).sum() < len(active):
                 raise ConstructionError(
                     f"rank deficiency couples the alpha coefficients "
                     f"{', '.join(map(str, active))}; pin some of them via "
@@ -291,14 +300,13 @@ def solve_alpha(basis: OrthonormalBasis,
         else:
             values = np.zeros(0)
         residual = np.abs(matrix @ values - vector)
-        worst = int(np.argmax(residual))
-        if residual[worst] > 1e-10 * max(1.0, float(np.max(np.abs(vector)))):
+        worst = int(residual.argmax())
+        if residual[worst] > 1e-10 * max(1.0, float(np.abs(vector).max())):
             k, m = divmod(worst, r + 1)
             raise ConstructionError(
                 f"stage moment conditions are inconsistent: test index "
                 f"{k}, P_{m}(tau) residual {residual[worst]:.3e}")
-        for pair, value in zip(active, values):
-            solution[pair] = float(value)
+        solution.update(zip(active, values.tolist()))
     for pair in pairs:
         solution.setdefault(pair, 0.0)
     return _expand(solution, gap)
@@ -332,6 +340,13 @@ class ContinuousCoefficients:
         return (deg_b, max((i for i, _ in keys), default=0),
                 max((j for _, j in keys), default=0) + deg_b)
 
+    @property
+    def _sample_degrees(self) -> tuple[int, int]:
+        """(deg B, top): B needs P_0 .. P_deg_B and the kernel P_0 .. P_top,
+        top = max(tau-degree, sigma-degree - deg B, 1)."""
+        deg_b, deg_tau, deg_sigma = self.degrees
+        return deg_b, max(deg_tau, deg_sigma - deg_b, 1)
+
     def b(self, tau):
         """Velocity weight B(tau)."""
         deg = self.degrees[0]
@@ -343,8 +358,7 @@ class ContinuousCoefficients:
         """Coupling kernel at (tau, sigma)."""
         tau, sigma = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                          np.asarray(sigma, dtype=float))
-        deg_b, deg_tau, deg_sigma = self.degrees
-        n = max(deg_tau, deg_sigma - deg_b, 1) + 1
+        n = self._sample_degrees[1] + 1
         kernel = kernel_matrix(self.basis, self.alpha, n)
         p_tau = self.basis.values(tau, n - 1).reshape(n, -1)
         p_sigma = self.basis.values(sigma, n - 1).reshape(n, -1)
@@ -418,7 +432,7 @@ def check_symplectic(tableau: RKNTableau) -> float:
     bp = tableau.b_prime
     m = bp[:, None] * (tableau.b_bar[None, :] - tableau.a_bar)
     position = tableau.b_bar - bp * (1.0 - tableau.c)
-    return float(max(np.max(np.abs(m - m.T)), np.max(np.abs(position))))
+    return float(max(np.abs(m - m.T).max(), np.abs(position).max()))
 
 
 def discretize(coeffs: ContinuousCoefficients,
@@ -431,12 +445,11 @@ def discretize(coeffs: ContinuousCoefficients,
             f"rule family {rule.family.value} does not match "
             f"coefficients family {coeffs.family.value}")
     c, w = rule.nodes, rule.weights
-    deg_b, deg_tau, deg_sigma = coeffs.degrees
-    n = max(deg_tau, deg_sigma - deg_b, 1) + 1
-    p = coeffs.basis.values(c, max(n - 1, deg_b))
+    deg_b, top = coeffs._sample_degrees
+    p = coeffs.basis.values(c, max(top, deg_b))
     b_values = coeffs.lam[: deg_b + 1] @ p[: deg_b + 1]
-    kernel = kernel_matrix(coeffs.basis, coeffs.alpha, n)
-    p = p[:n]
+    kernel = kernel_matrix(coeffs.basis, coeffs.alpha, top + 1)
+    p = p[: top + 1]
     grid = np.sum(p[:, :, None] * (kernel @ p)[:, None, :], axis=0)
     tableau = RKNTableau(c=c, a_bar=w * (grid * b_values),
                          b_bar=w * (b_values * (1.0 - c)),
@@ -509,15 +522,10 @@ def builtin_tableau(name: str, gamma: float = 0.0) -> RKNTableau:
 
 def serialize_tableau(tableau: RKNTableau) -> str:
     """Plain-text form: s, nodes, coupling rows, then both weight rows."""
-
-    def line(values) -> str:
-        return " ".join(f"{v:.17g}" for v in values)
-
-    parts = [str(tableau.s), line(tableau.c)]
-    parts.extend(line(row) for row in tableau.a_bar)
-    parts.append(line(tableau.b_bar))
-    parts.append(line(tableau.b_prime))
-    return "\n".join(parts) + "\n"
+    row = " ".join(["%.17g"] * tableau.s)
+    rows = [tableau.c, *tableau.a_bar, tableau.b_bar, tableau.b_prime]
+    return "\n".join([str(tableau.s)] + [row % tuple(values.tolist())
+                                         for values in rows]) + "\n"
 
 
 def parse_tableau(text: str) -> RKNTableau:

@@ -39,15 +39,17 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     if not 1 <= s <= basis.max_degree:
         raise ValueError(f"s must be in 1..{basis.max_degree}, got {s}")
     diag, off = recurrence_coefficients(basis.family, s)
-    jacobi = np.diag(diag) + np.diag(off[: s - 1], 1) + np.diag(off[: s - 1], -1)
+    # eigh reads only the lower triangle (UPLO='L')
+    jacobi = np.diag(diag)
+    np.fill_diagonal(jacobi[1:], off[: s - 1])
     try:
         nodes, vectors = np.linalg.eigh(jacobi)
     except np.linalg.LinAlgError as err:
         raise EigenConvergenceError(
             f"Golub-Welsch eigenproblem did not converge: {err}") from err
     weights = float(basis.moments[0]) * vectors[0, :] ** 2
-    total = np.sum(basis.values(nodes, s - 1) ** 2, axis=0)
-    drift = np.max(np.abs(weights * total - 1.0))
+    total = (basis.values(nodes, s - 1) ** 2).sum(axis=0)
+    drift = np.abs(weights * total - 1.0).max()
     if drift > _CHRISTOFFEL_RTOL:
         raise EigenConvergenceError(
             f"Golub-Welsch weights disagree with the Christoffel identity "

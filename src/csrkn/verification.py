@@ -89,7 +89,7 @@ def _report(kind: str, b_res, cn_res, dn_res, symplectic: float,
             symmetry: float | None, tol: float) -> ConditionReport:
     """The report of three residual rows; each condition order is the start
     order plus the number of leading residuals within tol."""
-    rows = [tuple(map(float, res)) for res in (b_res, cn_res, dn_res)]
+    rows = [tuple(res.tolist()) for res in (b_res, cn_res, dn_res)]
     orders = [start + next((k for k, r in enumerate(row) if r > tol), len(row))
               for start, row in zip((0, 1, 1), rows)]
     return ConditionReport(kind, *rows, *orders, symplectic, symmetry,
@@ -109,8 +109,7 @@ def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
     breaks.  Raises ValueError if exact integrals would need a Gauss rule
     of more than MAX_DEGREE points.
     """
-    deg_b, deg_tau, deg_sigma = coeffs.degrees
-    top = max(deg_tau, deg_sigma - deg_b, 1)
+    deg_b, top = coeffs._sample_degrees
     n_coef = max(top, kappa_max) + 1
     need = max(deg_b + top + kappa_max - 2, n_coef - 1 + kappa_max)
     points = need // 2 + 1
@@ -130,8 +129,8 @@ def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
     moments = (b_values * powers[:-1]) @ project
     return _report(
         "continuous", np.abs(powers @ (w * b_values) - weight),
-        np.max(np.abs(moments @ kernel.T - stage @ project), axis=1),
-        np.max(np.abs(moments @ kernel - transpose @ project), axis=1),
+        np.abs(moments @ kernel.T - stage @ project).max(axis=1),
+        np.abs(moments @ kernel - transpose @ project).max(axis=1),
         coeffs.symplectic_residual,
         coeffs.symmetry_residual if coeffs.family.symmetric_weight else None,
         tol)
@@ -145,8 +144,8 @@ def check_discrete(tableau: RKNTableau, kappa_max: int | None = None,
     powers, weight, stage, transpose = _condition_sides(tableau.c, kappa_max)
     return _report(
         "discrete", np.abs(powers @ bp - weight),
-        np.max(np.abs(powers[:-1] @ a.T - stage), axis=1),
-        np.max(np.abs((bp * powers[:-1]) @ a - bp * transpose), axis=1),
+        np.abs(powers[:-1] @ a.T - stage).max(axis=1),
+        np.abs((bp * powers[:-1]) @ a - bp * transpose).max(axis=1),
         check_symplectic(tableau), check_symmetric(tableau), tol)
 
 
@@ -179,11 +178,10 @@ def check_symmetric(tableau: RKNTableau) -> float | None:
     if tableau.family is None or not tableau.family.symmetric_weight:
         return None
     adj = adjoint_tableau(tableau)
-    return float(max(
-        np.max(np.abs(adj.c - tableau.c)),
-        np.max(np.abs(adj.a_bar - tableau.a_bar)),
-        np.max(np.abs(adj.b_bar - tableau.b_bar)),
-        np.max(np.abs(adj.b_prime - tableau.b_prime))))
+    return float(max(np.abs(adj.c - tableau.c).max(),
+                     np.abs(adj.a_bar - tableau.a_bar).max(),
+                     np.abs(adj.b_bar - tableau.b_bar).max(),
+                     np.abs(adj.b_prime - tableau.b_prime).max()))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import csrkn
-from csrkn.construction import method_spec
+from csrkn.construction import (_condition_matrix, _expand, interval_integrals,
+                                kernel_matrix, method_spec)
 
 from conftest import (REFERENCE_ALPHA, REFERENCE_TABLEAUX,
                       reference_tableau_arrays)
@@ -110,6 +111,24 @@ def test_alpha_symplectic_constraints(bases, name):
         for j in range(3):
             if i + j > 1:
                 assert alpha[(i, j)] == pytest.approx(alpha[(j, i)], abs=0)
+
+
+@pytest.mark.parametrize("family", list(csrkn.Family))
+def test_condition_matrix_matches_one_column_per_unknown(family):
+    # oracle: one kernel_matrix product per unit unknown and its mirror
+    basis = csrkn.make_basis(family, 8)
+    gram = interval_integrals(family, 8)[1]
+    for r, n_cond in itertools.product(range(1, 5), range(1, 4)):
+        weights = gram[: r + 1, :n_cond]
+        pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
+        symmetric = [(i, j) for i, j in pairs
+                     if (i, j) != (0, 1) and (i + j < 2 or (i + j) % 2 == 0)]
+        for unknowns in (pairs, symmetric):
+            oracle = np.column_stack([
+                (kernel_matrix(basis, _expand({pair: 1.0}, 0.0), r + 1)
+                 @ weights).T.ravel() for pair in unknowns])
+            matrix = _condition_matrix(basis, unknowns, weights)
+            assert np.array_equal(matrix, oracle), (r, n_cond, unknowns)
 
 
 def test_solve_alpha_conflicting_pin(bases):
@@ -241,6 +260,34 @@ def test_serialize_parse_round_trip(tableaux):
         np.testing.assert_array_equal(back.a_bar, tableau.a_bar)
         np.testing.assert_array_equal(back.b_bar, tableau.b_bar)
         np.testing.assert_array_equal(back.b_prime, tableau.b_prime)
+
+
+def test_serialize_matches_per_value_formatting():
+    # one "%.17g" format string per row gives the bytes of formatting each
+    # value on its own
+    def per_value(tableau):
+        rows = [tableau.c, *tableau.a_bar, tableau.b_bar, tableau.b_prime]
+        return "\n".join([str(tableau.s)] + [
+            " ".join(f"{v:.17g}" for v in row) for row in rows]) + "\n"
+
+    rng = np.random.default_rng(20181)
+    s = 100
+    tableaux = []
+    for _ in range(10):
+        values = (rng.uniform(-10.0, 10.0, s * s + 3 * s)
+                  * 10.0 ** rng.integers(-300, 301, s * s + 3 * s))
+        tableaux.append(csrkn.RKNTableau(
+            c=values[:s], a_bar=values[s: s + s * s].reshape(s, s),
+            b_bar=values[s + s * s: 2 * s + s * s],
+            b_prime=values[2 * s + s * s:]))
+    big = np.finfo(float).max
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        big, -big])
+    tableaux.append(csrkn.RKNTableau(
+        c=special, a_bar=np.tile(special, (len(special), 1)),
+        b_bar=special[::-1].copy(), b_prime=special))
+    for tableau in tableaux:
+        assert csrkn.serialize_tableau(tableau) == per_value(tableau)
 
 
 def test_parse_tableau_rejects_bad_input():
