@@ -209,7 +209,7 @@ def _condition_table_inputs():
     """(label, tableau or the ValueError its derivation raised) per input:
     the built-ins at five gammas, then every (spec, stages) the CLI's custom
     flags reach with b_order <= 8, tau_degree <= 4 and stages <= 6 (2,520
-    inputs, of which 840 fail to derive).  Derived once per session."""
+    inputs, of which 840 fail to derive).  Derived once per test process."""
     inputs = [(f"{name} {gamma}", lambda name=name, gamma=gamma:
                csrkn.builtin_tableau(name, gamma))
               for name in csrkn.BUILTIN_METHODS
