@@ -153,6 +153,81 @@ def test_non_finite_force_raises():
     assert info.value.iterations == 1
 
 
+def failing_kepler(kind, call):
+    """Kepler whose force evaluation number `call` (counted from 1 over the
+    whole run) raises, or returns NaN everywhere."""
+    kepler = csrkn.kepler()
+    calls = [0]
+
+    def f(t, q):
+        calls[0] += 1
+        if calls[0] == call:
+            if kind == "raise":
+                raise ArithmeticError("overflow in force")
+            return np.full_like(q, np.nan)
+        return kepler.f(t, q)
+
+    return csrkn.SecondOrderProblem(name=kind, dim=2, f=f, q0=kepler.q0,
+                                    qp0=kepler.qp0)
+
+
+# legendre4 at h = 0.1 takes 7 and 6 sweeps on the first two Kepler steps,
+# so call 15 is the second sweep of step 2; last_delta is its first sweep's
+# increment.
+@pytest.mark.parametrize("kind,message", [
+    ("raise", "step 2 (t = 0.2) failed: force evaluation failed: "
+              "overflow in force"),
+    ("nan", "step 2 (t = 0.2) failed: force evaluation returned a "
+            "non-finite value"),
+])
+def test_force_failure_pinned(tableaux, kind, message):
+    problem = failing_kepler(kind, 15)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux["legendre4"], problem, 0.0, problem.q0,
+                        problem.qp0, 0.1, 5)
+    err = info.value
+    assert str(err) == message
+    assert (err.step_index, err.time, err.iterations) == (2, 0.2, 2)
+    assert err.last_delta == float.fromhex("0x1.79095302c0000p-17")
+
+
+def test_nonconvergence_pinned(tableaux):
+    kepler = csrkn.kepler()
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,
+                        kepler.qp0, 0.1, 5, csrkn.SolverConfig(max_iters=1))
+    err = info.value
+    assert str(err) == ("step 0 (t = 0) failed: stage iteration did not "
+                        "reach tolerance within 1 sweeps (last increment "
+                        "3.101e-03)")
+    assert (err.step_index, err.time, err.iterations) == (0, 0.0, 1)
+    assert err.last_delta == float.fromhex("0x1.966daee9f6200p-9")
+
+
+@pytest.mark.parametrize("kind", ["raise", "nan", "max_iters"])
+def test_rkn_step_failure_matches_first_step(tableaux, kind):
+    tableau = tableaux["legendre4"]
+    config = csrkn.SolverConfig(max_iters=1 if kind == "max_iters" else 50)
+
+    def problem():
+        return (csrkn.kepler() if kind == "max_iters"
+                else failing_kepler(kind, 3))
+
+    kepler = csrkn.kepler()
+    with pytest.raises(csrkn.StageConvergenceError) as step:
+        csrkn.rkn_step(tableau, problem(), 0.5, kepler.q0, kepler.qp0, 0.1,
+                       config)
+    with pytest.raises(csrkn.StageConvergenceError) as first:
+        csrkn.integrate(tableau, problem(), 0.5, kepler.q0, kepler.qp0, 0.1,
+                        1, config)
+    step, first = step.value, first.value
+    assert step.step_index == 0
+    assert str(step) == str(first)
+    assert str(step).startswith("step 0 (t = 0.5) failed: ")
+    assert ((step.time, step.iterations, step.last_delta)
+            == (first.time, first.iterations, first.last_delta))
+
+
 @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, -0.0])
 @pytest.mark.parametrize("position", [0, 3, 5])
 def test_max_abs_matches_numpy(special, position):
