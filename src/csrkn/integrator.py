@@ -1,19 +1,20 @@
 """Fixed-step integrator for q'' = f(t, q) driven by an RKN tableau.
 
+``integrate`` is one loop over the steps; ``rkn_step`` is its first step.
 The implicit stage values are found by fixed-point iteration, which needs no
 Jacobians and contracts quickly at the step sizes these methods target.  On
 exit the stage values satisfy the stage equations exactly with respect to
 the last force evaluations, so each step realizes the tableau's map up to
 the iteration tolerance; two extra sweeps after the tolerance is met push
 stage consistency to the rounding floor, which keeps quadratic invariants
-flat over long runs.  Non-convergence and non-finite force values raise,
-never degrade; running out of sweeps during the polish sweeps is logged as a
+flat over long runs.  Non-convergence and non-finite force values raise
+StageConvergenceError with the failing step's index and time, never
+degrade; running out of sweeps during the polish sweeps is logged as a
 warning on the ``csrkn`` logger.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -95,17 +96,39 @@ def _max_abs(a: np.ndarray) -> float:
     return max(magnitudes) if total == total else total
 
 
-def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
-           q: np.ndarray, qp: np.ndarray, h: float, config: SolverConfig):
-    """Yield (q, qp, sweeps) after each step from (t0, q, qp), without end.
+def _failure(step: int, t: float, reason: str, sweeps: int,
+             last_delta: float | None) -> StageConvergenceError:
+    return StageConvergenceError(f"step {step} (t = {t:g}) failed: {reason}",
+                                 step_index=step, time=t, iterations=sweeps,
+                                 last_delta=last_delta)
 
-    sweeps counts the fixed-point sweeps of the step, one ``problem.f`` call
-    each.  The first step starts its stage iteration from the explicit
+
+def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
+             q: np.ndarray, qp: np.ndarray, h: float,
+             config: SolverConfig | None = None):
+    """Advance (q, q') by one step of size h (negative h is allowed): the
+    first step of ``integrate``, with its errors."""
+    last = integrate(tableau, problem, t, q, qp, h, 1, config)
+    return last.q[-1], last.qp[-1]
+
+
+def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
+              q0, qp0, h: float, n_steps: int,
+              config: SolverConfig | None = None) -> Trajectory:
+    """Repeated steps from (t0, q0, qp0); deterministic for fixed inputs.
+
+    iterations[k] counts the fixed-point sweeps of step k, one ``problem.f``
+    call each.  The first step starts its stage iteration from the explicit
     guess q + c h q'; every later step starts from the previous step's stage
     forces extrapolated to the new stage times (Hairer, Lubich & Wanner,
     Geometric Numerical Integration, 2006, sec. VIII.6.1), which changes
     the sweep count, not the fixed point.
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if h == 0.0:
+        raise ValueError("step size must be nonzero")
+    config = config or SolverConfig()
     f = problem.f
     fp_tol, max_iters = config.fp_tol, config.max_iters
     ch = h * tableau.c
@@ -113,9 +136,20 @@ def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     h2_a_bar = (h * h) * tableau.a_bar
     h2_b_bar = (h * h) * tableau.b_bar
     h_b_prime = h * tableau.b_prime
+    q = np.array(q0, dtype=float)
+    qp = np.array(qp0, dtype=float)
+    times = [t0]
+    qs = [q]
+    qps = [qp]
+    iterations = np.zeros(n_steps, dtype=int)
     predictor = None
-    for step in itertools.count():
+    for step in range(n_steps):
         t = t0 + step * h
+        if step == 1:
+            # built for the second step, so a single step never pays for it
+            extrapolation = _extrapolation(tableau.c)
+            if extrapolation is not None:
+                predictor = h2_a_bar.dot(extrapolation)
         t_stage = t + ch
         base = q + ch_column * qp
         stages = base if predictor is None else base + predictor.dot(forces)
@@ -126,15 +160,12 @@ def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             try:
                 forces = np.asarray(f(t_stage, stages), dtype=float)
             except (ValueError, ArithmeticError) as err:
-                raise StageConvergenceError(
-                    f"force evaluation failed: {err}",
-                    time=t, iterations=sweep, last_delta=delta) from err
+                raise _failure(step, t, f"force evaluation failed: {err}",
+                               sweep, delta) from err
             updated = base + h2_a_bar.dot(forces)
             increment = _max_abs(updated - stages)
             if not math.isfinite(increment):
-                raise StageConvergenceError(
-                    "force evaluation returned a non-finite value",
-                    time=t, iterations=sweep, last_delta=delta)
+                break
             delta = increment
             stages = updated
             if delta < scale:
@@ -143,63 +174,21 @@ def _steps(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                 polish += 1
         else:
             if not polish:
-                raise StageConvergenceError(
-                    f"stage iteration did not reach tolerance within "
-                    f"{max_iters} sweeps (last increment {delta:.3e})",
-                    time=t, iterations=max_iters, last_delta=delta)
+                raise _failure(
+                    step, t, f"stage iteration did not reach tolerance "
+                    f"within {max_iters} sweeps (last increment "
+                    f"{delta:.3e})", max_iters, delta)
             _log.warning("stage iteration at t = %g reached max_iters = %d "
                          "during the polish sweeps (last increment %.3e)",
                          t, max_iters, delta)
-        if not math.isfinite(_max_abs(forces)):
-            raise StageConvergenceError(
-                "force evaluation returned a non-finite value",
-                time=t, iterations=sweep, last_delta=delta)
+        # a non-finite increment leaves the sweeps early; non-finite forces
+        # can also meet the tolerance where a_bar does not reach them
+        if not (math.isfinite(increment) and math.isfinite(_max_abs(forces))):
+            raise _failure(step, t, "force evaluation returned a non-finite "
+                           "value", sweep, delta)
         q = q + h * qp + h2_b_bar.dot(forces)
         qp = qp + h_b_prime.dot(forces)
-        yield q, qp, sweep
-        # built after the first step, which rkn_step takes alone
-        if predictor is None:
-            extrapolation = _extrapolation(tableau.c)
-            if extrapolation is not None:
-                predictor = h2_a_bar.dot(extrapolation)
-
-
-def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
-             q: np.ndarray, qp: np.ndarray, h: float,
-             config: SolverConfig | None = None):
-    """Advance (q, q') by one step of size h (negative h is allowed)."""
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
-    q1, qp1, _ = next(_steps(tableau, problem, t, np.asarray(q, dtype=float),
-                             np.asarray(qp, dtype=float), h,
-                             config or SolverConfig()))
-    return q1, qp1
-
-
-def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
-              q0, qp0, h: float, n_steps: int,
-              config: SolverConfig | None = None) -> Trajectory:
-    """Repeated steps from (t0, q0, qp0); deterministic for fixed inputs."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
-    config = config or SolverConfig()
-    q = np.array(q0, dtype=float)
-    qp = np.array(qp0, dtype=float)
-    times = [t0]
-    qs = [q]
-    qps = [qp]
-    iterations = np.zeros(n_steps, dtype=int)
-    steps = _steps(tableau, problem, t0, q, qp, h, config)
-    for step in range(n_steps):
-        try:
-            q, qp, iterations[step] = next(steps)
-        except StageConvergenceError as err:
-            raise StageConvergenceError(
-                f"step {step} (t = {err.time:g}) failed: {err}",
-                step_index=step, time=err.time, iterations=err.iterations,
-                last_delta=err.last_delta) from err
+        iterations[step] = sweep
         if (step + 1) % config.record_every == 0 or step == n_steps - 1:
             times.append(t0 + (step + 1) * h)
             qs.append(q)
