@@ -14,9 +14,8 @@ import re
 import sys
 
 from .basis import family_from_name
-from .construction import (BUILTIN_METHODS, ConstructionError,
-                           ConstructionSpec, RKNTableau, builtin_tableau,
-                           derive, serialize_tableau)
+from .construction import (BUILTIN_METHODS, ConstructionSpec, RKNTableau,
+                           builtin_tableau, derive, serialize_tableau)
 from .integrator import (SolverConfig, StageConvergenceError, integrate,
                          write_trajectory_csv)
 from .problems import problem_from_name
@@ -26,10 +25,6 @@ from .verification import (check_discrete, empirical_order, report_csv,
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
-
-
-class SystemExit2(Exception):
-    """Usage-level failure raised before any numerics run."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -72,10 +67,10 @@ def _resolve_tableau(args) -> RKNTableau:
     if args.method is not None:
         return builtin_tableau(args.method, args.gamma)
     if args.family is None:
-        raise SystemExit2("either --method or --family is required")
+        raise ValueError("either --method or --family is required")
     family = family_from_name(args.family)
     if args.stages is None:
-        raise SystemExit2("--stages is required with --family")
+        raise ValueError("--stages is required with --family")
     free_alpha = {(int(i), int(j)): float(value)
                   for i, j, value in args.set_alpha}
     spec = ConstructionSpec(family=family, b_order=args.b_order,
@@ -192,7 +187,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if err.code else 0
     try:
         return args.handler(args)
-    except (SystemExit2, ValueError, ConstructionError) as err:
+    except ValueError as err:  # ConstructionError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (StageConvergenceError, EigenConvergenceError,

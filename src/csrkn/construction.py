@@ -43,7 +43,15 @@ TABLEAU_TOL = 1e-12
 
 _log = logging.getLogger("csrkn")
 
-BUILTIN_METHODS = ("legendre4", "chebyshev4", "hermite4", "hermite3")
+# name -> (family, Gauss points, factor of gamma in alpha[1,1]); hermite3
+# has no free parameter
+_BUILTINS = {
+    "legendre4": (Family.SHIFTED_LEGENDRE, 2, 2.0),
+    "chebyshev4": (Family.SHIFTED_CHEBYSHEV1, 3, 1.5 * math.pi),
+    "hermite4": (Family.SHIFTED_HERMITE, 3, 1.5 * math.sqrt(math.pi)),
+    "hermite3": (Family.STANDARD_HERMITE, 3, None),
+}
+BUILTIN_METHODS = tuple(_BUILTINS)
 
 
 class ConstructionError(ValueError):
@@ -464,28 +472,20 @@ def discretize(coeffs: ContinuousCoefficients,
 
 def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
     """Construction parameters of the built-in methods."""
-    if name == "legendre4":
-        return ConstructionSpec(
-            family=Family.SHIFTED_LEGENDRE, symmetric=True,
-            free_alpha={(1, 1): 2.0 * gamma, (1, 2): 0.0, (2, 2): 0.0})
-    if name == "chebyshev4":
-        return ConstructionSpec(
-            family=Family.SHIFTED_CHEBYSHEV1, symmetric=True,
-            free_alpha={(1, 1): 1.5 * math.pi * gamma, (1, 2): 0.0, (2, 2): 0.0})
-    if name == "hermite4":
-        return ConstructionSpec(
-            family=Family.SHIFTED_HERMITE, symmetric=True,
-            free_alpha={(1, 1): 1.5 * math.sqrt(math.pi) * gamma,
-                        (1, 2): 0.0, (2, 2): 0.0})
-    if name == "hermite3":
+    if name not in _BUILTINS:
+        raise ConstructionError(f"unknown method {name!r}; choose from "
+                                f"{', '.join(BUILTIN_METHODS)}")
+    family, _, factor = _BUILTINS[name]
+    if factor is None:
         # the non-symmetric construction: split the first-order constraint
         # evenly by hand, zero the remaining upper coefficients
-        gap = _gap(make_basis(Family.STANDARD_HERMITE, 2))
+        gap = _gap(make_basis(family, 2))
         return ConstructionSpec(
-            family=Family.STANDARD_HERMITE, symmetric=False,
+            family=family, symmetric=False,
             free_alpha={(0, 1): -0.5 * gap, (1, 2): 0.0, (2, 2): 0.0})
-    raise ConstructionError(
-        f"unknown method {name!r}; choose from {', '.join(BUILTIN_METHODS)}")
+    return ConstructionSpec(
+        family=family, symmetric=True,
+        free_alpha={(1, 1): factor * gamma, (1, 2): 0.0, (2, 2): 0.0})
 
 
 def _coefficients(spec: ConstructionSpec,
@@ -510,9 +510,8 @@ def builtin_coefficients(name: str, gamma: float = 0.0) -> ContinuousCoefficient
 def builtin_tableau(name: str, gamma: float = 0.0) -> RKNTableau:
     """One of the four shipped methods.  hermite3 has no free parameter: its
     gamma is None, and a nonzero gamma is ignored with a warning."""
-    stages = 2 if name == "legendre4" else 3
-    tableau = derive(method_spec(name, gamma), stages)
-    if name == "hermite3":
+    tableau = derive(method_spec(name, gamma), _BUILTINS[name][1])
+    if _BUILTINS[name][2] is None:
         if gamma != 0.0:
             _log.warning("hermite3 has no free parameter; gamma = %r is "
                          "ignored", gamma)

@@ -138,9 +138,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     h_b_prime = h * tableau.b_prime
     q = np.array(q0, dtype=float)
     qp = np.array(qp0, dtype=float)
-    times = [t0]
-    qs = [q]
-    qps = [qp]
+    times, qs, qps = [t0], [q], [qp]
     iterations = np.zeros(n_steps, dtype=int)
     predictor = None
     for step in range(n_steps):

@@ -17,6 +17,7 @@ import numpy as np
 from .basis import Family, OrthonormalBasis, recurrence_coefficients
 
 _CHRISTOFFEL_RTOL = 1e-11
+_EXACT_RTOL = 1e-10
 
 
 class EigenConvergenceError(RuntimeError):
@@ -57,10 +58,9 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     return QuadratureRule(family=basis.family, s=s, nodes=nodes, weights=weights)
 
 
-def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis,
-                     rtol: float = 1e-10) -> int:
-    """Largest d with sum b_i c_i^k == m_k for every k <= d, to rtol times
-    sum |b_i c_i^k| (the odd moments of a symmetric weight vanish)."""
+def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis) -> int:
+    """Largest d with sum b_i c_i^k == m_k for every k <= d, to _EXACT_RTOL
+    times sum |b_i c_i^k| (the odd moments of a symmetric weight vanish)."""
     if rule.family is not basis.family:
         raise ValueError("rule and basis families differ")
     degree = -1
@@ -68,7 +68,7 @@ def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis,
     for k in range(len(basis.moments)):
         terms = rule.weights * powers
         scale = max(1.0, float(np.sum(np.abs(terms))))
-        if abs(float(np.sum(terms)) - basis.moments[k]) >= rtol * scale:
+        if abs(float(np.sum(terms)) - basis.moments[k]) >= _EXACT_RTOL * scale:
             break
         degree = k
         powers = powers * rule.nodes

@@ -27,7 +27,6 @@ from .integrator import SolverConfig, integrate
 from .problems import SecondOrderProblem
 from .quadrature import gauss_rule
 
-TOL_ALGEBRAIC = 1e-12
 TOL_CHAINED = 1e-10
 
 
@@ -47,10 +46,6 @@ class ConditionReport:
     symplectic_residual: float
     symmetry_residual: float | None
     predicted_order: int
-
-    @property
-    def symmetry_applicable(self) -> bool:
-        return self.symmetry_residual is not None
 
 
 def order_bound(b_order: int, cn_order: int, dn_order: int) -> int:
@@ -86,18 +81,19 @@ def _condition_sides(x: np.ndarray, kappa_max: int):
 
 
 def _report(kind: str, b_res, cn_res, dn_res, symplectic: float,
-            symmetry: float | None, tol: float) -> ConditionReport:
+            symmetry: float | None) -> ConditionReport:
     """The report of three residual rows; each condition order is the start
-    order plus the number of leading residuals within tol."""
+    order plus the number of leading residuals within TOL_CHAINED."""
     rows = [tuple(res.tolist()) for res in (b_res, cn_res, dn_res)]
-    orders = [start + next((k for k, r in enumerate(row) if r > tol), len(row))
+    orders = [start + next((k for k, r in enumerate(row) if r > TOL_CHAINED),
+                           len(row))
               for start, row in zip((0, 1, 1), rows)]
     return ConditionReport(kind, *rows, *orders, symplectic, symmetry,
                            order_bound(*orders))
 
 
-def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
-                     tol: float = TOL_CHAINED) -> ConditionReport:
+def check_continuous(coeffs: ContinuousCoefficients,
+                     kappa_max: int = 6) -> ConditionReport:
     """Measure the moment conditions of a continuous coefficient set.
 
     The weight condition of order kappa asks the weighted moment of
@@ -132,21 +128,20 @@ def check_continuous(coeffs: ContinuousCoefficients, kappa_max: int = 6,
         np.abs(moments @ kernel.T - stage @ project).max(axis=1),
         np.abs(moments @ kernel - transpose @ project).max(axis=1),
         coeffs.symplectic_residual,
-        coeffs.symmetry_residual if coeffs.family.symmetric_weight else None,
-        tol)
+        coeffs.symmetry_residual if coeffs.family.symmetric_weight else None)
 
 
-def check_discrete(tableau: RKNTableau, kappa_max: int | None = None,
-                   tol: float = TOL_CHAINED) -> ConditionReport:
-    """Measure the classical simplifying assumptions of a tableau."""
-    kappa_max = 2 * tableau.s + 2 if kappa_max is None else kappa_max
+def check_discrete(tableau: RKNTableau) -> ConditionReport:
+    """Measure the classical simplifying assumptions of a tableau up to
+    condition order 2s + 2."""
     bp, a = tableau.b_prime, tableau.a_bar
-    powers, weight, stage, transpose = _condition_sides(tableau.c, kappa_max)
+    powers, weight, stage, transpose = _condition_sides(tableau.c,
+                                                        2 * tableau.s + 2)
     return _report(
         "discrete", np.abs(powers @ bp - weight),
         np.abs(powers[:-1] @ a.T - stage).max(axis=1),
         np.abs((bp * powers[:-1]) @ a - bp * transpose).max(axis=1),
-        check_symplectic(tableau), check_symmetric(tableau), tol)
+        check_symplectic(tableau), check_symmetric(tableau))
 
 
 def adjoint_tableau(tableau: RKNTableau) -> RKNTableau:

@@ -198,6 +198,16 @@ def test_missing_method_and_family_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check"], "either --method or --family is required"),
+    (["derive", "--family", "shifted-legendre"],
+     "--stages is required with --family"),
+])
+def test_missing_argument_message(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solver_failure_is_numerical_error(tmp_path, capsys):
     out = tmp_path / "fail.csv"
     code = main(["run", "--method", "hermite3", "--problem", "kepler",
