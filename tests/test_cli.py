@@ -195,17 +195,11 @@ def test_unknown_method_is_usage_error(capsys):
 
 def test_missing_method_and_family_is_usage_error(capsys):
     assert main(["check"]) == 1
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["check"], "either --method or --family is required"),
-    (["derive", "--family", "shifted-legendre"],
-     "--stages is required with --family"),
-])
-def test_missing_argument_message(capsys, argv, message):
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == (
+        "error: either --method or --family is required\n")
+    assert main(["derive", "--family", "shifted-legendre"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --stages is required with --family\n")
 
 
 def test_solver_failure_is_numerical_error(tmp_path, capsys):
