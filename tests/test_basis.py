@@ -388,3 +388,38 @@ def test_basis_tables_pinned_sha256(family):
         for array in (*basis.coeffs, basis.moments):
             digest.update(array.tobytes())
     assert digest.hexdigest() == BASIS_SHA256[family]
+
+
+def _exact_table_text(family) -> str:
+    """The exact tables of a family as text: ratios and monic of its
+    MAX_DEGREE basis, then (diag_k, off_k**2) for k <= MAX_DEGREE."""
+    def fraction(f):
+        return f"{f.numerator}/{f.denominator}"
+
+    basis = csrkn.make_basis(family, MAX_DEGREE)
+    lines = [" ".join(map(fraction, basis.ratios))]
+    lines.extend(f"{sigma.hex()} " + " ".join(map(fraction, monic))
+                 for sigma, monic in basis.monic)
+    lines.extend(" ".join(map(fraction, basis_module._rational_recurrence(
+        family, k))) for k in range(MAX_DEGREE + 1))
+    return "\n".join(lines)
+
+
+# sha256 over _exact_table_text: the exact fractions behind every table, so
+# a rewrite of the recurrence or the moments must reproduce each one.
+EXACT_TABLE_SHA256 = {
+    csrkn.Family.SHIFTED_LEGENDRE:
+        "c191a6e4fc890447b08757a007a544743382e3e30db382146459d43468bd35b6",
+    csrkn.Family.SHIFTED_CHEBYSHEV1:
+        "e697c610aeb248229eaeda011f09f2afee95a29bd8dc3fcfbac91d42f6a2ba20",
+    csrkn.Family.SHIFTED_HERMITE:
+        "4e08f4883b51fb83c8389a07c02a135bb5b986fded070fe5545163750e6912cd",
+    csrkn.Family.STANDARD_HERMITE:
+        "e82837ca704214afc6691c6da7ffb7fd8a80cd1772e99446c44ed8cf3811ffd9",
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_exact_tables_pinned_sha256(family):
+    digest = hashlib.sha256(_exact_table_text(family).encode())
+    assert digest.hexdigest() == EXACT_TABLE_SHA256[family]
