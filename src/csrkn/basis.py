@@ -1,14 +1,18 @@
 """Weighted orthonormal polynomial families.
 
-Four families are supported: shifted Legendre and shifted Chebyshev (first
-kind) on [0, 1], and standard/shifted Hermite on the whole real line.  The
-construction works in orthonormal coefficients and evaluates P_n with
-``values``, the three-term recurrence (Gautschi, *Orthogonal Polynomials:
-Computation and Approximation*, OUP 2004, sections 2.1-2.2).
+Each family is one row of ``Family``: m_0 correctly rounded, the centre c
+about which w is even, and one integer.  Shifted Legendre and Chebyshev
+(first kind) are multiples of the Jacobi weights (x(1 - x))**a on [0, 1]
+(Gautschi, *Orthogonal Polynomials: Computation and Approximation*, OUP
+2004, table 1.1), given by t = 2a; the Hermite families are Gaussians on
+the real line, given by base = 1 / variance (base * c must be an integer).
+One Jacobi and one Gaussian formula give the exact recurrence and moments,
+so a new family needs only its row.  P_n is evaluated by the three-term
+recurrence in ``values`` (Gautschi, sections 2.1-2.2).
 
-``poly``, ``moments`` and ``inner_product`` are the monomial view.  Every
-family has a rational monic recurrence and rational moment ratios m_k / m_0,
-so that view is kept exact in fractions (see ``OrthonormalBasis``) and the
+``poly``, ``moments`` and ``inner_product`` are the monomial view, kept
+exact in fractions (see ``OrthonormalBasis``) since every family has a
+rational monic recurrence and rational moment ratios m_k / m_0, so the
 violent cancellation of high-degree monomial products costs nothing.
 
 A family's tables depend only on (family, degree), so ``make_basis`` and
@@ -31,35 +35,27 @@ import numpy as np
 MAX_DEGREE = 12
 
 _HALF = Fraction(1, 2)
+_SQRT_PI = 1.772453850905516  # math.sqrt(math.pi) is one ulp low
 
 
 class Family(Enum):
-    """Supported weight functions and their intervals."""
+    """One row per weight: (value, m_0, centre, t or None, base or None)."""
 
-    SHIFTED_LEGENDRE = "shifted-legendre"      # w(x) = 1 on [0, 1]
-    SHIFTED_CHEBYSHEV1 = "shifted-chebyshev1"  # w(x) = 1/(2 sqrt(x(1-x))) on [0, 1]
-    SHIFTED_HERMITE = "shifted-hermite"        # w(x) = exp(-(2x-1)^2) on R
-    STANDARD_HERMITE = "standard-hermite"      # w(x) = exp(-x^2) on R
+    # w(x) = 1 on [0, 1]
+    SHIFTED_LEGENDRE = "shifted-legendre", 1.0, _HALF, 0, None
+    # w(x) = 1/(2 sqrt(x(1-x))) on [0, 1]
+    SHIFTED_CHEBYSHEV1 = "shifted-chebyshev1", math.pi / 2, _HALF, -1, None
+    # w(x) = exp(-(2x-1)^2) on R
+    SHIFTED_HERMITE = "shifted-hermite", _SQRT_PI / 2, _HALF, None, 8
+    # w(x) = exp(-x^2) on R
+    STANDARD_HERMITE = "standard-hermite", _SQRT_PI, Fraction(0), None, 2
 
-    @property
-    def symmetric_weight(self) -> bool:
-        """True when w(x) == w(1 - x) everywhere."""
-        return self is not Family.STANDARD_HERMITE
-
-    @property
-    def finite_interval(self) -> bool:
-        return self in (Family.SHIFTED_LEGENDRE, Family.SHIFTED_CHEBYSHEV1)
-
-    def weight(self, x):
-        """Evaluate the weight function (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        if self is Family.SHIFTED_LEGENDRE:
-            return np.ones_like(x)
-        if self is Family.SHIFTED_CHEBYSHEV1:
-            return 1.0 / (2.0 * np.sqrt(x * (1.0 - x)))
-        if self is Family.SHIFTED_HERMITE:
-            return np.exp(-((2.0 * x - 1.0) ** 2))
-        return np.exp(-(x * x))
+    def __new__(cls, value, m0, centre, t, base):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.m0, member.centre, member.t, member.base = m0, centre, t, base
+        member.symmetric_weight = centre == _HALF  # w(x) == w(1 - x)
+        return member
 
 
 def family_from_name(name: str) -> Family:
@@ -71,33 +67,38 @@ def family_from_name(name: str) -> Family:
 
 
 def _moment_ratios(family: Family, count: int) -> list[Fraction]:
-    """m_k / m_0 for k < count, exactly."""
-    if family is Family.SHIFTED_LEGENDRE:
-        return [Fraction(1, k + 1) for k in range(count)]
-    if family is Family.SHIFTED_CHEBYSHEV1:
-        return [Fraction(math.comb(2 * k, k), 4 ** k) for k in range(count)]
-    # Hermite: s_k = base**k m_k / m_0 are integers, from integration by
-    # parts on w' = -4(2x-1)w (shifted: base 8) or on w' = -2xw (base 2)
-    shifted = family is Family.SHIFTED_HERMITE
-    s = [1, 4 if shifted else 0]
+    """m_k / m_0 for k < count, exactly, from integer sequences."""
+    t, base = family.t, family.base
+    if base is None:
+        # Beta integrals: m_{k+1} / m_k = (t + 2 + 2k) / (2t + 4 + 2k)
+        ratios, top, bottom = [], 1, 1
+        for k in range(count):
+            ratios.append(Fraction(top, bottom))
+            top, bottom = top * (t + 2 + 2 * k), bottom * (2 * t + 4 + 2 * k)
+        return ratios
+    # s_k = base**k m_k / m_0 are integers, from integration by parts on
+    # w' = -base (x - c) w
+    shift = int(base * family.centre)
+    s = [1, shift]
     for k in range(1, count - 1):
-        s.append(4 * s[k] + 8 * k * s[k - 1] if shifted else 2 * k * s[k - 1])
-    return [Fraction(v, (8 if shifted else 2) ** k) for k, v in enumerate(s)]
+        s.append(shift * s[k] + base * k * s[k - 1])
+    return [Fraction(v, base ** k) for k, v in enumerate(s)]
 
 
 def _rational_recurrence(family: Family, k: int) -> tuple[Fraction, Fraction]:
     """(diag_k, off_k**2) of the orthonormal recurrence, exactly.
 
-    The shifted families are the classical ones under x -> (u+1)/2, which
-    maps the Jacobi matrix J to (J + I)/2.
+    A Jacobi row is Gegenbauer's recurrence under x -> (u+1)/2, which maps
+    the Jacobi matrix J to (J + I)/2; a Gaussian's off_k**2 is (k+1)/base.
     """
-    if family is Family.SHIFTED_LEGENDRE:
-        return _HALF, Fraction((k + 1) ** 2, 4 * (2 * k + 1) * (2 * k + 3))
-    if family is Family.SHIFTED_CHEBYSHEV1:
-        return _HALF, Fraction(1, 8 if k == 0 else 16)
-    if family is Family.SHIFTED_HERMITE:
-        return _HALF, Fraction(k + 1, 8)
-    return Fraction(0), Fraction(k + 1, 2)
+    t, base, n = family.t, family.base, k + 1
+    if base is not None:
+        off2 = Fraction(n, base)
+    elif k == 0:
+        off2 = Fraction(1, 4 * (t + 3))
+    else:
+        off2 = Fraction(n * (n + t), 4 * (2 * n + t + 1) * (2 * n + t - 1))
+    return family.centre, off2
 
 
 def _times(scale: float, num: int, den: int) -> float:
@@ -107,9 +108,9 @@ def _times(scale: float, num: int, den: int) -> float:
 
 
 def _shared_table(build):
-    """Memoize build(family, degree), checking the key before the cache so
-    only the 4 x (MAX_DEGREE + 1) valid keys are ever stored.  Callers share
-    each result, so its arrays must be read-only; ``__wrapped__`` is build."""
+    """Memoize build(family, degree), checking the key first so only valid
+    keys, one per member and degree, are ever stored.  Callers share each
+    result, so its arrays must be read-only; ``__wrapped__`` is build."""
     cached = functools.cache(build)
 
     @functools.wraps(build)
@@ -207,12 +208,6 @@ class OrthonormalBasis:
         return 1.0, tuple(map(Fraction, poly.tolist()))
 
 
-# m_0 of each weight, correctly rounded (math.sqrt(math.pi) is one ulp low)
-_SQRT_PI = 1.772453850905516
-_M0 = {Family.SHIFTED_LEGENDRE: 1.0, Family.SHIFTED_CHEBYSHEV1: math.pi / 2,
-       Family.SHIFTED_HERMITE: _SQRT_PI / 2, Family.STANDARD_HERMITE: _SQRT_PI}
-
-
 @_shared_table
 def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
     """Build the orthonormal family from its rational monic recurrence.
@@ -224,7 +219,7 @@ def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
     process and every caller gets the same read-only basis; copy its arrays
     before modifying them.
     """
-    m0 = _M0[family]
+    m0 = family.m0
     ratios = _moment_ratios(family, 2 * max_degree + 3)
     monic, coeffs = [], []
     # pi_k, pi_{k-1} as integer numerators over denominators, and rho_k

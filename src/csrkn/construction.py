@@ -146,7 +146,7 @@ def interval_integrals(family: Family,
         inner = basis.values(np.multiply.outer(x, t), k)[k] @ (w * (1.0 - t))
         targets[k, : k + 3] = ((inner * x * x * own.weights)
                                @ basis.values(x, k + 2).T)
-    if family is Family.STANDARD_HERMITE:
+    if family.centre == 0:
         # P_j(-x) = (-1)^j P_j(x) and D_k(-tau) = (-1)^k D_k(tau)
         odd = np.add.outer(np.arange(len(targets)), np.arange(degree + 1))
         targets[odd % 2 == 1] = 0.0
@@ -537,6 +537,8 @@ def parse_tableau(text: str) -> RKNTableau:
         raise ValueError(
             f"tableau text has {len(tokens)} numbers, expected {expected}")
     data = np.array([float(t) for t in tokens[1:]])
+    if s < 1 or not np.isfinite(data).all():
+        raise ValueError("tableau needs >= 1 stage and finite entries")
     c = data[:s]
     a_bar = data[s: s + s * s].reshape(s, s)
     b_bar = data[s + s * s: 2 * s + s * s]

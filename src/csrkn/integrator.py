@@ -112,6 +112,8 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
     return last.q[-1], last.qp[-1]
 
 
+# +-inf forces give inf - inf in a sweep: the typed error reports it, not numpy
+@np.errstate(invalid="ignore", over="ignore")
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:

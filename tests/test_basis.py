@@ -307,18 +307,6 @@ def test_cached_tables_equal_fresh_builds(family):
             np.testing.assert_array_equal(a, b)
 
 
-def test_weight_functions():
-    cheb = csrkn.Family.SHIFTED_CHEBYSHEV1
-    assert cheb.weight(0.5) == pytest.approx(1.0)
-    sherm = csrkn.Family.SHIFTED_HERMITE
-    assert sherm.weight(0.5) == pytest.approx(1.0)
-    assert sherm.weight(1.0) == pytest.approx(math.exp(-1.0))
-    std = csrkn.Family.STANDARD_HERMITE
-    assert std.weight(0.0) == pytest.approx(1.0)
-    leg = csrkn.Family.SHIFTED_LEGENDRE
-    assert np.all(leg.weight(np.linspace(0, 1, 5)) == 1.0)
-
-
 def test_unit_integral_helper(bases):
     # the [0, 1] rule against int_0^1 x^k dx = 1 / (k + 1), in exact arithmetic
     for family, basis in bases.items():

@@ -295,6 +295,12 @@ def test_parse_tableau_rejects_bad_input():
         csrkn.parse_tableau("")
     with pytest.raises(ValueError):
         csrkn.parse_tableau("2 0.1 0.2 0.3")
+    # no stages: the text "0" has exactly the 1 + 0 numbers it announces
+    with pytest.raises(ValueError, match="stage"):
+        csrkn.parse_tableau("0")
+    for entry in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="finite"):
+            csrkn.parse_tableau(f"1 0.5 0.125 {entry} 1")
 
 
 def test_spec_validation():

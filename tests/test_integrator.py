@@ -131,13 +131,16 @@ def test_blowup_raises_numerical_error(tableaux):
 
 
 def test_non_finite_force_raises():
-    bad = csrkn.SecondOrderProblem(
-        name="bad", dim=1,
-        f=lambda t, q: np.full_like(np.asarray(q, dtype=float), np.nan),
-        q0=np.array([1.0]), qp0=np.array([0.0]))
-    with pytest.raises(csrkn.StageConvergenceError):
-        csrkn.rkn_step(csrkn.builtin_tableau("legendre4"), bad, 0.0,
-                       bad.q0, bad.qp0, 0.1)
+    # +-inf makes the sweeps compute inf - inf; the typed error must come
+    # before any numpy warning, which the suite turns into an error
+    for value in (np.nan, np.inf, -np.inf):
+        bad = csrkn.SecondOrderProblem(
+            name="bad", dim=1,
+            f=lambda t, q: np.full_like(np.asarray(q, dtype=float), value),
+            q0=np.array([1.0]), qp0=np.array([0.0]))
+        with pytest.raises(csrkn.StageConvergenceError, match="non-finite"):
+            csrkn.rkn_step(csrkn.builtin_tableau("legendre4"), bad, 0.0,
+                           bad.q0, bad.qp0, 0.1)
 
     # NaN in one component of the middle stage only, never the first entry
     # the increment's max-norm looks at
