@@ -110,8 +110,7 @@ def _cmd_check(args) -> int:
 def _cmd_run(args) -> int:
     tableau = _resolve_tableau(args)
     problem = problem_from_name(args.problem)
-    config = SolverConfig(fp_tol=args.fp_tol, max_iters=args.max_iters,
-                          record_every=args.record_every)
+    config = SolverConfig(record_every=args.record_every)
     trajectory = integrate(tableau, problem, args.t0, problem.q0,
                            problem.qp0, args.h, args.steps, config)
     with open(args.out, "w", newline="\n") as stream:
@@ -160,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="trajectory CSV path")
     p_run.add_argument("--t0", type=float, default=0.0)
     p_run.add_argument("--record-every", type=int, default=1)
-    p_run.add_argument("--fp-tol", type=float, default=1e-14)
-    p_run.add_argument("--max-iters", type=int, default=50)
     p_run.set_defaults(handler=_cmd_run)
 
     p_order = sub.add_parser("order", help="step-halving order study")

@@ -427,7 +427,6 @@ class RKNTableau:
     family: Family | None = None
     method: str | None = None
     gamma: float | None = None
-    spec: ConstructionSpec | None = None
 
     @property
     def s(self) -> int:
@@ -461,8 +460,7 @@ def discretize(coeffs: ContinuousCoefficients,
     grid = np.sum(p[:, :, None] * (kernel @ p)[:, None, :], axis=0)
     tableau = RKNTableau(c=c, a_bar=w * (grid * b_values),
                          b_bar=w * (b_values * (1.0 - c)),
-                         b_prime=w * b_values, family=coeffs.family,
-                         spec=coeffs.spec)
+                         b_prime=w * b_values, family=coeffs.family)
     residual = check_symplectic(tableau)
     if residual > TABLEAU_TOL:
         raise ConstructionError(f"discrete symplecticity identities "
@@ -532,13 +530,15 @@ def parse_tableau(text: str) -> RKNTableau:
     if not tokens:
         raise ValueError("empty tableau text")
     s = int(tokens[0])
+    if s < 1:
+        raise ValueError(f"tableau needs >= 1 stage, got {s}")
     expected = 1 + s + s * s + s + s
     if len(tokens) != expected:
         raise ValueError(
             f"tableau text has {len(tokens)} numbers, expected {expected}")
     data = np.array([float(t) for t in tokens[1:]])
-    if s < 1 or not np.isfinite(data).all():
-        raise ValueError("tableau needs >= 1 stage and finite entries")
+    if not np.isfinite(data).all():
+        raise ValueError("tableau entries must be finite")
     c = data[:s]
     a_bar = data[s: s + s * s].reshape(s, s)
     b_bar = data[s + s * s: 2 * s + s * s]

@@ -24,6 +24,8 @@ import numpy as np
 from .construction import RKNTableau
 from .problems import SecondOrderProblem, invariant_drift
 
+# mixed absolute/relative stage-increment tolerance of the fixed point
+_FP_TOL = 1e-14
 _POLISH_SWEEPS = 2
 
 _log = logging.getLogger("csrkn")
@@ -44,17 +46,14 @@ class StageConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """fp_tol is the mixed absolute/relative stage-increment tolerance;
-    record_every thins trajectory storage (first and last states always
-    kept)."""
+    """max_iters caps the fixed-point sweeps of one step; record_every thins
+    trajectory storage (first and last states always kept).  The stage
+    tolerance is fixed at 1e-14, relative to 1 + max |q|."""
 
-    fp_tol: float = 1e-14
     max_iters: int = 50
     record_every: int = 1
 
     def __post_init__(self):
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.record_every < 1:
@@ -67,7 +66,6 @@ class Trajectory:
     q: np.ndarray
     qp: np.ndarray
     iterations: np.ndarray
-    problem: str = ""
 
 
 def _extrapolation(c: np.ndarray) -> np.ndarray | None:
@@ -132,7 +130,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         raise ValueError("step size must be nonzero")
     config = config or SolverConfig()
     f = problem.f
-    fp_tol, max_iters = config.fp_tol, config.max_iters
+    max_iters = config.max_iters
     ch = h * tableau.c
     ch_column = ch[:, None]
     h2_a_bar = (h * h) * tableau.a_bar
@@ -153,7 +151,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         t_stage = t + ch
         base = q + ch_column * qp
         stages = base if predictor is None else base + predictor.dot(forces)
-        scale = fp_tol * (1.0 + _max_abs(q))
+        scale = _FP_TOL * (1.0 + _max_abs(q))
         delta = None
         polish = 0
         for sweep in range(1, max_iters + 1):
@@ -194,8 +192,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             qs.append(q)
             qps.append(qp)
     return Trajectory(times=np.array(times), q=np.array(qs),
-                      qp=np.array(qps), iterations=iterations,
-                      problem=problem.name)
+                      qp=np.array(qps), iterations=iterations)
 
 
 def write_trajectory_csv(trajectory: Trajectory,

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import Family, OrthonormalBasis, recurrence_coefficients
 
 _CHRISTOFFEL_RTOL = 1e-11
-_EXACT_RTOL = 1e-10
+_EXACT_TOL = 1e-10
 
 
 class EigenConvergenceError(RuntimeError):
@@ -59,17 +59,14 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
 
 
 def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis) -> int:
-    """Largest d with sum b_i c_i^k == m_k for every k <= d, to _EXACT_RTOL
-    times sum |b_i c_i^k| (the odd moments of a symmetric weight vanish)."""
+    """Largest d such that the rule integrates every polynomial of degree
+    <= d exactly, read from the Gram matrix G = (P w) P^T of the orthonormal
+    P_0 .. P_s at the nodes: d + 1 is the smallest j + m with
+    |G_jm - delta_jm| > _EXACT_TOL (2s when no entry misses).  The entries
+    are scale-free, so no tolerance depends on the size of the moments."""
     if rule.family is not basis.family:
         raise ValueError("rule and basis families differ")
-    degree = -1
-    powers = np.ones_like(rule.nodes)
-    for k in range(len(basis.moments)):
-        terms = rule.weights * powers
-        scale = max(1.0, float(np.sum(np.abs(terms))))
-        if abs(float(np.sum(terms)) - basis.moments[k]) >= _EXACT_RTOL * scale:
-            break
-        degree = k
-        powers = powers * rule.nodes
-    return degree
+    p = basis.values(rule.nodes, rule.s)
+    gram = (p * rule.weights) @ p.T
+    j, m = np.nonzero(np.abs(gram - np.eye(rule.s + 1)) > _EXACT_TOL)
+    return int((j + m).min()) - 1 if len(j) else 2 * rule.s

@@ -23,11 +23,13 @@ import numpy as np
 from .basis import MAX_DEGREE, make_basis
 from .construction import (ContinuousCoefficients, RKNTableau,
                            check_symplectic, kernel_matrix)
-from .integrator import SolverConfig, integrate
+from .integrator import integrate
 from .problems import SecondOrderProblem
 from .quadrature import gauss_rule
 
 TOL_CHAINED = 1e-10
+# condition orders scanned by check_continuous, past every construction order
+_KAPPA_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -92,22 +94,21 @@ def _report(kind: str, b_res, cn_res, dn_res, symplectic: float,
                            order_bound(*orders))
 
 
-def check_continuous(coeffs: ContinuousCoefficients,
-                     kappa_max: int = 6) -> ConditionReport:
+def check_continuous(coeffs: ContinuousCoefficients) -> ConditionReport:
     """Measure the moment conditions of a continuous coefficient set.
 
     The weight condition of order kappa asks the weighted moment of
     B(tau) tau^(kappa-1) to equal 1/kappa.  The stage and transpose
     conditions are polynomial identities in one variable (the transpose one
     after dividing out B(sigma)); the residual is the largest coefficient
-    of left minus right in the orthonormal family.  The scan runs past the
-    construction orders so the report shows where each condition chain
-    breaks.  Raises ValueError if exact integrals would need a Gauss rule
-    of more than MAX_DEGREE points.
+    of left minus right in the orthonormal family.  The scan runs to
+    condition order _KAPPA_MAX = 6, past the construction orders, so the
+    report shows where each condition chain breaks.  Raises ValueError if
+    exact integrals would need a Gauss rule of more than MAX_DEGREE points.
     """
     deg_b, top = coeffs._sample_degrees
-    n_coef = max(top, kappa_max) + 1
-    need = max(deg_b + top + kappa_max - 2, n_coef - 1 + kappa_max)
+    n_coef = max(top, _KAPPA_MAX) + 1
+    need = max(deg_b + top + _KAPPA_MAX - 2, n_coef - 1 + _KAPPA_MAX)
     points = need // 2 + 1
     if points > MAX_DEGREE:
         raise ValueError(
@@ -116,7 +117,7 @@ def check_continuous(coeffs: ContinuousCoefficients,
     basis = make_basis(coeffs.family, MAX_DEGREE)
     rule = gauss_rule(basis, points)
     x, w = rule.nodes, rule.weights
-    powers, weight, stage, transpose = _condition_sides(x, kappa_max)
+    powers, weight, stage, transpose = _condition_sides(x, _KAPPA_MAX)
     b_values = coeffs.b(x)
     # coefficients of a function on P_0 .. P_{n_coef - 1}, from its values
     project = (basis.values(x, n_coef - 1) * w).T
@@ -159,7 +160,7 @@ def adjoint_tableau(tableau: RKNTableau) -> RKNTableau:
          - tableau.b_bar[rev][None, :] + tableau.a_bar[rev, rev])
     return RKNTableau(c=c, a_bar=a, b_bar=bb, b_prime=bp,
                       family=tableau.family, method=tableau.method,
-                      gamma=tableau.gamma, spec=tableau.spec)
+                      gamma=tableau.gamma)
 
 
 def check_symmetric(tableau: RKNTableau) -> float | None:
@@ -194,8 +195,8 @@ class OrderEstimate:
 
 
 def empirical_order(tableau: RKNTableau, problem: SecondOrderProblem,
-                    h0: float, levels: int, t_end: float = 1.0,
-                    config: SolverConfig | None = None) -> OrderEstimate:
+                    h0: float, levels: int,
+                    t_end: float = 1.0) -> OrderEstimate:
     """Measure the convergence order by repeated step halving.
 
     Integrates to t_end with h0, h0/2, ... and reports the max-norm endpoint
@@ -206,14 +207,13 @@ def empirical_order(tableau: RKNTableau, problem: SecondOrderProblem,
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    config = config or SolverConfig()
     steps0 = round(t_end / h0)
     hs, errors = [], []
     for level in range(levels):
         h = h0 / 2 ** level
         n_steps = steps0 * 2 ** level
         traj = integrate(tableau, problem, 0.0, problem.q0, problem.qp0,
-                         h, n_steps, config)
+                         h, n_steps)
         q_ref, qp_ref = problem.exact(traj.times[-1])
         err = max(float(np.max(np.abs(traj.q[-1] - q_ref))),
                   float(np.max(np.abs(traj.qp[-1] - qp_ref))))

@@ -87,7 +87,7 @@ def coefficient_sets():
 
 
 def _long_runs(problem):
-    config = csrkn.SolverConfig(fp_tol=1e-14)
+    config = csrkn.SolverConfig()
     return {name: csrkn.integrate(csrkn.builtin_tableau(name), problem, 0.0,
                                   problem.q0, problem.qp0, 0.1, 10_000,
                                   config)

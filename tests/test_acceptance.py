@@ -162,7 +162,7 @@ def test_error_growth_envelope(kepler_long_runs):
     # loose linear-growth envelope: endpoint error at t = 1000 stays within
     # 2000x the error at t = 1
     kepler = csrkn.kepler()
-    config = csrkn.SolverConfig(fp_tol=1e-14)
+    config = csrkn.SolverConfig()
     worst = 0.0
     for name, trajectory in kepler_long_runs.items():
         q_ref, qp_ref = kepler.exact(trajectory.times[-1])

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import csrkn
 from csrkn.construction import (_condition_matrix, _expand, interval_integrals,
@@ -262,6 +265,24 @@ def test_serialize_parse_round_trip(tableaux):
         np.testing.assert_array_equal(back.b_prime, tableau.b_prime)
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_parse_inverts_serialize_bit_for_bit(data):
+    # any finite entries, signed zeros and subnormals included, survive the
+    # "%.17g" text form with every bit intact
+    s = data.draw(st.integers(1, 6))
+    values = data.draw(arrays(np.float64, s * (s + 3), elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    tableau = csrkn.RKNTableau(
+        c=values[:s], a_bar=values[s: s + s * s].reshape(s, s),
+        b_bar=values[s + s * s: 2 * s + s * s],
+        b_prime=values[2 * s + s * s:])
+    back = csrkn.parse_tableau(csrkn.serialize_tableau(tableau))
+    for name in ("c", "a_bar", "b_bar", "b_prime"):
+        assert (getattr(back, name).tobytes()
+                == getattr(tableau, name).tobytes()), name
+
+
 def test_serialize_matches_per_value_formatting():
     # one "%.17g" format string per row gives the bytes of formatting each
     # value on its own
@@ -295,9 +316,11 @@ def test_parse_tableau_rejects_bad_input():
         csrkn.parse_tableau("")
     with pytest.raises(ValueError):
         csrkn.parse_tableau("2 0.1 0.2 0.3")
-    # no stages: the text "0" has exactly the 1 + 0 numbers it announces
-    with pytest.raises(ValueError, match="stage"):
-        csrkn.parse_tableau("0")
+    # no stages: the text "0" has exactly the 1 + 0 numbers it announces;
+    # a negative count is named as such, not as a token-count mismatch
+    for count in ("0", "-1", "-2"):
+        with pytest.raises(ValueError, match="stage"):
+            csrkn.parse_tableau(count)
     for entry in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="finite"):
             csrkn.parse_tableau(f"1 0.5 0.125 {entry} 1")

@@ -252,8 +252,6 @@ def test_zero_step_rejected(tableaux):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        csrkn.SolverConfig(fp_tol=0.0)
-    with pytest.raises(ValueError):
         csrkn.SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         csrkn.SolverConfig(record_every=0)

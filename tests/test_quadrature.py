@@ -154,13 +154,7 @@ def test_rule_structure(bases, family, s):
 def test_gauss_exactness(wide_bases, family, s):
     basis = wide_bases[family]
     rule = csrkn.gauss_rule(basis, s)
-    degree = csrkn.exactness_degree(rule, basis)
-    # from s = 9 on, the Legendre and Chebyshev rules' error on the next one
-    # to five moments is itself below the 1e-10 tolerance
-    if s <= 6:
-        assert degree == 2 * s - 1
-    else:
-        assert degree >= 2 * s - 1
+    assert csrkn.exactness_degree(rule, basis) == 2 * s - 1
 
 
 @pytest.mark.parametrize("family", [f for f in ALL_FAMILIES
