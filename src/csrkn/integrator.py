@@ -126,8 +126,10 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if h == 0.0:
-        raise ValueError("step size must be nonzero")
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValueError(f"step size must be finite and nonzero, got {h!r}")
+    if not math.isfinite(t0):
+        raise ValueError(f"start time must be finite, got {t0!r}")
     config = config or SolverConfig()
     f = problem.f
     max_iters = config.max_iters

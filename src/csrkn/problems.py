@@ -1,8 +1,9 @@
 """Benchmark second-order systems q'' = f(t, q).
 
 Every callable broadcasts over a leading batch axis: f maps (..., d) to
-(..., d) and the scalar functionals map a single state (q, qp) to a float
-or a small vector.  Problems are immutable and re-entrant.
+(..., d), and each conserved quantity maps (q, qp) of shape (..., d) to
+(...), or to (..., k) for a vector invariant, so one call covers a whole
+trajectory.  Problems are immutable and re-entrant.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ if TYPE_CHECKING:
 class SecondOrderProblem:
     """A system q'' = f(t, q) with optional conserved quantities.
 
-    ``invariants`` maps names to functionals of (q, qp); ``exact`` maps a
-    time to the exact (q, qp) when a closed-form solution exists.
+    ``hamiltonian`` and the ``invariants`` (names to functionals of (q, qp))
+    broadcast as the module says; ``exact`` maps a time to the exact
+    (q, qp) when a closed-form solution exists.
     """
 
     name: str
@@ -29,9 +31,20 @@ class SecondOrderProblem:
     f: Callable[[float, np.ndarray], np.ndarray]
     q0: np.ndarray
     qp0: np.ndarray
-    hamiltonian: Callable[[np.ndarray, np.ndarray], float] | None = None
+    hamiltonian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     invariants: Mapping[str, Callable] = field(default_factory=dict)
     exact: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+# One state's x @ x is a BLAS dot and its x ** 3 the C pow of a float64
+# scalar; over a batch, a sum over the last axis or numpy's array power
+# round differently, so these keep each state's value to the bit.
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+def _cube(x: np.ndarray) -> np.ndarray:
+    return np.array([v ** 3 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def kepler() -> SecondOrderProblem:
@@ -54,17 +67,17 @@ def kepler() -> SecondOrderProblem:
         return q / (-r2 * np.sqrt(r2))
 
     def hamiltonian(q, qp):
-        return 0.5 * float(qp @ qp) - 1.0 / float(np.hypot(q[0], q[1]))
+        return 0.5 * _squared_norm(qp) - 1.0 / np.hypot(q[..., 0], q[..., 1])
 
     def angular_momentum(q, qp):
-        return float(q[0] * qp[1] - q[1] * qp[0])
+        return q[..., 0] * qp[..., 1] - q[..., 1] * qp[..., 0]
 
     def runge_lenz(q, qp):
-        ell = q[0] * qp[1] - q[1] * qp[0]
-        r = float(np.hypot(q[0], q[1]))
-        return np.array([qp[1] * ell - q[0] / r,
-                         -qp[0] * ell - q[1] / r,
-                         0.0])
+        q1, q2, p1, p2 = q[..., 0], q[..., 1], qp[..., 0], qp[..., 1]
+        ell = q1 * p2 - q2 * p1
+        r = np.hypot(q1, q2)
+        return np.stack([p2 * ell - q1 / r, -p1 * ell - q2 / r,
+                         np.zeros_like(r)], axis=-1)
 
     def exact(t):
         return (np.array([np.cos(t), np.sin(t)]),
@@ -94,8 +107,9 @@ def henon_heiles() -> SecondOrderProblem:
         return force
 
     def hamiltonian(q, qp):
-        return float(0.5 * (qp @ qp) + 0.5 * (q @ q)
-                     + q[0] * q[0] * q[1] - q[1] ** 3 / 3.0)
+        q1, q2 = q[..., 0], q[..., 1]
+        return (0.5 * _squared_norm(qp) + 0.5 * _squared_norm(q)
+                + q1 * q1 * q2 - _cube(q2) / 3.0)
 
     return SecondOrderProblem(
         name="henon-heiles", dim=2, f=f,
@@ -110,7 +124,7 @@ def harmonic() -> SecondOrderProblem:
         return -np.asarray(q, dtype=float)
 
     def hamiltonian(q, qp):
-        return 0.5 * float(qp @ qp + q @ q)
+        return 0.5 * (_squared_norm(qp) + _squared_norm(q))
 
     def exact(t):
         return (np.array([np.cos(t)]), np.array([-np.sin(t)]))
@@ -137,11 +151,8 @@ def problem_from_name(name: str) -> SecondOrderProblem:
 
 
 def invariant_drift(trajectory: "Trajectory", invariant: Callable) -> np.ndarray:
-    """|invariant(state_k) - invariant(state_0)| per recorded sample.
-
-    Vector invariants are compared in the max-norm.
-    """
-    values = np.array([invariant(q, qp)
-                       for q, qp in zip(trajectory.q, trajectory.qp)],
-                      dtype=float).reshape(len(trajectory.q), -1)
+    """|invariant(state_k) - invariant(state_0)| per recorded sample, from
+    one broadcast call; vector invariants are compared in the max-norm."""
+    values = np.asarray(invariant(trajectory.q, trajectory.qp),
+                        dtype=float).reshape(len(trajectory.q), -1)
     return np.abs(values - values[0]).max(axis=1)

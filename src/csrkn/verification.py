@@ -207,6 +207,10 @@ def empirical_order(tableau: RKNTableau, problem: SecondOrderProblem,
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    if not (math.isfinite(h0) and h0 != 0.0):
+        raise ValueError(f"h0 must be finite and nonzero, got {h0!r}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     steps0 = round(t_end / h0)
     hs, errors = [], []
     for level in range(levels):

@@ -214,3 +214,55 @@ def test_invalid_custom_spec_is_usage_error(capsys):
     assert main(["derive", "--family", "standard-hermite", "--stages", "3",
                  "--symmetric"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--h", "nan", "step size must be finite and nonzero, got nan"),
+    ("--h", "inf", "step size must be finite and nonzero, got inf"),
+    ("--h", "-inf", "step size must be finite and nonzero, got -inf"),
+    ("--h", "0", "step size must be finite and nonzero, got 0.0"),
+    ("--t0", "nan", "start time must be finite, got nan")])
+def test_run_non_finite_step_or_start_is_usage_error(tmp_path, capsys, flag,
+                                                     value, message):
+    out = tmp_path / "r.csv"
+    options = {"--h": "0.1", "--t0": "0", flag: value}
+    argv = ["run", "--method", "legendre4", "--problem", "kepler",
+            "--steps", "5", "--out", str(out)]
+    # "--h=-inf": a separate "-inf" would read as an option
+    argv += [f"{name}={option}" for name, option in options.items()]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--h0", "0", "h0 must be finite and nonzero, got 0.0"),
+    ("--h0", "nan", "h0 must be finite and nonzero, got nan"),
+    ("--h0", "-inf", "h0 must be finite and nonzero, got -inf"),
+    ("--t-end", "nan", "t_end must be finite, got nan"),
+    ("--t-end", "inf", "t_end must be finite, got inf")])
+def test_order_bad_step_or_end_is_usage_error(capsys, flag, value, message):
+    options = {"--h0": "0.1", "--t-end": "1", flag: value}
+    argv = ["order", "--method", "hermite4", "--problem", "harmonic",
+            "--levels", "2"]
+    # "--h0=-inf": a separate "-inf" would read as an option
+    argv += [f"{name}={option}" for name, option in options.items()]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_step_exits_1_without_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv, message in [
+            (["order", "--method", "hermite4", "--problem", "harmonic",
+              "--h0", "0", "--levels", "2"],
+             "h0 must be finite and nonzero, got 0.0"),
+            (["run", "--method", "hermite4", "--problem", "harmonic",
+              "--h", "nan", "--steps", "3", "--out", str(tmp_path / "r.csv")],
+             "step size must be finite and nonzero, got nan")]:
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, csrkn.cli; sys.exit(csrkn.cli.main())", *argv],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr == f"error: {message}\n"

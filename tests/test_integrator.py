@@ -250,6 +250,34 @@ def test_zero_step_rejected(tableaux):
                         problem.qp0, 0.1, 0)
 
 
+def test_non_finite_step_or_start_rejected_before_any_force(tableaux):
+    calls = []
+
+    def f(t, q):
+        calls.append(t)
+        return -q
+
+    problem = csrkn.SecondOrderProblem(name="counted", dim=1, f=f,
+                                       q0=np.array([1.0]),
+                                       qp0=np.array([0.0]))
+    legendre4 = tableaux["legendre4"]
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="step size must be finite"):
+            csrkn.integrate(legendre4, problem, 0.0, problem.q0,
+                            problem.qp0, h, 3)
+        with pytest.raises(ValueError, match="step size must be finite"):
+            csrkn.rkn_step(legendre4, problem, 0.0, problem.q0,
+                           problem.qp0, h)
+    for t0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="start time must be finite"):
+            csrkn.integrate(legendre4, problem, t0, problem.q0,
+                            problem.qp0, 0.1, 3)
+        with pytest.raises(ValueError, match="start time must be finite"):
+            csrkn.rkn_step(legendre4, problem, t0, problem.q0,
+                           problem.qp0, 0.1)
+    assert calls == []
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         csrkn.SolverConfig(max_iters=0)

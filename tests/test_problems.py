@@ -174,8 +174,8 @@ def test_invariant_drift_vector_max_norm():
         q=np.array([[1.0, 0.0], [0.0, 1.0]]),
         qp=np.array([[0.0, 1.0], [1.0, 0.0]]),
         iterations=np.zeros(1, dtype=int))
-    drift = csrkn.invariant_drift(trajectory, lambda q, qp: np.array(
-        [q[0], 2.0 * q[1], 0.0]))
+    drift = csrkn.invariant_drift(trajectory, lambda q, qp: np.stack(
+        [q[..., 0], 2.0 * q[..., 1], np.zeros_like(q[..., 0])], axis=-1))
     np.testing.assert_allclose(drift, [0.0, 2.0])
 
 
@@ -194,6 +194,93 @@ def test_invariant_drift_matches_row_by_row():
         drift = csrkn.invariant_drift(trajectory, invariant)
         assert np.isnan(drift[3])
         assert drift.tobytes() == expected.tobytes()
+
+
+def conserved_quantities(problem):
+    quantities = {"H": problem.hamiltonian}
+    quantities.update(problem.invariants)
+    return quantities
+
+
+# The conserved quantities as written one state at a time, with the BLAS
+# dot of `x @ x` and the C pow of a float64 scalar; the broadcasting forms
+# must round exactly as these do.
+def kepler_quantities_reference(q, qp):
+    r = float(np.hypot(q[0], q[1]))
+    ell = q[0] * qp[1] - q[1] * qp[0]
+    return {"H": 0.5 * float(qp @ qp) - 1.0 / r, "angmom": ell,
+            "rlp": [qp[1] * ell - q[0] / r, -qp[0] * ell - q[1] / r, 0.0]}
+
+
+def henon_heiles_quantities_reference(q, qp):
+    return {"H": 0.5 * (qp @ qp) + 0.5 * (q @ q)
+            + q[0] * q[0] * q[1] - q[1] ** 3 / 3.0}
+
+
+def harmonic_quantities_reference(q, qp):
+    return {"H": 0.5 * (qp @ qp + q @ q)}
+
+
+QUANTITIES_REFERENCE = {"kepler": kepler_quantities_reference,
+                        "henon-heiles": henon_heiles_quantities_reference,
+                        "harmonic": harmonic_quantities_reference}
+
+
+@pytest.fixture(scope="module")
+def builtin_runs(tableaux):
+    """A 300-step run of every built-in method on every problem."""
+    runs = {}
+    for name, factory in csrkn.PROBLEMS.items():
+        problem = factory()
+        runs[name] = [csrkn.integrate(tableaux[method], problem, 0.0,
+                                      problem.q0, problem.qp0, 0.1, 300)
+                      for method in csrkn.BUILTIN_METHODS]
+    return runs
+
+
+def assert_batch_equals_stacked(name, key, quantity, q, qp):
+    batch = np.asarray(quantity(q, qp))
+    stacked = np.array([quantity(x, y) for x, y in zip(q, qp)])
+    reference = np.array([QUANTITIES_REFERENCE[name](x, y)[key]
+                          for x, y in zip(q, qp)], dtype=float)
+    assert batch.dtype == np.float64
+    assert batch.shape == stacked.shape == reference.shape
+    assert batch.tobytes() == stacked.tobytes() == reference.tobytes()
+
+
+# The drift columns come from one call per quantity over the whole
+# trajectory; the values must be the ones a call per state gives, to the bit.
+@pytest.mark.parametrize("name", csrkn.PROBLEMS)
+def test_conserved_quantities_broadcast_bitwise(builtin_runs, name):
+    problem = csrkn.problem_from_name(name)
+    for key, quantity in conserved_quantities(problem).items():
+        for trajectory in builtin_runs[name]:
+            assert_batch_equals_stacked(name, key, quantity, trajectory.q,
+                                        trajectory.qp)
+        rng = np.random.default_rng(17)
+        q = rng.uniform(-1.5, 1.5, (40, problem.dim))
+        qp = rng.uniform(-1.5, 1.5, (40, problem.dim))
+        q[7] = np.nan
+        assert_batch_equals_stacked(name, key, quantity, q, qp)
+        values = np.asarray(quantity(q, qp)).reshape(40, -1)
+        assert np.isnan(values[7]).any()
+        assert np.isfinite(np.delete(values, 7, axis=0)).all()
+        # more than one leading axis broadcasts the same way
+        assert np.asarray(quantity(q.reshape(4, 10, -1),
+                                   qp.reshape(4, 10, -1))).tobytes() == (
+            np.asarray(quantity(q, qp)).tobytes())
+
+
+@pytest.mark.parametrize("name", csrkn.PROBLEMS)
+def test_conserved_quantities_of_one_state(name):
+    problem = csrkn.problem_from_name(name)
+    for key, quantity in conserved_quantities(problem).items():
+        value = quantity(problem.q0, problem.qp0)
+        if key == "rlp":
+            assert np.shape(value) == (3,)
+        else:
+            assert np.ndim(value) == 0
+            assert isinstance(value, float)
 
 
 def test_problem_registry():

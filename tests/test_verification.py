@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ def test_empirical_order_requires_exact_solution():
     with pytest.raises(ValueError):
         csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
                               csrkn.henon_heiles(), 0.1, 3)
+
+
+@pytest.mark.parametrize("h0,t_end,message", [
+    (0.0, 1.0, "h0 must be finite and nonzero, got 0.0"),
+    (math.nan, 1.0, "h0 must be finite and nonzero, got nan"),
+    (math.inf, 1.0, "h0 must be finite and nonzero, got inf"),
+    (0.1, math.nan, "t_end must be finite, got nan"),
+    (0.1, -math.inf, "t_end must be finite, got -inf")])
+def test_empirical_order_rejects_bad_step_or_end(h0, t_end, message):
+    with pytest.raises(ValueError) as info:
+        csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
+                              csrkn.harmonic(), h0, 2, t_end=t_end)
+    assert str(info.value) == message
 
 
 def test_report_rendering(tableaux):
