@@ -28,13 +28,14 @@ NUMERICAL_ERROR = 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a negative number in exponent notation (``--gamma -4e-05``) as
-    a value; argparse's own pattern (Python < 3.13) takes it for a flag."""
+    """Reads a negative number in exponent notation (``--gamma -4e-05``) and
+    a negative infinity or NaN as float() spells it (``--h -inf``, in any
+    case) as a value; argparse's own pattern takes them for flags."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?|nan))$")
 
 
 def _add_method_arguments(parser: argparse.ArgumentParser) -> None:

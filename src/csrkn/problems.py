@@ -55,16 +55,21 @@ def kepler() -> SecondOrderProblem:
     """
 
     # r2 by a dot product and the origin test on a list: numpy's reductions
-    # cost more than the force itself on a few stages, and a dot with ones
-    # adds the two squares exactly as sum() does
-    ones = np.ones(2)
+    # cost more than the force itself on a few stages.  The dot with a 2x2
+    # of ones adds the two squares with one rounding, as sum() does, into
+    # both columns, so nothing is broadcast; -(r2 sqrt(r2)) built in place
+    # is the same IEEE result as (-r2) sqrt(r2)
+    ones = np.ones((2, 2))
 
     def f(t, q):
         q = np.asarray(q, dtype=float)
-        r2 = (q * q).dot(ones)[..., None]
+        r2 = (q * q).dot(ones)
         if 0.0 in r2.ravel().tolist():
             raise ValueError("acceleration is undefined at the origin")
-        return q / (-r2 * np.sqrt(r2))
+        den = np.sqrt(r2)
+        den *= r2
+        np.negative(den, out=den)
+        return np.divide(q, den, out=den)
 
     def hamiltonian(q, qp):
         return 0.5 * _squared_norm(qp) - 1.0 / np.hypot(q[..., 0], q[..., 1])
@@ -98,9 +103,11 @@ def henon_heiles() -> SecondOrderProblem:
         q = np.asarray(q, dtype=float)
         q1, q2 = q[..., 0], q[..., 1]
         # in place from -q: the same operations in the same order as
-        # -q1 - 2 q1 q2 and -q2 - q1^2 + q2^2, with fewer temporaries
+        # -q1 - 2 q1 q2 and -q2 - q1^2 + q2^2, with fewer temporaries; the
+        # column views are named so that -= needs no write-back setitem
         force = -q
-        force[..., 0] -= 2.0 * q1 * q2
+        force1 = force[..., 0]
+        force1 -= 2.0 * q1 * q2
         force2 = force[..., 1]
         force2 -= q1 * q1
         force2 += q2 * q2

@@ -211,7 +211,12 @@ def empirical_order(tableau: RKNTableau, problem: SecondOrderProblem,
         raise ValueError(f"h0 must be finite and nonzero, got {h0!r}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
-    steps0 = round(t_end / h0)
+    quotient = t_end / h0
+    # round() of an overflowed quotient raises OverflowError, not ValueError
+    steps0 = round(quotient) if math.isfinite(quotient) else 0
+    if steps0 < 1:
+        raise ValueError(f"t_end / h0 must round to a finite step count "
+                         f">= 1, got h0 = {h0!r} and t_end = {t_end!r}")
     hs, errors = [], []
     for level in range(levels):
         h = h0 / 2 ** level

@@ -251,6 +251,44 @@ def test_order_bad_step_or_end_is_usage_error(capsys, flag, value, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", [
+    "-inf", "-INF", "-Inf", "-infinity", "-Infinity", "-nan", "-NaN", "-NAN"])
+def test_negative_non_finite_values_parse(value):
+    args = csrkn.cli.build_parser().parse_args(
+        ["run", "--method", "legendre4", "--problem", "kepler", "--steps",
+         "5", "--out", "r.csv", "--h", value, "--gamma", value,
+         "--t0", value])
+    for parsed in (args.h, args.gamma, args.t0):
+        assert repr(parsed) == repr(float(value))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--h", "-inf"], "step size must be finite and nonzero, got -inf"),
+    (["run", "--h", "-Infinity"],
+     "step size must be finite and nonzero, got -inf"),
+    (["run", "--h", "0.1", "--t0", "-NaN"],
+     "start time must be finite, got nan"),
+    (["order", "--h0", "-INF"], "h0 must be finite and nonzero, got -inf"),
+    (["order", "--h0", "0.1", "--t-end", "-nan"],
+     "t_end must be finite, got nan"),
+    (["order", "--h0", "-0.1"], "t_end / h0 must round to a finite step "
+     "count >= 1, got h0 = -0.1 and t_end = 1.0"),
+    (["order", "--h0", "3"], "t_end / h0 must round to a finite step "
+     "count >= 1, got h0 = 3.0 and t_end = 1.0"),
+    (["order", "--h0", "1e-320"], "t_end / h0 must round to a finite step "
+     "count >= 1, got h0 = 1e-320 and t_end = 1.0")])
+def test_separate_token_values_reach_the_usage_error(tmp_path, capsys, argv,
+                                                     message):
+    out = tmp_path / "r.csv"
+    common = {"run": ["--steps", "5", "--out", str(out)],
+              "order": ["--levels", "2"]}[argv[0]]
+    problem = {"run": "kepler", "order": "harmonic"}[argv[0]]
+    assert main([argv[0], "--method", "hermite4", "--problem", problem,
+                 *common, *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_step_exits_1_without_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for argv, message in [

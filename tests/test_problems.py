@@ -85,11 +85,17 @@ def test_force_bitwise_equals_reference(factory, reference):
     # signed zeros and magnitudes far from 1 stress rounding and sign rules
     batch[0, 0] = [-0.0, 0.75]
     batch[4, 2] = [1e-150, -3e100]
-    for q in (batch, batch[1, 2], problem.q0):
+    nested = rng.uniform(-1.2, 1.2, size=(2, 5, 3, 2))
+    for q in (batch, batch[1, 2], problem.q0, nested):
+        before = q.tobytes()
         forces = problem.f(0.0, q)
         expected = reference(q)
         assert forces.shape == expected.shape
         assert forces.tobytes() == expected.tobytes()
+        # the kernels work in place on their own temporaries: integrate
+        # keeps both the stages and the previous step's forces
+        assert not np.shares_memory(forces, q)
+        assert q.tobytes() == before
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])

@@ -188,6 +188,18 @@ def test_empirical_order_rejects_bad_step_or_end(h0, t_end, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("h0,t_end", [
+    (-0.1, 1.0), (3.0, 1.0), (0.1, 0.0), (1e-320, 1.0)])
+def test_empirical_order_rejects_no_whole_step(h0, t_end):
+    # a step count below 1, or t_end / h0 overflowing to inf
+    with pytest.raises(ValueError) as info:
+        csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
+                              csrkn.harmonic(), h0, 2, t_end=t_end)
+    assert str(info.value) == (
+        f"t_end / h0 must round to a finite step count >= 1, "
+        f"got h0 = {h0!r} and t_end = {t_end!r}")
+
+
 def test_report_rendering(tableaux):
     report = csrkn.check_discrete(tableaux["hermite3"])
     lines = csrkn.report_lines(report)
