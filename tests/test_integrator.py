@@ -471,3 +471,124 @@ def test_polish_cap_is_logged(tableaux, caplog):
     assert trajectory.iterations[0] == 1
     assert [r.name for r in caplog.records] == ["csrkn"]
     assert "polish" in caplog.records[0].getMessage()
+
+
+# chebyshev4 at h = 0.1 takes 7 sweeps on the first Kepler step, so call 9 is
+# the second sweep of step 1, a warm step.  The coupling dot spreads a NaN
+# force over its column, so for odd components the first NaN of the stage
+# list is not its first entry.
+@pytest.mark.parametrize("component", [(i, j) for i in range(3)
+                                       for j in range(2)])
+def test_nan_stage_component_on_warm_sweep_pinned(tableaux, component):
+    kepler = csrkn.kepler()
+    calls = [0]
+
+    def f(t, q):
+        calls[0] += 1
+        forces = kepler.f(t, q)
+        if calls[0] == 9:
+            forces[component] = np.nan
+        return forces
+
+    bad = csrkn.SecondOrderProblem(name="one-nan", dim=2, f=f,
+                                   q0=kepler.q0, qp0=kepler.qp0)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux["chebyshev4"], bad, 0.0, bad.q0, bad.qp0,
+                        0.1, 5)
+    err = info.value
+    assert str(err) == ("step 1 (t = 0.1) failed: force evaluation returned "
+                        "a non-finite value")
+    assert (err.step_index, err.iterations) == (1, 2)
+    assert err.last_delta == float.fromhex("0x1.8d0d2e6b80000p-23")
+
+
+def test_huge_finite_state_pinned(tableaux):
+    # every stage list sums past the largest double while each entry and
+    # each increment stays finite; sha256 of times, q, qp and iterations
+    nudge = csrkn.SecondOrderProblem(
+        name="huge", dim=2,
+        f=lambda t, q: np.full_like(np.asarray(q, dtype=float), 1e-12),
+        q0=np.array([1e308, 1.0]), qp0=np.array([1e305, 0.5]))
+    trajectory = csrkn.integrate(tableaux["chebyshev4"], nudge, 0.0,
+                                 nudge.q0, nudge.qp0, 0.1, 50)
+    digest = hashlib.sha256()
+    for array in (trajectory.times, trajectory.q, trajectory.qp,
+                  trajectory.iterations.astype(np.int64)):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == ("bb1ccfff51e271d0e98c6c6dff05110013d4095e"
+                                  "e88e3d0bb528c9d14fbbf61c")
+    assert trajectory.iterations.tolist() == [2] + [1] * 49
+
+
+def test_signed_zero_stages_count_as_zero_increment(tableaux, caplog):
+    # the first sweep turns every -0.0 stage value into +0.0; an increment
+    # of exactly 0 ends the step, so max_iters = 1 logs no polish warning
+    tableau = tableaux["legendre4"]
+    still = csrkn.SecondOrderProblem(
+        name="still", dim=2,
+        f=lambda t, q: np.zeros_like(np.asarray(q, dtype=float)),
+        q0=np.array([-0.0, -0.0]), qp0=np.array([-0.0, -0.0]))
+    h = 0.1
+    base = still.q0 + (h * tableau.c)[:, None] * still.qp0
+    updated = base + ((h * h) * tableau.a_bar).dot(np.zeros((2, 2)))
+    assert np.signbit(base).all() and not np.signbit(updated).any()
+    config = csrkn.SolverConfig(max_iters=1)
+    with caplog.at_level(logging.WARNING, logger="csrkn"):
+        trajectory = csrkn.integrate(tableau, still, 0.0, still.q0,
+                                     still.qp0, h, 3, config)
+    assert trajectory.iterations.tolist() == [1, 1, 1]
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("q0", [[np.inf, 0.25], [0.25, -np.inf],
+                                [np.nan, 0.25], [0.25, np.nan]])
+def test_non_finite_state_raises(tableaux, q0):
+    # with no force the first sweep repeats the start stages exactly, inf
+    # entries included; inf - inf is still a non-finite increment
+    problem = free_problem()
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux["legendre4"], problem, 0.0, np.array(q0),
+                        problem.qp0, 0.1, 3)
+    err = info.value
+    assert str(err) == ("step 0 (t = 0) failed: force evaluation returned "
+                        "a non-finite value")
+    assert (err.iterations, err.last_delta) == (1, None)
+
+
+def test_overflowing_predictor_raises():
+    # nearly repeated nodes give a predictor with entries near +-1250, so
+    # the warm start of step 1 overflows to NaN in the second component
+    # while the first sweep's own stage values stay finite
+    tableau = csrkn.RKNTableau(c=np.array([0.5, 0.5001]),
+                               a_bar=np.full((2, 2), 0.0625),
+                               b_bar=np.array([0.25, 0.25]),
+                               b_prime=np.array([0.5, 0.5]))
+    push = csrkn.SecondOrderProblem(
+        name="push", dim=2,
+        f=lambda t, q: np.asarray(q, dtype=float) * 0.0 + [1.0, 1e306],
+        q0=np.array([0.25, -1.5]), qp0=np.array([2.0, 0.5]))
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableau, push, 0.0, push.q0, push.qp0, 1.0, 3)
+    err = info.value
+    assert str(err) == ("step 1 (t = 1) failed: force evaluation returned "
+                        "a non-finite value")
+    assert (err.iterations, err.last_delta) == (1, None)
+
+
+@pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_force_calls_match_iterations(tableaux, name, problem_name):
+    problem = csrkn.problem_from_name(problem_name)
+    counts = {"calls": 0, "rows": 0}
+
+    def f(t, q):
+        counts["calls"] += 1
+        counts["rows"] += len(q)
+        return problem.f(t, q)
+
+    counted = csrkn.SecondOrderProblem(name="counted", dim=problem.dim, f=f,
+                                       q0=problem.q0, qp0=problem.qp0)
+    trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
+                                 counted.qp0, 0.1, 200)
+    sweeps = int(trajectory.iterations.sum())
+    assert counts == {"calls": sweeps, "rows": tableaux[name].s * sweeps}
