@@ -87,16 +87,11 @@ def _extrapolation(c: np.ndarray) -> np.ndarray | None:
     return matrix
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """float(np.abs(a).max()) without a numpy reduction, which costs more
-    than the whole loop on a few stage values."""
-    return _max_magnitude(a.ravel().tolist())
-
-
 def _max_magnitude(values) -> float:
-    """max |v| over Python floats.  The sum of the magnitudes is NaN exactly
-    when one of them is, and max() would skip a NaN that is not first, so
-    NaN anywhere gives NaN here as in numpy."""
+    """max |v| over Python floats, as float(np.abs(a).max()) gives it.  The
+    sum of the magnitudes is NaN exactly when one of them is, and max()
+    would skip a NaN that is not first, so NaN anywhere gives NaN here as in
+    numpy."""
     magnitudes = list(map(abs, values))
     total = sum(magnitudes)
     return max(magnitudes) if total == total else total
@@ -140,15 +135,22 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         raise ValueError(f"start time must be finite, got {t0!r}")
     config = config or SolverConfig()
     f = problem.f
+    isfinite = math.isfinite
     max_iters = config.max_iters
+    s = tableau.s
     ch = h * tableau.c
-    ch_column = ch[:, None]
+    # one broadcast per step: rows[:s] are the stage bases q + c h q' and
+    # rows[s] is the drift q + h q' of the position update
+    ch_column = np.append(ch, h)[:, None]
     h2_a_bar = (h * h) * tableau.a_bar
     a_dot = h2_a_bar.dot
     b_bar_dot = ((h * h) * tableau.b_bar).dot
     b_prime_dot = (h * tableau.b_prime).dot
     q = np.array(q0, dtype=float)
     qp = np.array(qp0, dtype=float)
+    if q.ndim != 1 or qp.shape != q.shape:
+        raise ValueError(f"q0 and qp0 must be vectors of one length, got "
+                         f"shapes {q.shape} and {qp.shape}")
     times, qs, qps = [t0], [q], [qp]
     iterations = []
     predictor = None
@@ -160,12 +162,14 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             if extrapolation is not None:
                 predictor = h2_a_bar.dot(extrapolation)
         t_stage = t + ch
-        base = q + ch_column * qp
+        rows = q + ch_column * qp
+        base = rows[:s]
         stages = base if predictor is None else base + predictor.dot(forces)
         # the increment on Python floats: numpy's IEEE subtractions without
-        # two array dispatches per sweep
+        # two array dispatches per sweep; total is the sum of previous
         previous = stages.ravel().tolist()
-        scale = _FP_TOL * (1.0 + _max_abs(q))
+        total = sum(previous)
+        scale = _FP_TOL * (1.0 + _max_magnitude(q.tolist()))
         delta = None
         polish = 0
         for sweep in range(1, max_iters + 1):
@@ -176,8 +180,18 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                                sweep, delta) from err
             updated = base + a_dot(forces)
             current = updated.ravel().tolist()
-            increment = _max_magnitude(map(sub, current, previous))
-            if not math.isfinite(increment):
+            # equal finite lists differ by exactly 0 (+-0.0 included); finite
+            # sums of both lists leave no NaN for max() to skip, and an
+            # overflowing sum only takes the NaN-aware path
+            if current == previous and isfinite(total):
+                increment = 0.0
+            else:
+                last_total, total = total, sum(current)
+                if isfinite(last_total + total):
+                    increment = max(map(abs, map(sub, current, previous)))
+                else:
+                    increment = _max_magnitude(map(sub, current, previous))
+            if not isfinite(increment):
                 break
             delta = increment
             stages = updated
@@ -197,10 +211,11 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                          t, max_iters, delta)
         # a non-finite increment leaves the sweeps early; non-finite forces
         # can also meet the tolerance where a_bar does not reach them
-        if not (math.isfinite(increment) and math.isfinite(_max_abs(forces))):
+        if not (isfinite(increment)
+                and all(map(isfinite, forces.ravel().tolist()))):
             raise _failure(step, t, "force evaluation returned a non-finite "
                            "value", sweep, delta)
-        q = q + h * qp + b_bar_dot(forces)
+        q = rows[s] + b_bar_dot(forces)
         qp = qp + b_prime_dot(forces)
         iterations.append(sweep)
         if (step + 1) % config.record_every == 0 or step == n_steps - 1:

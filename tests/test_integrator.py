@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import csrkn
-from csrkn.integrator import _max_abs
+from csrkn.integrator import _max_magnitude
 
 from conftest import SYMMETRIC_METHODS
 
@@ -230,7 +230,7 @@ def test_max_abs_matches_numpy(special, position):
         a[position] = special
         for shaped in (a, a.reshape(3, 2)):
             expected = float(np.abs(shaped).max())
-            value = _max_abs(shaped)
+            value = _max_magnitude(shaped.ravel().tolist())
             assert type(value) is float
             if math.isnan(expected):
                 assert math.isnan(value)
@@ -275,6 +275,23 @@ def test_non_finite_step_or_start_rejected_before_any_force(tableaux):
         with pytest.raises(ValueError, match="start time must be finite"):
             csrkn.rkn_step(legendre4, problem, t0, problem.q0,
                            problem.qp0, 0.1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("q0,qp0", [(1.0, 0.0), ([[1.0, 0.0]], [[0.0, 1.0]]),
+                                    ([1.0, 0.0], [0.0, 1.0, 0.5])])
+def test_non_vector_state_rejected_before_any_force(tableaux, q0, qp0):
+    calls = []
+    kepler = csrkn.kepler()
+
+    def f(t, q):
+        calls.append(t)
+        return kepler.f(t, q)
+
+    problem = csrkn.SecondOrderProblem(name="counted", dim=2, f=f,
+                                       q0=kepler.q0, qp0=kepler.qp0)
+    with pytest.raises(ValueError, match="q0 and qp0 must be vectors"):
+        csrkn.integrate(tableaux["legendre4"], problem, 0.0, q0, qp0, 0.1, 3)
     assert calls == []
 
 
