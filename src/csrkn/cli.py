@@ -43,8 +43,9 @@ def _add_method_arguments(parser: argparse.ArgumentParser) -> None:
                         help="built-in method name")
     parser.add_argument("--gamma", type=float, default=0.0,
                         help="free parameter of legendre4, chebyshev4 and "
-                        "hermite4; hermite3 has none and ignores it, with a "
-                        "warning on the csrkn logger")
+                        "hermite4, a finite number; hermite3 has none and "
+                        "ignores a finite value, with a warning on the csrkn "
+                        "logger")
     parser.add_argument("--family", help="polynomial family for a custom "
                         "construction (e.g. shifted-legendre)")
     parser.add_argument("--b-order", type=int, default=3,

@@ -469,10 +469,13 @@ def discretize(coeffs: ContinuousCoefficients,
 
 
 def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
-    """Construction parameters of the built-in methods."""
+    """Construction parameters of the built-in methods; gamma must be
+    finite, for hermite3 too."""
     if name not in _BUILTINS:
         raise ConstructionError(f"unknown method {name!r}; choose from "
                                 f"{', '.join(BUILTIN_METHODS)}")
+    if not math.isfinite(gamma):
+        raise ConstructionError(f"gamma must be finite, got {gamma!r}")
     family, _, factor = _BUILTINS[name]
     if factor is None:
         # the non-symmetric construction: split the first-order constraint

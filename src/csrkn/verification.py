@@ -145,6 +145,18 @@ def check_discrete(tableau: RKNTableau) -> ConditionReport:
         check_symplectic(tableau), check_symmetric(tableau))
 
 
+def _flipped(tableau: RKNTableau):
+    """(c, a_bar, b_bar, b_prime) of the adjoint method, stage order
+    flipped."""
+    rev = slice(None, None, -1)
+    c = 1.0 - tableau.c[rev]
+    bp = tableau.b_prime[rev]
+    bb = bp - tableau.b_bar[rev]
+    a = (bp[None, :] * (1.0 - tableau.c[rev])[:, None]
+         - tableau.b_bar[rev][None, :] + tableau.a_bar[rev, rev])
+    return c, a, bb, bp
+
+
 def adjoint_tableau(tableau: RKNTableau) -> RKNTableau:
     """Tableau of the adjoint (time-reversed) method.
 
@@ -152,12 +164,7 @@ def adjoint_tableau(tableau: RKNTableau) -> RKNTableau:
     rule keeps increasing nodes; the transformation is an involution for
     any tableau.
     """
-    rev = slice(None, None, -1)
-    c = 1.0 - tableau.c[rev]
-    bp = tableau.b_prime[rev]
-    bb = bp - tableau.b_bar[rev]
-    a = (bp[None, :] * (1.0 - tableau.c[rev])[:, None]
-         - tableau.b_bar[rev][None, :] + tableau.a_bar[rev, rev])
+    c, a, bb, bp = _flipped(tableau)
     return RKNTableau(c=c, a_bar=a, b_bar=bb, b_prime=bp,
                       family=tableau.family, method=tableau.method,
                       gamma=tableau.gamma)
@@ -173,11 +180,9 @@ def check_symmetric(tableau: RKNTableau) -> float | None:
     """
     if tableau.family is None or not tableau.family.symmetric_weight:
         return None
-    adj = adjoint_tableau(tableau)
-    return float(max(np.abs(adj.c - tableau.c).max(),
-                     np.abs(adj.a_bar - tableau.a_bar).max(),
-                     np.abs(adj.b_bar - tableau.b_bar).max(),
-                     np.abs(adj.b_prime - tableau.b_prime).max()))
+    own = (tableau.c, tableau.a_bar, tableau.b_bar, tableau.b_prime)
+    return float(max(np.abs(adjoint - entries).max()
+                     for adjoint, entries in zip(_flipped(tableau), own)))
 
 
 @dataclass(frozen=True)

@@ -289,6 +289,26 @@ def test_separate_token_values_reach_the_usage_error(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
+@pytest.mark.parametrize("verb", ["derive", "check", "run", "order"])
+@pytest.mark.parametrize("method", ["legendre4", "hermite3"])
+def test_non_finite_gamma_is_usage_error(tmp_path, capsys, verb, value,
+                                         method):
+    out = tmp_path / "out.txt"
+    extra = {"derive": ["--out", str(out)], "check": ["--out", str(out)],
+             "run": ["--problem", "kepler", "--h", "0.1", "--steps", "5",
+                     "--out", str(out)],
+             "order": ["--problem", "harmonic", "--h0", "0.1",
+                       "--levels", "2"]}[verb]
+    # a separate "-nan" token is a value too
+    assert main([verb, "--method", method, "--gamma", value, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: gamma must be finite, got "
+                            f"{float(value)!r}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_bad_step_exits_1_without_traceback(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for argv, message in [

@@ -217,6 +217,23 @@ def test_hermite3_ignores_gamma(caplog):
     assert csrkn.builtin_tableau("legendre4", 0.3).gamma == 0.3
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_non_finite_gamma_rejected_before_derivation(monkeypatch, name,
+                                                     gamma):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("derivation started")
+
+    monkeypatch.setattr(csrkn.construction, "make_basis", no_basis)
+    message = f"gamma must be finite, got {gamma!r}"
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.construction.method_spec(name, gamma)
+    assert str(info.value) == message
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.builtin_tableau(name, gamma)
+    assert str(info.value) == message
+
+
 def test_builtin_unknown_name():
     with pytest.raises(csrkn.ConstructionError):
         csrkn.builtin_tableau("gauss99")

@@ -1,5 +1,6 @@
 """Condition reports, symmetry/symplecticity checks, order measurement."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -90,6 +91,32 @@ def test_one_stage_tableau_is_trivially_symplectic():
                                b_bar=np.array([0.5]),
                                b_prime=np.array([1.0]))
     assert csrkn.check_symplectic(tableau) == 0.0
+
+
+def test_check_symmetric_builds_no_adjoint_tableau(monkeypatch):
+    # the distance the adjoint dataclass gave, bit for bit, from the flipped
+    # arrays alone; perturbed tableaux give distances well above round-off
+    rng = np.random.default_rng(3)
+    tableaux = [csrkn.builtin_tableau(name, gamma)
+                for name in SYMMETRIC_METHODS for gamma in (-0.4, 0.0, 0.3)]
+    tableaux += [dataclasses.replace(
+        tableau, a_bar=tableau.a_bar + rng.normal(0.0, 1e-3,
+                                                  tableau.a_bar.shape))
+        for tableau in tableaux]
+    expected = []
+    for tableau in tableaux:
+        adj = csrkn.adjoint_tableau(tableau)
+        expected.append(float(max(
+            np.abs(adj.c - tableau.c).max(),
+            np.abs(adj.a_bar - tableau.a_bar).max(),
+            np.abs(adj.b_bar - tableau.b_bar).max(),
+            np.abs(adj.b_prime - tableau.b_prime).max())))
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("check_symmetric built an RKNTableau")
+
+    monkeypatch.setattr(csrkn.verification, "RKNTableau", no_tableau)
+    assert [csrkn.check_symmetric(t) for t in tableaux] == expected
 
 
 @pytest.mark.parametrize("name", list(CAPTION_ORDERS))
