@@ -118,7 +118,8 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:
-    """Repeated steps from (t0, q0, qp0); deterministic for fixed inputs.
+    """Repeated steps from (t0, q0, qp0), two vectors of one length;
+    deterministic for fixed inputs.
 
     iterations[k] counts the fixed-point sweeps of step k, one ``problem.f``
     call each.  The first step starts its stage iteration from the explicit
