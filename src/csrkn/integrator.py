@@ -8,7 +8,7 @@ the last force evaluations, so each step realizes the tableau's map up to
 the iteration tolerance; up to two polish sweeps after the tolerance is met
 push stage consistency to the rounding floor, which keeps quadratic
 invariants flat over long runs.  A sweep with an increment of exactly 0
-ends the step at once, as 81-99.9 % of steps end at h = 0.1 (each built-in
+ends the step at once, as 76-99.8 % of steps end at h = 0.1 (each built-in
 on each problem, 1,000 steps).  Non-convergence and non-finite force values
 raise StageConvergenceError with the failing step's index and time, never
 degrade; running out of sweeps during the polish sweeps is logged as a
