@@ -420,7 +420,7 @@ def test_corrected_start_exactness_degree(tableaux, name):
     # every monomial up to degree s + m - 1 (so for every polynomial of
     # that degree) and for no higher one; rounding stays below 1e-12 on
     # the built-ins' nodes, and the degree s + m miss is 1.8e-4 to 5.1e-4.
-    # Time is scaled by 1 / (m + 2) to keep the samples in [-1, 1].
+    # Time is scaled by 1 / (m + 2) to keep the samples of order 1.
     c = tableaux[name].c
     s, m = len(c), _HISTORY
     weights = _corrected_extrapolation(_extrapolation(c), m)
