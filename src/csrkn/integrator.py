@@ -8,9 +8,8 @@ the last force evaluations, so each step realizes the tableau's map up to
 the iteration tolerance; up to two polish sweeps after the tolerance is met
 push stage consistency to the rounding floor, which keeps quadratic
 invariants flat over long runs.  A sweep with an increment of exactly 0
-ends the step at once, as 76-99.8 % of steps end at h = 0.1 (each built-in
-on each problem, 1,000 steps).  Non-convergence and non-finite force values
-raise StageConvergenceError with the failing step's index and time, never
+ends the step at once.  Non-convergence and non-finite force values raise
+StageConvergenceError with the failing step's index and time, never
 degrade; running out of sweeps during the polish sweeps is logged as a
 warning on the ``csrkn`` logger.
 """
@@ -20,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import index, sub
 
 import numpy as np
 
@@ -29,6 +28,10 @@ from .problems import SecondOrderProblem, invariant_drift
 
 # mixed absolute/relative stage-increment tolerance of the fixed point
 _FP_TOL = 1e-14
+# Over 400 ensemble orbits and 80 cli_run jobs (benchmark seed 7), 94.3 and
+# 97.6 % of steps end on a zero increment, 4.9 and 2.0 % reach this cap still
+# falling and 0.8 and 0.4 % stagnate: a stop on stagnation would save 0.009
+# and 0.028 % of sweeps, a cap of 1 saves 10.3 and 10.5 % but moves output.
 _POLISH_SWEEPS = 2
 # m, the number of past prediction errors the warm start extrapolates.
 # Sweeps per step over 32 seeded runs like the benchmark's cli_run jobs
@@ -66,10 +69,13 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        for name, value in vars(self).items():
+            try:
+                if index(value) < 1:
+                    raise ValueError(f"{name} must be >= 1")
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got "
+                                f"{value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -84,16 +90,13 @@ def _extrapolation(c: np.ndarray) -> np.ndarray | None:
     """E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated
     one step ahead: E @ forces extrapolates one step's stage forces to the
     next step's stage times.  None when the nodes are not distinct."""
-    s = len(c)
-    if len(np.unique(c)) < s:
+    nodes = c.tolist()
+    if len(set(nodes)) < len(nodes):
         return None
-    ahead = 1.0 + c
-    matrix = np.ones((s, s))
-    for j in range(s):
-        for m in range(s):
-            if m != j:
-                matrix[:, j] *= (ahead - c[m]) / (c[j] - c[m])
-    return matrix
+    return np.array([[math.prod([(ahead - other) / (node - other)
+                                 for m, other in enumerate(nodes) if m != j],
+                                start=1.0) for j, node in enumerate(nodes)]
+                     for ahead in [1.0 + node for node in nodes]])
 
 
 def _corrected_extrapolation(extrapolation: np.ndarray,
@@ -104,15 +107,27 @@ def _corrected_extrapolation(extrapolation: np.ndarray,
     last m steps, sum_{k<m} (-1)^k C(m, k+1) eps_{n-k}.  For stage forces
     sampled from a polynomial in t it is exact up to degree s + m - 1."""
     s = len(extrapolation)
-    identity = np.eye(s)
-    # blocks[j] multiplies F_{n-j}
-    blocks = [np.zeros((s, s)) for _ in range(m + 1)]
-    blocks[0] += extrapolation
-    for k in range(m):
-        weight = (-1) ** k * math.comb(m, k + 1)
-        blocks[k] += weight * identity
-        blocks[k + 1] -= weight * extrapolation
-    return np.hstack(blocks[::-1])
+    # from 0: B_m += E, B_i -= w_{m-1-i} E (i < m), B_i += w_{m-i} I (i > 0)
+    weights = np.array([(-1) ** k * math.comb(m, k + 1) for k in
+                        reversed(range(m))], dtype=float).reshape(-1, 1, 1)
+    blocks = np.zeros((m + 1, s, s))
+    blocks[m] += extrapolation
+    blocks[:m] -= weights * extrapolation
+    blocks[1:] += weights * np.eye(s)
+    return blocks.transpose(1, 0, 2).reshape(s, (m + 1) * s)
+
+
+def _start_weights(c: np.ndarray, h2_a_bar: np.ndarray, m: int):
+    """(h^2 A_bar E, [np.roll(h^2 A_bar [B_0 | ... | B_m], k s, axis=1) for
+    k = 0..m]) as contiguous arrays, or (None, None) for repeated nodes."""
+    extrapolation = _extrapolation(c)
+    if extrapolation is None:
+        return None, None
+    corrector = h2_a_bar.dot(_corrected_extrapolation(extrapolation, m))
+    doubled = np.concatenate((corrector, corrector), axis=1)
+    return h2_a_bar.dot(extrapolation), [
+        doubled[:, start:start + corrector.shape[1]].copy()
+        for start in range(corrector.shape[1], 0, -len(c))]
 
 
 def _max_magnitude(values) -> float:
@@ -177,7 +192,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     ch = h * tableau.c
     # one broadcast per step: rows[:s] are the stage bases q + c h q' and
     # rows[s] is the drift q + h q' of the position update
-    ch_column = np.append(ch, h)[:, None]
+    ch_column = np.concatenate((ch, [h]))[:, None]
     h2_a_bar = (h * h) * tableau.a_bar
     a_dot = h2_a_bar.dot
     b_bar_dot = ((h * h) * tableau.b_bar).dot
@@ -200,13 +215,8 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         t = t0 + step * h
         if step == 1:
             # built for the second step, so a single step never pays for it
-            extrapolation = _extrapolation(tableau.c)
-            if extrapolation is not None:
-                predictor = h2_a_bar.dot(extrapolation)
-                corrector = h2_a_bar.dot(
-                    _corrected_extrapolation(extrapolation, _HISTORY))
-                correctors = [np.roll(corrector, slot * s, axis=1)
-                              for slot in range(slots)]
+            predictor, correctors = _start_weights(tableau.c, h2_a_bar,
+                                                   _HISTORY)
         t_stage = t + ch
         rows = q + ch_column * qp
         base = rows[:s]

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import csrkn
+import csrkn.integrator
 from csrkn.integrator import (_HISTORY, _corrected_extrapolation,
-                              _extrapolation, _max_magnitude)
+                              _extrapolation, _max_magnitude, _start_weights)
 
 from conftest import SYMMETRIC_METHODS
 
@@ -315,6 +316,29 @@ def test_config_validation():
         csrkn.SolverConfig(record_every=0)
 
 
+@pytest.mark.parametrize("field", ["max_iters", "record_every"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, np.float64(2.0)])
+def test_config_rejects_non_integers(field, value):
+    # record_every = 2.5 used to record t = 0, 0.5, 1.0 of a 10-step run
+    # (every 5th step) and max_iters = 2.5 to fail at step 0 inside range()
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        csrkn.SolverConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers(tableaux):
+    kepler = csrkn.kepler()
+    runs = [csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,
+                            kepler.qp0, 0.1, 10,
+                            csrkn.SolverConfig(max_iters=kind(50),
+                                               record_every=kind(5)))
+            for kind in (int, np.int64, np.int32)]
+    for run in runs:
+        np.testing.assert_array_equal(run.times, [0.0, 0.5, 1.0])
+        assert run.q.tobytes() == runs[0].q.tobytes()
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        csrkn.SolverConfig(record_every=np.int64(0))
+
+
 def test_quadratic_invariant_preserved_to_solver_tolerance(kepler_long_runs):
     # angular momentum is a quadratic invariant; drift over 1e4 steps must
     # stay below 100x the stage tolerance
@@ -411,6 +435,119 @@ def test_repeated_nodes_start_cold():
         q, qp = csrkn.rkn_step(tableau, kepler, step * 0.1, q, qp, 0.1)
     np.testing.assert_array_equal(trajectory.q[-1], q)
     np.testing.assert_array_equal(trajectory.qp[-1], qp)
+
+
+def _column_loop_extrapolation(c):
+    # the numpy column loop _extrapolation replaced, kept as its reference
+    s = len(c)
+    if len(np.unique(c)) < s:
+        return None
+    ahead = 1.0 + c
+    matrix = np.ones((s, s))
+    for j in range(s):
+        for m in range(s):
+            if m != j:
+                matrix[:, j] *= (ahead - c[m]) / (c[j] - c[m])
+    return matrix
+
+
+def _block_loop_corrected_extrapolation(extrapolation, m):
+    # the per-block loop _corrected_extrapolation replaced
+    s = len(extrapolation)
+    identity = np.eye(s)
+    blocks = [np.zeros((s, s)) for _ in range(m + 1)]
+    blocks[0] += extrapolation
+    for k in range(m):
+        weight = (-1) ** k * math.comb(m, k + 1)
+        blocks[k] += weight * identity
+        blocks[k + 1] -= weight * extrapolation
+    return np.hstack(blocks[::-1])
+
+
+def assert_same_array(new, reference):
+    assert new.dtype == reference.dtype and new.shape == reference.shape
+    assert new.flags.c_contiguous and reference.flags.c_contiguous
+    assert new.tobytes() == reference.tobytes()
+
+
+def assert_start_weights_match_references(c, h2_a_bar, m):
+    extrapolation = _column_loop_extrapolation(c)
+    assert_same_array(_extrapolation(c), extrapolation)
+    corrected = _block_loop_corrected_extrapolation(extrapolation, m)
+    assert_same_array(_corrected_extrapolation(extrapolation, m), corrected)
+    predictor, correctors = _start_weights(c, h2_a_bar, m)
+    assert_same_array(predictor, h2_a_bar.dot(extrapolation))
+    corrector = h2_a_bar.dot(corrected)
+    assert len(correctors) == m + 1
+    for slot, rotated in enumerate(correctors):
+        assert_same_array(rotated,
+                          np.roll(corrector, slot * len(c), axis=1))
+
+
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_start_weights_bit_identical_on_builtins(tableaux, name):
+    tableau = tableaux[name]
+    for h in (0.1, -0.37, 1.5):
+        for m in (0, 1, _HISTORY, 12):
+            assert_start_weights_match_references(
+                tableau.c, (h * h) * tableau.a_bar, m)
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_start_weights_bit_identical_on_random_nodes(s):
+    # distinct nodes of either sign and several scales, 0 and 1 included
+    # (1 + c_i = c_j puts exact zeros in E)
+    rng = np.random.default_rng(1000 + s)
+    node_sets = [rng.uniform(-1.0, 2.0, s) * scale
+                 for scale in (1.0, 1e-3, 10.0) for _ in range(4)]
+    node_sets.append(np.arange(s, dtype=float) / max(s - 1, 1))
+    for c in node_sets:
+        assert len(np.unique(c)) == s
+        for m in range(13):
+            assert_start_weights_match_references(
+                c, rng.standard_normal((s, s)), m)
+
+
+@pytest.mark.parametrize("nodes", [[0.5, 0.5], [0.0, -0.0], [-0.0, 0.0],
+                                   [0.2, 0.7, 0.2], [0.1, -0.0, 0.9, 0.0]])
+def test_repeated_nodes_have_no_start_weights(nodes):
+    c = np.array(nodes)
+    assert _column_loop_extrapolation(c) is None
+    assert _extrapolation(c) is None
+    assert _start_weights(c, np.eye(len(c)), _HISTORY) == (None, None)
+
+
+def test_single_step_builds_no_start_weights(tableaux, monkeypatch):
+    # the start's weights are built at step 1, for the second step
+    builders = ("_extrapolation", "_corrected_extrapolation",
+                "_start_weights")
+    kepler = csrkn.kepler()
+
+    def refuse(*args):
+        raise AssertionError("a single step built start weights")
+
+    for name in builders:
+        monkeypatch.setattr(csrkn.integrator, name, refuse)
+    for tableau in tableaux.values():
+        csrkn.rkn_step(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1)
+        csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 1)
+    monkeypatch.undo()
+
+    calls = dict.fromkeys(builders, 0)
+
+    def counted(name, build):
+        def wrapper(*args):
+            calls[name] += 1
+            return build(*args)
+        return wrapper
+
+    for name in builders:
+        monkeypatch.setattr(csrkn.integrator, name,
+                            counted(name, getattr(csrkn.integrator, name)))
+    for tableau in tableaux.values():
+        calls.update(dict.fromkeys(builders, 0))
+        csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 2)
+        assert calls == dict.fromkeys(builders, 1)
 
 
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
