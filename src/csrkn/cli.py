@@ -38,49 +38,59 @@ class _ArgumentParser(argparse.ArgumentParser):
             r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf(inity)?|nan))$")
 
 
+# the custom-construction flags' attributes, all with default None: only the
+# flags given reach ConstructionSpec, which holds every default
+_CUSTOM_FLAGS = ("family", "stages", "b_order", "cn_order", "tau_degree",
+                 "symmetric", "set_alpha")
+
+
 def _add_method_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=BUILTIN_METHODS,
                         help="built-in method name")
-    parser.add_argument("--gamma", type=float, default=0.0,
+    parser.add_argument("--gamma", type=float,
                         help="free parameter of legendre4, chebyshev4 and "
-                        "hermite4, a finite number; hermite3 has none and "
-                        "ignores a finite value, with a warning on the csrkn "
-                        "logger")
+                        "hermite4, a finite number (default 0); hermite3 has "
+                        "none and ignores a finite value, with a warning on "
+                        "the csrkn logger")
     parser.add_argument("--family", help="polynomial family for a custom "
                         "construction (e.g. shifted-legendre)")
-    parser.add_argument("--b-order", type=int, default=3,
+    parser.add_argument("--b-order", type=int,
                         help="weight condition order of a custom construction")
-    parser.add_argument("--cn-order", type=int, default=2,
+    parser.add_argument("--cn-order", type=int,
                         help="stage condition order of a custom construction")
-    parser.add_argument("--tau-degree", type=int, default=2,
+    parser.add_argument("--tau-degree", type=int,
                         help="tau-degree cap of a custom construction")
-    parser.add_argument("--symmetric", action="store_true",
+    parser.add_argument("--symmetric", action="store_true", default=None,
                         help="impose time-reversal symmetry on a custom "
                         "construction")
-    parser.add_argument("--set-alpha", nargs=3, action="append", default=[],
+    parser.add_argument("--set-alpha", nargs=3, action="append",
                         metavar=("I", "J", "VALUE"),
                         help="pin a coupling coefficient of a custom "
-                        "construction (repeatable)")
+                        "construction to a finite value (repeatable)")
     parser.add_argument("--stages", type=int,
                         help="Gauss points of a custom construction")
 
 
 def _resolve_tableau(args) -> RKNTableau:
+    given = {name: getattr(args, name) for name in _CUSTOM_FLAGS
+             if getattr(args, name) is not None}
     if args.method is not None:
-        return builtin_tableau(args.method, args.gamma)
+        if given:
+            raise ValueError(f"--{next(iter(given)).replace('_', '-')} "
+                             f"does not apply to --method")
+        return builtin_tableau(args.method,
+                               0.0 if args.gamma is None else args.gamma)
     if args.family is None:
         raise ValueError("either --method or --family is required")
-    family = family_from_name(args.family)
-    if args.stages is None:
+    if args.gamma is not None:
+        raise ValueError("--gamma applies only to --method")
+    family = family_from_name(given.pop("family"))
+    if given.pop("stages", None) is None:
         raise ValueError("--stages is required with --family")
-    free_alpha = {(int(i), int(j)): float(value)
-                  for i, j, value in args.set_alpha}
-    spec = ConstructionSpec(family=family, b_order=args.b_order,
-                            cn_order=args.cn_order,
-                            tau_degree=args.tau_degree,
-                            free_alpha=free_alpha,
-                            symmetric=args.symmetric)
-    return derive(spec, args.stages)
+    if "set_alpha" in given:
+        given["free_alpha"] = {(int(i), int(j)): float(value)
+                               for i, j, value in given.pop("set_alpha")}
+    return derive(ConstructionSpec(family=family, **given), args.stages)
 
 
 def _cmd_derive(args) -> int:
@@ -175,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # built on the first main() call rather than at import; parse_args keeps no
-# state between calls (append defaults are copied, not extended)
+# state between calls (--set-alpha has no default list to extend)
 _parser = functools.cache(build_parser)
 
 

@@ -65,8 +65,7 @@ class ConstructionSpec:
     b_order / cn_order are the targeted orders of the weight and stage
     moment conditions; tau_degree caps the tau-degree of the coupling
     ansatz.  free_alpha pins expansion coefficients that the constraints
-    leave open (missing entries default to zero); free_lambda does the same
-    for trailing terms of the weight-function series.
+    leave open (missing entries default to zero); each pin must be finite.
     """
 
     family: Family
@@ -74,7 +73,6 @@ class ConstructionSpec:
     cn_order: int = 2
     tau_degree: int = 2
     free_alpha: Mapping[tuple[int, int], float] = field(default_factory=dict)
-    free_lambda: Mapping[int, float] = field(default_factory=dict)
     symmetric: bool = False
 
     def __post_init__(self):
@@ -92,12 +90,16 @@ class ConstructionSpec:
             raise ConstructionError(
                 f"{self.family.value} weight is not reflection-symmetric; "
                 f"a symmetric method cannot be requested")
+        for key, value in self.free_alpha.items():
+            if not math.isfinite(value):
+                raise ConstructionError(
+                    f"alpha{key} must be finite, got {value!r}")
 
     def __hash__(self):
         # the generated __eq__ compares the mappings by items
         return hash((self.family, self.b_order, self.cn_order,
                      self.tau_degree, frozenset(self.free_alpha.items()),
-                     frozenset(self.free_lambda.items()), self.symmetric))
+                     self.symmetric))
 
     @property
     def alpha_range(self) -> int:
@@ -158,34 +160,28 @@ def interval_integrals(family: Family,
 def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
     """Series coefficients lam of the velocity-weight function B.
 
-    The first b_order coefficients are pinned to int_0^1 P_j dx (the stage
-    interval is [0, 1] for every family), which makes the weight moment
-    conditions hold by construction; later ones come from free_lambda
-    (default 0).  For a reflection-symmetric weight the odd pinned terms
-    are exactly 0.
+    lam holds the b_order integrals int_0^1 P_j dx (the stage interval is
+    [0, 1] for every family), which makes the weight moment conditions hold
+    by construction.  For a reflection-symmetric weight the odd terms are
+    exactly 0.
     """
     if spec.b_order > basis.max_degree:
         raise ConstructionError("b_order exceeds basis degree")
-    tail = {j: float(v) for j, v in spec.free_lambda.items()}
-    for j in tail:
-        if j < spec.b_order:
-            raise ConstructionError(
-                f"free_lambda index {j} collides with the pinned range "
-                f"0..{spec.b_order - 1}")
-        if j > basis.max_degree:
-            raise ConstructionError(f"free_lambda index {j} exceeds basis degree")
-        if spec.symmetric and j % 2 == 1 and tail[j] != 0.0:
-            raise ConstructionError(
-                "symmetric methods need vanishing odd-index weight terms")
-    size = max([spec.b_order] + [j + 1 for j in tail])
-    lam = np.zeros(size)
     ones = interval_integrals(basis.family, basis.max_degree)[0]
-    lam[: spec.b_order] = ones[: spec.b_order]
-    for j, v in tail.items():
-        lam[j] = v
+    lam = ones[: spec.b_order].copy()
     # snap rounding noise so the support matches the true degree
     lam[np.abs(lam) < 1e-13 * max(1.0, float(np.max(np.abs(lam))))] = 0.0
     return lam
+
+
+def _max_magnitude(values) -> float:
+    """max |v| over Python floats, as float(np.abs(a).max()) gives it.  The
+    sum of the magnitudes is NaN exactly when one of them is, and max()
+    would skip a NaN that is not first, so NaN anywhere gives NaN here as in
+    numpy."""
+    magnitudes = list(map(abs, values))
+    total = sum(magnitudes)
+    return max(magnitudes) if total == total else total
 
 
 def _gap(basis: OrthonormalBasis) -> float:
@@ -309,7 +305,7 @@ def solve_alpha(basis: OrthonormalBasis,
             values = np.zeros(0)
         residual = np.abs(matrix @ values - vector)
         worst = int(residual.argmax())
-        if residual[worst] > 1e-10 * max(1.0, float(np.abs(vector).max())):
+        if not residual[worst] <= 1e-10 * max(1.0, np.abs(vector).max()):
             k, m = divmod(worst, r + 1)
             raise ConstructionError(
                 f"stage moment conditions are inconsistent: test index "
@@ -376,23 +372,23 @@ class ContinuousCoefficients:
     @property
     def symplectic_residual(self) -> float:
         """Largest violation of alpha[0,1] - alpha[1,0] = -<x, P_1>_w and
-        alpha[i,j] = alpha[j,i] (i + j > 1)."""
+        alpha[i,j] = alpha[j,i] (i + j > 1); NaN if any term is NaN."""
         a = self.alpha
-        return max([abs(a.get((0, 1), 0.0) - a.get((1, 0), 0.0)
-                        + _gap(self.basis))]
-                   + [abs(v - a.get((j, i), 0.0))
-                      for (i, j), v in a.items() if i + j > 1])
+        return _max_magnitude([a.get((0, 1), 0.0) - a.get((1, 0), 0.0)
+                               + _gap(self.basis)]
+                              + [v - a.get((j, i), 0.0)
+                                 for (i, j), v in a.items() if i + j > 1])
 
     @property
     def symmetry_residual(self) -> float:
         """Largest violation of the time-reversal conditions for a
         reflection-symmetric weight: alpha[0,1] = -alpha[1,0] and vanishing
-        odd-sum alpha and odd-index lam."""
+        odd-sum alpha and odd-index lam; NaN if any term is NaN."""
         a = self.alpha
-        return max([abs(a.get((0, 1), 0.0) + a.get((1, 0), 0.0))]
-                   + [abs(v) for (i, j), v in a.items() if (i + j) % 2 == 1
-                      and i + j > 1]
-                   + [float(abs(v)) for v in self.lam[1::2]])
+        return _max_magnitude([a.get((0, 1), 0.0) + a.get((1, 0), 0.0)]
+                              + [v for (i, j), v in a.items()
+                                 if (i + j) % 2 == 1 and i + j > 1]
+                              + self.lam[1::2].tolist())
 
 
 def assemble(basis: OrthonormalBasis, lam: np.ndarray,
@@ -404,7 +400,7 @@ def assemble(basis: OrthonormalBasis, lam: np.ndarray,
         basis=basis, lam=np.asarray(lam, dtype=float),
         alpha={key: float(v) for key, v in alpha.items()}, spec=spec)
     residual = coeffs.symplectic_residual
-    if residual > TABLEAU_TOL:
+    if not residual <= TABLEAU_TOL:
         raise ConstructionError(
             f"alpha violates alpha[0,1] - alpha[1,0] = -<x, P_1>_w or "
             f"alpha[i,j] = alpha[j,i] (residual {residual:.3e})")
@@ -439,7 +435,7 @@ def check_symplectic(tableau: RKNTableau) -> float:
     bp = tableau.b_prime
     m = bp[:, None] * (tableau.b_bar[None, :] - tableau.a_bar)
     position = tableau.b_bar - bp * (1.0 - tableau.c)
-    return float(max(np.abs(m - m.T).max(), np.abs(position).max()))
+    return float(np.maximum(np.abs(m - m.T).max(), np.abs(position).max()))
 
 
 def discretize(coeffs: ContinuousCoefficients,
@@ -462,7 +458,7 @@ def discretize(coeffs: ContinuousCoefficients,
                          b_bar=w * (b_values * (1.0 - c)),
                          b_prime=w * b_values, family=coeffs.family)
     residual = check_symplectic(tableau)
-    if residual > TABLEAU_TOL:
+    if not residual <= TABLEAU_TOL:
         raise ConstructionError(f"discrete symplecticity identities "
                                 f"violated (residual {residual:.3e})")
     return tableau

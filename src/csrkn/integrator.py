@@ -23,7 +23,7 @@ from operator import index, sub
 
 import numpy as np
 
-from .construction import RKNTableau
+from .construction import RKNTableau, _max_magnitude
 from .problems import SecondOrderProblem, invariant_drift
 
 # mixed absolute/relative stage-increment tolerance of the fixed point
@@ -59,6 +59,17 @@ class StageConvergenceError(RuntimeError):
         self.last_delta = last_delta
 
 
+def _positive_int(name: str, value) -> int:
+    """operator.index(value), >= 1; the errors name the argument."""
+    try:
+        number = index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return number
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """max_iters caps the fixed-point sweeps of one step; record_every thins
@@ -70,12 +81,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            try:
-                if index(value) < 1:
-                    raise ValueError(f"{name} must be >= 1")
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got "
-                                f"{value!r}") from None
+            _positive_int(name, value)
 
 
 @dataclass(frozen=True)
@@ -130,16 +136,6 @@ def _start_weights(c: np.ndarray, h2_a_bar: np.ndarray, m: int):
         for start in range(corrector.shape[1], 0, -len(c))]
 
 
-def _max_magnitude(values) -> float:
-    """max |v| over Python floats, as float(np.abs(a).max()) gives it.  The
-    sum of the magnitudes is NaN exactly when one of them is, and max()
-    would skip a NaN that is not first, so NaN anywhere gives NaN here as in
-    numpy."""
-    magnitudes = list(map(abs, values))
-    total = sum(magnitudes)
-    return max(magnitudes) if total == total else total
-
-
 def _failure(step: int, t: float, reason: str, sweeps: int,
              last_delta: float | None) -> StageConvergenceError:
     return StageConvergenceError(f"step {step} (t = {t:g}) failed: {reason}",
@@ -178,8 +174,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     every step starts from the explicit guess.  The start changes the
     sweep count, not the fixed point.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = _positive_int("n_steps", n_steps)
     if not (math.isfinite(h) and h != 0.0):
         raise ValueError(f"step size must be finite and nonzero, got {h!r}")
     if not math.isfinite(t0):

@@ -23,7 +23,7 @@ import numpy as np
 from .basis import MAX_DEGREE, make_basis
 from .construction import (ContinuousCoefficients, RKNTableau,
                            check_symplectic, kernel_matrix)
-from .integrator import integrate
+from .integrator import _positive_int, integrate
 from .problems import SecondOrderProblem
 from .quadrature import gauss_rule
 
@@ -85,10 +85,10 @@ def _condition_sides(x: np.ndarray, kappa_max: int):
 def _report(kind: str, b_res, cn_res, dn_res, symplectic: float,
             symmetry: float | None) -> ConditionReport:
     """The report of three residual rows; each condition order is the start
-    order plus the number of leading residuals within TOL_CHAINED."""
+    order plus the number of leading residuals within TOL_CHAINED (not NaN)."""
     rows = [tuple(res.tolist()) for res in (b_res, cn_res, dn_res)]
-    orders = [start + next((k for k, r in enumerate(row) if r > TOL_CHAINED),
-                           len(row))
+    orders = [start + next((k for k, r in enumerate(row)
+                            if not r <= TOL_CHAINED), len(row))
               for start, row in zip((0, 1, 1), rows)]
     return ConditionReport(kind, *rows, *orders, symplectic, symmetry,
                            order_bound(*orders))
@@ -210,8 +210,7 @@ def empirical_order(tableau: RKNTableau, problem: SecondOrderProblem,
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    levels = _positive_int("levels", levels)
     if not (math.isfinite(h0) and h0 != 0.0):
         raise ValueError(f"h0 must be finite and nonzero, got {h0!r}")
     if not math.isfinite(t_end):

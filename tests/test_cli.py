@@ -1,6 +1,7 @@
 """Command-line interface: verbs, outputs, exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -324,3 +325,91 @@ def test_bad_step_exits_1_without_traceback(tmp_path):
             env=env, capture_output=True, text=True)
         assert result.returncode == 1
         assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "shifted-hermite", "--stages", "5", "--b-order", "7"],
+    ["--stages", "3"], ["--b-order", "3"], ["--cn-order", "2"],
+    ["--tau-degree", "2"], ["--symmetric"], ["--set-alpha", "1", "1", "0"]])
+@pytest.mark.parametrize("verb", ["derive", "check"])
+def test_custom_flag_with_method_is_usage_error(tmp_path, capsys, verb,
+                                                flags):
+    # the flag used to be ignored: derive wrote legendre4 and exited 0
+    out = tmp_path / "out.txt"
+    assert main([verb, "--method", "legendre4", *flags,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flags[0]} does not apply to --method\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["0.3", "0"])
+def test_gamma_with_family_is_usage_error(tmp_path, capsys, gamma):
+    # gamma used to be dropped without a word
+    out = tmp_path / "out.txt"
+    assert main(["derive", "--family", "shifted-legendre", "--stages", "2",
+                 "--symmetric", "--gamma", gamma, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --gamma applies only to --method\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
+@pytest.mark.parametrize("verb", ["derive", "check"])
+def test_non_finite_pinned_alpha_is_usage_error(tmp_path, capsys, verb,
+                                                value):
+    # derive used to write nan rows, check to predict order 4 from NaN
+    # residuals
+    out = tmp_path / "out.txt"
+    assert main([verb, "--family", "shifted-legendre", "--stages", "2",
+                 "--symmetric", "--set-alpha", "1", "1", value,
+                 "--set-alpha", "1", "2", "0", "--set-alpha", "2", "2", "0",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: alpha(1, 1) must be finite, got "
+                            f"{float(value)!r}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _spec_default_cases(count=30, seed=18):
+    """Seeded custom constructions, each with a random subset of the
+    construction flags given: (family, stages, argv flags, spec fields)."""
+    rng = random.Random(seed)
+    pins = [(0, 1, -0.3), (1, 1, 0.25), (1, 2, 0.0), (2, 2, 0.0),
+            (0, 2, 0.1)]
+    cases = []
+    for _ in range(count):
+        family = rng.choice(list(csrkn.Family))
+        flags, fields = [], {}
+        for name, values in (("b_order", range(1, 9)),
+                             ("cn_order", range(1, 4)),
+                             ("tau_degree", range(1, 5))):
+            if rng.random() < 0.5:
+                fields[name] = rng.choice(values)
+                flags += [f"--{name.replace('_', '-')}", str(fields[name])]
+        if rng.random() < 0.5:
+            fields["symmetric"] = True
+            flags.append("--symmetric")
+        if rng.random() < 0.5:
+            chosen = rng.sample(pins, rng.randint(1, 3))
+            fields["free_alpha"] = {(i, j): v for i, j, v in chosen}
+            for i, j, v in chosen:
+                flags += ["--set-alpha", str(i), str(j), repr(v)]
+        cases.append((family, rng.randint(1, 5), flags, fields))
+    return cases
+
+
+@pytest.mark.parametrize("family,stages,flags,fields", _spec_default_cases())
+def test_cli_takes_its_defaults_from_the_spec(capsys, family, stages, flags,
+                                              fields):
+    try:
+        tableau = csrkn.derive(csrkn.ConstructionSpec(family, **fields),
+                               stages)
+        expected = (0, csrkn.serialize_tableau(tableau), "")
+    except csrkn.ConstructionError as err:
+        expected = (1, "", f"error: {err}\n")
+    code = main(["derive", "--family", family.value, "--stages", str(stages),
+                 *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,21 +65,6 @@ def test_velocity_weight_reflection(coefficient_sets, name):
     coeffs = coefficient_sets[name]
     tau = np.linspace(0.0, 1.0, 50)
     assert np.max(np.abs(coeffs.b(tau) - coeffs.b(1.0 - tau))) < 1e-13
-
-
-def test_build_b_free_lambda_validation(bases):
-    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
-    spec = csrkn.ConstructionSpec(family=csrkn.Family.SHIFTED_LEGENDRE,
-                                  free_lambda={4: 0.25})
-    lam = csrkn.build_b(basis, spec)
-    assert lam[4] == 0.25 and lam[3] == 0.0
-    with pytest.raises(csrkn.ConstructionError):
-        csrkn.build_b(basis, csrkn.ConstructionSpec(
-            family=csrkn.Family.SHIFTED_LEGENDRE, free_lambda={1: 0.5}))
-    with pytest.raises(csrkn.ConstructionError):
-        csrkn.build_b(basis, csrkn.ConstructionSpec(
-            family=csrkn.Family.SHIFTED_LEGENDRE, symmetric=True,
-            free_lambda={5: 0.5}))
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_ALPHA))
@@ -490,14 +476,11 @@ def test_coefficients_equality_and_hash_do_not_raise(coefficient_sets):
 def test_spec_hash_is_consistent_with_equality():
     family = csrkn.Family.SHIFTED_LEGENDRE
     spec = csrkn.ConstructionSpec(family, b_order=5, cn_order=3, tau_degree=3,
-                                  free_alpha={(0, 3): 0.5, (1, 2): -1.0},
-                                  free_lambda={4: 0.25})
+                                  free_alpha={(0, 3): 0.5, (1, 2): -1.0})
     same = csrkn.ConstructionSpec(family, b_order=5, cn_order=3, tau_degree=3,
-                                  free_alpha={(1, 2): -1.0, (0, 3): 0.5},
-                                  free_lambda={4: 0.25})
+                                  free_alpha={(1, 2): -1.0, (0, 3): 0.5})
     other = csrkn.ConstructionSpec(family, b_order=5, cn_order=3, tau_degree=3,
-                                   free_alpha={(0, 3): 0.5},
-                                   free_lambda={4: 0.25})
+                                   free_alpha={(0, 3): 0.5})
     assert same == spec and other != spec
     assert hash(same) == hash(spec)
     assert hash(csrkn.ConstructionSpec(family)) == \
@@ -505,3 +488,47 @@ def test_spec_hash_is_consistent_with_equality():
     assert {spec, same, other} == {spec, other}
     table = {spec: "spec"}
     assert table[same] == "spec" and other not in table
+
+
+def test_spec_has_no_weight_tail_pins():
+    with pytest.raises(TypeError, match="free_lambda"):
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE,
+                               free_lambda={4: 0.25})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_pins(value):
+    # a NaN pin used to pass every gate and give a tableau of nan rows
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, symmetric=True,
+                               free_alpha={(1, 1): 0.0, (1, 2): value})
+    assert str(info.value) == f"alpha(1, 2) must be finite, got {value!r}"
+
+
+def test_discretize_rejects_nan_weight(coefficient_sets):
+    coeffs = coefficient_sets["legendre4"]
+    lam = coeffs.lam.copy()
+    lam[0] = math.nan
+    # assemble checks alpha and the parity of lam, not its values
+    bad = csrkn.assemble(coeffs.basis, lam, coeffs.alpha, spec=coeffs.spec)
+    with pytest.raises(csrkn.ConstructionError,
+                       match=r"identities violated \(residual nan\)"):
+        csrkn.discretize(bad, csrkn.gauss_rule(coeffs.basis, 2))
+
+
+@pytest.mark.parametrize("key", [(0, 1), (2, 2)])
+def test_assemble_rejects_nan_alpha(coefficient_sets, key):
+    # the residual was a max() that skipped a NaN after its first term, and
+    # a NaN residual passed the "residual > tol" gate
+    coeffs = coefficient_sets["legendre4"]
+    alpha = {**coeffs.alpha, key: math.nan}
+    with pytest.raises(csrkn.ConstructionError, match=r"residual nan"):
+        csrkn.assemble(coeffs.basis, coeffs.lam, alpha)
+
+
+def test_check_symplectic_propagates_nan(tableaux):
+    tableau = tableaux["legendre4"]
+    c = tableau.c.copy()
+    c[0] = math.nan
+    # only the position identity reads c
+    assert math.isnan(csrkn.check_symplectic(replace(tableau, c=c)))

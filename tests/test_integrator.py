@@ -325,6 +325,28 @@ def test_config_rejects_non_integers(field, value):
         csrkn.SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, np.float64(2.0)])
+def test_integrate_rejects_non_integer_step_counts(tableaux, value):
+    # n_steps = 2.5 used to fail inside range() with a bare TypeError
+    kepler = csrkn.kepler()
+    with pytest.raises(TypeError, match="^n_steps must be an integer"):
+        csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,
+                        kepler.qp0, 0.1, value)
+
+
+def test_integrate_accepts_numpy_integer_step_counts(tableaux):
+    kepler = csrkn.kepler()
+    runs = [csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,
+                            kepler.qp0, 0.1, kind(4))
+            for kind in (int, np.int64, np.int32)]
+    for run in runs:
+        assert run.q.tobytes() == runs[0].q.tobytes()
+        np.testing.assert_array_equal(run.iterations, runs[0].iterations)
+    with pytest.raises(ValueError, match="^n_steps must be >= 1$"):
+        csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,
+                        kepler.qp0, 0.1, np.int64(0))
+
+
 def test_config_accepts_numpy_integers(tableaux):
     kepler = csrkn.kepler()
     runs = [csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,

@@ -41,6 +41,26 @@ def test_continuous_hermite3_bushy_residual(coefficient_sets):
     assert report.symmetry_residual is None
 
 
+def test_continuous_report_reads_nan_as_failed(coefficient_sets):
+    # with lam[0] = nan every residual is NaN; the order used to read 6
+    coeffs = coefficient_sets["legendre4"]
+    lam = coeffs.lam.copy()
+    lam[0] = math.nan
+    report = csrkn.check_continuous(
+        csrkn.assemble(coeffs.basis, lam, coeffs.alpha, spec=coeffs.spec))
+    assert all(map(math.isnan, report.b_residuals))
+    assert (report.b_order, report.predicted_order) == (0, 0)
+
+
+def test_discrete_report_reads_nan_as_failed(tableaux):
+    tableau = tableaux["hermite4"]
+    b_prime = tableau.b_prime.copy()
+    b_prime[1] = math.nan
+    report = csrkn.check_discrete(dataclasses.replace(tableau,
+                                                      b_prime=b_prime))
+    assert (report.b_order, report.predicted_order) == (0, 0)
+
+
 def test_discrete_hermite3_bushy_residual(tableaux):
     report = csrkn.check_discrete(tableaux["hermite3"])
     assert report.b_residuals[3] == pytest.approx(0.5, abs=1e-12)
@@ -213,6 +233,24 @@ def test_empirical_order_rejects_bad_step_or_end(h0, t_end, message):
         csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
                               csrkn.harmonic(), h0, 2, t_end=t_end)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("levels", [2.5, 2.0, "2", None, np.float64(2.0)])
+def test_empirical_order_rejects_non_integer_levels(levels):
+    # levels = 2.5 used to fail inside range() with a bare TypeError
+    with pytest.raises(TypeError, match="^levels must be an integer"):
+        csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
+                              csrkn.harmonic(), 0.1, levels)
+
+
+def test_empirical_order_accepts_numpy_integer_levels():
+    tableau, problem = csrkn.builtin_tableau("legendre4"), csrkn.harmonic()
+    expected = csrkn.empirical_order(tableau, problem, 0.1, 2)
+    for kind in (np.int64, np.int32):
+        assert csrkn.empirical_order(tableau, problem, 0.1,
+                                     kind(2)) == expected
+    with pytest.raises(ValueError, match="^levels must be >= 1$"):
+        csrkn.empirical_order(tableau, problem, 0.1, np.int64(0))
 
 
 @pytest.mark.parametrize("h0,t_end", [
