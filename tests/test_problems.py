@@ -98,6 +98,82 @@ def test_force_bitwise_equals_reference(factory, reference):
         assert q.tobytes() == before
 
 
+FORCES = [(csrkn.kepler, kepler_force_reference),
+          (csrkn.henon_heiles, henon_heiles_force_reference)]
+# stage arrays of every size up to two rows past any per-point cut-off
+MAX_ROWS = 14
+TINY = 5e-324
+# entries whose squares, sums and quotients overflow, underflow to
+# subnormals or to zero, or turn into NaN
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, TINY, -2.5e-310,
+           1e200, -3e-200, 1e-109, 1e154, -0.75]
+# points the Kepler force cannot divide by: r^2 sqrt(r^2) underflows to 0
+# for 0 < |q| below about 1e-108, and r^2 itself for |q| below about 1e-162
+UNDERFLOWING = [(1e-110, 0.0), (-3e-109, 2e-109), (0.0, -7e-120),
+                (1e-170, 0.0), (TINY, -TINY)]
+
+
+def special_points():
+    pairs = [(x, y) for x in SPECIAL for y in SPECIAL] + UNDERFLOWING
+    return np.array(pairs)
+
+
+def assert_matches_reference(f, reference, q):
+    """f(q) equals reference(q) to the bit, NaN up to its sign and payload,
+    or raises where the Kepler force has no value; f leaves q alone."""
+    before = q.tobytes()
+    with np.errstate(all="ignore"):
+        expected = reference(q)
+        if reference is kepler_force_reference and not (
+                (q * q).sum(-1)).all():
+            with pytest.raises(ValueError, match="origin"):
+                f(0.0, q)
+            assert q.tobytes() == before
+            return
+        forces = f(0.0, q)
+    assert forces.dtype == np.float64
+    assert forces.shape == expected.shape
+    # numpy and Python floats agree on every IEEE result, but not on which
+    # NaN an operation on NaNs returns
+    assert np.array_equal(np.isnan(forces), np.isnan(expected))
+    assert (np.where(np.isnan(forces), 0.0, forces).tobytes()
+            == np.where(np.isnan(expected), 0.0, expected).tobytes())
+    assert not np.shares_memory(forces, q)
+    assert q.tobytes() == before
+
+
+@pytest.mark.parametrize("factory,reference", FORCES)
+def test_force_on_special_points_equals_reference(factory, reference):
+    f = factory().f
+    for point in special_points():
+        assert_matches_reference(f, reference, point)
+        assert_matches_reference(f, reference, point[None])
+
+
+@pytest.mark.parametrize("factory,reference", FORCES)
+@pytest.mark.parametrize("rows", range(1, MAX_ROWS + 1))
+def test_force_on_stage_arrays_equals_reference(factory, reference, rows):
+    f = factory().f
+    rng = np.random.default_rng(rows)
+    points = special_points()
+    for k, point in enumerate(points[rng.permutation(len(points))[:40]]):
+        q = rng.uniform(-1.2, 1.2, size=(rows, 2))
+        assert_matches_reference(f, reference, q)
+        q[k % rows] = point
+        assert_matches_reference(f, reference, q)
+        # a strided view, as the stages of integrate are a slice of a
+        # larger array
+        wide = rng.uniform(-1.2, 1.2, size=(2 * rows, 3))
+        wide[::2, 1:] = q
+        assert_matches_reference(f, reference, wide[::2, 1:])
+
+
+@pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
+def test_force_rejects_points_off_the_plane(factory):
+    with pytest.raises((ValueError, IndexError)):
+        factory().f(0.0, np.ones((3, 1)))
+
+
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
 def test_force_broadcasts_over_batch(factory):
     problem = factory()
