@@ -88,9 +88,28 @@ def _resolve_tableau(args) -> RKNTableau:
     if given.pop("stages", None) is None:
         raise ValueError("--stages is required with --family")
     if "set_alpha" in given:
-        given["free_alpha"] = {(int(i), int(j)): float(value)
-                               for i, j, value in given.pop("set_alpha")}
+        given["free_alpha"] = _alpha_pins(given.pop("set_alpha"))
     return derive(ConstructionSpec(family=family, **given), args.stages)
+
+
+def _alpha_pins(triples) -> dict[tuple[int, int], float]:
+    """The --set-alpha I J VALUE triples as ConstructionSpec.free_alpha; a
+    token that does not convert is a usage error that names it."""
+    pins = {}
+    for i, j, value in triples:
+        key = []
+        for token in (i, j):
+            try:
+                key.append(int(token))
+            except ValueError:
+                raise ValueError(f"--set-alpha index must be an integer, "
+                                 f"got {token!r}") from None
+        try:
+            pins[tuple(key)] = float(value)
+        except ValueError:
+            raise ValueError(f"--set-alpha value must be a number, got "
+                             f"{value!r}") from None
+    return pins
 
 
 def _cmd_derive(args) -> int:

@@ -30,6 +30,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import Mapping
 
 import numpy as np
@@ -76,6 +77,16 @@ class ConstructionSpec:
     symmetric: bool = False
 
     def __post_init__(self):
+        for name in ("b_order", "cn_order", "tau_degree"):
+            value = getattr(self, name)
+            try:
+                index(value)
+            except TypeError:
+                raise TypeError(
+                    f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.symmetric, bool):
+            raise TypeError(f"symmetric must be a bool, got "
+                            f"{self.symmetric!r}")
         if self.b_order < 1 or self.cn_order < 1:
             raise ConstructionError("b_order and cn_order must be >= 1")
         if self.b_order < 2 * self.cn_order - 1:

@@ -372,6 +372,26 @@ def test_non_finite_pinned_alpha_is_usage_error(tmp_path, capsys, verb,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pin,message", [
+    (["1.5", "1", "0"], "--set-alpha index must be an integer, got '1.5'"),
+    (["1", "two", "0"], "--set-alpha index must be an integer, got 'two'"),
+    (["1", "1", "zero"], "--set-alpha value must be a number, got 'zero'"),
+    (["1", "1", "1,5"], "--set-alpha value must be a number, got '1,5'")])
+@pytest.mark.parametrize("verb", ["derive", "check"])
+def test_malformed_pinned_alpha_is_usage_error(tmp_path, capsys, verb, pin,
+                                               message):
+    # used to print Python's conversion message, which names no flag
+    out = tmp_path / "out.txt"
+    assert main([verb, "--family", "shifted-legendre", "--stages", "2",
+                 "--symmetric", "--set-alpha", "1", "2", "0",
+                 "--set-alpha", *pin, "--set-alpha", "2", "2", "0",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _spec_default_cases(count=30, seed=18):
     """Seeded custom constructions, each with a random subset of the
     construction flags given: (family, stages, argv flags, spec fields)."""

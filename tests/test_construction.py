@@ -341,6 +341,37 @@ def test_spec_validation():
                                symmetric=True)
 
 
+# a non-integer order used to derive silently (tau_degree) or fail with a
+# bare slice TypeError in build_b (b_order); a truthy non-bool symmetric
+# built the symmetric method
+@pytest.mark.parametrize("field", ["b_order", "cn_order", "tau_degree"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+def test_spec_rejects_non_integer_orders(field, value):
+    with pytest.raises(TypeError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE,
+                               **{field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None, np.True_])
+def test_spec_rejects_non_bool_symmetric(value):
+    with pytest.raises(TypeError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE,
+                               symmetric=value)
+    assert str(info.value) == f"symmetric must be a bool, got {value!r}"
+
+
+def test_spec_accepts_numpy_integer_orders():
+    family = csrkn.Family.SHIFTED_LEGENDRE
+    spec = csrkn.ConstructionSpec(family, b_order=np.int64(3),
+                                  cn_order=np.int32(2),
+                                  tau_degree=np.uint8(2), symmetric=True)
+    assert spec == csrkn.ConstructionSpec(family, symmetric=True)
+    assert csrkn.serialize_tableau(csrkn.derive(spec, 2)) == \
+        csrkn.serialize_tableau(csrkn.derive(
+            csrkn.ConstructionSpec(family, symmetric=True), 2))
+
+
 def test_tableau_position_weights_follow_nodes(tableaux):
     for tableau in tableaux.values():
         np.testing.assert_allclose(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csrkn
+from csrkn import problems
 
 PI = math.pi
 
@@ -100,8 +101,9 @@ def test_force_bitwise_equals_reference(factory, reference):
 
 FORCES = [(csrkn.kepler, kepler_force_reference),
           (csrkn.henon_heiles, henon_heiles_force_reference)]
-# stage arrays of every size up to two rows past any per-point cut-off
-MAX_ROWS = 14
+# stage arrays of every size through two rows past the per-point path's
+# limit
+MAX_ROWS = problems._POINTWISE_ROWS + 2
 TINY = 5e-324
 # entries whose squares, sums and quotients overflow, underflow to
 # subnormals or to zero, or turn into NaN
@@ -169,9 +171,38 @@ def test_force_on_stage_arrays_equals_reference(factory, reference, rows):
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
-def test_force_rejects_points_off_the_plane(factory):
-    with pytest.raises((ValueError, IndexError)):
-        factory().f(0.0, np.ones((3, 1)))
+@pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2, 0), (0,), (),
+                                   (2, 2, 1)])
+def test_force_rejects_points_off_the_plane(factory, shape):
+    # a Henon-Heiles force on (n, 3) used to read the third coordinate as a
+    # harmonic one, and on (n, 1) raised IndexError
+    with pytest.raises(ValueError) as info:
+        factory().f(0.0, np.ones(shape))
+    assert str(info.value) == ("expected points of the plane (last axis of "
+                               f"length 2), got shape {shape}")
+
+
+# integrate's stage arrays take the per-point path; with it switched off
+# the array path must give the same runs to the bit
+@pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
+def test_force_paths_give_identical_runs(monkeypatch, tableaux, name):
+    problem = csrkn.problem_from_name(name)
+    # the CLI's largest custom method: 12 stages
+    spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
+                                  cn_order=3, tau_degree=4, symmetric=True)
+    methods = [*tableaux.values(), csrkn.derive(spec, 12)]
+    assert max(m.s for m in methods) <= problems._POINTWISE_ROWS
+
+    def runs():
+        return [csrkn.integrate(method, problem, 0.0, problem.q0,
+                                problem.qp0, 0.1, 100) for method in methods]
+
+    pointwise = runs()
+    monkeypatch.setattr(problems, "_POINTWISE_ROWS", 0)
+    for expected, trajectory in zip(pointwise, runs()):
+        assert trajectory.q.tobytes() == expected.q.tobytes()
+        assert trajectory.qp.tobytes() == expected.qp.tobytes()
+        assert np.array_equal(trajectory.iterations, expected.iterations)
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
