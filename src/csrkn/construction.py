@@ -506,7 +506,15 @@ def _coefficients(spec: ConstructionSpec,
 
 def derive(spec: ConstructionSpec, stages: int) -> RKNTableau:
     """The stages-point tableau of a construction: its continuous
-    coefficients sampled at the family's Gauss rule."""
+    coefficients sampled at the family's Gauss rule; stages is an integer
+    in 1..MAX_DEGREE."""
+    try:
+        stages = index(stages)
+    except TypeError:
+        raise TypeError(f"stages must be an integer, got {stages!r}") from None
+    if not 1 <= stages <= MAX_DEGREE:
+        raise ConstructionError(f"stages must be in 1..{MAX_DEGREE}, got "
+                                f"{stages}")
     coeffs = _coefficients(spec, stages)
     return discretize(coeffs, gauss_rule(coeffs.basis, stages))
 

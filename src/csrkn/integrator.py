@@ -24,7 +24,7 @@ from operator import index, sub
 import numpy as np
 
 from .construction import RKNTableau, _max_magnitude
-from .problems import SecondOrderProblem, invariant_drift
+from .problems import SecondOrderProblem, _PlanarForce, invariant_drift
 
 # mixed absolute/relative stage-increment tolerance of the fixed point
 _FP_TOL = 1e-14
@@ -162,10 +162,13 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     deterministic for fixed inputs.
 
     iterations[k] counts the fixed-point sweeps of step k, one ``problem.f``
-    call each.  The first step starts its stage iteration from the explicit
-    guess q + c h q'.  Steps 1 to m (m = 8) start from the previous step's
-    stage forces F_n extrapolated to the new stage times, E F_n (Hairer,
-    Lubich & Wanner, Geometric Numerical Integration, 2006, sec. VIII.6.1).
+    call each; for the built-in planar forces on a state of two components
+    each sweep calls their per-point kernel ``f.on_points`` on the stage
+    list instead, which gives f's values to the bit.  The first step starts
+    its stage iteration from the explicit guess q + c h q'.  Steps 1 to m
+    (m = 8) start from the previous step's stage forces F_n extrapolated to
+    the new stage times, E F_n (Hairer, Lubich & Wanner, Geometric
+    Numerical Integration, 2006, sec. VIII.6.1).
     Every later step adds to E F_n the extrapolation of the last m
     prediction errors F_j - E F_{j-1}, which vary smoothly from step to
     step (as in the starting algorithms of Calvo, Laburta & Montijano,
@@ -197,6 +200,10 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     if q.ndim != 1 or qp.shape != q.shape:
         raise ValueError(f"q0 and qp0 must be vectors of one length, got "
                          f"shapes {q.shape} and {qp.shape}")
+    # the kernel reads the stage list the increment already holds and no
+    # stage time; any other force, or shape, goes through f
+    on_points = (f.on_points if isinstance(f, _PlanarForce) and q.size == 2
+                 else None)
     times, qs, qps = [t0], [q], [qp]
     iterations = []
     predictor = None
@@ -212,7 +219,8 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             # built for the second step, so a single step never pays for it
             predictor, correctors = _start_weights(tableau.c, h2_a_bar,
                                                    _HISTORY)
-        t_stage = t + ch
+        if on_points is None:
+            t_stage = t + ch
         rows = q + ch_column * qp
         base = rows[:s]
         if predictor is None:
@@ -230,7 +238,10 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         polish = 0
         for sweep in range(1, max_iters + 1):
             try:
-                forces = np.asarray(f(t_stage, stages), dtype=float)
+                if on_points is None:
+                    forces = np.asarray(f(t_stage, stages), dtype=float)
+                else:
+                    forces = np.array(on_points(previous)).reshape(s, 2)
             except (ValueError, ArithmeticError) as err:
                 raise _failure(step, t, f"force evaluation failed: {err}",
                                sweep, delta) from err

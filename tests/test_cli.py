@@ -217,6 +217,24 @@ def test_invalid_custom_spec_is_usage_error(capsys):
     capsys.readouterr()
 
 
+# 13 and 17 stages used to fail on the basis memo's degree cap, 0 and -2
+# on the Gauss rule's "s must be in 1..8"
+@pytest.mark.parametrize("stages", ["13", "17", "0", "-2"])
+@pytest.mark.parametrize("verb", ["derive", "check", "run"])
+def test_stage_count_outside_the_cap_is_usage_error(tmp_path, capsys, verb,
+                                                    stages):
+    out = tmp_path / "out.txt"
+    argv = [verb, "--family", "shifted-legendre", "--stages", stages,
+            "--out", str(out)]
+    if verb == "run":
+        argv += ["--problem", "kepler", "--h", "0.1", "--steps", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: stages must be in 1..12, got {stages}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--h", "nan", "step size must be finite and nonzero, got nan"),
     ("--h", "inf", "step size must be finite and nonzero, got inf"),

@@ -361,6 +361,41 @@ def test_spec_rejects_non_bool_symmetric(value):
     assert str(info.value) == f"symmetric must be a bool, got {value!r}"
 
 
+# stages used to fail late: 17 named the basis memo's degree cap, 0 and -2
+# the Gauss rule's "s must be in 1..8" although 12 stages derive, and 2.5 a
+# bare TypeError
+@pytest.mark.parametrize("stages,error,message", [
+    (17, csrkn.ConstructionError, "stages must be in 1..12, got 17"),
+    (13, csrkn.ConstructionError, "stages must be in 1..12, got 13"),
+    (0, csrkn.ConstructionError, "stages must be in 1..12, got 0"),
+    (-2, csrkn.ConstructionError, "stages must be in 1..12, got -2"),
+    (2.5, TypeError, "stages must be an integer, got 2.5"),
+    (3.0, TypeError, "stages must be an integer, got 3.0"),
+    ("3", TypeError, "stages must be an integer, got '3'"),
+    (None, TypeError, "stages must be an integer, got None")])
+def test_derive_checks_stages_before_any_work(monkeypatch, stages, error,
+                                              message):
+    def no_work(*args):
+        raise AssertionError("derive built a basis")
+
+    monkeypatch.setattr(csrkn.construction, "make_basis", no_work)
+    with pytest.raises(error) as info:
+        csrkn.derive(csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE),
+                     stages)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_derive_accepts_stage_counts_up_to_the_cap():
+    spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
+                                  cn_order=3, tau_degree=4, symmetric=True)
+    assert csrkn.derive(spec, csrkn.basis.MAX_DEGREE).s == 12
+    three = csrkn.derive(spec, 3)
+    numpy_three = csrkn.derive(spec, np.int64(3))
+    assert (csrkn.serialize_tableau(numpy_three)
+            == csrkn.serialize_tableau(three))
+
+
 def test_spec_accepts_numpy_integer_orders():
     family = csrkn.Family.SHIFTED_LEGENDRE
     spec = csrkn.ConstructionSpec(family, b_order=np.int64(3),

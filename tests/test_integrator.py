@@ -1,5 +1,6 @@
 """Stage iteration, stepping, determinism, and failure modes."""
 
+import dataclasses
 import hashlib
 import io
 import logging
@@ -10,6 +11,7 @@ import pytest
 
 import csrkn
 import csrkn.integrator
+from csrkn import problems
 from csrkn.integrator import (_HISTORY, _corrected_extrapolation,
                               _extrapolation, _max_magnitude, _start_weights)
 
@@ -171,6 +173,21 @@ def test_underflowing_kepler_radius_raises():
     assert str(err) == ("step 0 (t = 0) failed: force evaluation returned "
                         "a non-finite value")
     assert (err.iterations, err.last_delta) == (1, None)
+
+
+def test_kepler_state_off_the_plane_raises_typed_error(tableaux):
+    # a 3-component state is not planar: integrate calls f, not the kernel,
+    # and f's ValueError becomes the typed force error of the first sweep
+    tableau = tableaux["legendre4"]
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableau, csrkn.kepler(), 0.0, [1.0, 0.0, 0.0],
+                        [0.0, 1.0, 0.0], 0.1, 3)
+    err = info.value
+    assert str(err) == (
+        "step 0 (t = 0) failed: force evaluation failed: expected points of "
+        f"the plane (last axis of length 2), got shape ({tableau.s}, 3)")
+    assert (err.step_index, err.iterations, err.last_delta) == (0, 1, None)
+    assert isinstance(err.__cause__, ValueError)
 
 
 def failing_kepler(kind, call):
@@ -818,6 +835,8 @@ def test_overflowing_predictor_raises():
 @pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_force_calls_match_iterations(tableaux, name, problem_name):
+    # a plain-function f takes the f path; the kernel path is counted by
+    # test_kernel_calls_match_iterations
     problem = csrkn.problem_from_name(problem_name)
     counts = {"calls": 0, "rows": 0}
 
@@ -832,3 +851,31 @@ def test_force_calls_match_iterations(tableaux, name, problem_name):
                                  counted.qp0, 0.1, 200)
     sweeps = int(trajectory.iterations.sum())
     assert counts == {"calls": sweeps, "rows": tableaux[name].s * sweeps}
+
+
+@pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_kernel_calls_match_iterations(tableaux, name, problem_name):
+    # the path users run: integrate calls the planar force's per-point
+    # kernel once per sweep on the s stage points, and never f
+    problem = csrkn.problem_from_name(problem_name)
+    kernel = problem.f.on_points
+    counts = {"calls": 0, "points": 0}
+
+    def on_points(xy):
+        counts["calls"] += 1
+        counts["points"] += len(xy) // 2
+        return kernel(xy)
+
+    class KernelOnly(problems._PlanarForce):
+        __slots__ = ()
+
+        def __call__(self, t, q):
+            raise AssertionError("integrate called f")
+
+    counted = dataclasses.replace(
+        problem, f=KernelOnly(on_points, problem.f.on_array))
+    trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
+                                 counted.qp0, 0.1, 200)
+    sweeps = int(trajectory.iterations.sum())
+    assert counts == {"calls": sweeps, "points": tableaux[name].s * sweeps}

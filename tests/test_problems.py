@@ -182,27 +182,36 @@ def test_force_rejects_points_off_the_plane(factory, shape):
                                f"length 2), got shape {shape}")
 
 
-# integrate's stage arrays take the per-point path; with it switched off
-# the array path must give the same runs to the bit
+# integrate calls the planar force's per-point kernel on its stage list; a
+# problem whose f is a plain function takes f's per-point path, and with
+# that switched off f's array path: all three must give the same runs to
+# the bit
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
 def test_force_paths_give_identical_runs(monkeypatch, tableaux, name):
     problem = csrkn.problem_from_name(name)
+    wrapped = csrkn.SecondOrderProblem(
+        name="wrapped", dim=problem.dim, f=lambda t, q: problem.f(t, q),
+        q0=problem.q0, qp0=problem.qp0)
     # the CLI's largest custom method: 12 stages
     spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
                                   cn_order=3, tau_degree=4, symmetric=True)
     methods = [*tableaux.values(), csrkn.derive(spec, 12)]
     assert max(m.s for m in methods) <= problems._POINTWISE_ROWS
 
-    def runs():
+    def runs(problem):
         return [csrkn.integrate(method, problem, 0.0, problem.q0,
                                 problem.qp0, 0.1, 100) for method in methods]
 
-    pointwise = runs()
+    kernel = runs(problem)
+    pointwise = runs(wrapped)
     monkeypatch.setattr(problems, "_POINTWISE_ROWS", 0)
-    for expected, trajectory in zip(pointwise, runs()):
-        assert trajectory.q.tobytes() == expected.q.tobytes()
-        assert trajectory.qp.tobytes() == expected.qp.tobytes()
-        assert np.array_equal(trajectory.iterations, expected.iterations)
+    array = runs(wrapped)
+    for expected, *others in zip(kernel, pointwise, array):
+        for trajectory in others:
+            assert trajectory.q.tobytes() == expected.q.tobytes()
+            assert trajectory.qp.tobytes() == expected.qp.tobytes()
+            assert np.array_equal(trajectory.iterations,
+                                  expected.iterations)
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
