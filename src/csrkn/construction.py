@@ -66,7 +66,8 @@ class ConstructionSpec:
     b_order / cn_order are the targeted orders of the weight and stage
     moment conditions; tau_degree caps the tau-degree of the coupling
     ansatz.  free_alpha pins expansion coefficients that the constraints
-    leave open (missing entries default to zero); each pin must be finite.
+    leave open (missing entries default to zero), keyed by integer pairs
+    (i, j); each pin must be a finite real number.
     """
 
     family: Family
@@ -77,6 +78,9 @@ class ConstructionSpec:
     symmetric: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            raise TypeError(f"family must be a Family member, got "
+                            f"{self.family!r}")
         for name in ("b_order", "cn_order", "tau_degree"):
             value = getattr(self, name)
             try:
@@ -102,7 +106,18 @@ class ConstructionSpec:
                 f"{self.family.value} weight is not reflection-symmetric; "
                 f"a symmetric method cannot be requested")
         for key, value in self.free_alpha.items():
-            if not math.isfinite(value):
+            try:
+                i, j = key
+                index(i), index(j)
+            except (TypeError, ValueError):
+                raise TypeError(f"free_alpha keys must be pairs of integers, "
+                                f"got {key!r}") from None
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise TypeError(f"alpha{key} must be a real number, got "
+                                f"{value!r}") from None
+            if not finite:
                 raise ConstructionError(
                     f"alpha{key} must be finite, got {value!r}")
 

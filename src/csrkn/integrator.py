@@ -158,13 +158,13 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:
-    """Repeated steps from (t0, q0, qp0), two vectors of one length;
-    deterministic for fixed inputs.
+    """Repeated steps from (t0, q0, qp0), two nonempty vectors of one
+    length; deterministic for fixed inputs.
 
     iterations[k] counts the fixed-point sweeps of step k, one ``problem.f``
     call each; for the built-in planar forces on a state of two components
-    each sweep calls their per-point kernel ``f.on_points`` on the stage
-    list instead, which gives f's values to the bit.  The first step starts
+    each sweep calls the one kernel f itself runs, ``f.on_points``, on the
+    stage list, which skips f's array round trip.  The first step starts
     its stage iteration from the explicit guess q + c h q'.  Steps 1 to m
     (m = 8) start from the previous step's stage forces F_n extrapolated to
     the new stage times, E F_n (Hairer, Lubich & Wanner, Geometric
@@ -197,9 +197,9 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     b_prime_dot = (h * tableau.b_prime).dot
     q = np.array(q0, dtype=float)
     qp = np.array(qp0, dtype=float)
-    if q.ndim != 1 or qp.shape != q.shape:
-        raise ValueError(f"q0 and qp0 must be vectors of one length, got "
-                         f"shapes {q.shape} and {qp.shape}")
+    if q.ndim != 1 or qp.shape != q.shape or not q.size:
+        raise ValueError(f"q0 and qp0 must be vectors of one positive "
+                         f"length, got shapes {q.shape} and {qp.shape}")
     # the kernel reads the stage list the increment already holds and no
     # stage time; any other force, or shape, goes through f
     on_points = (f.on_points if isinstance(f, _PlanarForce) and q.size == 2

@@ -5,12 +5,10 @@ Every callable broadcasts over a leading batch axis: f maps (..., d) to
 (...), or to (..., k) for a vector invariant, so one call covers a whole
 trajectory.  Problems are immutable and re-entrant.
 
-The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables.  They
-evaluate a stage-sized input (at most ``_POINTWISE_ROWS`` points) one point
-at a time on Python floats, with the per-point kernel ``on_points`` that
-``integrate`` also calls on its own stage list, and a batch with numpy
-broadcasting; both paths make the same IEEE operations in the same order,
-so they agree to the bit, and both return a fresh array.
+The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables.  Each
+holds one per-point kernel, ``on_points``, on Python floats: f runs it on
+an input of any size and ``integrate`` on its own stage list, so both give
+the same values to the bit, and f returns a fresh array.
 """
 
 from __future__ import annotations
@@ -55,17 +53,6 @@ def _cube(x: np.ndarray) -> np.ndarray:
     return np.array([v ** 3 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-# The planar forces evaluate an input of at most this many points on Python
-# floats, one point at a time, with the array path's IEEE operations in its
-# order: on a few stage rows each numpy call costs as much as its arithmetic.
-# Microseconds per call (best of 5 x 40 x 300 calls), per-point / array path:
-#   points         1    3    8    12   16   20   32
-#   Kepler        1.5  1.9  3.1  4.0  5.3  6.3  8.9
-#                 4.8  5.8  5.7  6.0  6.1  6.2  6.1
-#   Henon-Heiles  1.5  2.0  2.9  3.7  4.7  5.7  8.8
-#                 4.8  4.7  4.7  4.8  5.0  5.1  5.1
-# The built-in methods have at most 3 stages, the CLI's custom ones 12.
-_POINTWISE_ROWS = 16
 _ORIGIN = "acceleration is undefined at the origin"
 
 
@@ -73,25 +60,20 @@ class _PlanarForce:
     """f(t, q) of a force on points of the plane that does not read t.
 
     ``on_points`` maps the flat coordinate list [x0, y0, x1, y1, ...] to the
-    flat force list on Python floats; f takes it for an input of at most
-    ``_POINTWISE_ROWS`` points and ``on_array`` for a larger batch.  A plain
-    class: a dataclass would add about 0.6 ms to every import.
+    flat force list on Python floats.  A plain class: a dataclass would add
+    about 0.6 ms to every import.
     """
 
-    __slots__ = ("on_points", "on_array")
+    __slots__ = ("on_points",)
 
-    def __init__(self, on_points: Callable[[list], list],
-                 on_array: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, on_points: Callable[[list], list]):
         self.on_points = on_points
-        self.on_array = on_array
 
     def __call__(self, t, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.shape[-1:] != (2,):
             raise ValueError(f"expected points of the plane (last axis of "
                              f"length 2), got shape {q.shape}")
-        if q.size > 2 * _POINTWISE_ROWS:
-            return self.on_array(q)
         return np.array(self.on_points(q.ravel().tolist())).reshape(q.shape)
 
 
@@ -113,14 +95,6 @@ def _kepler_points(xy: list) -> list:
             forces.append(x / den)
             forces.append(y / den)
     return forces
-
-
-def _kepler_array(q: np.ndarray) -> np.ndarray:
-    x, y = q[..., :1], q[..., 1:]
-    r2 = x * x + y * y
-    if not r2.all():
-        raise ValueError(_ORIGIN)
-    return q / (-r2 * np.sqrt(r2))
 
 
 def kepler() -> SecondOrderProblem:
@@ -148,7 +122,7 @@ def kepler() -> SecondOrderProblem:
                 np.array([-np.sin(t), np.cos(t)]))
 
     return SecondOrderProblem(
-        name="kepler", dim=2, f=_PlanarForce(_kepler_points, _kepler_array),
+        name="kepler", dim=2, f=_PlanarForce(_kepler_points),
         q0=np.array([1.0, 0.0]), qp0=np.array([0.0, 1.0]),
         hamiltonian=hamiltonian,
         invariants={"angmom": angular_momentum, "rlp": runge_lenz},
@@ -164,14 +138,6 @@ def _henon_heiles_points(xy: list) -> list:
     return forces
 
 
-def _henon_heiles_array(q: np.ndarray) -> np.ndarray:
-    x, y = q[..., 0], q[..., 1]
-    forces = np.empty_like(q)
-    forces[..., 0] = -x - 2.0 * x * y
-    forces[..., 1] = -y - x * x + y * y
-    return forces
-
-
 def henon_heiles() -> SecondOrderProblem:
     """Cubic stellar-motion potential; chaotic at the standard start state."""
 
@@ -182,7 +148,7 @@ def henon_heiles() -> SecondOrderProblem:
 
     return SecondOrderProblem(
         name="henon-heiles", dim=2,
-        f=_PlanarForce(_henon_heiles_points, _henon_heiles_array),
+        f=_PlanarForce(_henon_heiles_points),
         q0=np.array([0.1, -0.5]), qp0=np.array([0.0, 0.0]),
         hamiltonian=hamiltonian)
 

@@ -11,6 +11,7 @@ orthonormal P_k evaluated by the same three-term recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -37,6 +38,10 @@ class QuadratureRule:
 
 def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     """s-point Gauss rule for the basis family (exact to degree 2s - 1)."""
+    try:
+        s = index(s)
+    except TypeError:
+        raise TypeError(f"s must be an integer, got {s!r}") from None
     if not 1 <= s <= basis.max_degree:
         raise ValueError(f"s must be in 1..{basis.max_degree}, got {s}")
     diag, off = recurrence_coefficients(basis.family, s)

@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,6 +360,53 @@ def test_spec_rejects_non_bool_symmetric(value):
         csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE,
                                symmetric=value)
     assert str(info.value) == f"symmetric must be a bool, got {value!r}"
+
+
+# a family name used to raise a bare AttributeError on symmetric_weight
+@pytest.mark.parametrize("family", ["shifted-legendre", None, 1])
+def test_spec_rejects_non_family(family):
+    with pytest.raises(TypeError) as info:
+        csrkn.ConstructionSpec(family, symmetric=True)
+    assert str(info.value) == f"family must be a Family member, got {family!r}"
+
+
+# solve_alpha reads a key as (min(key), max(key)): (1,) used to pin
+# alpha(1, 1) and (0, 1, 2) alpha(0, 2)
+@pytest.mark.parametrize("key", [(1,), (0, 1, 2), (1.0, 1), (1, "2"), "ab",
+                                 3, None])
+def test_spec_rejects_free_alpha_keys_other_than_integer_pairs(key):
+    with pytest.raises(TypeError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=5,
+                               cn_order=2, tau_degree=3,
+                               free_alpha={key: 0.0})
+    assert str(info.value) == ("free_alpha keys must be pairs of integers, "
+                               f"got {key!r}")
+
+
+# a string used to fail in math.isfinite with a message naming no field
+@pytest.mark.parametrize("value", ["x", None, 1j, [0.5]])
+def test_spec_rejects_non_real_free_alpha_values(value):
+    with pytest.raises(TypeError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=5,
+                               cn_order=2, tau_degree=3,
+                               free_alpha={(1, 1): value})
+    assert str(info.value) == ("alpha(1, 1) must be a real number, got "
+                               f"{value!r}")
+
+
+def test_spec_accepts_numpy_integer_keys_and_real_values():
+    def derived(key, value):
+        spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE,
+                                      b_order=5, cn_order=2, tau_degree=3,
+                                      free_alpha={key: value})
+        return csrkn.derive(spec, 3)
+
+    expected = derived((1, 1), 0.25)
+    for key, value in [((np.int64(1), np.int64(1)), 0.25),
+                       ((1, 1), np.float64(0.25)), ((1, 1), Fraction(1, 4))]:
+        again = derived(key, value)
+        assert again.a_bar.tobytes() == expected.a_bar.tobytes()
+        assert again.b_bar.tobytes() == expected.b_bar.tobytes()
 
 
 # stages used to fail late: 17 named the basis memo's degree cap, 0 and -2

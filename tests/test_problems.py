@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import csrkn
-from csrkn import problems
 
 PI = math.pi
 
@@ -87,7 +86,8 @@ def test_force_bitwise_equals_reference(factory, reference):
     batch[0, 0] = [-0.0, 0.75]
     batch[4, 2] = [1e-150, -3e100]
     nested = rng.uniform(-1.2, 1.2, size=(2, 5, 3, 2))
-    for q in (batch, batch[1, 2], problem.q0, nested):
+    large = rng.uniform(-1.2, 1.2, size=(1000, 2))
+    for q in (batch, batch[1, 2], problem.q0, nested, large):
         before = q.tobytes()
         forces = problem.f(0.0, q)
         expected = reference(q)
@@ -101,9 +101,8 @@ def test_force_bitwise_equals_reference(factory, reference):
 
 FORCES = [(csrkn.kepler, kepler_force_reference),
           (csrkn.henon_heiles, henon_heiles_force_reference)]
-# stage arrays of every size through two rows past the per-point path's
-# limit
-MAX_ROWS = problems._POINTWISE_ROWS + 2
+# stage arrays of every size through six rows past the largest stage count
+MAX_ROWS = 18
 TINY = 5e-324
 # entries whose squares, sums and quotients overflow, underflow to
 # subnormals or to zero, or turn into NaN
@@ -124,15 +123,17 @@ def assert_matches_reference(f, reference, q):
     """f(q) equals reference(q) to the bit, NaN up to its sign and payload,
     or raises where the Kepler force has no value; f leaves q alone."""
     before = q.tobytes()
+    # only the reference runs under errstate: f must not warn
     with np.errstate(all="ignore"):
         expected = reference(q)
-        if reference is kepler_force_reference and not (
-                (q * q).sum(-1)).all():
-            with pytest.raises(ValueError, match="origin"):
-                f(0.0, q)
-            assert q.tobytes() == before
-            return
-        forces = f(0.0, q)
+        at_origin = (reference is kepler_force_reference
+                     and not ((q * q).sum(-1)).all())
+    if at_origin:
+        with pytest.raises(ValueError, match="origin"):
+            f(0.0, q)
+        assert q.tobytes() == before
+        return
+    forces = f(0.0, q)
     assert forces.dtype == np.float64
     assert forces.shape == expected.shape
     # numpy and Python floats agree on every IEEE result, but not on which
@@ -182,12 +183,11 @@ def test_force_rejects_points_off_the_plane(factory, shape):
                                f"length 2), got shape {shape}")
 
 
-# integrate calls the planar force's per-point kernel on its stage list; a
-# problem whose f is a plain function takes f's per-point path, and with
-# that switched off f's array path: all three must give the same runs to
-# the bit
+# integrate calls the planar force's per-point kernel on its stage list,
+# and a problem whose f is a plain function goes through f: both must give
+# the same runs to the bit
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
-def test_force_paths_give_identical_runs(monkeypatch, tableaux, name):
+def test_force_paths_give_identical_runs(tableaux, name):
     problem = csrkn.problem_from_name(name)
     wrapped = csrkn.SecondOrderProblem(
         name="wrapped", dim=problem.dim, f=lambda t, q: problem.f(t, q),
@@ -196,22 +196,15 @@ def test_force_paths_give_identical_runs(monkeypatch, tableaux, name):
     spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
                                   cn_order=3, tau_degree=4, symmetric=True)
     methods = [*tableaux.values(), csrkn.derive(spec, 12)]
-    assert max(m.s for m in methods) <= problems._POINTWISE_ROWS
 
     def runs(problem):
         return [csrkn.integrate(method, problem, 0.0, problem.q0,
                                 problem.qp0, 0.1, 100) for method in methods]
 
-    kernel = runs(problem)
-    pointwise = runs(wrapped)
-    monkeypatch.setattr(problems, "_POINTWISE_ROWS", 0)
-    array = runs(wrapped)
-    for expected, *others in zip(kernel, pointwise, array):
-        for trajectory in others:
-            assert trajectory.q.tobytes() == expected.q.tobytes()
-            assert trajectory.qp.tobytes() == expected.qp.tobytes()
-            assert np.array_equal(trajectory.iterations,
-                                  expected.iterations)
+    for expected, trajectory in zip(runs(problem), runs(wrapped)):
+        assert trajectory.q.tobytes() == expected.q.tobytes()
+        assert trajectory.qp.tobytes() == expected.qp.tobytes()
+        assert np.array_equal(trajectory.iterations, expected.iterations)
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])

@@ -185,6 +185,14 @@ def test_stage_count_bounds(bases):
         csrkn.gauss_rule(basis, basis.max_degree + 1)
 
 
+# a non-integer s used to fail inside recurrence_coefficients
+@pytest.mark.parametrize("s", [2.5, 3.0, "3", None])
+def test_stage_count_must_be_an_integer(bases, s):
+    with pytest.raises(TypeError) as info:
+        csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], s)
+    assert str(info.value) == f"s must be an integer, got {s!r}"
+
+
 def test_exactness_family_mismatch(bases):
     rule = csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 2)
     with pytest.raises(ValueError):
