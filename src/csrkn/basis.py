@@ -109,8 +109,8 @@ def _times(scale: float, num: int, den: int) -> float:
 
 def _shared_table(build):
     """Memoize build(family, degree), checking the key first so only valid
-    keys, one per member and degree, are ever stored.  Callers share each
-    result, so its arrays must be read-only; ``__wrapped__`` is build."""
+    keys are ever stored.  Callers share each result, so its arrays must be
+    read-only; ``__wrapped__`` is build, ``cache_clear`` empties the memo."""
     cached = functools.cache(build)
 
     @functools.wraps(build)
@@ -123,6 +123,7 @@ def _shared_table(build):
                              f"bounds the memo), got {degree}")
         return cached(family, degree)
 
+    table.cache_clear = cached.cache_clear
     return table
 
 

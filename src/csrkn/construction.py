@@ -105,6 +105,9 @@ class ConstructionSpec:
             raise ConstructionError(
                 f"{self.family.value} weight is not reflection-symmetric; "
                 f"a symmetric method cannot be requested")
+        if not isinstance(self.free_alpha, Mapping):
+            raise TypeError(f"free_alpha must be a mapping, got "
+                            f"{self.free_alpha!r}")
         for key, value in self.free_alpha.items():
             try:
                 i, j = key
@@ -473,7 +476,7 @@ def discretize(coeffs: ContinuousCoefficients,
         raise ConstructionError(
             f"rule family {rule.family.value} does not match "
             f"coefficients family {coeffs.family.value}")
-    c, w = rule.nodes, rule.weights
+    c, w = rule.nodes.copy(), rule.weights
     deg_b, top = coeffs._sample_degrees
     p = coeffs.basis.values(c, max(top, deg_b))
     b_values = coeffs.lam[: deg_b + 1] @ p[: deg_b + 1]

@@ -6,6 +6,9 @@ tridiagonal Jacobi matrix of the family recurrence, solved by
 silently degraded rule, so every rule is cross-checked on construction
 against the Christoffel identity 1/w_i = sum_{k<s} P_k(x_i)^2, with the
 orthonormal P_k evaluated by the same three-term recurrence.
+
+A rule depends only on (family, s): it is built once per process and
+shared, with read-only arrays; a failed build raises and is not kept.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from operator import index
 
 import numpy as np
 
-from .basis import Family, OrthonormalBasis, recurrence_coefficients
+from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _shared_table,
+                    make_basis, recurrence_coefficients)
 
 _CHRISTOFFEL_RTOL = 1e-11
 _EXACT_TOL = 1e-10
@@ -37,14 +41,20 @@ class QuadratureRule:
 
 
 def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
-    """s-point Gauss rule for the basis family (exact to degree 2s - 1)."""
+    """Shared s-point Gauss rule of the basis family (exact to 2s - 1)."""
     try:
         s = index(s)
     except TypeError:
         raise TypeError(f"s must be an integer, got {s!r}") from None
     if not 1 <= s <= basis.max_degree:
         raise ValueError(f"s must be in 1..{basis.max_degree}, got {s}")
-    diag, off = recurrence_coefficients(basis.family, s)
+    return _shared_rule(basis.family, s)
+
+
+@_shared_table
+def _shared_rule(family: Family, s: int) -> QuadratureRule:
+    """The rule from the family's tables alone, whatever the basis degree."""
+    diag, off = recurrence_coefficients(family, s)
     # eigh reads only the lower triangle (UPLO='L')
     jacobi = np.diag(diag)
     np.fill_diagonal(jacobi[1:], off[: s - 1])
@@ -53,14 +63,15 @@ def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     except np.linalg.LinAlgError as err:
         raise EigenConvergenceError(
             f"Golub-Welsch eigenproblem did not converge: {err}") from err
-    weights = float(basis.moments[0]) * vectors[0, :] ** 2
-    total = (basis.values(nodes, s - 1) ** 2).sum(axis=0)
-    drift = np.abs(weights * total - 1.0).max()
+    weights = family.m0 * vectors[0, :] ** 2
+    values = make_basis(family, MAX_DEGREE).values(nodes, s - 1)
+    drift = np.abs(weights * (values ** 2).sum(axis=0) - 1.0).max()
     if drift > _CHRISTOFFEL_RTOL:
         raise EigenConvergenceError(
             f"Golub-Welsch weights disagree with the Christoffel identity "
             f"(relative drift {drift:.3e})")
-    return QuadratureRule(family=basis.family, s=s, nodes=nodes, weights=weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(family=family, s=s, nodes=nodes, weights=weights)
 
 
 def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis) -> int:

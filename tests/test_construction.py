@@ -383,6 +383,16 @@ def test_spec_rejects_free_alpha_keys_other_than_integer_pairs(key):
                                f"got {key!r}")
 
 
+# a list of pairs used to raise a bare AttributeError on .items()
+@pytest.mark.parametrize("pins", [[((1, 1), 0.0)], (((1, 1), 0.0),), None,
+                                  "ab"])
+def test_spec_rejects_free_alpha_that_is_not_a_mapping(pins):
+    with pytest.raises(TypeError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=5,
+                               cn_order=2, tau_degree=3, free_alpha=pins)
+    assert str(info.value) == f"free_alpha must be a mapping, got {pins!r}"
+
+
 # a string used to fail in math.isfinite with a message naming no field
 @pytest.mark.parametrize("value", ["x", None, 1j, [0.5]])
 def test_spec_rejects_non_real_free_alpha_values(value):
@@ -407,6 +417,18 @@ def test_spec_accepts_numpy_integer_keys_and_real_values():
         again = derived(key, value)
         assert again.a_bar.tobytes() == expected.a_bar.tobytes()
         assert again.b_bar.tobytes() == expected.b_bar.tobytes()
+
+
+def test_derived_tableau_owns_its_nodes():
+    # the Gauss rule is shared and read-only; a tableau's c is its own copy
+    spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=5,
+                                  cn_order=2, tau_degree=3)
+    names = ("c", "a_bar", "b_bar", "b_prime")
+    tableau = csrkn.derive(spec, 3)
+    expected = [getattr(tableau, name).tobytes() for name in names]
+    tableau.c[0] += 1e-3
+    again = csrkn.derive(spec, 3)
+    assert [getattr(again, name).tobytes() for name in names] == expected
 
 
 # stages used to fail late: 17 named the basis memo's degree cap, 0 and -2

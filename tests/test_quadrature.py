@@ -10,6 +10,7 @@ from numpy.polynomial import hermite as np_hermite
 import csrkn
 from csrkn.basis import MAX_DEGREE, recurrence_coefficients
 from csrkn.quadrature import EigenConvergenceError, QuadratureRule
+from csrkn.quadrature import _shared_rule as shared_rule
 
 ALL_FAMILIES = list(csrkn.Family)
 PI = math.pi
@@ -45,38 +46,92 @@ def test_eigensolver_against_dense_oracle(wide_bases, size):
         assert np.max(np.abs(residual)) < 1e-12
 
 
-def test_eigensolver_failure_is_typed(bases, monkeypatch):
+@pytest.fixture
+def cold_memo():
+    # each rule is built once per process; these tests need its first build
+    shared_rule.cache_clear()
+    yield
+    shared_rule.cache_clear()
+
+
+def assert_valid_rule(rule, basis, s):
+    assert rule.s == s and rule.family is basis.family
+    assert csrkn.exactness_degree(rule, basis) == 2 * s - 1
+
+
+def test_eigensolver_failure_is_typed(bases, cold_memo, monkeypatch):
     def no_convergence(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    with pytest.raises(EigenConvergenceError, match="did not converge"):
-        csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 3)
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            csrkn.gauss_rule(basis, 3)
+    # the failure was not stored: the next call solves again and succeeds
+    assert_valid_rule(csrkn.gauss_rule(basis, 3), basis, 3)
 
 
-def test_gauss_rule_is_not_cached(bases, monkeypatch):
-    # the basis is shared, but every rule still runs its own eigh solve
-    basis = bases[csrkn.Family.SHIFTED_CHEBYSHEV1]
-    csrkn.gauss_rule(basis, 3)
-
-    def no_convergence(matrix):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    with pytest.raises(EigenConvergenceError, match="did not converge"):
-        csrkn.gauss_rule(basis, 3)
+def test_gauss_rule_is_shared_across_basis_degrees(cold_memo):
+    # the rule depends only on (family, s), not on the basis it comes from
+    for family in ALL_FAMILIES:
+        for s in range(1, MAX_DEGREE + 1):
+            rule = csrkn.gauss_rule(csrkn.make_basis(family, s), s)
+            for degree in range(s + 1, MAX_DEGREE + 1):
+                basis = csrkn.make_basis(family, degree)
+                assert csrkn.gauss_rule(basis, s) is rule
 
 
-def test_christoffel_check_rejects_drifted_weights(bases, monkeypatch):
+def test_christoffel_check_rejects_drifted_weights(bases, cold_memo,
+                                                   monkeypatch):
     eigh = np.linalg.eigh
 
     def drifted(matrix):
         values, vectors = eigh(matrix)
         return values, vectors * (1.0 + 1e-9)
 
-    monkeypatch.setattr(np.linalg, "eigh", drifted)
-    with pytest.raises(EigenConvergenceError, match="Christoffel"):
-        csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 3)
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", drifted)
+        with pytest.raises(EigenConvergenceError, match="Christoffel"):
+            csrkn.gauss_rule(basis, 3)
+    assert_valid_rule(csrkn.gauss_rule(basis, 3), basis, 3)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cached_rules_equal_fresh_builds(family):
+    for s in range(1, MAX_DEGREE + 1):
+        cached = csrkn.gauss_rule(csrkn.make_basis(family, MAX_DEGREE), s)
+        fresh = shared_rule.__wrapped__(family, s)
+        assert fresh is not cached
+        assert (fresh.family, fresh.s) == (cached.family, cached.s)
+        assert fresh.nodes.tobytes() == cached.nodes.tobytes()
+        assert fresh.weights.tobytes() == cached.weights.tobytes()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_cached_rules_equal_per_basis_solves(family):
+    # the rule as computed from each basis before rules were shared: the
+    # Jacobi matrix's eigh, weights scaled by that basis's m_0
+    for s in range(1, MAX_DEGREE + 1):
+        diag, off = recurrence_coefficients(family, s)
+        nodes, vectors = np.linalg.eigh(
+            np.diag(diag) + np.diag(off[: s - 1], -1))
+        for degree in range(s, MAX_DEGREE + 1):
+            basis = csrkn.make_basis(family, degree)
+            rule = csrkn.gauss_rule(basis, s)
+            weights = float(basis.moments[0]) * vectors[0, :] ** 2
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_shared_rules_are_read_only(family):
+    for s in range(1, MAX_DEGREE + 1):
+        rule = csrkn.gauss_rule(csrkn.make_basis(family, MAX_DEGREE), s)
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def test_known_rules(bases):
@@ -202,7 +257,8 @@ def test_exactness_family_mismatch(bases):
 def test_rule_equality_and_hash_do_not_raise(bases):
     basis = bases[csrkn.Family.SHIFTED_CHEBYSHEV1]
     rule = csrkn.gauss_rule(basis, 3)
-    again = csrkn.gauss_rule(basis, 3)
-    assert (again == rule) is False
+    fresh = shared_rule.__wrapped__(basis.family, 3)
+    assert (fresh == rule) is False
     assert rule == rule
-    assert isinstance(hash(rule), int) and isinstance(hash(again), int)
+    assert hash(rule) == hash(csrkn.gauss_rule(basis, 3))
+    assert isinstance(hash(fresh), int)
