@@ -7,9 +7,8 @@ int_0^1 P_j up to b_order, which enforces the weight moment conditions.
 Second, alpha is constrained so the method is symplectic (and optionally
 time-reversible), and the remaining coefficients are solved from the stage
 moment conditions, compared coefficient by coefficient in the family.
-Third, ``discretize`` evaluates P_0 .. P_n once at the nodes of a Gauss
-rule of the same family, builds B and the kernel from that sample, and
-checks both discrete symplecticity identities with ``check_symplectic``.
+Third, ``discretize`` builds B and the kernel from the ``values`` sample of
+a same-family Gauss rule and checks both symplecticity identities on it.
 
 The expansion convention for the coupling kernel is
 
@@ -173,10 +172,9 @@ def interval_integrals(family: Family,
     targets = np.zeros((max((degree + 1) // 2 - 1, 0), degree + 1))
     for k in range(len(targets)):
         own = gauss_rule(basis, k + 3)
-        x = own.nodes
+        x, p = own.nodes, own.values[: k + 3]
         inner = basis.values(np.multiply.outer(x, t), k)[k] @ (w * (1.0 - t))
-        targets[k, : k + 3] = ((inner * x * x * own.weights)
-                               @ basis.values(x, k + 2).T)
+        targets[k, : k + 3] = (inner * x * x * own.weights) @ p.T
     if family.centre == 0:
         # P_j(-x) = (-1)^j P_j(x) and D_k(-tau) = (-1)^k D_k(tau)
         odd = np.add.outer(np.arange(len(targets)), np.arange(degree + 1))
@@ -470,18 +468,17 @@ def check_symplectic(tableau: RKNTableau) -> float:
 def discretize(coeffs: ContinuousCoefficients,
                rule: QuadratureRule) -> RKNTableau:
     """Sample the continuous coefficients at a Gauss rule of the same family:
-    P_0 .. P_n are evaluated at the nodes once, and B and the kernel are
-    built from that one sample."""
+    B and the kernel are built from the rule's own sample of P_0 .. P_n at
+    its nodes, so no recurrence runs here."""
     if rule.family is not coeffs.family:
         raise ConstructionError(
             f"rule family {rule.family.value} does not match "
             f"coefficients family {coeffs.family.value}")
     c, w = rule.nodes.copy(), rule.weights
     deg_b, top = coeffs._sample_degrees
-    p = coeffs.basis.values(c, max(top, deg_b))
-    b_values = coeffs.lam[: deg_b + 1] @ p[: deg_b + 1]
+    b_values = coeffs.lam[: deg_b + 1] @ rule.values[: deg_b + 1]
     kernel = kernel_matrix(coeffs.basis, coeffs.alpha, top + 1)
-    p = p[: top + 1]
+    p = rule.values[: top + 1]
     grid = np.sum(p[:, :, None] * (kernel @ p)[:, None, :], axis=0)
     tableau = RKNTableau(c=c, a_bar=w * (grid * b_values),
                          b_bar=w * (b_values * (1.0 - c)),

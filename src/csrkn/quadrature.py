@@ -4,8 +4,8 @@ Nodes and weights come from the Golub-Welsch eigenproblem on the symmetric
 tridiagonal Jacobi matrix of the family recurrence, solved by
 ``numpy.linalg.eigh``.  A failed solve must surface as an error, never as a
 silently degraded rule, so every rule is cross-checked on construction
-against the Christoffel identity 1/w_i = sum_{k<s} P_k(x_i)^2, with the
-orthonormal P_k evaluated by the same three-term recurrence.
+against the Christoffel identity 1/w_i = sum_{k<s} P_k(x_i)^2 on its
+``values``, the P_0 .. P_MAX_DEGREE at the nodes that all its users slice.
 
 A rule depends only on (family, s): it is built once per process and
 shared, with read-only arrays; a failed build raises and is not kept.
@@ -13,7 +13,7 @@ shared, with read-only arrays; a failed build raises and is not kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 
 import numpy as np
@@ -32,12 +32,21 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """s-point Gauss rule: nodes are the zeros of P_s, weights are positive."""
+    """s-point Gauss rule with values[k] = P_k(nodes), k <= MAX_DEGREE."""
 
     family: Family
     s: int
     nodes: np.ndarray
     weights: np.ndarray
+    values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nodes = np.array(self.nodes, dtype=float)
+        values = make_basis(self.family, MAX_DEGREE).values(nodes, MAX_DEGREE)
+        for name, array in (("nodes", nodes), ("values", values),
+                            ("weights", np.array(self.weights, dtype=float))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
@@ -63,26 +72,22 @@ def _shared_rule(family: Family, s: int) -> QuadratureRule:
     except np.linalg.LinAlgError as err:
         raise EigenConvergenceError(
             f"Golub-Welsch eigenproblem did not converge: {err}") from err
-    weights = family.m0 * vectors[0, :] ** 2
-    values = make_basis(family, MAX_DEGREE).values(nodes, s - 1)
-    drift = np.abs(weights * (values ** 2).sum(axis=0) - 1.0).max()
-    if drift > _CHRISTOFFEL_RTOL:
+    rule = QuadratureRule(family, s, nodes, family.m0 * vectors[0, :] ** 2)
+    drift = np.abs(rule.weights * (rule.values[:s] ** 2).sum(axis=0) - 1).max()
+    if not drift <= _CHRISTOFFEL_RTOL:
         raise EigenConvergenceError(
             f"Golub-Welsch weights disagree with the Christoffel identity "
             f"(relative drift {drift:.3e})")
-    nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(family=family, s=s, nodes=nodes, weights=weights)
+    return rule
 
 
 def exactness_degree(rule: QuadratureRule, basis: OrthonormalBasis) -> int:
-    """Largest d such that the rule integrates every polynomial of degree
-    <= d exactly, read from the Gram matrix G = (P w) P^T of the orthonormal
-    P_0 .. P_s at the nodes: d + 1 is the smallest j + m with
-    |G_jm - delta_jm| > _EXACT_TOL (2s when no entry misses).  The entries
-    are scale-free, so no tolerance depends on the size of the moments."""
+    """Largest d such that the rule integrates every polynomial of degree <= d
+    exactly: one less than the least j + m where G = (P w) P^T of P_0 .. P_s
+    at the nodes fails |G_jm - delta_jm| <= _EXACT_TOL, or 2s if none does."""
     if rule.family is not basis.family:
         raise ValueError("rule and basis families differ")
-    p = basis.values(rule.nodes, rule.s)
+    p = rule.values[: rule.s + 1]
     gram = (p * rule.weights) @ p.T
-    j, m = np.nonzero(np.abs(gram - np.eye(rule.s + 1)) > _EXACT_TOL)
+    j, m = np.nonzero(~(np.abs(gram - np.eye(rule.s + 1)) <= _EXACT_TOL))
     return int((j + m).min()) - 1 if len(j) else 2 * rule.s

@@ -15,6 +15,7 @@ defined next to ``RKNTableau`` and re-exported here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .basis import MAX_DEGREE, make_basis
 from .construction import (ContinuousCoefficients, RKNTableau,
-                           check_symplectic, kernel_matrix)
+                           _max_magnitude, check_symplectic, kernel_matrix)
 from .integrator import _positive_int, integrate
 from .problems import SecondOrderProblem
 from .quadrature import gauss_rule
@@ -70,16 +71,24 @@ def order_bound_with_quadrature(b_order: int, cn_order: int, dn_order: int,
     return order_bound(rho, alpha, beta)
 
 
+@functools.cache
+def _kappa_tables(kappa_max: int) -> tuple[np.ndarray, ...]:
+    """The kappa-only arrays of ``_condition_sides``, shared read-only."""
+    k = np.arange(kappa_max + 1)[:, None]
+    tables = (k, 1.0 / k[1:, 0], k[1:-1] * k[2:], k[1:-1], 1.0 / k[2:])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _condition_sides(x: np.ndarray, kappa_max: int):
     """x^(kappa-1) and 1/kappa for kappa = 1 .. kappa_max, and the stage and
-    transpose right sides x^(kappa+1) / (kappa (kappa+1)) and that minus
-    x / kappa plus 1 / (kappa+1) for kappa = 1 .. kappa_max - 1; one row
-    per kappa."""
-    powers = x ** np.arange(kappa_max + 1)[:, None]
-    kappa = np.arange(1, kappa_max)[:, None]
-    stage = powers[2:] / (kappa * (kappa + 1))
-    return (powers[:-1], 1.0 / np.arange(1, kappa_max + 1), stage,
-            stage - x / kappa + 1.0 / (kappa + 1))
+    transpose right sides x^(kappa+1) / (kappa (kappa+1)) and that minus x /
+    kappa plus 1 / (kappa+1) for kappa = 1 .. kappa_max - 1; one row each."""
+    exponents, weight, product, kappa, inverse = _kappa_tables(kappa_max)
+    powers = x ** exponents
+    stage = powers[2:] / product
+    return powers[:-1], weight, stage, stage - x / kappa + inverse
 
 
 def _report(kind: str, b_res, cn_res, dn_res, symplectic: float,
@@ -114,13 +123,12 @@ def check_continuous(coeffs: ContinuousCoefficients) -> ConditionReport:
         raise ValueError(
             f"exact condition integrals need a {points}-point Gauss rule; "
             f"at most {MAX_DEGREE} are available")
-    basis = make_basis(coeffs.family, MAX_DEGREE)
-    rule = gauss_rule(basis, points)
+    rule = gauss_rule(make_basis(coeffs.family, MAX_DEGREE), points)
     x, w = rule.nodes, rule.weights
     powers, weight, stage, transpose = _condition_sides(x, _KAPPA_MAX)
-    b_values = coeffs.b(x)
+    b_values = coeffs.lam[: deg_b + 1] @ rule.values[: deg_b + 1]
     # coefficients of a function on P_0 .. P_{n_coef - 1}, from its values
-    project = (basis.values(x, n_coef - 1) * w).T
+    project = (rule.values[:n_coef] * w).T
     kernel = kernel_matrix(coeffs.basis, coeffs.alpha, n_coef)
     # moments[kappa - 1, j] = int B(x) x^(kappa - 1) P_j(x) w(x) dx
     moments = (b_values * powers[:-1]) @ project
@@ -181,8 +189,8 @@ def check_symmetric(tableau: RKNTableau) -> float | None:
     if tableau.family is None or not tableau.family.symmetric_weight:
         return None
     own = (tableau.c, tableau.a_bar, tableau.b_bar, tableau.b_prime)
-    return float(max(np.abs(adjoint - entries).max()
-                     for adjoint, entries in zip(_flipped(tableau), own)))
+    return float(_max_magnitude(np.abs(a - e).max()
+                                for a, e in zip(_flipped(tableau), own)))
 
 
 @dataclass(frozen=True)

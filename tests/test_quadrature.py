@@ -129,9 +129,41 @@ def test_cached_rules_equal_per_basis_solves(family):
 def test_shared_rules_are_read_only(family):
     for s in range(1, MAX_DEGREE + 1):
         rule = csrkn.gauss_rule(csrkn.make_basis(family, MAX_DEGREE), s)
-        for array in (rule.nodes, rule.weights):
+        for array in (rule.nodes, rule.weights, rule.values[0]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+
+def test_rule_values_equal_every_basis_sample(cold_memo):
+    # each rule's P_0 .. P_MAX_DEGREE at its nodes, sampled once, is bit for
+    # bit the recurrence run by any basis of the family to any degree k
+    for family in ALL_FAMILIES:
+        for s in range(1, MAX_DEGREE + 1):
+            rule = csrkn.gauss_rule(csrkn.make_basis(family, s), s)
+            assert rule.values.shape == (MAX_DEGREE + 1, s)
+            for k in range(MAX_DEGREE + 1):
+                for degree in range(max(k, 1), MAX_DEGREE + 1):
+                    basis = csrkn.make_basis(family, degree)
+                    expected = basis.values(rule.nodes, k)
+                    assert rule.values[: k + 1].tobytes() == expected.tobytes()
+
+
+def test_hand_built_rule_samples_read_only_copies(bases):
+    # a rule built by hand samples values from its own copy of the nodes,
+    # so changing the caller's array afterwards cannot leave values stale
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    shared = csrkn.gauss_rule(basis, 3)
+    nodes, weights = shared.nodes.copy(), shared.weights.copy()
+    rule = QuadratureRule(family=shared.family, s=3, nodes=nodes,
+                          weights=weights)
+    nodes[0] = weights[0] = math.nan
+    assert rule.nodes.tobytes() == shared.nodes.tobytes()
+    assert rule.weights.tobytes() == shared.weights.tobytes()
+    assert rule.values.tobytes() == shared.values.tobytes()
+    for array in (rule.nodes, rule.weights, rule.values[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert_valid_rule(rule, basis, 3)
 
 
 def test_known_rules(bases):
@@ -230,6 +262,34 @@ def test_perturbed_rule_loses_exactness(bases, family):
     broken = QuadratureRule(family=rule.family, s=3, nodes=nodes,
                             weights=rule.weights)
     assert csrkn.exactness_degree(broken, basis) < 2 * 3 - 1
+
+
+# |G - I| > tol is False for NaN, so a NaN node or weight read as exact (6);
+# P_0 is constant, so a NaN node still integrates constants (degree 0)
+@pytest.mark.parametrize("field,degree", [("nodes", 0), ("weights", -1)])
+def test_nan_rule_is_not_exact(bases, field, degree):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    rule = csrkn.gauss_rule(basis, 3)
+    arrays = {"nodes": rule.nodes.copy(), "weights": rule.weights.copy()}
+    arrays[field][1] = math.nan
+    broken = QuadratureRule(family=rule.family, s=3, **arrays)
+    assert csrkn.exactness_degree(broken, basis) == degree
+
+
+def test_christoffel_check_rejects_nan_weights(bases, cold_memo,
+                                               monkeypatch):
+    eigh = np.linalg.eigh
+
+    def nan_vectors(matrix):
+        values, vectors = eigh(matrix)
+        return values, vectors * math.nan
+
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", nan_vectors)
+        with pytest.raises(EigenConvergenceError, match="Christoffel"):
+            csrkn.gauss_rule(basis, 3)
+    assert_valid_rule(csrkn.gauss_rule(basis, 3), basis, 3)
 
 
 def test_stage_count_bounds(bases):

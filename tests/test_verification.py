@@ -61,6 +61,45 @@ def test_discrete_report_reads_nan_as_failed(tableaux):
     assert (report.b_order, report.predicted_order) == (0, 0)
 
 
+# max() over the four per-array distances skipped a NaN that was not first:
+# a NaN in the last entry of a_bar, b_bar or b_prime read 5.6e-17, 0 and 0
+@pytest.mark.parametrize("name", ["c", "a_bar", "b_bar", "b_prime"])
+def test_symmetry_residual_reads_nan_in_any_array(name):
+    tableau = csrkn.builtin_tableau("legendre4", 0.1)
+    entries = getattr(tableau, name).copy()
+    entries.flat[-1] = math.nan
+    broken = dataclasses.replace(tableau, **{name: entries})
+    assert math.isnan(csrkn.check_symmetric(broken))
+    assert math.isnan(csrkn.check_discrete(broken).symmetry_residual)
+
+
+def _fresh_condition_sides(x, kappa_max):
+    # the right sides as computed on every call before the kappa memo
+    powers = x ** np.arange(kappa_max + 1)[:, None]
+    kappa = np.arange(1, kappa_max)[:, None]
+    stage = powers[2:] / (kappa * (kappa + 1))
+    return (powers[:-1], 1.0 / np.arange(1, kappa_max + 1), stage,
+            stage - x / kappa + 1.0 / (kappa + 1))
+
+
+def test_condition_sides_from_the_memo_equal_fresh_ones(tableaux):
+    for tableau in tableaux.values():
+        for kappa_max in range(1, 27):
+            got = csrkn.verification._condition_sides(tableau.c, kappa_max)
+            want = _fresh_condition_sides(tableau.c, kappa_max)
+            assert [a.shape for a in got] == [a.shape for a in want]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_condition_memo_is_shared_and_read_only():
+    tables = csrkn.verification._kappa_tables(8)
+    assert csrkn.verification._kappa_tables(8) is tables
+    assert len(tables) == 5
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
 def test_discrete_hermite3_bushy_residual(tableaux):
     report = csrkn.check_discrete(tableaux["hermite3"])
     assert report.b_residuals[3] == pytest.approx(0.5, abs=1e-12)
