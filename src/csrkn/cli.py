@@ -2,8 +2,8 @@
 
 Four verbs: ``derive`` writes a tableau, ``check`` prints its condition
 report, ``run`` integrates a benchmark problem to CSV, ``order`` runs a
-step-halving study.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure.
+step-halving study.  Exit codes: 0 success, 1 usage error or unwritable
+output, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if err.code else 0
     try:
         return args.handler(args)
-    except ValueError as err:  # ConstructionError is a ValueError
+    except (ValueError, OSError) as err:  # ConstructionError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (StageConvergenceError, EigenConvergenceError,

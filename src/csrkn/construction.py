@@ -90,8 +90,11 @@ class ConstructionSpec:
         if not isinstance(self.symmetric, bool):
             raise TypeError(f"symmetric must be a bool, got "
                             f"{self.symmetric!r}")
-        if self.b_order < 1 or self.cn_order < 1:
-            raise ConstructionError("b_order and cn_order must be >= 1")
+        if not 1 <= self.b_order <= MAX_DEGREE:
+            raise ConstructionError(f"b_order must be in 1..{MAX_DEGREE}, got "
+                                    f"{self.b_order}")
+        if self.cn_order < 1:
+            raise ConstructionError("cn_order must be >= 1")
         if self.b_order < 2 * self.cn_order - 1:
             raise ConstructionError(
                 f"ansatz needs b_order >= 2*cn_order - 1 "
@@ -144,32 +147,30 @@ def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def interval_integrals(family: Family,
-                       degree: int) -> tuple[np.ndarray, ...]:
-    """Integrals over [0, 1] of the family's P_0 .. P_degree.
+def interval_integrals(family: Family) -> tuple[np.ndarray, ...]:
+    """Integrals over [0, 1] of the family's P_0 .. P_MAX_DEGREE.
 
     Returns (ones, gram, targets): ones[j] = int_0^1 P_j, gram[j, k] =
     int_0^1 P_j P_k, and targets[k, m] = <D_k, P_m>_w, the coefficients of
     the stage-condition right side D_k(tau) = int_0^tau int_0^a P_k dx da =
-    tau^2 int_0^1 (1 - u) P_k(tau u) du, for every test index k a spec on
-    this basis can have (cn_order <= (b_order + 1) / 2 <= (degree + 1) / 2).
-    The [0, 1] rule is exact for all of them but gram[MAX_DEGREE,
-    MAX_DEGREE], which is never read; D_k has degree k + 2, so the
-    (k + 3)-point Gauss rule of the family projects it exactly.  Entries
-    that vanish by parity are set to exactly 0.  Built once per (family,
-    degree); shared and read-only.
+    tau^2 int_0^1 (1 - u) P_k(tau u) du, for every test index k a spec can
+    have (k < cn_order - 1 <= (b_order - 1) / 2, so k <= 4).  The [0, 1]
+    rule is exact for all of them but gram[12, 12], which is never read; D_k
+    has degree k + 2, so the (k + 3)-point Gauss rule of the family projects
+    it exactly.  Entries that vanish by parity are set to exactly 0.  One
+    table set per family serves every basis and stage count; read-only.
     """
-    basis = make_basis(family, degree)
+    basis = make_basis(family, MAX_DEGREE)
     t, w = _unit_rule()
-    vals = basis.values(t, degree)
+    vals = basis.values(t, MAX_DEGREE)
     ones = vals @ w
     gram = (vals * w) @ vals.T
+    odd = np.arange(MAX_DEGREE + 1) % 2
     if family.symmetric_weight:
         # P_j(1 - x) = (-1)^j P_j(x)
-        odd = np.arange(degree + 1) % 2
         ones[odd == 1] = 0.0
-        gram[(odd[:, None] + odd[None, :]) == 1] = 0.0
-    targets = np.zeros((max((degree + 1) // 2 - 1, 0), degree + 1))
+        gram[odd[:, None] != odd] = 0.0
+    targets = np.zeros(((MAX_DEGREE + 1) // 2 - 1, MAX_DEGREE + 1))
     for k in range(len(targets)):
         own = gauss_rule(basis, k + 3)
         x, p = own.nodes, own.values[: k + 3]
@@ -177,8 +178,7 @@ def interval_integrals(family: Family,
         targets[k, : k + 3] = (inner * x * x * own.weights) @ p.T
     if family.centre == 0:
         # P_j(-x) = (-1)^j P_j(x) and D_k(-tau) = (-1)^k D_k(tau)
-        odd = np.add.outer(np.arange(len(targets)), np.arange(degree + 1))
-        targets[odd % 2 == 1] = 0.0
+        targets[odd[: len(targets), None] != odd] = 0.0
     for table in (ones, gram, targets):
         table.flags.writeable = False
     return ones, gram, targets
@@ -193,8 +193,9 @@ def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
     exactly 0.
     """
     if spec.b_order > basis.max_degree:
-        raise ConstructionError("b_order exceeds basis degree")
-    ones = interval_integrals(basis.family, basis.max_degree)[0]
+        raise ConstructionError(f"b_order {spec.b_order} exceeds basis "
+                                f"degree {basis.max_degree}")
+    ones = interval_integrals(basis.family)[0]
     lam = ones[: spec.b_order].copy()
     # snap rounding noise so the support matches the true degree
     lam[np.abs(lam) < 1e-13 * max(1.0, float(np.max(np.abs(lam))))] = 0.0
@@ -211,11 +212,11 @@ def _max_magnitude(values) -> float:
     return max(magnitudes) if total == total else total
 
 
-def _gap(basis: OrthonormalBasis) -> float:
+def _gap(family: Family) -> float:
     """<x, P_1>_w = off[0] sqrt(m0), the offset alpha[1,0] - alpha[0,1] of a
     symplectic kernel."""
-    off = recurrence_coefficients(basis.family, 1)[1]
-    return float(off[0]) * math.sqrt(basis.moments[0])
+    off = recurrence_coefficients(family, 1)[1]
+    return float(off[0]) * math.sqrt(family.m0)
 
 
 def _expand(upper: Mapping[tuple[int, int], float],
@@ -279,8 +280,9 @@ def solve_alpha(basis: OrthonormalBasis,
     """
     r = spec.alpha_range
     if r > basis.max_degree:
-        raise ConstructionError("alpha_range exceeds basis degree")
-    gap = _gap(basis)
+        raise ConstructionError(f"alpha_range {r} exceeds basis degree "
+                                f"{basis.max_degree}")
+    gap = _gap(basis.family)
     pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
 
     pinned: dict[tuple[int, int], float] = {}
@@ -305,7 +307,7 @@ def solve_alpha(basis: OrthonormalBasis,
     if n_cond:
         # a condition needs b_order >= 3, so r <= b_order - 1 < MAX_DEGREE
         # and every integral read here is exact
-        _, gram, targets = interval_integrals(basis.family, basis.max_degree)
+        _, gram, targets = interval_integrals(basis.family)
         weights = gram[: r + 1, :n_cond]
         # coefficients on P_0(tau) .. P_r(tau) of the conditions' left sides
         # int_0^1 A(tau, s) / B(s) P_k(s) ds, k outermost
@@ -402,7 +404,7 @@ class ContinuousCoefficients:
         alpha[i,j] = alpha[j,i] (i + j > 1); NaN if any term is NaN."""
         a = self.alpha
         return _max_magnitude([a.get((0, 1), 0.0) - a.get((1, 0), 0.0)
-                               + _gap(self.basis)]
+                               + _gap(self.family)]
                               + [v - a.get((j, i), 0.0)
                                  for (i, j), v in a.items() if i + j > 1])
 
@@ -502,19 +504,17 @@ def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
     if factor is None:
         # the non-symmetric construction: split the first-order constraint
         # evenly by hand, zero the remaining upper coefficients
-        gap = _gap(make_basis(family, 2))
         return ConstructionSpec(
             family=family, symmetric=False,
-            free_alpha={(0, 1): -0.5 * gap, (1, 2): 0.0, (2, 2): 0.0})
+            free_alpha={(0, 1): -_gap(family) / 2, (1, 2): 0.0, (2, 2): 0.0})
     return ConstructionSpec(
         family=family, symmetric=True,
         free_alpha={(1, 1): factor * gamma, (1, 2): 0.0, (2, 2): 0.0})
 
 
-def _coefficients(spec: ConstructionSpec,
-                  min_degree: int) -> ContinuousCoefficients:
-    """Continuous coefficients on a basis of degree max(8, b_order, min_degree)."""
-    basis = make_basis(spec.family, max(8, spec.b_order, min_degree))
+def _coefficients(spec: ConstructionSpec) -> ContinuousCoefficients:
+    """Continuous coefficients on the family's MAX_DEGREE basis."""
+    basis = make_basis(spec.family, MAX_DEGREE)
     return assemble(basis, build_b(basis, spec), solve_alpha(basis, spec),
                     spec=spec)
 
@@ -530,12 +530,12 @@ def derive(spec: ConstructionSpec, stages: int) -> RKNTableau:
     if not 1 <= stages <= MAX_DEGREE:
         raise ConstructionError(f"stages must be in 1..{MAX_DEGREE}, got "
                                 f"{stages}")
-    coeffs = _coefficients(spec, stages)
+    coeffs = _coefficients(spec)
     return discretize(coeffs, gauss_rule(coeffs.basis, stages))
 
 
 def builtin_coefficients(name: str, gamma: float = 0.0) -> ContinuousCoefficients:
-    return _coefficients(method_spec(name, gamma), min_degree=0)
+    return _coefficients(method_spec(name, gamma))
 
 
 def builtin_tableau(name: str, gamma: float = 0.0) -> RKNTableau:

@@ -197,14 +197,14 @@ def _monomial_double_primitive(poly) -> np.ndarray:
 
 
 def test_unit_interval_integral(bases):
-    ones = interval_integrals(csrkn.Family.SHIFTED_LEGENDRE, 8)[0]
+    ones = interval_integrals(csrkn.Family.SHIFTED_LEGENDRE)[0]
     assert ones[1] == pytest.approx(0.0, abs=1e-15)
-    ones = interval_integrals(csrkn.Family.SHIFTED_CHEBYSHEV1, 8)[0]
+    ones = interval_integrals(csrkn.Family.SHIFTED_CHEBYSHEV1)[0]
     assert ones[2] == pytest.approx(-2.0 / (3.0 * math.sqrt(PI)), abs=1e-14)
-    ones = interval_integrals(csrkn.Family.SHIFTED_HERMITE, 8)[0]
+    ones = interval_integrals(csrkn.Family.SHIFTED_HERMITE)[0]
     for j in (1, 3, 5, 7):
         assert ones[j] == 0.0
-    for table in interval_integrals(csrkn.Family.SHIFTED_HERMITE, 8):
+    for table in interval_integrals(csrkn.Family.SHIFTED_HERMITE):
         assert not table.flags.writeable
 
 
@@ -212,7 +212,7 @@ def test_unit_interval_integral(bases):
 def test_double_primitive_of_constant(bases, family):
     # stage target of P_0 = c0: c0 tau^2 / 2, as coefficients in the family
     basis = bases[family]
-    targets = interval_integrals(family, MAX_DEGREE)[2]
+    targets = interval_integrals(family)[2]
     prim = [0.0, 0.0, basis.poly(0)[0] / 2.0]
     oracle = [csrkn.inner_product(basis, prim, basis.poly(m))
               for m in range(9)]
@@ -221,7 +221,7 @@ def test_double_primitive_of_constant(bases, family):
 
 def test_double_primitive_legendre_linear(bases):
     basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
-    targets = interval_integrals(csrkn.Family.SHIFTED_LEGENDRE, 8)[2]
+    targets = interval_integrals(csrkn.Family.SHIFTED_LEGENDRE)[2]
     s3 = math.sqrt(3)
     prim = [0.0, 0.0, -s3 / 2.0, s3 / 3.0]
     oracle = [csrkn.inner_product(basis, prim, basis.poly(m))
@@ -232,7 +232,7 @@ def test_double_primitive_legendre_linear(bases):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_double_primitive_degree(bases, family):
     basis = bases[family]
-    targets = interval_integrals(family, MAX_DEGREE)[2]
+    targets = interval_integrals(family)[2]
     assert len(targets) == 5  # test indices k < cn_order - 1 <= 5
     for n in range(5):
         # degree n + 2: nonzero top coefficient, exact zeros above it
@@ -310,7 +310,7 @@ def test_cached_tables_equal_fresh_builds(family):
 def test_unit_integral_helper(bases):
     # the [0, 1] rule against int_0^1 x^k dx = 1 / (k + 1), in exact arithmetic
     for family, basis in bases.items():
-        ones, gram, _ = interval_integrals(family, 8)
+        ones, gram, _ = interval_integrals(family)
         polys = [_exact_poly(basis, j) for j in range(9)]
         for j, pj in enumerate(polys):
             exact = sum(c / (k + 1) for k, c in enumerate(pj))

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, outputs, exit codes."""
 
+import errno
 import os
 import random
 import subprocess
@@ -232,6 +233,48 @@ def test_stage_count_outside_the_cap_is_usage_error(tmp_path, capsys, verb,
     captured = capsys.readouterr()
     assert captured.err == f"error: stages must be in 1..12, got {stages}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+# b_order 20 used to exit 1 naming the basis memo: "degree must be in
+# 0..12 (the cap bounds the memo), got 20"
+@pytest.mark.parametrize("b_order", ["13", "20"])
+@pytest.mark.parametrize("verb", ["derive", "check", "run"])
+def test_b_order_past_the_cap_is_usage_error(tmp_path, capsys, verb,
+                                             b_order):
+    out = tmp_path / "out.txt"
+    argv = [verb, "--family", "shifted-legendre", "--b-order", b_order,
+            "--stages", "3", "--out", str(out)]
+    if verb == "run":
+        argv += ["--problem", "kepler", "--h", "0.1", "--steps", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: b_order must be in 1..12, got {b_order}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# an --out in a missing directory used to end in a FileNotFoundError
+# traceback, with an exit code outside 0/1/2
+@pytest.mark.parametrize("verb", ["derive", "check", "run"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, verb):
+    out = tmp_path / "missing" / "x.csv"
+    argv = [verb, "--method", "legendre4", "--out", str(out)]
+    if verb == "run":
+        argv += ["--problem", "kepler", "--h", "0.1", "--steps", "10"]
+    assert main(argv) == 1
+    expected = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                 str(out))
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.parent.exists()
+
+
+def test_numerical_failure_writes_no_file(tmp_path, capsys):
+    # run integrates before it opens --out, so a failed run leaves nothing
+    out = tmp_path / "fail.csv"
+    assert main(["run", "--method", "hermite3", "--problem", "kepler",
+                 "--h", "50", "--steps", "10", "--out", str(out)]) == 2
+    capsys.readouterr()
     assert not out.exists()
 
 

@@ -107,7 +107,7 @@ def test_alpha_symplectic_constraints(bases, name):
 def test_condition_matrix_matches_one_column_per_unknown(family):
     # oracle: one kernel_matrix product per unit unknown and its mirror
     basis = csrkn.make_basis(family, 8)
-    gram = interval_integrals(family, 8)[1]
+    gram = interval_integrals(family)[1]
     for r, n_cond in itertools.product(range(1, 5), range(1, 4)):
         weights = gram[: r + 1, :n_cond]
         pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
@@ -344,6 +344,39 @@ def test_spec_validation():
                                symmetric=True)
 
 
+# b_order 20 used to fail in the basis memo with "degree must be in 0..12
+# (the cap bounds the memo)"
+@pytest.mark.parametrize("fields,message", [
+    ({"b_order": 20}, "b_order must be in 1..12, got 20"),
+    ({"b_order": 13, "cn_order": 7, "tau_degree": 7},
+     "b_order must be in 1..12, got 13"),
+    ({"b_order": 0, "cn_order": 1}, "b_order must be in 1..12, got 0"),
+    ({"b_order": -4}, "b_order must be in 1..12, got -4"),
+    ({"cn_order": 0}, "cn_order must be >= 1")])
+def test_spec_rejects_orders_out_of_range(fields, message):
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, **fields)
+    assert str(info.value) == message
+
+
+def test_build_b_names_b_order_and_basis_degree():
+    spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=6)
+    basis = csrkn.make_basis(spec.family, 4)
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.build_b(basis, spec)
+    assert str(info.value) == "b_order 6 exceeds basis degree 4"
+
+
+def test_solve_alpha_names_alpha_range_and_basis_degree():
+    spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
+                                  cn_order=2, tau_degree=5)
+    assert spec.alpha_range == 5
+    basis = csrkn.make_basis(spec.family, 4)
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.solve_alpha(basis, spec)
+    assert str(info.value) == "alpha_range 5 exceeds basis degree 4"
+
+
 # a non-integer order used to derive silently (tau_degree) or fail with a
 # bare slice TypeError in build_b (b_order); a truthy non-bool symmetric
 # built the symmetric method
@@ -466,6 +499,68 @@ def test_derive_accepts_stage_counts_up_to_the_cap():
     numpy_three = csrkn.derive(spec, np.int64(3))
     assert (csrkn.serialize_tableau(numpy_three)
             == csrkn.serialize_tableau(three))
+
+
+def _tableau_bytes(tableau) -> tuple[bytes, ...]:
+    return tuple(getattr(tableau, name).tobytes()
+                 for name in ("c", "a_bar", "b_bar", "b_prime"))
+
+
+def _coefficient_bytes(coeffs) -> tuple:
+    alpha = sorted(coeffs.alpha)
+    return (coeffs.lam.tobytes(), tuple(alpha),
+            np.array([coeffs.alpha[key] for key in alpha]).tobytes())
+
+
+def test_coefficients_do_not_depend_on_the_stage_count(monkeypatch):
+    # every spec with b_order 9..12 that derives: derive's coefficients,
+    # taken before discretization, are the same bytes at all 12 stage
+    # counts (36 specs used to read other lam bytes at 11 or 12 stages)
+    monkeypatch.setattr(csrkn.construction, "discretize",
+                        lambda coeffs, rule: coeffs)
+    derived = 0
+    for family, symmetric, b, cn, tau in itertools.product(
+            csrkn.Family, (False, True), range(9, 13), range(1, 7),
+            range(1, 7)):
+        try:
+            spec = csrkn.ConstructionSpec(family=family, b_order=b,
+                                          cn_order=cn, tau_degree=tau,
+                                          symmetric=symmetric)
+            first = _coefficient_bytes(csrkn.derive(spec, 1))
+        except csrkn.ConstructionError:
+            continue
+        derived += 1
+        for stages in range(2, csrkn.basis.MAX_DEGREE + 1):
+            again = _coefficient_bytes(csrkn.derive(spec, stages))
+            assert again == first, (spec, stages)
+    assert derived == 284
+
+
+def test_pipeline_does_not_depend_on_the_basis_degree():
+    # a seeded sample of CLI-space (spec, stages) inputs that derive: the
+    # public pipeline on a basis of any degree that holds the spec and the
+    # rule gives derive's tableau bytes (cn_order 1 specs with b_order 5 or
+    # 6 used to read other lam bytes on a basis of degree 5 or 6)
+    rng = np.random.default_rng(24)
+    specs = list(_cli_space())
+    checked = 0
+    while checked < 100:
+        spec = specs[rng.integers(len(specs))]
+        stages = int(rng.integers(1, csrkn.basis.MAX_DEGREE + 1))
+        try:
+            expected = _tableau_bytes(csrkn.derive(spec, stages))
+        except csrkn.ConstructionError:
+            continue
+        checked += 1
+        for degree in range(max(spec.b_order, stages),
+                            csrkn.basis.MAX_DEGREE + 1):
+            basis = csrkn.make_basis(spec.family, degree)
+            coeffs = csrkn.assemble(basis, csrkn.build_b(basis, spec),
+                                    csrkn.solve_alpha(basis, spec), spec)
+            tableau = csrkn.discretize(coeffs,
+                                       csrkn.gauss_rule(basis, stages))
+            assert _tableau_bytes(tableau) == expected, (spec, stages,
+                                                         degree)
 
 
 def test_spec_accepts_numpy_integer_orders():
