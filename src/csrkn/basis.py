@@ -107,6 +107,33 @@ def _times(scale: float, num: int, den: int) -> float:
     return top * num / (bottom * den)
 
 
+def _integer(name: str, value, low=None, high=None, error=ValueError) -> int:
+    """operator.index(value), checked against low (and high if given); the
+    errors name the argument: TypeError for a non-integer, else error."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= number <= high:
+        raise error(f"{name} must be in {low}..{high}, got {number}")
+    if low is not None and number < low:
+        raise error(f"{name} must be >= {low}")
+    return number
+
+
+def _real(name: str, value, error=ValueError, *, nonzero=False) -> None:
+    """Check that value is a finite real number, nonzero if asked; the errors
+    name the argument: TypeError for a non-real value, else error."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise TypeError(f"{name} must be a real number, got "
+                        f"{value!r}") from None
+    if not finite or (nonzero and value == 0):
+        need = "finite and nonzero" if nonzero else "finite"
+        raise error(f"{name} must be {need}, got {value!r}")
+
+
 def _shared_table(build):
     """Memoize build(family, degree), checking the key first so only valid
     keys are ever stored.  Callers share each result, so its arrays must be
@@ -117,11 +144,7 @@ def _shared_table(build):
     def table(family, degree):
         if not isinstance(family, Family):
             raise TypeError(f"family must be a Family member, got {family!r}")
-        degree = operator.index(degree)
-        if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 0..{MAX_DEGREE} (the cap "
-                             f"bounds the memo), got {degree}")
-        return cached(family, degree)
+        return cached(family, _integer("degree", degree, 0, MAX_DEGREE))
 
     table.cache_clear = cached.cache_clear
     return table

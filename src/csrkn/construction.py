@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 from numpy.polynomial import legendre
 
-from .basis import (MAX_DEGREE, Family, OrthonormalBasis,
+from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer, _real,
                     make_basis, recurrence_coefficients)
 from .quadrature import QuadratureRule, gauss_rule
 
@@ -81,20 +81,12 @@ class ConstructionSpec:
             raise TypeError(f"family must be a Family member, got "
                             f"{self.family!r}")
         for name in ("b_order", "cn_order", "tau_degree"):
-            value = getattr(self, name)
-            try:
-                index(value)
-            except TypeError:
-                raise TypeError(
-                    f"{name} must be an integer, got {value!r}") from None
+            _integer(name, getattr(self, name))
         if not isinstance(self.symmetric, bool):
             raise TypeError(f"symmetric must be a bool, got "
                             f"{self.symmetric!r}")
-        if not 1 <= self.b_order <= MAX_DEGREE:
-            raise ConstructionError(f"b_order must be in 1..{MAX_DEGREE}, got "
-                                    f"{self.b_order}")
-        if self.cn_order < 1:
-            raise ConstructionError("cn_order must be >= 1")
+        _integer("b_order", self.b_order, 1, MAX_DEGREE, ConstructionError)
+        _integer("cn_order", self.cn_order, 1, error=ConstructionError)
         if self.b_order < 2 * self.cn_order - 1:
             raise ConstructionError(
                 f"ansatz needs b_order >= 2*cn_order - 1 "
@@ -117,14 +109,7 @@ class ConstructionSpec:
             except (TypeError, ValueError):
                 raise TypeError(f"free_alpha keys must be pairs of integers, "
                                 f"got {key!r}") from None
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise TypeError(f"alpha{key} must be a real number, got "
-                                f"{value!r}") from None
-            if not finite:
-                raise ConstructionError(
-                    f"alpha{key} must be finite, got {value!r}")
+            _real(f"alpha{key}", value, ConstructionError)
 
     def __hash__(self):
         # the generated __eq__ compares the mappings by items
@@ -424,7 +409,8 @@ def assemble(basis: OrthonormalBasis, lam: np.ndarray,
              alpha: Mapping[tuple[int, int], float],
              spec: ConstructionSpec | None = None) -> ContinuousCoefficients:
     """Combine the weight series and coupling coefficients after checking
-    symplecticity on alpha and, for a symmetric spec, the parity of lam."""
+    symplecticity on alpha and, for a symmetric spec, the parity of lam
+    exactly and time reversibility on alpha."""
     coeffs = ContinuousCoefficients(
         basis=basis, lam=np.asarray(lam, dtype=float),
         alpha={key: float(v) for key, v in alpha.items()}, spec=spec)
@@ -433,10 +419,17 @@ def assemble(basis: OrthonormalBasis, lam: np.ndarray,
         raise ConstructionError(
             f"alpha violates alpha[0,1] - alpha[1,0] = -<x, P_1>_w or "
             f"alpha[i,j] = alpha[j,i] (residual {residual:.3e})")
-    if spec is not None and spec.symmetric and np.any(coeffs.lam[1::2]):
-        raise ConstructionError(
-            "velocity weight is not reflection-symmetric "
-            "(odd-index lam must vanish)")
+    if spec is not None and spec.symmetric:
+        if np.any(coeffs.lam[1::2]):
+            raise ConstructionError(
+                "velocity weight is not reflection-symmetric "
+                "(odd-index lam must vanish)")
+        # odd-index lam is exactly 0 here, so this is the alpha part
+        residual = coeffs.symmetry_residual
+        if not residual <= TABLEAU_TOL:
+            raise ConstructionError(
+                f"alpha violates alpha[0,1] = -alpha[1,0] or vanishing "
+                f"odd-sum alpha (residual {residual:.3e})")
     return coeffs
 
 
@@ -498,8 +491,7 @@ def method_spec(name: str, gamma: float = 0.0) -> ConstructionSpec:
     if name not in _BUILTINS:
         raise ConstructionError(f"unknown method {name!r}; choose from "
                                 f"{', '.join(BUILTIN_METHODS)}")
-    if not math.isfinite(gamma):
-        raise ConstructionError(f"gamma must be finite, got {gamma!r}")
+    _real("gamma", gamma, ConstructionError)
     family, _, factor = _BUILTINS[name]
     if factor is None:
         # the non-symmetric construction: split the first-order constraint
@@ -523,13 +515,7 @@ def derive(spec: ConstructionSpec, stages: int) -> RKNTableau:
     """The stages-point tableau of a construction: its continuous
     coefficients sampled at the family's Gauss rule; stages is an integer
     in 1..MAX_DEGREE."""
-    try:
-        stages = index(stages)
-    except TypeError:
-        raise TypeError(f"stages must be an integer, got {stages!r}") from None
-    if not 1 <= stages <= MAX_DEGREE:
-        raise ConstructionError(f"stages must be in 1..{MAX_DEGREE}, got "
-                                f"{stages}")
+    stages = _integer("stages", stages, 1, MAX_DEGREE, ConstructionError)
     coeffs = _coefficients(spec)
     return discretize(coeffs, gauss_rule(coeffs.basis, stages))
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import index, sub
+from operator import sub
 
 import numpy as np
 
+from .basis import _integer, _real
 from .construction import RKNTableau, _max_magnitude
 from .problems import SecondOrderProblem, _PlanarForce, invariant_drift
 
@@ -59,17 +60,6 @@ class StageConvergenceError(RuntimeError):
         self.last_delta = last_delta
 
 
-def _positive_int(name: str, value) -> int:
-    """operator.index(value), >= 1; the errors name the argument."""
-    try:
-        number = index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if number < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return number
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """max_iters caps the fixed-point sweeps of one step; record_every thins
@@ -81,7 +71,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            _positive_int(name, value)
+            _integer(name, value, 1)
 
 
 @dataclass(frozen=True)
@@ -177,11 +167,9 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     every step starts from the explicit guess.  The start changes the
     sweep count, not the fixed point.
     """
-    n_steps = _positive_int("n_steps", n_steps)
-    if not (math.isfinite(h) and h != 0.0):
-        raise ValueError(f"step size must be finite and nonzero, got {h!r}")
-    if not math.isfinite(t0):
-        raise ValueError(f"start time must be finite, got {t0!r}")
+    n_steps = _integer("n_steps", n_steps, 1)
+    _real("step size", h, nonzero=True)
+    _real("start time", t0)
     config = config or SolverConfig()
     f = problem.f
     isfinite = math.isfinite

@@ -14,12 +14,11 @@ shared, with read-only arrays; a failed build raises and is not kept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
 
 import numpy as np
 
-from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _shared_table,
-                    make_basis, recurrence_coefficients)
+from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer,
+                    _shared_table, make_basis, recurrence_coefficients)
 
 _CHRISTOFFEL_RTOL = 1e-11
 _EXACT_TOL = 1e-10
@@ -51,13 +50,7 @@ class QuadratureRule:
 
 def gauss_rule(basis: OrthonormalBasis, s: int) -> QuadratureRule:
     """Shared s-point Gauss rule of the basis family (exact to 2s - 1)."""
-    try:
-        s = index(s)
-    except TypeError:
-        raise TypeError(f"s must be an integer, got {s!r}") from None
-    if not 1 <= s <= basis.max_degree:
-        raise ValueError(f"s must be in 1..{basis.max_degree}, got {s}")
-    return _shared_rule(basis.family, s)
+    return _shared_rule(basis.family, _integer("s", s, 1, basis.max_degree))
 
 
 @_shared_table

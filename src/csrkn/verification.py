@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MAX_DEGREE, make_basis
+from .basis import MAX_DEGREE, _integer, _real, make_basis
 from .construction import (ContinuousCoefficients, RKNTableau,
                            _max_magnitude, check_symplectic, kernel_matrix)
-from .integrator import _positive_int, integrate
+from .integrator import integrate
 from .problems import SecondOrderProblem
 from .quadrature import gauss_rule
 
@@ -218,11 +218,9 @@ def empirical_order(tableau: RKNTableau, problem: SecondOrderProblem,
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    levels = _positive_int("levels", levels)
-    if not (math.isfinite(h0) and h0 != 0.0):
-        raise ValueError(f"h0 must be finite and nonzero, got {h0!r}")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end!r}")
+    levels = _integer("levels", levels, 1)
+    _real("h0", h0, nonzero=True)
+    _real("t_end", t_end)
     quotient = t_end / h0
     # round() of an overflowed quotient raises OverflowError, not ValueError
     steps0 = round(quotient) if math.isfinite(quotient) else 0

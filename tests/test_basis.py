@@ -267,6 +267,28 @@ def test_non_integer_degree_raises_type_error(table):
         table(csrkn.Family.SHIFTED_LEGENDRE, 3.0)
 
 
+# the memo's degree check names its argument like every scalar check; a
+# float used to raise operator.index's bare TypeError
+@pytest.mark.parametrize("table", [csrkn.make_basis, recurrence_coefficients])
+@pytest.mark.parametrize("degree,error,message", [
+    (MAX_DEGREE + 1, ValueError, "degree must be in 0..12, got 13"),
+    (-1, ValueError, "degree must be in 0..12, got -1"),
+    (3.0, TypeError, "degree must be an integer, got 3.0"),
+    (None, TypeError, "degree must be an integer, got None")])
+def test_memo_degree_errors_name_the_degree(table, degree, error, message):
+    with pytest.raises(error) as info:
+        table(csrkn.Family.SHIFTED_LEGENDRE, degree)
+    assert str(info.value) == message
+
+
+def test_poly_names_its_degree_range():
+    basis = csrkn.make_basis(csrkn.Family.SHIFTED_LEGENDRE, MAX_DEGREE)
+    for n in (MAX_DEGREE + 1, -1):
+        with pytest.raises(ValueError) as info:
+            basis.poly(n)
+        assert str(info.value) == f"degree {n} outside 0..12"
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_make_basis_is_shared(family):
     for degree in range(MAX_DEGREE + 1):

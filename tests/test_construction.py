@@ -154,6 +154,65 @@ def test_assemble_rejects_broken_constraint(bases):
         csrkn.assemble(basis, lam, alpha, spec)
 
 
+# a symmetric spec used to accept a symplectic alpha that is not
+# time-reversible: check_symmetric of its 2-point tableau read 0.489 (the
+# 3-point one also sees the odd-sum pair: P_2 vanishes at the 2 nodes)
+@pytest.mark.parametrize("changes,residual", [
+    # alpha(1, 0) - alpha(0, 1) stays the gap <x, P_1>_w = sqrt(3) / 6
+    ({(0, 1): 0.1, (1, 0): 0.1 + math.sqrt(3) / 6}, "4.887e-01"),
+    ({(1, 2): 1e-3, (2, 1): 1e-3}, "1.000e-03")])
+def test_assemble_rejects_symmetric_spec_with_irreversible_alpha(
+        bases, changes, residual):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    spec = method_spec("legendre4")
+    lam = csrkn.build_b(basis, spec)
+    alpha = {**csrkn.solve_alpha(basis, spec), **changes}
+    # symplectic, so a spec-free assemble accepts it
+    coeffs = csrkn.assemble(basis, lam, alpha)
+    tableau = csrkn.discretize(coeffs, csrkn.gauss_rule(basis, 3))
+    assert csrkn.check_symmetric(tableau) > 1e-4
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.assemble(basis, lam, alpha, spec)
+    assert str(info.value) == ("alpha violates alpha[0,1] = -alpha[1,0] or "
+                               f"vanishing odd-sum alpha (residual "
+                               f"{residual})")
+
+
+def test_assemble_rejects_symmetric_spec_with_odd_lam(bases):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    spec = method_spec("legendre4")
+    lam = csrkn.build_b(basis, spec)
+    lam[1] = 1e-3
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.assemble(basis, lam, csrkn.solve_alpha(basis, spec), spec)
+    assert str(info.value) == ("velocity weight is not reflection-symmetric "
+                               "(odd-index lam must vanish)")
+
+
+@pytest.mark.parametrize("key", [(5, 0), (-1, 1)])
+def test_solve_alpha_rejects_pins_outside_the_range(bases, key):
+    spec = method_spec("legendre4")
+    spec = replace(spec, free_alpha={**spec.free_alpha, key: 0.0})
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.solve_alpha(bases[spec.family], spec)
+    assert str(info.value) == f"alpha index {key} outside range 0..2"
+
+
+def test_solve_alpha_with_every_unknown_pinned(bases):
+    # legendre4's unknowns are alpha(0, 0) and alpha(0, 2); with both pinned
+    # the conditions are only checked
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    spec = method_spec("legendre4")
+    alpha = csrkn.solve_alpha(basis, spec)
+    pins = {**spec.free_alpha, (0, 0): alpha[(0, 0)], (0, 2): alpha[(0, 2)]}
+    assert csrkn.solve_alpha(basis, replace(spec, free_alpha=pins)) == alpha
+    pins[(0, 0)] = 0.2
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.solve_alpha(basis, replace(spec, free_alpha=pins))
+    assert str(info.value) == ("stage moment conditions are inconsistent: "
+                               "test index 0, P_0(tau) residual 3.333e-02")
+
+
 @pytest.mark.parametrize("name", list(REFERENCE_TABLEAUX))
 def test_continuous_symplectic_identity(coefficient_sets, name):
     coeffs = coefficient_sets[name]
@@ -219,6 +278,16 @@ def test_non_finite_gamma_rejected_before_derivation(monkeypatch, name,
     with pytest.raises(csrkn.ConstructionError) as info:
         csrkn.builtin_tableau(name, gamma)
     assert str(info.value) == message
+
+
+# a str or None used to reach math.isfinite, whose TypeError named nothing
+@pytest.mark.parametrize("gamma", ["0.3", None])
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_non_real_gamma_error_names_gamma(name, gamma):
+    for build in (method_spec, csrkn.builtin_tableau):
+        with pytest.raises(TypeError) as info:
+            build(name, gamma)
+        assert str(info.value) == f"gamma must be a real number, got {gamma!r}"
 
 
 def test_builtin_unknown_name():

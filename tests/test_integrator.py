@@ -351,6 +351,26 @@ def test_integrate_rejects_non_integer_step_counts(tableaux, value):
                         kepler.qp0, 0.1, value)
 
 
+# a str or None used to reach math.isfinite, whose TypeError named nothing
+@pytest.mark.parametrize("value", ["0.1", None])
+@pytest.mark.parametrize("argument,name", [("h", "step size"),
+                                           ("t0", "start time")])
+def test_non_real_step_or_start_error_names_it(tableaux, argument, name,
+                                               value):
+    kepler = csrkn.kepler()
+    given = {"h": 0.1, "t0": 0.0, argument: value}
+    for run in (lambda: csrkn.integrate(tableaux["legendre4"], kepler,
+                                        given["t0"], kepler.q0, kepler.qp0,
+                                        given["h"], 3),
+                lambda: csrkn.rkn_step(tableaux["legendre4"], kepler,
+                                       given["t0"], kepler.q0, kepler.qp0,
+                                       given["h"])):
+        with pytest.raises(TypeError) as info:
+            run()
+        assert str(info.value) == (f"{name} must be a real number, got "
+                                   f"{value!r}")
+
+
 def test_integrate_accepts_numpy_integer_step_counts(tableaux):
     kepler = csrkn.kepler()
     runs = [csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,

@@ -282,6 +282,19 @@ def test_empirical_order_rejects_non_integer_levels(levels):
                               csrkn.harmonic(), 0.1, levels)
 
 
+# a str or None used to reach math.isfinite, whose TypeError named nothing
+@pytest.mark.parametrize("value", ["0.1", None])
+@pytest.mark.parametrize("argument", ["h0", "t_end"])
+def test_non_real_step_or_end_error_names_it(argument, value):
+    given = {"h0": 0.1, "t_end": 1.0, argument: value}
+    with pytest.raises(TypeError) as info:
+        csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
+                              csrkn.harmonic(), given["h0"], 2,
+                              t_end=given["t_end"])
+    assert str(info.value) == (f"{argument} must be a real number, got "
+                               f"{value!r}")
+
+
 def test_empirical_order_accepts_numpy_integer_levels():
     tableau, problem = csrkn.builtin_tableau("legendre4"), csrkn.harmonic()
     expected = csrkn.empirical_order(tableau, problem, 0.1, 2)
