@@ -129,6 +129,8 @@ def _real(name: str, value, error=ValueError, *, nonzero=False) -> None:
     except TypeError:
         raise TypeError(f"{name} must be a real number, got "
                         f"{value!r}") from None
+    except OverflowError:  # an int too large for a double
+        finite = False
     if not finite or (nonzero and value == 0):
         need = "finite and nonzero" if nonzero else "finite"
         raise error(f"{name} must be {need}, got {value!r}")

@@ -124,14 +124,6 @@ class ConstructionSpec:
 
 
 @functools.cache
-def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The MAX_DEGREE-point Gauss-Legendre rule on [0, 1], exact to degree
-    2 MAX_DEGREE - 1: (nodes, weights), built once per process."""
-    nodes, weights = legendre.leggauss(MAX_DEGREE)
-    return (nodes + 1.0) / 2.0, weights / 2.0
-
-
-@functools.cache
 def interval_integrals(family: Family) -> tuple[np.ndarray, ...]:
     """Integrals over [0, 1] of the family's P_0 .. P_MAX_DEGREE.
 
@@ -146,7 +138,9 @@ def interval_integrals(family: Family) -> tuple[np.ndarray, ...]:
     table set per family serves every basis and stage count; read-only.
     """
     basis = make_basis(family, MAX_DEGREE)
-    t, w = _unit_rule()
+    # the MAX_DEGREE-point Gauss-Legendre rule on [0, 1]
+    nodes, weights = legendre.leggauss(MAX_DEGREE)
+    t, w = (nodes + 1.0) / 2.0, weights / 2.0
     vals = basis.values(t, MAX_DEGREE)
     ones = vals @ w
     gram = (vals * w) @ vals.T
@@ -251,6 +245,32 @@ def _condition_matrix(basis: OrthonormalBasis,
     return matrix.reshape(n_cond * size, len(i))
 
 
+@functools.lru_cache(maxsize=256)
+def _solve_plan(family: Family, n_cond: int, r: int,
+                unknowns: tuple[tuple[int, int], ...]):
+    """solve_alpha's system as far as its structure fixes it, built once per
+    key and shared: (the condition matrix without its idle columns, read
+    only; the idle unknowns; the active ones; the rank-deficiency message or
+    None)."""
+    matrix = _condition_matrix(make_basis(family, MAX_DEGREE), unknowns,
+                               interval_integrals(family)[1][: r + 1, :n_cond])
+    column_max = np.abs(matrix).max(axis=0)
+    # coefficients the conditions never touch take their default value 0
+    idle = column_max <= 1e-13 * max([1.0, *column_max.tolist()])
+    matrix = matrix[:, ~idle]
+    matrix.flags.writeable = False
+    flags = list(zip(unknowns, idle.tolist()))
+    active = tuple(pair for pair, off in flags if not off)
+    error = None
+    if active:
+        sing = np.linalg.svd(matrix, compute_uv=False)
+        if (sing > 1e-10 * sing[0]).sum() < len(active):
+            error = (f"rank deficiency couples the alpha coefficients "
+                     f"{', '.join(map(str, active))}; pin some of them via "
+                     f"free_alpha")
+    return matrix, tuple(pair for pair, off in flags if off), active, error
+
+
 def solve_alpha(basis: OrthonormalBasis,
                 spec: ConstructionSpec) -> dict[tuple[int, int], float]:
     """Solve the stage moment conditions for the coupling coefficients.
@@ -292,31 +312,20 @@ def solve_alpha(basis: OrthonormalBasis,
     if n_cond:
         # a condition needs b_order >= 3, so r <= b_order - 1 < MAX_DEGREE
         # and every integral read here is exact
+        matrix, idle, active, error = _solve_plan(
+            basis.family, n_cond, r,
+            tuple(pair for pair in pairs if pair not in pinned))
+        if error:
+            raise ConstructionError(error)
         _, gram, targets = interval_integrals(basis.family)
-        weights = gram[: r + 1, :n_cond]
         # coefficients on P_0(tau) .. P_r(tau) of the conditions' left sides
         # int_0^1 A(tau, s) / B(s) P_k(s) ds, k outermost
-        unknowns = [p for p in pairs if p not in pinned]
         vector = targets[:n_cond, : r + 1].ravel() - (kernel_matrix(
-            basis, _expand(pinned, gap), r + 1) @ weights).T.ravel()
-        matrix = _condition_matrix(basis, unknowns, weights)
-        column_max = np.abs(matrix).max(axis=0)
-        scale = max(1.0, float(column_max.max()) if matrix.size else 1.0)
-        # coefficients the conditions never touch take their default value 0
-        idle = column_max <= 1e-13 * scale
-        flags = list(zip(unknowns, idle.tolist()))
-        solution.update((pair, 0.0) for pair, off in flags if off)
-        active = [pair for pair, off in flags if not off]
-        matrix = matrix[:, ~idle]
-        if active:
-            values, _, _, sing = np.linalg.lstsq(matrix, vector, rcond=None)
-            if (sing > 1e-10 * sing[0]).sum() < len(active):
-                raise ConstructionError(
-                    f"rank deficiency couples the alpha coefficients "
-                    f"{', '.join(map(str, active))}; pin some of them via "
-                    f"free_alpha")
-        else:
-            values = np.zeros(0)
+            basis, _expand(pinned, gap), r + 1) @ gram[: r + 1, :n_cond]
+        ).T.ravel()
+        solution.update(dict.fromkeys(idle, 0.0))
+        values = (np.linalg.lstsq(matrix, vector, rcond=None)[0] if active
+                  else np.zeros(0))
         residual = np.abs(matrix @ values - vector)
         worst = int(residual.argmax())
         if not residual[worst] <= 1e-10 * max(1.0, np.abs(vector).max()):
@@ -457,7 +466,7 @@ def check_symplectic(tableau: RKNTableau) -> float:
     bp = tableau.b_prime
     m = bp[:, None] * (tableau.b_bar[None, :] - tableau.a_bar)
     position = tableau.b_bar - bp * (1.0 - tableau.c)
-    return float(np.maximum(np.abs(m - m.T).max(), np.abs(position).max()))
+    return _max_magnitude((m - m.T).ravel().tolist() + position.tolist())
 
 
 def discretize(coeffs: ContinuousCoefficients,

@@ -183,8 +183,15 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     a_dot = h2_a_bar.dot
     b_bar_dot = ((h * h) * tableau.b_bar).dot
     b_prime_dot = (h * tableau.b_prime).dot
-    q = np.array(q0, dtype=float)
-    qp = np.array(qp0, dtype=float)
+    arrays = []
+    for name, value in (("q0", q0), ("qp0", qp0)):
+        try:
+            arrays.append(np.array(value, dtype=float))
+        except (TypeError, ValueError, OverflowError) as err:
+            kind = TypeError if isinstance(err, TypeError) else ValueError
+            raise kind(f"{name} must hold real numbers, got "
+                       f"{value!r}") from None
+    q, qp = arrays
     if q.ndim != 1 or qp.shape != q.shape or not q.size:
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")

@@ -189,8 +189,8 @@ def check_symmetric(tableau: RKNTableau) -> float | None:
     if tableau.family is None or not tableau.family.symmetric_weight:
         return None
     own = (tableau.c, tableau.a_bar, tableau.b_bar, tableau.b_prime)
-    return float(_max_magnitude(np.abs(a - e).max()
-                                for a, e in zip(_flipped(tableau), own)))
+    return _max_magnitude([gap for a, e in zip(_flipped(tableau), own)
+                           for gap in (a - e).ravel().tolist()])
 
 
 @dataclass(frozen=True)

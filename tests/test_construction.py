@@ -290,6 +290,23 @@ def test_non_real_gamma_error_names_gamma(name, gamma):
         assert str(info.value) == f"gamma must be a real number, got {gamma!r}"
 
 
+# an int too large for a double used to escape math.isfinite as an
+# OverflowError that named nothing
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_huge_integer_gamma_error_names_gamma(name):
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.builtin_tableau(name, 10**400)
+    assert str(info.value) == f"gamma must be finite, got {10**400!r}"
+
+
+def test_huge_integer_free_alpha_error_names_the_pin():
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=5,
+                               cn_order=2, tau_degree=3,
+                               free_alpha={(1, 1): 10**400})
+    assert str(info.value) == f"alpha(1, 1) must be finite, got {10**400!r}"
+
+
 def test_builtin_unknown_name():
     with pytest.raises(csrkn.ConstructionError):
         csrkn.builtin_tableau("gauss99")

@@ -371,6 +371,38 @@ def test_non_real_step_or_start_error_names_it(tableaux, argument, name,
                                    f"{value!r}")
 
 
+# an int too large for a double used to escape math.isfinite as an
+# OverflowError that named nothing
+@pytest.mark.parametrize("argument,message", [
+    ("h", "step size must be finite and nonzero"),
+    ("t0", "start time must be finite")])
+def test_huge_integer_step_or_start_error_names_it(tableaux, argument,
+                                                   message):
+    kepler = csrkn.kepler()
+    given = {"h": 0.1, "t0": 0.0, argument: 10**400}
+    with pytest.raises(ValueError) as info:
+        csrkn.integrate(tableaux["legendre4"], kepler, given["t0"],
+                        kepler.q0, kepler.qp0, given["h"], 3)
+    assert str(info.value) == f"{message}, got {10**400!r}"
+
+
+# a state that does not convert to floats used to raise numpy's message,
+# which named neither argument
+@pytest.mark.parametrize("value,error", [(["a", 0.0], ValueError),
+                                         ([1j, 0.0], TypeError),
+                                         ([10**400, 0.0], ValueError),
+                                         ([[1.0], [1.0, 2.0]], ValueError)])
+@pytest.mark.parametrize("argument", ["q0", "qp0"])
+def test_state_that_is_not_real_names_it(tableaux, argument, value, error):
+    kepler = csrkn.kepler()
+    given = {"q0": kepler.q0, "qp0": kepler.qp0, argument: value}
+    with pytest.raises(error) as info:
+        csrkn.integrate(tableaux["legendre4"], kepler, 0.0, given["q0"],
+                        given["qp0"], 0.1, 3)
+    assert str(info.value) == (f"{argument} must hold real numbers, got "
+                               f"{value!r}")
+
+
 def test_integrate_accepts_numpy_integer_step_counts(tableaux):
     kepler = csrkn.kepler()
     runs = [csrkn.integrate(tableaux["legendre4"], kepler, 0.0, kepler.q0,

@@ -8,8 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import csrkn
+from csrkn.verification import _flipped
 
 from conftest import CAPTION_ORDERS, SYMMETRIC_METHODS
 
@@ -71,6 +75,41 @@ def test_symmetry_residual_reads_nan_in_any_array(name):
     broken = dataclasses.replace(tableau, **{name: entries})
     assert math.isnan(csrkn.check_symmetric(broken))
     assert math.isnan(csrkn.check_discrete(broken).symmetry_residual)
+
+
+def _numpy_structural_residuals(tableau):
+    """(check_symplectic, check_symmetric) by per-array numpy reductions,
+    as computed before each became one reduction over one list."""
+    bp = tableau.b_prime
+    m = bp[:, None] * (tableau.b_bar[None, :] - tableau.a_bar)
+    position = tableau.b_bar - bp * (1.0 - tableau.c)
+    symplectic = float(np.maximum(np.abs(m - m.T).max(),
+                                  np.abs(position).max()))
+    own = (tableau.c, tableau.a_bar, tableau.b_bar, tableau.b_prime)
+    distances = [float(np.abs(a - e).max())
+                 for a, e in zip(_flipped(tableau), own)]
+    total = sum(distances)
+    return symplectic, max(distances) if total == total else total
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data())
+def test_structural_residuals_match_numpy_reductions(data):
+    # any entries, NaN and +-inf included, anywhere in any array
+    s = data.draw(st.integers(1, 6))
+    values = data.draw(arrays(np.float64, s * (s + 3), elements=st.floats(
+        width=64) | st.sampled_from([math.nan, math.inf, -math.inf, 0.5])))
+    tableau = csrkn.RKNTableau(
+        c=values[:s], a_bar=values[s: s + s * s].reshape(s, s),
+        b_bar=values[s + s * s: 2 * s + s * s],
+        b_prime=values[2 * s + s * s:], family=csrkn.Family.SHIFTED_LEGENDRE)
+    with np.errstate(all="ignore"):
+        expected = _numpy_structural_residuals(tableau)
+        got = (csrkn.check_symplectic(tableau), csrkn.check_symmetric(tableau))
+    for value, reference in zip(got, expected):
+        assert type(value) is float
+        assert (value == reference
+                or (math.isnan(value) and math.isnan(reference)))
 
 
 def _fresh_condition_sides(x, kappa_max):
@@ -293,6 +332,17 @@ def test_non_real_step_or_end_error_names_it(argument, value):
                               t_end=given["t_end"])
     assert str(info.value) == (f"{argument} must be a real number, got "
                                f"{value!r}")
+
+
+@pytest.mark.parametrize("argument,message", [
+    ("h0", "h0 must be finite and nonzero"), ("t_end", "t_end must be finite")])
+def test_huge_integer_step_or_end_error_names_it(argument, message):
+    given = {"h0": 0.1, "t_end": 1.0, argument: 10**400}
+    with pytest.raises(ValueError) as info:
+        csrkn.empirical_order(csrkn.builtin_tableau("legendre4"),
+                              csrkn.harmonic(), given["h0"], 2,
+                              t_end=given["t_end"])
+    assert str(info.value) == f"{message}, got {10**400!r}"
 
 
 def test_empirical_order_accepts_numpy_integer_levels():
