@@ -107,10 +107,21 @@ def _times(scale: float, num: int, den: int) -> float:
     return top * num / (bottom * den)
 
 
+def _over(scale: float, values) -> tuple[int, int, list[int]]:
+    """(top, bottom, nums) with scale * values[i] = top * nums[i] / bottom
+    exactly: the rationals over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    top, bottom = scale.as_integer_ratio()
+    return top, bottom * den, [v.numerator * (den // v.denominator)
+                               for v in values]
+
+
 def _integer(name: str, value, low=None, high=None, error=ValueError) -> int:
     """operator.index(value), checked against low (and high if given); the
-    errors name the argument: TypeError for a non-integer, else error."""
+    errors name it: TypeError for a non-integer or a bool, else error."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
@@ -138,8 +149,8 @@ def _real(name: str, value, error=ValueError, *, nonzero=False) -> None:
 
 def _shared_table(build):
     """Memoize build(family, degree), checking the key first so only valid
-    keys are ever stored.  Callers share each result, so its arrays must be
-    read-only; ``__wrapped__`` is build, ``cache_clear`` empties the memo."""
+    keys are stored; results are shared, so their arrays must be read-only.
+    ``__wrapped__`` is build, ``cache_clear``/``cache_info`` the memo's."""
     cached = functools.cache(build)
 
     @functools.wraps(build)
@@ -148,7 +159,7 @@ def _shared_table(build):
             raise TypeError(f"family must be a Family member, got {family!r}")
         return cached(family, _integer("degree", degree, 0, MAX_DEGREE))
 
-    table.cache_clear = cached.cache_clear
+    table.cache_clear, table.cache_info = cached.cache_clear, cached.cache_info
     return table
 
 
@@ -258,9 +269,8 @@ def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
         if k == max_degree:
             break
         diag, off2 = _rational_recurrence(family, k)
-        step = (Fraction(1, den), diag / den, off2_prev / den_prev)
-        common = math.lcm(*(f.denominator for f in step))
-        up, mid, low = (f.numerator * (common // f.denominator) for f in step)
+        _, common, (up, mid, low) = _over(
+            1.0, (Fraction(1, den), diag / den, off2_prev / den_prev))
         nxt = [0, *(up * v for v in cur)]
         for i, v in enumerate(cur):
             nxt[i] -= mid * v
@@ -275,15 +285,31 @@ def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
         monic=tuple(monic), ratios=tuple(ratios))
 
 
-def inner_product(basis: OrthonormalBasis, p, q) -> float:
-    """Weighted inner product <p, q>_w of two monomial-coefficient vectors.
+def _integrals(rows, cols, moments, scale: float = 1.0) -> np.ndarray:
+    """The one exact integration path: a read-only array of scale s_r s_c
+    sum_{m,n} r[m] c[n] moments[m + n] over the rows (s_r, r) and columns
+    (s_c, c), for rationals r, c and moments (long enough for every
+    product) and double scales.  The sums run on integer numerators and
+    each entry rounds once from its exact value, so an exact 0 is 0."""
+    top, den, mu = _over(scale, moments)
+    width = max(len(r) for _, r in rows)
+    # per column: sum_n c[n] moments[m + n] for m < width
+    cols = [(t * top, b * den, [sum(map(operator.mul, c, mu[m:]))
+                                for m in range(width)])
+            for t, b, c in (_over(*col) for col in cols)]
+    out = np.array([[t * tc * sum(map(operator.mul, r, sums)) / (b * bc)
+                     for tc, bc, sums in cols]
+                    for t, b, r in (_over(*row) for row in rows)])
+    out.flags.writeable = False
+    return out
 
-    sum_{m,n} p_m q_n m_{m+n} / m_0 is summed exactly in fractions and then
-    multiplied by m_0 sigma_p sigma_q, so the violent cancellation of
-    high-degree cross terms costs no accuracy and the result rounds once.
-    A vector equal to the family's own ``poly(n)`` is read as its exact
-    sigma_n pi_n; any other vector as its doubles (sigma = 1).
-    """
+
+def inner_product(basis: OrthonormalBasis, p, q) -> float:
+    """Weighted inner product <p, q>_w of two monomial-coefficient vectors,
+    summed exactly and rounded once (``_integrals``), so the violent
+    cancellation of high-degree cross terms costs no accuracy.  A vector
+    equal to the family's own ``poly(n)`` is read as its exact sigma_n
+    pi_n; any other vector as its doubles (sigma = 1)."""
     sp, p = basis._exact(p)
     sq, q = basis._exact(q)
     deg = (len(p) - 1) + (len(q) - 1)
@@ -291,8 +317,5 @@ def inner_product(basis: OrthonormalBasis, p, q) -> float:
         raise ValueError(
             f"product degree {deg} exceeds moment table "
             f"({2 * basis.max_degree + 2})")
-    ratios = basis.ratios
-    total = sum((a * b * ratios[m + n] for m, a in enumerate(p) if a
-                 for n, b in enumerate(q) if b), Fraction(0))
-    return _times(float(basis.moments[0]) * sp * sq,
-                  total.numerator, total.denominator)
+    return float(_integrals([(sp, p)], [(sq, q)], basis.ratios,
+                            basis.family.m0)[0, 0])

@@ -29,14 +29,14 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from operator import index
 from typing import Mapping
 
 import numpy as np
-from numpy.polynomial import legendre
 
-from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer, _real,
-                    make_basis, recurrence_coefficients)
+from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer,
+                    _integrals, _real, make_basis, recurrence_coefficients)
 from .quadrature import QuadratureRule, gauss_rule
 
 TABLEAU_TOL = 1e-12
@@ -129,56 +129,34 @@ def interval_integrals(family: Family) -> tuple[np.ndarray, ...]:
 
     Returns (ones, gram, targets): ones[j] = int_0^1 P_j, gram[j, k] =
     int_0^1 P_j P_k, and targets[k, m] = <D_k, P_m>_w, the coefficients of
-    the stage-condition right side D_k(tau) = int_0^tau int_0^a P_k dx da =
-    tau^2 int_0^1 (1 - u) P_k(tau u) du, for every test index k a spec can
-    have (k < cn_order - 1 <= (b_order - 1) / 2, so k <= 4).  The [0, 1]
-    rule is exact for all of them but gram[12, 12], which is never read; D_k
-    has degree k + 2, so the (k + 3)-point Gauss rule of the family projects
-    it exactly.  Entries that vanish by parity are set to exactly 0.  One
-    table set per family serves every basis and stage count; read-only.
+    the stage-condition right side D_k(tau) = int_0^tau int_0^a P_k dx da
+    for every test index k a spec can have (k < cn_order - 1 <=
+    (b_order - 1) / 2, so k <= 4).  Each entry is the exact value from
+    ``basis.monic`` and int_0^1 x^i = 1 / (i + 1) or the moment ratios,
+    rounded once (``basis._integrals``): zeros by parity or degree are exact.
+    One read-only table set per family serves every basis and stage count.
     """
     basis = make_basis(family, MAX_DEGREE)
-    # the MAX_DEGREE-point Gauss-Legendre rule on [0, 1]
-    nodes, weights = legendre.leggauss(MAX_DEGREE)
-    t, w = (nodes + 1.0) / 2.0, weights / 2.0
-    vals = basis.values(t, MAX_DEGREE)
-    ones = vals @ w
-    gram = (vals * w) @ vals.T
-    odd = np.arange(MAX_DEGREE + 1) % 2
-    if family.symmetric_weight:
-        # P_j(1 - x) = (-1)^j P_j(x)
-        ones[odd == 1] = 0.0
-        gram[odd[:, None] != odd] = 0.0
-    targets = np.zeros(((MAX_DEGREE + 1) // 2 - 1, MAX_DEGREE + 1))
-    for k in range(len(targets)):
-        own = gauss_rule(basis, k + 3)
-        x, p = own.nodes, own.values[: k + 3]
-        inner = basis.values(np.multiply.outer(x, t), k)[k] @ (w * (1.0 - t))
-        targets[k, : k + 3] = (inner * x * x * own.weights) @ p.T
-    if family.centre == 0:
-        # P_j(-x) = (-1)^j P_j(x) and D_k(-tau) = (-1)^k D_k(tau)
-        targets[odd[: len(targets), None] != odd] = 0.0
-    for table in (ones, gram, targets):
-        table.flags.writeable = False
-    return ones, gram, targets
+    polys = basis.monic
+    unit = [Fraction(1, i + 1) for i in range(2 * MAX_DEGREE + 1)]
+    ones = _integrals([(1.0, [1])], polys, unit)[0]
+    gram = _integrals(polys, polys, unit)
+    # D_k = sigma_k sum_i pi_k[i] tau^(i + 2) / ((i + 1) (i + 2))
+    primitives = [(sigma, [0, 0, *(c / ((i + 1) * (i + 2))
+                                   for i, c in enumerate(monic))])
+                  for sigma, monic in polys[: (MAX_DEGREE + 1) // 2 - 1]]
+    return ones, gram, _integrals(primitives, polys, basis.ratios, family.m0)
 
 
 def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
-    """Series coefficients lam of the velocity-weight function B.
-
-    lam holds the b_order integrals int_0^1 P_j dx (the stage interval is
-    [0, 1] for every family), which makes the weight moment conditions hold
-    by construction.  For a reflection-symmetric weight the odd terms are
-    exactly 0.
-    """
+    """Series coefficients lam of the velocity-weight function B: the
+    b_order integrals int_0^1 P_j dx (the stage interval of every family),
+    so the weight moment conditions hold by construction and, for a
+    reflection-symmetric weight, the odd terms are exactly 0."""
     if spec.b_order > basis.max_degree:
         raise ConstructionError(f"b_order {spec.b_order} exceeds basis "
                                 f"degree {basis.max_degree}")
-    ones = interval_integrals(basis.family)[0]
-    lam = ones[: spec.b_order].copy()
-    # snap rounding noise so the support matches the true degree
-    lam[np.abs(lam) < 1e-13 * max(1.0, float(np.max(np.abs(lam))))] = 0.0
-    return lam
+    return interval_integrals(basis.family)[0][: spec.b_order].copy()
 
 
 def _max_magnitude(values) -> float:
@@ -254,9 +232,8 @@ def _solve_plan(family: Family, n_cond: int, r: int,
     None)."""
     matrix = _condition_matrix(make_basis(family, MAX_DEGREE), unknowns,
                                interval_integrals(family)[1][: r + 1, :n_cond])
-    column_max = np.abs(matrix).max(axis=0)
     # coefficients the conditions never touch take their default value 0
-    idle = column_max <= 1e-13 * max([1.0, *column_max.tolist()])
+    idle = ~matrix.any(axis=0)
     matrix = matrix[:, ~idle]
     matrix.flags.writeable = False
     flags = list(zip(unknowns, idle.tolist()))
@@ -310,8 +287,6 @@ def solve_alpha(basis: OrthonormalBasis,
     solution = dict(pinned)
     n_cond = spec.cn_order - 1
     if n_cond:
-        # a condition needs b_order >= 3, so r <= b_order - 1 < MAX_DEGREE
-        # and every integral read here is exact
         matrix, idle, active, error = _solve_plan(
             basis.family, n_cond, r,
             tuple(pair for pair in pairs if pair not in pinned))

@@ -186,6 +186,8 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     arrays = []
     for name, value in (("q0", q0), ("qp0", qp0)):
         try:
+            if np.iscomplexobj(value):  # numpy would drop the imaginary part
+                raise TypeError
             arrays.append(np.array(value, dtype=float))
         except (TypeError, ValueError, OverflowError) as err:
             kind = TypeError if isinstance(err, TypeError) else ValueError

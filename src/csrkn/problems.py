@@ -33,7 +33,6 @@ class SecondOrderProblem:
     """
 
     name: str
-    dim: int
     f: Callable[[float, np.ndarray], np.ndarray]
     q0: np.ndarray
     qp0: np.ndarray
@@ -122,7 +121,7 @@ def kepler() -> SecondOrderProblem:
                 np.array([-np.sin(t), np.cos(t)]))
 
     return SecondOrderProblem(
-        name="kepler", dim=2, f=_PlanarForce(_kepler_points),
+        name="kepler", f=_PlanarForce(_kepler_points),
         q0=np.array([1.0, 0.0]), qp0=np.array([0.0, 1.0]),
         hamiltonian=hamiltonian,
         invariants={"angmom": angular_momentum, "rlp": runge_lenz},
@@ -147,8 +146,7 @@ def henon_heiles() -> SecondOrderProblem:
                 + q1 * q1 * q2 - _cube(q2) / 3.0)
 
     return SecondOrderProblem(
-        name="henon-heiles", dim=2,
-        f=_PlanarForce(_henon_heiles_points),
+        name="henon-heiles", f=_PlanarForce(_henon_heiles_points),
         q0=np.array([0.1, -0.5]), qp0=np.array([0.0, 0.0]),
         hamiltonian=hamiltonian)
 
@@ -166,7 +164,7 @@ def harmonic() -> SecondOrderProblem:
         return (np.array([np.cos(t)]), np.array([-np.sin(t)]))
 
     return SecondOrderProblem(
-        name="harmonic", dim=1, f=f,
+        name="harmonic", f=f,
         q0=np.array([1.0]), qp0=np.array([0.0]),
         hamiltonian=hamiltonian, exact=exact)
 

@@ -343,6 +343,68 @@ def test_unit_integral_helper(bases):
                 assert gram[j, k] == pytest.approx(float(exact), abs=1e-13)
 
 
+def _exact_tables(family):
+    """ones, gram and targets of interval_integrals as exact fractions:
+    the stored sigmas (and m_0) times the rational sums of the monic
+    polynomials against int_0^1 x^i = 1 / (i + 1) or the moment ratios."""
+    basis = csrkn.make_basis(family, MAX_DEGREE)
+    sigmas = [Fraction(sigma) for sigma, _ in basis.monic]
+    monic = [poly for _, poly in basis.monic]
+    ones = [sigma * sum(c / (m + 1) for m, c in enumerate(poly))
+            for sigma, poly in zip(sigmas, monic)]
+    gram = [[sj * sk * sum(a * b / (m + n + 1) for m, a in enumerate(pj)
+                           for n, b in enumerate(pk))
+             for sk, pk in zip(sigmas, monic)]
+            for sj, pj in zip(sigmas, monic)]
+    # <D_k, P_m>_w with D_k = int_0^tau int_0^a P_k, of degree k + 2
+    ratios = basis.ratios
+    targets = [[Fraction(family.m0) * sigmas[k] * sm
+                * sum(a / ((i + 1) * (i + 2)) * b * ratios[i + 2 + n]
+                      for i, a in enumerate(monic[k])
+                      for n, b in enumerate(pm))
+                for sm, pm in zip(sigmas, monic)]
+               for k in range(5)]
+    return ones, gram, targets
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_interval_integrals_are_correctly_rounded(family):
+    # float(Fraction) rounds once to nearest, so equality puts every entry
+    # within 0.5 ulp of the exact value of its formula
+    tables = interval_integrals(family)
+    for table, exact in zip(tables, _exact_tables(family), strict=True):
+        assert not table.flags.writeable
+        assert table.shape == np.shape(exact)
+        rounded = np.vectorize(float, otypes=[float])(np.array(exact))
+        np.testing.assert_array_equal(table, rounded)
+    ones, gram, targets = tables
+    # exact zeros: odd P_j about the centre of a reflection-symmetric weight
+    parity = np.arange(MAX_DEGREE + 1) % 2
+    if family.symmetric_weight:
+        assert not np.any(ones[1::2])
+        assert not np.any(gram[parity[:, None] != parity])
+    if family is csrkn.Family.SHIFTED_LEGENDRE:
+        # w = 1 on [0, 1]: the tables are the orthonormality relations
+        assert not np.any(ones[1:])
+        assert not np.any(gram[~np.eye(MAX_DEGREE + 1, dtype=bool)])
+    if family.centre == 0:
+        # P_j(-x) = (-1)^j P_j(x) and D_k(-tau) = (-1)^k D_k(tau)
+        assert not np.any(targets[parity[:5, None] != parity])
+    for k in range(5):
+        # D_k has degree k + 2
+        assert not np.any(targets[k, k + 3:])
+
+
+def test_cold_interval_integrals_build_no_gauss_rule():
+    from csrkn.quadrature import _shared_rule
+
+    interval_integrals.cache_clear()
+    _shared_rule.cache_clear()
+    for family in ALL_FAMILIES:
+        interval_integrals(family)
+    assert _shared_rule.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_values_match_monomial_view(bases, family):
     basis = bases[family]

@@ -464,10 +464,10 @@ def test_solve_alpha_names_alpha_range_and_basis_degree():
 
 
 # a non-integer order used to derive silently (tau_degree) or fail with a
-# bare slice TypeError in build_b (b_order); a truthy non-bool symmetric
-# built the symmetric method
+# bare slice TypeError in build_b (b_order), and a bool passed as an
+# integer; a truthy non-bool symmetric built the symmetric method
 @pytest.mark.parametrize("field", ["b_order", "cn_order", "tau_degree"])
-@pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", None, True])
 def test_spec_rejects_non_integer_orders(field, value):
     with pytest.raises(TypeError) as info:
         csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE,
@@ -554,7 +554,7 @@ def test_derived_tableau_owns_its_nodes():
 
 # stages used to fail late: 17 named the basis memo's degree cap, 0 and -2
 # the Gauss rule's "s must be in 1..8" although 12 stages derive, and 2.5 a
-# bare TypeError
+# bare TypeError; True derived one stage
 @pytest.mark.parametrize("stages,error,message", [
     (17, csrkn.ConstructionError, "stages must be in 1..12, got 17"),
     (13, csrkn.ConstructionError, "stages must be in 1..12, got 13"),
@@ -563,7 +563,8 @@ def test_derived_tableau_owns_its_nodes():
     (2.5, TypeError, "stages must be an integer, got 2.5"),
     (3.0, TypeError, "stages must be an integer, got 3.0"),
     ("3", TypeError, "stages must be an integer, got '3'"),
-    (None, TypeError, "stages must be an integer, got None")])
+    (None, TypeError, "stages must be an integer, got None"),
+    (True, TypeError, "stages must be an integer, got True")])
 def test_derive_checks_stages_before_any_work(monkeypatch, stages, error,
                                               message):
     def no_work(*args):
@@ -671,29 +672,29 @@ def test_tableau_position_weights_follow_nodes(tableaux):
 # unchanged.
 BUILTIN_TABLEAU_SHA256 = {
     ("legendre4", -0.4):
-        "ca64e9becef4d5a2e722de7f822544903c80146e98e7b6f31bfd099643d50567",
+        "9123e1994c6cdf262ba3b3e627104c1f6aad5db17215455b89653a438476dde9",
     ("legendre4", 0.0):
-        "c7e01b80cf1e950e58088669166e16658cc4b1f0e461f320664307c56c1fd054",
+        "d0a97628b0c82ac587a5459f6b2aaebc73f4a7d910e8ae870b4f564669ed9092",
     ("legendre4", 0.3):
-        "7d0a0f5e85483b30cc22fc710629b41f3f3f6cc162b18c4151f12ac5237dfafd",
+        "263aba37ba45f183620818c8fdd554bfcaa8f92bd2565f77c71248a1c74495b2",
     ("chebyshev4", -0.4):
-        "3fa4fcb9403962e52cc69380fd76f7f184e1479fb827fbcc89b5323bbfd03540",
+        "1a9e2214c7a2e8da70ce3ddbfdca99ab223da508e4c95016af6af9bb90055d5b",
     ("chebyshev4", 0.0):
-        "359c585d5336ec5e0f4d187a081ab9b4f344829b6f5da8b2ac9054facb52f12b",
+        "052190fcd5e7a25bd0622526d2f9b0da10f80b6078d03cec256c3786de0c9034",
     ("chebyshev4", 0.3):
-        "136f1cce19e16f4c7002fb0a7e0f12454c99b2dcb0ffa2e2011480e5b6a5df11",
+        "33dd60f2856d4ecbcf7c4b07c630ebaec12e0e1e219dd8e7e006a03fa07934a4",
     ("hermite4", -0.4):
-        "69494e477755f029c13ccfa2c3e538cae901b84eedf4af389dad29e56b76cd92",
+        "a8d0dc052b225f864be70223fde9434164777eafba7a6fdc3557a68d442b971b",
     ("hermite4", 0.0):
-        "dc20113ca7b6faf51f6fdfb310ea9faf854aadaac7b0a609bd2bf4699f396b6d",
+        "4fa8d842686144f2f902be9ac88ef6aa268c1361b28535ed1a849d7ae5dee11a",
     ("hermite4", 0.3):
-        "9898d911de2cc575afa7bcceee13b92e122f7e99c431f16eb1481106d407172a",
+        "5d97099cdcaa4162a9d5e71e9f3bf0b27133f71d9fa261fe94d18d56d98d38fa",
     ("hermite3", -0.4):
-        "33481a8c1c6b2dbe90cbc253e13999c983e17ff04344ed1659926077699d3f36",
+        "6f55e1908aecb15f5bed2c353cefafab8fb4aa5599f6e32523ab05653a10cac8",
     ("hermite3", 0.0):
-        "33481a8c1c6b2dbe90cbc253e13999c983e17ff04344ed1659926077699d3f36",
+        "6f55e1908aecb15f5bed2c353cefafab8fb4aa5599f6e32523ab05653a10cac8",
     ("hermite3", 0.3):
-        "33481a8c1c6b2dbe90cbc253e13999c983e17ff04344ed1659926077699d3f36",
+        "6f55e1908aecb15f5bed2c353cefafab8fb4aa5599f6e32523ab05653a10cac8",
 }
 
 

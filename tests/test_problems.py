@@ -190,7 +190,7 @@ def test_force_rejects_points_off_the_plane(factory, shape):
 def test_force_paths_give_identical_runs(tableaux, name):
     problem = csrkn.problem_from_name(name)
     wrapped = csrkn.SecondOrderProblem(
-        name="wrapped", dim=problem.dim, f=lambda t, q: problem.f(t, q),
+        name="wrapped", f=lambda t, q: problem.f(t, q),
         q0=problem.q0, qp0=problem.qp0)
     # the CLI's largest custom method: 12 stages
     spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
@@ -233,12 +233,13 @@ def test_force_is_potential_gradient(factory):
     problem = factory()
     rng = np.random.default_rng(5)
     h = 1e-6
-    zero = np.zeros(problem.dim)
+    dim = len(problem.q0)
+    zero = np.zeros(dim)
     for _ in range(20):
-        q = rng.uniform(0.4, 1.2, size=problem.dim)
-        grad = np.zeros(problem.dim)
-        for i in range(problem.dim):
-            step = np.zeros(problem.dim)
+        q = rng.uniform(0.4, 1.2, size=dim)
+        grad = np.zeros(dim)
+        for i in range(dim):
+            step = np.zeros(dim)
             step[i] = h
             grad[i] = (problem.hamiltonian(q + step, zero)
                        - problem.hamiltonian(q - step, zero)) / (2 * h)
@@ -373,8 +374,8 @@ def test_conserved_quantities_broadcast_bitwise(builtin_runs, name):
             assert_batch_equals_stacked(name, key, quantity, trajectory.q,
                                         trajectory.qp)
         rng = np.random.default_rng(17)
-        q = rng.uniform(-1.5, 1.5, (40, problem.dim))
-        qp = rng.uniform(-1.5, 1.5, (40, problem.dim))
+        q = rng.uniform(-1.5, 1.5, (40, len(problem.q0)))
+        qp = rng.uniform(-1.5, 1.5, q.shape)
         q[7] = np.nan
         assert_batch_equals_stacked(name, key, quantity, q, qp)
         values = np.asarray(quantity(q, qp)).reshape(40, -1)
@@ -400,6 +401,6 @@ def test_conserved_quantities_of_one_state(name):
 
 def test_problem_registry():
     assert set(csrkn.PROBLEMS) == {"kepler", "henon-heiles", "harmonic"}
-    assert csrkn.problem_from_name("harmonic").dim == 1
+    assert len(csrkn.problem_from_name("harmonic").q0) == 1
     with pytest.raises(ValueError):
         csrkn.problem_from_name("three-body")
