@@ -174,6 +174,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     f = problem.f
     isfinite = math.isfinite
     max_iters = config.max_iters
+    record_every = config.record_every
     s = tableau.s
     ch = h * tableau.c
     # one broadcast per step: rows[:s] are the stage bases q + c h q' and
@@ -206,12 +207,15 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     predictor = None
     # the final stage forces of step k in block k mod (m + 1), so the last
     # m + 1 steps are stacked with no copy; correctors[k mod (m + 1)]
-    # holds the start's blocks rotated to match at step k
+    # holds the start's blocks rotated to match at step k.  Each kernel
+    # sweep writes its forces into its step's block once the start has read it
     slots = _HISTORY + 1
     history = np.zeros((slots, s, q.size))
     stacked = history.reshape(slots * s, q.size)
+    ring = history.reshape(slots, s * q.size)
     for step in range(n_steps):
         t = t0 + step * h
+        slot = step % slots
         if step == 1:
             # built for the second step, so a single step never pays for it
             predictor, correctors = _start_weights(tableau.c, h2_a_bar,
@@ -225,7 +229,9 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         elif step <= _HISTORY:
             stages = base + predictor.dot(forces)
         else:
-            stages = base + correctors[step % slots].dot(stacked)
+            stages = base + correctors[slot].dot(stacked)
+        if on_points is not None:
+            flat, forces = ring[slot], history[slot]
         # the increment on Python floats: numpy's IEEE subtractions without
         # two array dispatches per sweep; total is the sum of previous
         previous = stages.ravel().tolist()
@@ -238,7 +244,8 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                 if on_points is None:
                     forces = np.asarray(f(t_stage, stages), dtype=float)
                 else:
-                    forces = np.array(on_points(previous)).reshape(s, 2)
+                    values = on_points(previous)
+                    flat[:] = values
             except (ValueError, ArithmeticError) as err:
                 raise _failure(step, t, f"force evaluation failed: {err}",
                                sweep, delta) from err
@@ -275,15 +282,17 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                          t, max_iters, delta)
         # a non-finite increment leaves the sweeps early; non-finite forces
         # can also meet the tolerance where a_bar does not reach them
-        if not (isfinite(increment)
-                and all(map(isfinite, forces.ravel().tolist()))):
+        if on_points is None:
+            values = forces.ravel().tolist()
+        if not (isfinite(increment) and all(map(isfinite, values))):
             raise _failure(step, t, "force evaluation returned a non-finite "
                            "value", sweep, delta)
         q = rows[s] + b_bar_dot(forces)
         qp = qp + b_prime_dot(forces)
-        history[step % slots] = forces
+        if on_points is None:
+            history[slot] = forces
         iterations.append(sweep)
-        if (step + 1) % config.record_every == 0 or step == n_steps - 1:
+        if (step + 1) % record_every == 0 or step == n_steps - 1:
             times.append(t0 + (step + 1) * h)
             qs.append(q)
             qps.append(qp)

@@ -330,7 +330,9 @@ def test_cached_tables_equal_fresh_builds(family):
 
 
 def test_unit_integral_helper(bases):
-    # the [0, 1] rule against int_0^1 x^k dx = 1 / (k + 1), in exact arithmetic
+    # ones and gram[:9, :9] of every family, to an absolute tolerance, against
+    # int_0^1 P_j and int_0^1 P_j P_k from P's exact monomial coefficients
+    # and int_0^1 x^k dx = 1 / (k + 1)
     for family, basis in bases.items():
         ones, gram, _ = interval_integrals(family)
         polys = [_exact_poly(basis, j) for j in range(9)]

@@ -739,8 +739,17 @@ def test_henon_heiles_sweep_count_pinned(tableaux, name):
     assert int(trajectory.iterations.sum()) == HENON_HEILES_SWEEPS[name]
 
 
+# the spec of CI's 12-stage console runs, at 5 and 12 stages: its dot
+# products are longer than the 2-3-stage built-ins', so a change of their
+# summation order shows in the bytes
+CUSTOM_STAGES = {"custom5": 5, "custom12": 12}
+CUSTOM_SPEC = csrkn.ConstructionSpec(
+    family=csrkn.Family.SHIFTED_LEGENDRE, b_order=8, cn_order=3,
+    tau_degree=4, symmetric=True)
+
 # sha256 of the CSV of a 300-step run at h = 0.1 from each problem's start
 # state; any change to a state, an invariant or the formatting moves it.
+# harmonic (d = 1) takes the f path, kepler and henon-heiles the kernel's.
 RUN_CSV_SHA256 = {
     ("legendre4", "kepler"):
         "c2ceed32284089689c3d123223f3f52e04ed887a97e54be3aeddf7a79ae5142e",
@@ -758,13 +767,31 @@ RUN_CSV_SHA256 = {
         "ffd4501536443fce4a70ab460b689cdb938e133f00513888f700d2977db971f8",
     ("hermite3", "henon-heiles"):
         "81b45e783062a02934bcb0c8fec4295bdacd8d137e1a6cb7ce2a8888e33b8d09",
+    ("legendre4", "harmonic"):
+        "05f1f5b7e22a27b47e4acd2005e6991e37b2f0a58399e182de45da6038d7dd48",
+    ("chebyshev4", "harmonic"):
+        "829aff944dd05bee29418c9c2fa011378be5983b652ba93133c6248898d25138",
+    ("hermite4", "harmonic"):
+        "3a42600c6c405798e162eb0aba3905c543d21a70fedad1410c9c5a8207fe66bb",
+    ("hermite3", "harmonic"):
+        "ea9def8e458cdf5d26f362eb3bc2880c6ef753a236455ddf34ddf04afdb7c6fa",
+    ("custom5", "kepler"):
+        "300b6a30804f2133948071c227b7f9189cf6d84651e190dfd4608f1c2ab34949",
+    ("custom5", "henon-heiles"):
+        "2a62e18c66ff6692e8cf348e1893676835576ddeea88b4e97b814da8fe410258",
+    ("custom12", "kepler"):
+        "0399efd4860e487e20298f85065a5a5df4e095e1584558ceff5052b7e5970947",
+    ("custom12", "henon-heiles"):
+        "0d41938897c6ff6da8d18adb834f5d6b607e6d1a15c06c47949e3c92d79fb72e",
 }
 
 
 @pytest.mark.parametrize("name,problem_name", sorted(RUN_CSV_SHA256))
 def test_run_csv_pinned_sha256(tableaux, name, problem_name):
     problem = csrkn.problem_from_name(problem_name)
-    trajectory = csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
+    tableau = (csrkn.derive(CUSTOM_SPEC, CUSTOM_STAGES[name])
+               if name in CUSTOM_STAGES else tableaux[name])
+    trajectory = csrkn.integrate(tableau, problem, 0.0, problem.q0,
                                  problem.qp0, 0.1, 300)
     buffer = io.StringIO()
     csrkn.write_trajectory_csv(trajectory, problem, buffer)
