@@ -6,6 +6,7 @@ CI also runs this file alone in a fresh process, so the cold-memo tests
 cannot pass only because another file built the plans first.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,15 +23,22 @@ DEFICIENT_MESSAGE = ("rank deficiency couples the alpha coefficients (0, 0), "
                      "(0, 1), (0, 2), (1, 2), (2, 2); pin some of them via "
                      "free_alpha")
 
+# every plan of _structure_specs(12, 7, 6), pinned bit for bit so that a
+# rewrite of the plan build must reproduce it
+PLAN_COUNT = 109
+PLAN_SHA256 = ("837a90ef475401b9d3017f49126c7c6f"
+               "964ffe13ddb2dc85d41a4f3c57018dc6")
 
-def _structure_specs():
+
+def _structure_specs(b_max=8, cn_max=4, tau_max=4):
     """The four built-ins, then every spec the CLI's custom flags reach with
-    b_order <= 8 and tau_degree <= 4, every family, symmetric or not."""
+    b_order <= b_max, cn_order <= cn_max and tau_degree <= tau_max, every
+    family, symmetric or not."""
     specs = [construction.method_spec(name, 0.3)
              for name in csrkn.BUILTIN_METHODS]
     for family, symmetric, b, cn, tau in itertools.product(
-            csrkn.Family, (False, True), range(1, 9), range(1, 5),
-            range(1, 5)):
+            csrkn.Family, (False, True), range(1, b_max + 1),
+            range(1, cn_max + 1), range(1, tau_max + 1)):
         try:
             specs.append(csrkn.ConstructionSpec(
                 family=family, b_order=b, cn_order=cn, tau_degree=tau,
@@ -40,9 +48,9 @@ def _structure_specs():
     return specs
 
 
-def _plan_keys(monkeypatch):
-    """Every key solve_alpha asks the plan memo for over _structure_specs,
-    in first-use order."""
+def _plan_keys(monkeypatch, specs=None):
+    """Every key solve_alpha asks the plan memo for over specs (by default
+    _structure_specs()), in first-use order."""
     keys = {}
 
     def recorded(*key):
@@ -51,7 +59,7 @@ def _plan_keys(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(construction, "_solve_plan", recorded)
-        for spec in _structure_specs():
+        for spec in specs or _structure_specs():
             basis = csrkn.make_basis(spec.family, csrkn.basis.MAX_DEGREE)
             try:
                 construction.solve_alpha(basis, spec)
@@ -170,3 +178,23 @@ def test_full_rank_structure_solves_with_one_lstsq_per_call(monkeypatch):
     assert construction.solve_alpha(basis, spec) == expected
     assert len(calls) == 1
     assert calls[0] is _solve_plan(spec.family, 1, 2, ((0, 0), (0, 2)))[0]
+
+
+def _plan_digest(keys) -> str:
+    """sha256 over the fresh plan of each key: the matrix's C-order bytes
+    (signs of zero included) and shape, the idle and active unknowns and
+    the rank-deficiency message."""
+    digest = hashlib.sha256()
+    for key in keys:
+        matrix, idle, active, error = _solve_plan.__wrapped__(*key)
+        digest.update(repr((key, matrix.shape, idle, active, error)).encode())
+        digest.update(np.ascontiguousarray(matrix).tobytes())
+    return digest.hexdigest()
+
+
+def test_plans_of_the_wide_spec_space_are_pinned(monkeypatch):
+    # b_order <= 12 (every basis degree), cn_order <= 7 and tau_degree <= 6:
+    # wider than the tableau digests, which stop at b_order 8, tau_degree 4
+    keys = _plan_keys(monkeypatch, _structure_specs(12, 7, 6))
+    assert len(keys) == PLAN_COUNT
+    assert _plan_digest(keys) == PLAN_SHA256
