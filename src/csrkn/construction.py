@@ -205,22 +205,14 @@ def kernel_matrix(basis: OrthonormalBasis,
     return kernel
 
 
-def _condition_matrix(basis: OrthonormalBasis,
-                      unknowns: list[tuple[int, int]],
-                      weights: np.ndarray) -> np.ndarray:
-    """Column per unknown alpha[i, j], i <= j: (kernel_matrix(unit) @
-    weights).T.ravel() for a unit alpha[i, j] = alpha[j, i], built in one
-    pass: K_ij weights[j] on the P_i(tau) rows, K_ij weights[i] on the
-    P_j(tau) rows, with K_ij = 1 scaled by P_0 as in kernel_matrix."""
-    size, n_cond = weights.shape
-    i, j = np.array(unknowns, dtype=int).reshape(-1, 2).T
-    p0 = 1.0 / math.sqrt(basis.moments[0])
-    unit = np.array([1.0 / (p0 * p0), 1.0 / p0, 1.0])[np.minimum(i + j, 2)]
-    cols = np.arange(len(i))
-    matrix = np.zeros((n_cond, size, len(i)))
-    matrix[:, i, cols] = (unit[:, None] * weights[j]).T
-    matrix[:, j, cols] = (unit[:, None] * weights[i]).T
-    return matrix.reshape(n_cond * size, len(i))
+def _left_sides(basis: OrthonormalBasis,
+                alpha: Mapping[tuple[int, int], float], r: int,
+                n_cond: int) -> np.ndarray:
+    """The stage conditions' left sides int_0^1 A(tau, s) / B(s) P_k(s) ds
+    on P_0(tau) .. P_r(tau), k = 0 .. n_cond - 1 outermost."""
+    gram = interval_integrals(basis.family)[1]
+    return (kernel_matrix(basis, alpha, r + 1)
+            @ gram[: r + 1, :n_cond]).T.ravel()
 
 
 @functools.lru_cache(maxsize=256)
@@ -228,10 +220,12 @@ def _solve_plan(family: Family, n_cond: int, r: int,
                 unknowns: tuple[tuple[int, int], ...]):
     """solve_alpha's system as far as its structure fixes it, built once per
     key and shared: (the condition matrix without its idle columns, read
-    only; the idle unknowns; the active ones; the rank-deficiency message or
-    None)."""
-    matrix = _condition_matrix(make_basis(family, MAX_DEGREE), unknowns,
-                               interval_integrals(family)[1][: r + 1, :n_cond])
+    only, each column the left sides of one unit coefficient taken through
+    kernel_matrix; the idle unknowns; the active ones; the rank-deficiency
+    message or None)."""
+    basis = make_basis(family, MAX_DEGREE)
+    matrix = np.array([_left_sides(basis, _expand({pair: 1.0}, 0.0), r, n_cond)
+                       for pair in unknowns]).reshape(-1, (r + 1) * n_cond).T
     # coefficients the conditions never touch take their default value 0
     idle = ~matrix.any(axis=0)
     matrix = matrix[:, ~idle]
@@ -292,12 +286,9 @@ def solve_alpha(basis: OrthonormalBasis,
             tuple(pair for pair in pairs if pair not in pinned))
         if error:
             raise ConstructionError(error)
-        _, gram, targets = interval_integrals(basis.family)
-        # coefficients on P_0(tau) .. P_r(tau) of the conditions' left sides
-        # int_0^1 A(tau, s) / B(s) P_k(s) ds, k outermost
-        vector = targets[:n_cond, : r + 1].ravel() - (kernel_matrix(
-            basis, _expand(pinned, gap), r + 1) @ gram[: r + 1, :n_cond]
-        ).T.ravel()
+        targets = interval_integrals(basis.family)[2]
+        vector = (targets[:n_cond, : r + 1].ravel()
+                  - _left_sides(basis, _expand(pinned, gap), r, n_cond))
         solution.update(dict.fromkeys(idle, 0.0))
         values = (np.linalg.lstsq(matrix, vector, rcond=None)[0] if active
                   else np.zeros(0))

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import csrkn
-from csrkn.construction import (_condition_matrix, _expand, interval_integrals,
-                                kernel_matrix, method_spec)
+from csrkn.construction import method_spec
 
 from conftest import (REFERENCE_ALPHA, REFERENCE_TABLEAUX,
                       reference_tableau_arrays)
@@ -101,24 +100,6 @@ def test_alpha_symplectic_constraints(bases, name):
         for j in range(3):
             if i + j > 1:
                 assert alpha[(i, j)] == pytest.approx(alpha[(j, i)], abs=0)
-
-
-@pytest.mark.parametrize("family", list(csrkn.Family))
-def test_condition_matrix_matches_one_column_per_unknown(family):
-    # oracle: one kernel_matrix product per unit unknown and its mirror
-    basis = csrkn.make_basis(family, 8)
-    gram = interval_integrals(family)[1]
-    for r, n_cond in itertools.product(range(1, 5), range(1, 4)):
-        weights = gram[: r + 1, :n_cond]
-        pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
-        symmetric = [(i, j) for i, j in pairs
-                     if (i, j) != (0, 1) and (i + j < 2 or (i + j) % 2 == 0)]
-        for unknowns in (pairs, symmetric):
-            oracle = np.column_stack([
-                (kernel_matrix(basis, _expand({pair: 1.0}, 0.0), r + 1)
-                 @ weights).T.ravel() for pair in unknowns])
-            matrix = _condition_matrix(basis, unknowns, weights)
-            assert np.array_equal(matrix, oracle), (r, n_cond, unknowns)
 
 
 def test_solve_alpha_conflicting_pin(bases):
