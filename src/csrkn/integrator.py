@@ -243,6 +243,11 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             try:
                 if on_points is None:
                     forces = np.asarray(f(t_stage, stages), dtype=float)
+                    # a result that broadcasts would integrate another
+                    # equation without an error
+                    if forces.shape != base.shape:
+                        raise ValueError(f"f returned shape {forces.shape} "
+                                         f"for stages of shape {base.shape}")
                 else:
                     values = on_points(previous)
                     flat[:] = values

@@ -190,6 +190,30 @@ def test_kepler_state_off_the_plane_raises_typed_error(tableaux):
     assert isinstance(err.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("result", [
+    lambda q: q[:, :1], lambda q: q.sum(axis=1), lambda q: q.sum(),
+    lambda q: q.ravel(), lambda q: q[None]],
+    ids=["(s, 1)", "(s,)", "scalar", "(s*d,)", "(1, s, d)"])
+def test_force_of_the_wrong_shape_is_a_force_error(tableaux, result):
+    # shapes that broadcast used to integrate another equation silently,
+    # and the others escaped as bare numpy errors
+    tableau = tableaux["legendre4"]
+    kepler = csrkn.kepler()
+    problem = csrkn.SecondOrderProblem(
+        name="wrong shape", f=lambda t, q: -result(np.asarray(q)),
+        q0=kepler.q0, qp0=kepler.qp0)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableau, problem, 0.0, problem.q0, problem.qp0, 0.1,
+                        5)
+    err = info.value
+    shape = np.shape(result(np.zeros((tableau.s, 2))))
+    assert str(err) == (
+        f"step 0 (t = 0) failed: force evaluation failed: f returned shape "
+        f"{shape} for stages of shape ({tableau.s}, 2)")
+    assert (err.step_index, err.iterations, err.last_delta) == (0, 1, None)
+    assert isinstance(err.__cause__, ValueError)
+
+
 def failing_kepler(kind, call):
     """Kepler whose force evaluation number `call` (counted from 1 over the
     whole run) raises, or returns NaN everywhere."""
