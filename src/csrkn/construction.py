@@ -523,14 +523,25 @@ def parse_tableau(text: str) -> RKNTableau:
     tokens = text.split()
     if not tokens:
         raise ValueError("empty tableau text")
-    s = int(tokens[0])
+    try:
+        s = int(tokens[0])
+    except ValueError:
+        raise ValueError(f"tableau stage count must be an integer, got "
+                         f"{tokens[0]!r}") from None
     if s < 1:
         raise ValueError(f"tableau needs >= 1 stage, got {s}")
     expected = 1 + s + s * s + s + s
     if len(tokens) != expected:
         raise ValueError(
             f"tableau text has {len(tokens)} numbers, expected {expected}")
-    data = np.array([float(t) for t in tokens[1:]])
+    values = []
+    for token in tokens[1:]:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"tableau entries must be numbers, got "
+                             f"{token!r}") from None
+    data = np.array(values)
     if not np.isfinite(data).all():
         raise ValueError("tableau entries must be finite")
     c = data[:s]

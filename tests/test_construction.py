@@ -397,6 +397,17 @@ def test_parse_tableau_rejects_bad_input():
     for entry in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="finite"):
             csrkn.parse_tableau(f"1 0.5 0.125 {entry} 1")
+    # a token int() or float() rejects is named, not left to their messages
+    for count in ("2.5", "1e1", "two", "0x2"):
+        with pytest.raises(ValueError) as info:
+            csrkn.parse_tableau(f"{count} 0.5 0.125 0.5 1")
+        assert str(info.value) == (f"tableau stage count must be an "
+                                   f"integer, got '{count}'")
+    for entry in ("abc", "0.5.1", "1,5", "--1"):
+        with pytest.raises(ValueError) as info:
+            csrkn.parse_tableau(f"1 0.5 0.125 {entry} 1")
+        assert str(info.value) == (f"tableau entries must be numbers, got "
+                                   f"'{entry}'")
 
 
 def test_spec_validation():
