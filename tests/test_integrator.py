@@ -195,8 +195,8 @@ def test_kepler_state_off_the_plane_raises_typed_error(tableaux):
     lambda q: q.ravel(), lambda q: q[None]],
     ids=["(s, 1)", "(s,)", "scalar", "(s*d,)", "(1, s, d)"])
 def test_force_of_the_wrong_shape_is_a_force_error(tableaux, result):
-    # shapes that broadcast used to integrate another equation silently,
-    # and the others escaped as bare numpy errors
+    # a shape that broadcasts would integrate another equation silently,
+    # and any other would escape as a bare numpy error
     tableau = tableaux["legendre4"]
     kepler = csrkn.kepler()
     problem = csrkn.SecondOrderProblem(
