@@ -823,6 +823,47 @@ def test_run_csv_pinned_sha256(tableaux, name, problem_name):
     assert digest == RUN_CSV_SHA256[name, problem_name]
 
 
+def spatial_force(t, q):
+    # nonlinear and elementwise, on three components and the stage times,
+    # with only IEEE products and sums so every platform gives the same bits
+    return -(1.0 + 0.5 * q * q) * q + 0.01 * np.asarray(t)[:, None]
+
+
+# sha256 of times, q, qp and iterations of a 300-step run at h = 0.1 of the
+# d = 3 force above, which takes the f path; the run pins above cover only
+# d = 1 (harmonic) and d = 2 (the planar problems)
+SPATIAL_SHA256 = {
+    "legendre4":
+        "71d5ca487baa993aa3ac44ff382a9c4754281ede2c25a40b58313085ede53350",
+    "chebyshev4":
+        "8e77e9433a3814ec4a06303e18d637aae427963f3b5860b5119d0918df814e6a",
+    "hermite4":
+        "bd802b1eaa166e981924f0c1751e21d23224166fb3edb83a942bf5148c93366c",
+    "hermite3":
+        "022ee1d26afd7ebdcbd7fee1985a87aa1b97d433a4de2e896a57a17f06277b86",
+    "custom5":
+        "b3d2119c6326b40c800f946d89a75a2217c186aad767a6ff65888116660e7bff",
+    "custom12":
+        "4a824899b3f2cb19ceb9717c02b8170c65a95b458ba4caddb9e6c4becdf3e8b3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPATIAL_SHA256))
+def test_spatial_run_pinned_sha256(tableaux, name):
+    problem = csrkn.SecondOrderProblem(
+        name="spatial", f=spatial_force, q0=np.array([1.0, -0.5, 0.25]),
+        qp0=np.array([0.0, 0.75, -0.5]))
+    tableau = (csrkn.derive(CUSTOM_SPEC, CUSTOM_STAGES[name])
+               if name in CUSTOM_STAGES else tableaux[name])
+    trajectory = csrkn.integrate(tableau, problem, 0.0, problem.q0,
+                                 problem.qp0, 0.1, 300)
+    digest = hashlib.sha256()
+    for array in (trajectory.times, trajectory.q, trajectory.qp,
+                  trajectory.iterations.astype(np.int64)):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == SPATIAL_SHA256[name]
+
+
 def test_polish_cap_is_logged(tableaux, caplog):
     # a tiny constant force meets the tolerance on the first sweep with a
     # nonzero increment, so max_iters = 1 runs out before the polish sweeps
