@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 
 import numpy as np
 
@@ -151,35 +151,31 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     """Repeated steps from (t0, q0, qp0), two nonempty vectors of one
     length; deterministic for fixed inputs.
 
-    iterations[k] counts the fixed-point sweeps of step k, one ``problem.f``
-    call each; for the built-in planar forces on a state of two components
-    each sweep calls the one kernel f itself runs, ``f.on_points``, on the
-    stage list, which skips f's array round trip.  The first step starts
-    its stage iteration from the explicit guess q + c h q'.  Steps 1 to m
-    (m = 8) start from the previous step's stage forces F_n extrapolated to
-    the new stage times, E F_n (Hairer, Lubich & Wanner, Geometric
-    Numerical Integration, 2006, sec. VIII.6.1).
-    Every later step adds to E F_n the extrapolation of the last m
-    prediction errors F_j - E F_{j-1}, which vary smoothly from step to
-    step (as in the starting algorithms of Calvo, Laburta & Montijano,
-    Comput. Math. Appl., 2003); it keeps the final stage forces of the last
-    m + 1 steps for this.  Nodes that repeat have no extrapolation, so
-    every step starts from the explicit guess.  The start changes the
-    sweep count, not the fixed point.
+    iterations[k] counts the fixed-point sweeps of step k, one force call
+    each: ``problem.f`` on the (s, d) stage array or, for the built-in
+    planar forces on two components, the kernel f itself runs,
+    ``f.on_points``, on the stage list.  The state, the stage bases
+    q + c h q' and the stage values are Python float lists, each entry the
+    product and sum numpy's broadcast made; numpy computes only the BLAS
+    products (the start, h^2 A_bar F and the two weight products).  The
+    first step starts from the explicit guess q + c h q', steps 1 to m
+    (m = 8) from the previous step's stage forces F_n extrapolated to the
+    new stage times, E F_n (Hairer, Lubich & Wanner, Geometric Numerical
+    Integration, 2006, sec. VIII.6.1), and every later step adds to E F_n
+    the extrapolation of the last m prediction errors F_j - E F_{j-1} (as
+    in the starting algorithms of Calvo, Laburta & Montijano, Comput. Math.
+    Appl., 2003); repeated nodes, which have no extrapolation, start every
+    step from the guess.  The start changes the sweep count, not the fixed
+    point.
     """
     n_steps = _integer("n_steps", n_steps, 1)
     _real("step size", h, nonzero=True)
     _real("start time", t0)
     config = config or SolverConfig()
-    f = problem.f
-    isfinite = math.isfinite
-    max_iters = config.max_iters
-    record_every = config.record_every
-    s = tableau.s
+    f, isfinite = problem.f, math.isfinite
+    max_iters, record_every = config.max_iters, config.record_every
     ch = h * tableau.c
-    # one broadcast per step: rows[:s] are the stage bases q + c h q' and
-    # rows[s] is the drift q + h q' of the position update
-    ch_column = np.concatenate((ch, [h]))[:, None]
+    *stage_ch, drift_h = np.append(ch, h).tolist()  # as Python floats
     h2_a_bar = (h * h) * tableau.a_bar
     a_dot = h2_a_bar.dot
     b_bar_dot = ((h * h) * tableau.b_bar).dot
@@ -198,21 +194,24 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     if q.ndim != 1 or qp.shape != q.shape or not q.size:
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")
+    shape = (tableau.s, q.size)
+    q, qp = q.tolist(), qp.tolist()
     # the kernel reads the stage list the increment already holds and no
     # stage time; any other force, or shape, goes through f
-    on_points = (f.on_points if isinstance(f, _PlanarForce) and q.size == 2
+    on_points = (f.on_points if isinstance(f, _PlanarForce) and len(q) == 2
                  else None)
     times, qs, qps = [t0], [q], [qp]
-    iterations = []
-    predictor = None
+    iterations, predictor = [], None
     # the final stage forces of step k in block k mod (m + 1), so the last
     # m + 1 steps are stacked with no copy; correctors[k mod (m + 1)]
     # holds the start's blocks rotated to match at step k.  Each kernel
     # sweep writes its forces into its step's block once the start has read it
     slots = _HISTORY + 1
-    history = np.zeros((slots, s, q.size))
-    stacked = history.reshape(slots * s, q.size)
-    ring = history.reshape(slots, s * q.size)
+    history = np.zeros((slots,) + shape)
+    stacked, ring = history.reshape(-1, shape[1]), history.reshape(slots, -1)
+    # scratch: the stage bases of f's path and each sweep's h^2 A_bar F
+    stage_base, product = np.empty((2,) + shape, h2_a_bar.dtype)
+    flat_base, flat_product = stage_base.reshape(-1), product.reshape(-1)
     for step in range(n_steps):
         t = t0 + step * h
         slot = step % slots
@@ -220,42 +219,49 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             # built for the second step, so a single step never pays for it
             predictor, correctors = _start_weights(tableau.c, h2_a_bar,
                                                    _HISTORY)
+        # the stage bases and the start's stage values; total is sum(previous)
+        previous = base = [x + c * v for c in stage_ch for x, v in zip(q, qp)]
+        if predictor is not None:
+            start = (predictor.dot(forces) if step <= _HISTORY
+                     else correctors[slot].dot(stacked))
+            previous = list(map(add, base, start.ravel().tolist()))
         if on_points is None:
+            # f gets a fresh (s, d) stage array each sweep: base + product
             t_stage = t + ch
-        rows = q + ch_column * qp
-        base = rows[:s]
-        if predictor is None:
-            stages = base
-        elif step <= _HISTORY:
-            stages = base + predictor.dot(forces)
+            flat_base[:] = base
+            stages = (stage_base.copy() if predictor is None
+                      else stage_base + start)
         else:
-            stages = base + correctors[slot].dot(stacked)
-        if on_points is not None:
             flat, forces = ring[slot], history[slot]
-        # the increment on Python floats: numpy's IEEE subtractions without
-        # two array dispatches per sweep; total is the sum of previous
-        previous = stages.ravel().tolist()
         total = sum(previous)
-        scale = _FP_TOL * (1.0 + _max_magnitude(q.tolist()))
+        scale = _FP_TOL * (1.0 + _max_magnitude(q))
         delta = None
         polish = 0
         for sweep in range(1, max_iters + 1):
             try:
                 if on_points is None:
-                    forces = np.asarray(f(t_stage, stages), dtype=float)
-                    # a result that broadcasts would integrate another
-                    # equation without an error
-                    if forces.shape != base.shape:
+                    forces = np.asarray(f(t_stage, stages))
+                    # a complex result would lose its imaginary part, and
+                    # one that broadcasts would integrate another equation
+                    if forces.dtype.char != "d":
+                        if forces.dtype.kind == "c":
+                            raise ValueError("f returned complex values")
+                        forces = forces.astype(float)
+                    if forces.shape != shape:
                         raise ValueError(f"f returned shape {forces.shape} "
-                                         f"for stages of shape {base.shape}")
+                                         f"for stages of shape {shape}")
                 else:
                     values = on_points(previous)
                     flat[:] = values
             except (ValueError, ArithmeticError) as err:
                 raise _failure(step, t, f"force evaluation failed: {err}",
                                sweep, delta) from err
-            updated = base + a_dot(forces)
-            current = updated.ravel().tolist()
+            a_dot(forces, product)
+            if on_points is None:
+                stages = stage_base + product
+                current = stages.ravel().tolist()
+            else:
+                current = list(map(add, base, flat_product.tolist()))
             # equal finite lists differ by exactly 0 (+-0.0 included); finite
             # sums of both lists leave no NaN for max() to skip, and an
             # overflowing sum only takes the NaN-aware path
@@ -269,9 +275,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                     increment = _max_magnitude(map(sub, current, previous))
             if not isfinite(increment):
                 break
-            delta = increment
-            stages = updated
-            previous = current
+            delta, previous = increment, current
             if delta < scale:
                 if polish >= _POLISH_SWEEPS or delta == 0.0:
                     break
@@ -289,33 +293,29 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         # can also meet the tolerance where a_bar does not reach them
         if on_points is None:
             values = forces.ravel().tolist()
+            history[slot] = forces
         if not (isfinite(increment) and all(map(isfinite, values))):
             raise _failure(step, t, "force evaluation returned a non-finite "
                            "value", sweep, delta)
-        q = rows[s] + b_bar_dot(forces)
-        qp = qp + b_prime_dot(forces)
-        if on_points is None:
-            history[slot] = forces
+        q = [x + drift_h * v + w
+             for x, v, w in zip(q, qp, b_bar_dot(forces).tolist())]
+        qp = list(map(add, qp, b_prime_dot(forces).tolist()))
         iterations.append(sweep)
         if (step + 1) % record_every == 0 or step == n_steps - 1:
             times.append(t0 + (step + 1) * h)
             qs.append(q)
             qps.append(qp)
-    return Trajectory(times=np.array(times), q=np.array(qs),
-                      qp=np.array(qps),
-                      iterations=np.array(iterations, dtype=int))
+    return Trajectory(np.array(times), np.array(qs), np.array(qps),
+                      np.array(iterations, dtype=int))
 
 
 def write_trajectory_csv(trajectory: Trajectory,
                          problem: SecondOrderProblem, stream) -> None:
     """CSV export: t, q1..qd, p1..pd, then one drift column per invariant."""
     dim = trajectory.q.shape[1]
-    header = ["t"]
-    header.extend(f"q{i + 1}" for i in range(dim))
-    header.extend(f"p{i + 1}" for i in range(dim))
-    columns = [trajectory.times]
-    columns.extend(trajectory.q[:, i] for i in range(dim))
-    columns.extend(trajectory.qp[:, i] for i in range(dim))
+    header = ["t", *(f"q{i + 1}" for i in range(dim)),
+              *(f"p{i + 1}" for i in range(dim))]
+    columns = [trajectory.times, *trajectory.q.T, *trajectory.qp.T]
     drifts = {}
     if problem.hamiltonian is not None:
         drifts["H"] = problem.hamiltonian

@@ -84,6 +84,57 @@ def test_integrate_matches_single_step(tableaux):
     np.testing.assert_array_equal(trajectory.qp[-1], qp1)
 
 
+@pytest.mark.parametrize("problem_name", ["kepler", "harmonic", "spatial"])
+@pytest.mark.parametrize("kind", [int, list, float])
+def test_trajectory_arrays_are_fresh(tableaux, problem_name, kind):
+    # integrate steps on Python lists; it returns new arrays of the old
+    # dtypes and shapes, and neither keeps nor changes the caller's start
+    # state (kepler takes the planar kernel, the other two the f path)
+    if problem_name == "spatial":
+        q0, qp0 = np.array([1, -1, 2]), np.array([0, 1, -1])
+        problem = csrkn.SecondOrderProblem(name="spatial", f=spatial_force,
+                                           q0=q0, qp0=qp0)
+    else:
+        problem = csrkn.problem_from_name(problem_name)
+        q0, qp0 = problem.q0.astype(int), problem.qp0.astype(int)
+    q0, qp0 = ((q0.tolist(), qp0.tolist()) if kind is list
+               else (q0.astype(kind), qp0.astype(kind)))
+    copies = [np.array(q0), np.array(qp0)]
+    trajectory = csrkn.integrate(tableaux["chebyshev4"], problem, 0, q0,
+                                 qp0, 0.1, 6,
+                                 csrkn.SolverConfig(record_every=4))
+    dim = len(copies[0])
+    expected = {"times": ((3,), np.float64), "q": ((3, dim), np.float64),
+                "qp": ((3, dim), np.float64),
+                "iterations": ((6,), np.dtype(int))}
+    arrays = {name: getattr(trajectory, name) for name in expected}
+    for name, array in arrays.items():
+        assert type(array) is np.ndarray
+        assert (array.shape, array.dtype) == expected[name], name
+        assert array.flags.c_contiguous and array.flags.owndata, name
+        for other in [*arrays.values(), q0, qp0]:
+            if other is not array and isinstance(other, np.ndarray):
+                assert not np.shares_memory(array, other), name
+    for state, copy, row in zip((q0, qp0), copies,
+                                (trajectory.q[0], trajectory.qp[0])):
+        np.testing.assert_array_equal(state, copy, strict=True)
+        assert row.tobytes() == copy.astype(float).tobytes()
+
+
+@pytest.mark.parametrize("problem_name", ["kepler", "harmonic"])
+def test_rkn_step_returns_float_vectors(tableaux, problem_name):
+    problem = csrkn.problem_from_name(problem_name)
+    for q0, qp0 in [(problem.q0, problem.qp0),
+                    (problem.q0.astype(int).tolist(),
+                     problem.qp0.astype(int).tolist())]:
+        q1, qp1 = csrkn.rkn_step(tableaux["hermite4"], problem, 0.0, q0,
+                                 qp0, 0.1)
+        for vector in (q1, qp1):
+            assert type(vector) is np.ndarray
+            assert (vector.shape, vector.dtype) == (problem.q0.shape,
+                                                    np.float64)
+
+
 def test_integrate_is_deterministic(tableaux):
     kepler = csrkn.kepler()
     runs = [csrkn.integrate(tableaux["hermite4"], kepler, 0.0, kepler.q0,
@@ -214,9 +265,29 @@ def test_force_of_the_wrong_shape_is_a_force_error(tableaux, result):
     assert isinstance(err.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("imaginary", [1j, 0j])
+def test_complex_force_is_a_force_error(tableaux, imaginary):
+    # numpy would keep the real part with only a ComplexWarning, as it would
+    # for a complex q0, which integrate rejects; even a zero imaginary part
+    # is refused, as it is for q0
+    kepler = csrkn.kepler()
+    problem = csrkn.SecondOrderProblem(
+        name="complex", f=lambda t, q: kepler.f(t, q) + imaginary,
+        q0=kepler.q0, qp0=kepler.qp0)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux["legendre4"], problem, 0.0, problem.q0,
+                        problem.qp0, 0.1, 5)
+    err = info.value
+    assert str(err) == ("step 0 (t = 0) failed: force evaluation failed: f "
+                        "returned complex values")
+    assert (err.step_index, err.iterations, err.last_delta) == (0, 1, None)
+    assert isinstance(err.__cause__, ValueError)
+
+
 def failing_kepler(kind, call):
     """Kepler whose force evaluation number `call` (counted from 1 over the
-    whole run) raises, or returns NaN everywhere."""
+    whole run) raises, returns NaN everywhere, or returns its forces as
+    complex values."""
     kepler = csrkn.kepler()
     calls = [0]
 
@@ -225,6 +296,8 @@ def failing_kepler(kind, call):
         if calls[0] == call:
             if kind == "raise":
                 raise ArithmeticError("overflow in force")
+            if kind == "complex":
+                return kepler.f(t, q) + 0j
             return np.full_like(q, np.nan)
         return kepler.f(t, q)
 
@@ -240,6 +313,8 @@ def failing_kepler(kind, call):
               "overflow in force"),
     ("nan", "step 2 (t = 0.2) failed: force evaluation returned a "
             "non-finite value"),
+    ("complex", "step 2 (t = 0.2) failed: force evaluation failed: f "
+                "returned complex values"),
 ])
 def test_force_failure_pinned(tableaux, kind, message):
     problem = failing_kepler(kind, 15)
@@ -252,7 +327,7 @@ def test_force_failure_pinned(tableaux, kind, message):
     assert err.last_delta == float.fromhex("0x1.79095302c0000p-17")
 
 
-@pytest.mark.parametrize("kind", ["raise", "nan", "max_iters"])
+@pytest.mark.parametrize("kind", ["raise", "nan", "complex", "max_iters"])
 def test_rkn_step_failure_matches_first_step(tableaux, kind):
     tableau = tableaux["legendre4"]
     config = csrkn.SolverConfig(max_iters=1 if kind == "max_iters" else 50)
