@@ -209,7 +209,6 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     slots = _HISTORY + 1
     history = np.zeros((slots,) + shape)
     stacked, ring = history.reshape(-1, shape[1]), history.reshape(slots, -1)
-    # scratch: the stage bases of f's path and each sweep's h^2 A_bar F
     stage_base, product = np.empty((2,) + shape, h2_a_bar.dtype)
     flat_base, flat_product = stage_base.reshape(-1), product.reshape(-1)
     for step in range(n_steps):
@@ -224,19 +223,20 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         if predictor is not None:
             start = (predictor.dot(forces) if step <= _HISTORY
                      else correctors[slot].dot(stacked))
-            previous = list(map(add, base, start.ravel().tolist()))
         if on_points is None:
-            # f gets a fresh (s, d) stage array each sweep: base + product
+            # bases as an array once a step; f gets a fresh one each sweep
             t_stage = t + ch
             flat_base[:] = base
             stages = (stage_base.copy() if predictor is None
                       else stage_base + start)
+            previous = stages.ravel().tolist()
         else:
             flat, forces = ring[slot], history[slot]
+            if predictor is not None:
+                previous = list(map(add, base, start.ravel().tolist()))
         total = sum(previous)
         scale = _FP_TOL * (1.0 + _max_magnitude(q))
-        delta = None
-        polish = 0
+        delta, polish = None, 0
         for sweep in range(1, max_iters + 1):
             try:
                 if on_points is None:
