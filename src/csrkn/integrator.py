@@ -19,7 +19,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from functools import cache
+from itertools import chain
+from operator import sub
 
 import numpy as np
 
@@ -95,35 +97,44 @@ def _extrapolation(c: np.ndarray) -> np.ndarray | None:
                      for ahead in [1.0 + node for node in nodes]])
 
 
-def _corrected_extrapolation(extrapolation: np.ndarray,
-                             m: int) -> np.ndarray:
-    """[B_0 | ... | B_m], such that sum_i B_i F_{n-m+i} over the stage
-    forces of the last m + 1 steps is E F_n plus the degree-(m-1)
-    extrapolation of the prediction errors eps_j = F_j - E F_{j-1} of the
-    last m steps, sum_{k<m} (-1)^k C(m, k+1) eps_{n-k}.  For stage forces
-    sampled from a polynomial in t it is exact up to degree s + m - 1."""
-    s = len(extrapolation)
-    # from 0: B_m += E, B_i -= w_{m-1-i} E (i < m), B_i += w_{m-i} I (i > 0)
-    weights = np.array([(-1) ** k * math.comb(m, k + 1) for k in
-                        reversed(range(m))], dtype=float).reshape(-1, 1, 1)
-    blocks = np.zeros((m + 1, s, s))
-    blocks[m] += extrapolation
-    blocks[:m] -= weights * extrapolation
-    blocks[1:] += weights * np.eye(s)
-    return blocks.transpose(1, 0, 2).reshape(s, (m + 1) * s)
+def _corrected_extrapolation(m: int) -> list:
+    """[w_{m-1}, ..., w_0] for w_k = (-1)^k C(m, k+1): E F_n plus
+    sum_{k<m} w_k eps_{n-k} over the last m prediction errors
+    eps_j = F_j - E F_{j-1}, oldest first, extrapolates the stage forces
+    one step ahead, exactly up to degree s + m - 1 for stage forces sampled
+    from a polynomial in t."""
+    return [float((-1) ** k * math.comb(m, k + 1))
+            for k in reversed(range(m))]
 
 
-def _start_weights(c: np.ndarray, h2_a_bar: np.ndarray, m: int):
-    """(h^2 A_bar E, [np.roll(h^2 A_bar [B_0 | ... | B_m], k s, axis=1) for
-    k = 0..m]) as contiguous arrays, or (None, None) for repeated nodes."""
+def _start_weights(c: np.ndarray, m: int):
+    """The start's kernel weights, E row by row and the m error weights, or
+    None for repeated nodes."""
     extrapolation = _extrapolation(c)
     if extrapolation is None:
-        return None, None
-    corrector = h2_a_bar.dot(_corrected_extrapolation(extrapolation, m))
-    doubled = np.concatenate((corrector, corrector), axis=1)
-    return h2_a_bar.dot(extrapolation), [
-        doubled[:, start:start + corrector.shape[1]].copy()
-        for start in range(corrector.shape[1], 0, -len(c))]
+        return None
+    return extrapolation.ravel().tolist(), _corrected_extrapolation(m)
+
+
+@cache
+def _kernel(rows: int, cols: int, d: int):
+    """make(*w), for (rows, cols) weights w row by row, returns kernel(B, F)
+    = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k]: written-out
+    sums, taken left to right in binary64 (CPython fuses no multiply-add),
+    so the bytes depend on the order alone.  Compiled once per shape."""
+    names = [[f"w{i}_{j}" for j in range(cols)] for i in range(rows)]
+    entries = ", ".join(
+        f"B[{i * d + k}] + ("
+        + " + ".join(f"{w} * f{j * d + k}" for j, w in enumerate(row))
+        + ")" for i, row in enumerate(names) for k in range(d))
+    namespace = {}
+    exec(compile(f"def make({', '.join(chain(*names))}):\n"
+                 f"    def kernel(B, F):\n"
+                 f"        {''.join(f'f{e}, ' for e in range(cols * d))}= F\n"
+                 f"        return [{entries}]\n"
+                 f"    return kernel\n",
+                 f"<kernel {rows}x{cols}x{d}>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _failure(step: int, t: float, reason: str, sweeps: int,
@@ -142,44 +153,37 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
     return last.q[-1], last.qp[-1]
 
 
-# +-inf forces give inf - inf in a sweep, and a force can divide by a value
-# that underflowed to 0: the typed error reports it, not numpy
+# numpy overflow or 0-division in f: the typed error reports it, not numpy
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:
     """Repeated steps from (t0, q0, qp0), two nonempty vectors of one
-    length; deterministic for fixed inputs.
-
-    iterations[k] counts the fixed-point sweeps of step k, one force call
-    each: ``problem.f`` on the (s, d) stage array or, for the built-in
-    planar forces on two components, the kernel f itself runs,
+    length, with h and t0 taken as Python floats; deterministic for fixed
+    inputs.  iterations[k] counts the fixed-point sweeps of step k, one
+    force call each: ``problem.f`` on the (s, d) stage array or, for the
+    built-in planar forces on two components, the kernel f itself runs,
     ``f.on_points``, on the stage list.  The state, the stage bases
-    q + c h q' and the stage values are Python float lists, each entry the
-    product and sum numpy's broadcast made; numpy computes only the BLAS
-    products (the start, h^2 A_bar F and the two weight products).  The
-    first step starts from the explicit guess q + c h q', steps 1 to m
-    (m = 8) from the previous step's stage forces F_n extrapolated to the
-    new stage times, E F_n (Hairer, Lubich & Wanner, Geometric Numerical
-    Integration, 2006, sec. VIII.6.1), and every later step adds to E F_n
-    the extrapolation of the last m prediction errors F_j - E F_{j-1} (as
-    in the starting algorithms of Calvo, Laburta & Montijano, Comput. Math.
-    Appl., 2003); repeated nodes, which have no extrapolation, start every
-    step from the guess.  The start changes the sweep count, not the fixed
-    point.
+    q + c h q' and the stage values are Python float lists, and every
+    weighted sum (the start, h^2 A_bar F, h^2 b_bar F and h b' F) is
+    generated straight-line code summed left to right in binary64: the
+    bytes of a run depend on no BLAS.  The first step starts from the
+    explicit guess q + c h q', steps 1 to m (m = 8) from the previous
+    step's stage forces F_n extrapolated to the new stage times, E F_n
+    (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, sec.
+    VIII.6.1), and every later step adds to E F_n the extrapolation of the
+    last m prediction errors F_j - E F_{j-1} (as in the starting algorithms
+    of Calvo, Laburta & Montijano, Comput. Math. Appl., 2003); repeated
+    nodes, which have no extrapolation, start every step from the guess.
+    The start changes the sweep count, not the fixed point.
     """
     n_steps = _integer("n_steps", n_steps, 1)
     _real("step size", h, nonzero=True)
     _real("start time", t0)
+    h, t0 = float(h), float(t0)
     config = config or SolverConfig()
     f, isfinite = problem.f, math.isfinite
     max_iters, record_every = config.max_iters, config.record_every
-    ch = h * tableau.c
-    *stage_ch, drift_h = np.append(ch, h).tolist()  # as Python floats
-    h2_a_bar = (h * h) * tableau.a_bar
-    a_dot = h2_a_bar.dot
-    b_bar_dot = ((h * h) * tableau.b_bar).dot
-    b_prime_dot = (h * tableau.b_prime).dot
     arrays = []
     for name, value in (("q0", q0), ("qp0", qp0)):
         try:
@@ -194,53 +198,51 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     if q.ndim != 1 or qp.shape != q.shape or not q.size:
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")
-    shape = (tableau.s, q.size)
+    s, dim = shape = (tableau.s, q.size)
     q, qp = q.tolist(), qp.tolist()
+    ch = h * tableau.c
+    stage_ch, hh = ch.tolist(), h * h
+    h2_a_bar = [[hh * a for a in row] for row in tableau.a_bar.tolist()]
+    update = _kernel(s, s, dim)(*chain(*h2_a_bar))
+    position, velocity = (
+        _kernel(1, s, dim)(*[weight * b for b in weights.tolist()])
+        for weight, weights in ((hh, tableau.b_bar), (h, tableau.b_prime)))
     # the kernel reads the stage list the increment already holds and no
     # stage time; any other force, or shape, goes through f
     on_points = (f.on_points if isinstance(f, _PlanarForce) and len(q) == 2
                  else None)
     times, qs, qps = [t0], [q], [qp]
-    iterations, predictor = [], None
-    # the final stage forces of step k in block k mod (m + 1), so the last
-    # m + 1 steps are stacked with no copy; correctors[k mod (m + 1)]
-    # holds the start's blocks rotated to match at step k.  Each kernel
-    # sweep writes its forces into its step's block once the start has read it
-    slots = _HISTORY + 1
-    history = np.zeros((slots,) + shape)
-    stacked, ring = history.reshape(-1, shape[1]), history.reshape(slots, -1)
-    stage_base, product = np.empty((2,) + shape, h2_a_bar.dtype)
-    flat_base, flat_product = stage_base.reshape(-1), product.reshape(-1)
+    iterations, extrapolate = [], None
+    # the prediction error F_j - E F_{j-1} of step j in block j mod m of
+    # one list, which the start reads oldest first
+    n = s * dim
+    errors = [0.0] * (_HISTORY * n)
     for step in range(n_steps):
         t = t0 + step * h
-        slot = step % slots
+        cut = step % _HISTORY * n
         if step == 1:
-            # built for the second step, so a single step never pays for it
-            predictor, correctors = _start_weights(tableau.c, h2_a_bar,
-                                                   _HISTORY)
+            # built for the second step, so a single step never pays for it;
+            # ahead is E F_n, the last step's stage forces extrapolated
+            weights = _start_weights(tableau.c, _HISTORY)
+            if weights is not None:
+                extrapolate = _kernel(s, s, dim)(*weights[0])
+                correct = _kernel(1, _HISTORY, n)(*weights[1])
+                zeros = [0.0] * n
+                ahead = extrapolate(zeros, values)
         # the stage bases and the start's stage values; total is sum(previous)
         previous = base = [x + c * v for c in stage_ch for x, v in zip(q, qp)]
-        if predictor is not None:
-            start = (predictor.dot(forces) if step <= _HISTORY
-                     else correctors[slot].dot(stacked))
-        if on_points is None:
-            # bases as an array once a step; f gets a fresh one each sweep
-            t_stage = t + ch
-            flat_base[:] = base
-            stages = (stage_base.copy() if predictor is None
-                      else stage_base + start)
-            previous = stages.ravel().tolist()
-        else:
-            flat, forces = ring[slot], history[slot]
-            if predictor is not None:
-                previous = list(map(add, base, start.ravel().tolist()))
+        if extrapolate is not None:
+            previous = update(base, ahead if step <= _HISTORY else
+                              correct(ahead, errors[cut:] + errors[:cut]))
+        t_stage = t + ch if on_points is None else None
         total = sum(previous)
         scale = _FP_TOL * (1.0 + _max_magnitude(q))
         delta, polish = None, 0
         for sweep in range(1, max_iters + 1):
             try:
                 if on_points is None:
-                    forces = np.asarray(f(t_stage, stages))
+                    forces = np.asarray(f(t_stage, np.array(previous, float)
+                                          .reshape(shape)))
                     # a complex result would lose its imaginary part, and
                     # one that broadcasts would integrate another equation
                     if forces.dtype.char != "d":
@@ -250,18 +252,13 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                     if forces.shape != shape:
                         raise ValueError(f"f returned shape {forces.shape} "
                                          f"for stages of shape {shape}")
+                    values = forces.ravel().tolist()
                 else:
                     values = on_points(previous)
-                    flat[:] = values
             except (ValueError, ArithmeticError) as err:
                 raise _failure(step, t, f"force evaluation failed: {err}",
                                sweep, delta) from err
-            a_dot(forces, product)
-            if on_points is None:
-                stages = stage_base + product
-                current = stages.ravel().tolist()
-            else:
-                current = list(map(add, base, flat_product.tolist()))
+            current = update(base, values)
             # equal finite lists differ by exactly 0 (+-0.0 included); finite
             # sums of both lists leave no NaN for max() to skip, and an
             # overflowing sum only takes the NaN-aware path
@@ -291,15 +288,14 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                          t, max_iters, delta)
         # a non-finite increment leaves the sweeps early; non-finite forces
         # can also meet the tolerance where a_bar does not reach them
-        if on_points is None:
-            values = forces.ravel().tolist()
-            history[slot] = forces
         if not (isfinite(increment) and all(map(isfinite, values))):
             raise _failure(step, t, "force evaluation returned a non-finite "
                            "value", sweep, delta)
-        q = [x + drift_h * v + w
-             for x, v, w in zip(q, qp, b_bar_dot(forces).tolist())]
-        qp = list(map(add, qp, b_prime_dot(forces).tolist()))
+        if extrapolate is not None:
+            errors[cut:cut + n] = map(sub, values, ahead)
+            ahead = extrapolate(zeros, values)
+        q = position([x + h * v for x, v in zip(q, qp)], values)
+        qp = velocity(qp, values)
         iterations.append(sweep)
         if (step + 1) % record_every == 0 or step == n_steps - 1:
             times.append(t0 + (step + 1) * h)

@@ -40,13 +40,10 @@ def extrapolation(c):
 
 
 def error_weights(m):
-    """(alpha, beta): the start sum_i (alpha_i E + beta_i I) F_{n-m+i} over
-    the stage forces of the last m + 1 steps, oldest first, is E F_n plus
-    sum_{k<m} (-1)^k C(m, k+1) (F_{n-k} - E F_{n-k-1})."""
-    w = [(-1) ** k * math.comb(m, k + 1) for k in range(m)]
-    alpha = [float(-w[m - 1 - i]) for i in range(m)] + [1.0]
-    beta = [0.0] + [float(w[m - i]) for i in range(1, m + 1)]
-    return alpha, beta
+    """[w_{m-1}, ..., w_0], w_k = (-1)^k C(m, k+1): the start's stage forces
+    are E F_n + sum_{k<m} w_k eps_{n-k}, over the prediction errors
+    eps_j = F_j - E F_{j-1} of the last m steps taken oldest first."""
+    return [float((-1) ** k * math.comb(m, k + 1)) for k in reversed(range(m))]
 
 
 def reference_integrate(tableau, force, t0, q0, qp0, h, n_steps,
@@ -63,27 +60,24 @@ def reference_integrate(tableau, force, t0, q0, qp0, h, n_steps,
     velocity = [[h * b for b in tableau.b_prime.tolist()]]
     ch = [h * x for x in c]
     nodes = extrapolation(c)
-    if nodes is not None:
-        predictor = [[dot(row, column) for column in zip(*nodes)]
-                     for row in coupling]
-        corrector = [p + a for p, a in zip(predictor, coupling)]
-        alpha, beta = error_weights(HISTORY)
+    weights = error_weights(HISTORY)
     q, qp = [float(x) for x in q0], [float(x) for x in qp0]
-    times, qs, qps, iterations, history = [t0], [q], [qp], [], []
+    times, qs, qps, iterations, errors = [t0], [q], [qp], [], []
     for step in range(n_steps):
         t = t0 + step * h
         stage_times = [t + x for x in ch]
         base = [x + y * v for y in ch for x, v in zip(q, qp)]
         if nodes is None or step == 0:
             previous = base
-        elif step <= HISTORY:
-            previous = apply(predictor, base, history[-1], d)
         else:
-            # the error sums add to zero, as the kernels add to a base
-            ring = history[-HISTORY - 1:]
-            errors = [0.0 + dot(weights, column)
-                      for weights in (alpha, beta) for column in zip(*ring)]
-            previous = apply(corrector, base, errors, d)
+            if step == 1:
+                # E F_0; later steps find E F_n at the end of the step before
+                ahead = apply(nodes, [0.0] * len(forces), forces, d)
+            guess = ahead
+            if step > HISTORY:
+                guess = [a + dot(weights, column) for a, column
+                         in zip(ahead, zip(*errors[-HISTORY:]))]
+            previous = apply(coupling, base, guess, d)
         scale = FP_TOL * (1.0 + max(abs(x) for x in q))
         delta, polish = None, 0
         for sweep in range(1, max_iters + 1):
@@ -104,7 +98,9 @@ def reference_integrate(tableau, force, t0, q0, qp0, h, n_steps,
                 raise ArithmeticError(f"no convergence at step {step}")
         if not all(map(math.isfinite, forces)):
             raise ArithmeticError(f"non-finite force at step {step}")
-        history.append(forces)
+        if nodes is not None and step > 0:
+            errors.append([x - y for x, y in zip(forces, ahead)])
+            ahead = apply(nodes, [0.0] * len(forces), forces, d)
         q = apply(position, [x + h * v for x, v in zip(q, qp)], forces, d)
         qp = apply(velocity, qp, forces, d)
         iterations.append(sweep)

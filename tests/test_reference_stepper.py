@@ -1,7 +1,10 @@
 """integrate against independent references: the plain-loop stepper of
-reference_stepper.py and, on q'' = -q, the exact step map."""
+reference_stepper.py and, on q'' = -q, the exact step map.  None of these
+depend on BLAS, so they hold under any OpenBLAS kernel."""
 
+import hashlib
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 
 import csrkn
 from csrkn import problems
-from reference_stepper import harmonic_step_map, reference_integrate
+from csrkn.integrator import _kernel
+from reference_stepper import apply, harmonic_step_map, reference_integrate
 
 from test_integrator import CUSTOM_SPEC, spatial_force
 
@@ -49,10 +53,17 @@ CASES = {
 METHODS = [*csrkn.BUILTIN_METHODS, *CUSTOM_STAGES, "repeated"]
 
 
+def bits(values):
+    # IEEE 754 leaves the sign of a NaN result open (CPython's C code may
+    # take either operand's NaN), so every NaN counts as one value
+    return struct.pack(f"<{len(values)}d",
+                       *[x if x == x else math.nan for x in values])
+
+
 # 40 steps reach the corrected start (from step 9 on) on distinct nodes
 @pytest.mark.parametrize("problem_name", sorted(CASES))
 @pytest.mark.parametrize("name", METHODS)
-def test_integrate_near_reference_stepper(name, problem_name):
+def test_integrate_equals_reference_stepper(name, problem_name):
     problem, force = CASES[problem_name]
     tableau = tableau_named(name)
     trajectory = csrkn.integrate(tableau, problem, 0.0, problem.q0,
@@ -60,9 +71,71 @@ def test_integrate_near_reference_stepper(name, problem_name):
     times, q, qp, iterations = reference_integrate(
         tableau, force, 0.0, problem.q0.tolist(), problem.qp0.tolist(), 0.1,
         40)
-    assert trajectory.times.tolist() == times
-    assert np.max(np.abs(trajectory.q - q)) < 1e-13
-    assert np.max(np.abs(trajectory.qp - qp)) < 1e-13
+    assert trajectory.times.tobytes() == bits(times)
+    assert trajectory.q.tobytes() == bits([x for row in q for x in row])
+    assert trajectory.qp.tobytes() == bits([x for row in qp for x in row])
+    assert trajectory.iterations.tolist() == iterations
+
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", range(1, 13))
+def test_kernels_equal_plain_loops(s, d):
+    # every shape integrate builds: the sweep and start (s, s), the state
+    # updates (1, s) and the error sums (1, m) over s d entries; random
+    # entries of mixed sign and scale, with signed zeros, infinities and
+    # NaN in both the weights and the lists
+    rng = np.random.default_rng(100 * s + d)
+    for rows, cols, width in ((s, s, d), (1, s, d), (1, 8, s * d)):
+        for trial in range(4):
+            values = [rng.standard_normal(rows * cols),
+                      rng.standard_normal(rows * width),
+                      rng.standard_normal(cols * width)]
+            for array in values:
+                array *= 10.0 ** rng.integers(-3, 4, array.size)
+                if trial:
+                    hits = rng.integers(0, array.size, 1 + array.size // 4)
+                    array[hits] = rng.choice(SPECIALS[:2 * trial + 1],
+                                             hits.size)
+            weights, base, forces = (array.tolist() for array in values)
+            kernel = _kernel(rows, cols, width)(*weights)
+            plain = apply([weights[i * cols:(i + 1) * cols]
+                           for i in range(rows)], base, forces, width)
+            assert bits(kernel(base, forces)) == bits(plain)
+
+
+# sha256 of times, q, qp and iterations of a 300-step run at h = 0.1 from
+# each problem's start state: legendre4 and hermite3, whose tableaux are
+# the same under every OpenBLAS kernel, pin the run bytes where the CSV
+# pins cannot, because the CSV's drift columns are BLAS dot products
+STATE_SHA256 = {
+    ("legendre4", "kepler"):
+        "b7f1716d040478565a51b823a11f3e93e1b4bb443c26f1968afd69e6a362d3cc",
+    ("legendre4", "henon-heiles"):
+        "67efbf682d1c4f9bfaea1937e2332dee984268e00d4006ac5c4cdd78645f3783",
+    ("legendre4", "harmonic"):
+        "45e897576666e721ed141783564c8548853c43a840a156dc718e026543d68511",
+    ("hermite3", "kepler"):
+        "c92bcd0345aeac9c651f02e9df27243a86dcd7100277e18c1a8463359c0cc4dd",
+    ("hermite3", "henon-heiles"):
+        "e7c030c465e6b8014dda54d81890b0c991954007fbfae05fa682204b08f540ff",
+    ("hermite3", "harmonic"):
+        "b78937b0bc042825459f0101ccf05ec3018a6e57112246a879f02193f927b5ce",
+}
+
+
+@pytest.mark.parametrize("name,problem_name", sorted(STATE_SHA256))
+def test_run_state_pinned_sha256(name, problem_name):
+    problem = csrkn.problem_from_name(problem_name)
+    trajectory = csrkn.integrate(csrkn.builtin_tableau(name), problem, 0.0,
+                                 problem.q0, problem.qp0, 0.1, 300)
+    digest = hashlib.sha256()
+    for array in (trajectory.times, trajectory.q, trajectory.qp,
+                  trajectory.iterations.astype(np.int64)):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == STATE_SHA256[name, problem_name]
 
 
 # Every step of a run on q'' = -q lies within this many units of
