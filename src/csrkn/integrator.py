@@ -153,7 +153,8 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
     return last.q[-1], last.qp[-1]
 
 
-# numpy overflow or 0-division in f: the typed error reports it, not numpy
+# a supplied f's numpy arithmetic can overflow or divide by 0: the typed
+# non-finite force error reports it, not a numpy warning
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,

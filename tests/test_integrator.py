@@ -687,7 +687,7 @@ def assert_start_weights_match_references(c, m):
     weights = _corrected_extrapolation(m)
     assert _start_weights(c, m) == (extrapolation.ravel().tolist(), weights)
     # E F_n + sum_j weights[j] (F_{n-m+1+j} - E F_{n-m+j}) as blocks on
-    # F_{n-m}, ..., F_n, built in the per-block loop's order of operations
+    # F_{n-m}, ..., F_n; each entry rounds as in the per-block loop
     s = len(c)
     blocks = [np.zeros((s, s)) for _ in range(m + 1)]
     blocks[m] += extrapolation
