@@ -256,10 +256,11 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                     values = forces.ravel().tolist()
                 else:
                     values = on_points(previous)
+                # a force list of another length fails to unpack here
+                current = update(base, values)
             except (ValueError, ArithmeticError) as err:
                 raise _failure(step, t, f"force evaluation failed: {err}",
                                sweep, delta) from err
-            current = update(base, values)
             # equal finite lists differ by exactly 0 (+-0.0 included); finite
             # sums of both lists leave no NaN for max() to skip, and an
             # overflowing sum only takes the NaN-aware path

@@ -1127,3 +1127,19 @@ def test_kernel_calls_match_iterations(tableaux, name, problem_name):
                                  counted.qp0, 0.1, 200)
     sweeps = int(trajectory.iterations.sum())
     assert counts == {"calls": sweeps, "points": tableaux[name].s * sweeps}
+
+
+def test_kernel_list_of_another_length_is_a_force_error(tableaux):
+    # a per-point kernel that drops the last point: the sweep's kernel
+    # cannot unpack the list, and the typed force error says so
+    kepler = csrkn.kepler()
+    short = problems._PlanarForce(lambda xy: kepler.f.on_points(xy)[:-2])
+    problem = dataclasses.replace(kepler, f=short)
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux["legendre4"], problem, 0.0, problem.q0,
+                        problem.qp0, 0.1, 3)
+    err = info.value
+    assert str(err).startswith("step 0 (t = 0) failed: force evaluation "
+                               "failed: ")
+    assert (err.step_index, err.iterations, err.last_delta) == (0, 1, None)
+    assert isinstance(err.__cause__, ValueError)
