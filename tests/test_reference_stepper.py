@@ -39,7 +39,7 @@ def spatial_points(times, xs):
             for i, x in enumerate(xs)]
 
 
-# (problem, list force for the reference, q0, qp0)
+# each problem with its force on the flat stage list, for the reference
 CASES = {
     "kepler": (csrkn.kepler(),
                lambda times, xs: problems._kepler_points(xs)),
