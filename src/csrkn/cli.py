@@ -152,6 +152,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    if args.levels < 2:  # one level has no slope
+        raise ValueError(f"--levels must be >= 2, got {args.levels}")
     tableau = _resolve_tableau(args)
     problem = problem_from_name(args.problem)
     estimate = empirical_order(tableau, problem, args.h0, args.levels,

@@ -117,22 +117,33 @@ def _start_weights(c: np.ndarray, m: int):
 
 
 @cache
-def _kernel(rows: int, cols: int, d: int):
+def _kernel(rows: int, cols: int, d: int, increment: bool = False):
     """make(*w), for (rows, cols) weights w row by row, returns kernel(B, F)
-    = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k]: written-out
-    sums, taken left to right in binary64 (CPython fuses no multiply-add),
-    so the bytes depend on the order alone.  Compiled once per shape."""
+    = N = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k], sums
+    written out and taken left to right in binary64 (CPython fuses no
+    multiply-add), so the bytes depend on the order alone; compiled once per
+    shape.  With increment, kernel(B, F, P) = (N, max_e |N_e - P_e|), NaN
+    if one |N_e - P_e| is: max() could skip it, their sum cannot (taken 64
+    terms a statement, as the compiler refuses deeply nested sums)."""
     names = [[f"w{i}_{j}" for j in range(cols)] for i in range(rows)]
-    entries = ", ".join(
-        f"B[{i * d + k}] + ("
-        + " + ".join(f"{w} * f{j * d + k}" for j, w in enumerate(row))
-        + ")" for i, row in enumerate(names) for k in range(d))
+    n = range(rows * d)
+    new, gaps = (", ".join(f"{v}{e}" for e in n) for v in "nd")
+    lines = [f"{''.join(f'f{e}, ' for e in range(cols * d))}= F",
+             *(f"n{i * d + k} = B[{i * d + k}] + ("
+               + " + ".join(f"{w} * f{j * d + k}" for j, w in enumerate(row))
+               + ")" for i, row in enumerate(names) for k in range(d)),
+             f"return [{new}]"]
+    if increment:
+        sums = [" + ".join(f"d{e}" for e in n[k:k + 64]) for k in n[::64]]
+        lines[-1:] = [f"{''.join(f'p{e}, ' for e in n)}= P",
+                      *(f"d{e} = abs(n{e} - p{e})" for e in n),
+                      f"t = {sums[0]}", *(f"t = t + {x}" for x in sums[1:]),
+                      f"return [{new}], (max(0.0, {gaps}) if t == t else t)"]
     namespace = {}
     exec(compile(f"def make({', '.join(chain(*names))}):\n"
-                 f"    def kernel(B, F):\n"
-                 f"        {''.join(f'f{e}, ' for e in range(cols * d))}= F\n"
-                 f"        return [{entries}]\n"
-                 f"    return kernel\n",
+                 f"    def kernel(B, F{', P' if increment else ''}):\n"
+                 + "".join(f"        {line}\n" for line in lines)
+                 + "    return kernel\n",
                  f"<kernel {rows}x{cols}x{d}>", "exec"), namespace)
     return namespace["make"]
 
@@ -163,20 +174,21 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     length, with h and t0 taken as Python floats; deterministic for fixed
     inputs.  iterations[k] counts the fixed-point sweeps of step k, one
     force call each: ``problem.f`` on the (s, d) stage array or, for the
-    built-in planar forces on two components, the kernel f itself runs,
-    ``f.on_points``, on the stage list.  The state, the stage bases
-    q + c h q' and the stage values are Python float lists, and every
-    weighted sum (the start, h^2 A_bar F, h^2 b_bar F and h b' F) is
-    generated straight-line code summed left to right in binary64: the
-    bytes of a run depend on no BLAS.  The first step starts from the
-    explicit guess q + c h q', steps 1 to m (m = 8) from the previous
-    step's stage forces F_n extrapolated to the new stage times, E F_n
-    (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2006, sec.
-    VIII.6.1), and every later step adds to E F_n the extrapolation of the
-    last m prediction errors F_j - E F_{j-1} (as in the starting algorithms
-    of Calvo, Laburta & Montijano, Comput. Math. Appl., 2003); repeated
-    nodes, which have no extrapolation, start every step from the guess.
-    The start changes the sweep count, not the fixed point.
+    built-in planar forces on two components, their expressions written
+    out for s points, ``f.unrolled(s)``, on the stage list.  The state, the
+    stage bases q + c h q' and the stage values are Python float lists, and
+    every weighted sum (the start, h^2 A_bar F, h^2 b_bar F and h b' F) is
+    generated straight-line code summed left to right in binary64, whose
+    sweep form also returns the stage increment: no BLAS decides the bytes
+    of a run.  The first step starts from the explicit guess q + c h q',
+    steps 1 to m (m = 8) from the previous step's stage forces F_n
+    extrapolated to the new stage times, E F_n (Hairer, Lubich & Wanner,
+    Geometric Numerical Integration, 2006, sec. VIII.6.1), and every later
+    step adds to E F_n the extrapolation of the last m prediction errors
+    F_j - E F_{j-1} (as in the starting algorithms of Calvo, Laburta &
+    Montijano, Comput. Math. Appl., 2003); repeated nodes, which have no
+    extrapolation, start every step from the guess.  The start changes the
+    sweep count, not the fixed point.
     """
     n_steps = _integer("n_steps", n_steps, 1)
     _real("step size", h, nonzero=True)
@@ -203,14 +215,14 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     q, qp = q.tolist(), qp.tolist()
     ch = h * tableau.c
     stage_ch, hh = ch.tolist(), h * h
-    h2_a_bar = [[hh * a for a in row] for row in tableau.a_bar.tolist()]
-    update = _kernel(s, s, dim)(*chain(*h2_a_bar))
+    h2_a_bar = [hh * a for a in chain(*tableau.a_bar.tolist())]
+    sweep_kernel = _kernel(s, s, dim, True)(*h2_a_bar)
     position, velocity = (
         _kernel(1, s, dim)(*[weight * b for b in weights.tolist()])
         for weight, weights in ((hh, tableau.b_bar), (h, tableau.b_prime)))
-    # the kernel reads the stage list the increment already holds and no
+    # the planar force's kernel for s points reads the stage list and no
     # stage time; any other force, or shape, goes through f
-    on_points = (f.on_points if isinstance(f, _PlanarForce) and len(q) == 2
+    on_points = (f.unrolled(s) if isinstance(f, _PlanarForce) and len(q) == 2
                  else None)
     times, qs, qps = [t0], [q], [qp]
     iterations, extrapolate = [], None
@@ -227,16 +239,16 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             weights = _start_weights(tableau.c, _HISTORY)
             if weights is not None:
                 extrapolate = _kernel(s, s, dim)(*weights[0])
+                update = _kernel(s, s, dim)(*h2_a_bar)
                 correct = _kernel(1, _HISTORY, n)(*weights[1])
                 zeros = [0.0] * n
                 ahead = extrapolate(zeros, values)
-        # the stage bases and the start's stage values; total is sum(previous)
+        # the stage bases and the start's stage values
         previous = base = [x + c * v for c in stage_ch for x, v in zip(q, qp)]
         if extrapolate is not None:
             previous = update(base, ahead if step <= _HISTORY else
                               correct(ahead, errors[cut:] + errors[:cut]))
         t_stage = t + ch if on_points is None else None
-        total = sum(previous)
         scale = _FP_TOL * (1.0 + _max_magnitude(q))
         delta, polish = None, 0
         for sweep in range(1, max_iters + 1):
@@ -257,21 +269,10 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                 else:
                     values = on_points(previous)
                 # a force list of another length fails to unpack here
-                current = update(base, values)
+                current, increment = sweep_kernel(base, values, previous)
             except (ValueError, ArithmeticError) as err:
                 raise _failure(step, t, f"force evaluation failed: {err}",
                                sweep, delta) from err
-            # equal finite lists differ by exactly 0 (+-0.0 included); finite
-            # sums of both lists leave no NaN for max() to skip, and an
-            # overflowing sum only takes the NaN-aware path
-            if current == previous and isfinite(total):
-                increment = 0.0
-            else:
-                last_total, total = total, sum(current)
-                if isfinite(last_total + total):
-                    increment = max(map(abs, map(sub, current, previous)))
-                else:
-                    increment = _max_magnitude(map(sub, current, previous))
             if not isfinite(increment):
                 break
             delta, previous = increment, current

@@ -5,15 +5,17 @@ Every callable broadcasts over a leading batch axis: f maps (..., d) to
 (...), or to (..., k) for a vector invariant, so one call covers a whole
 trajectory.  Problems are immutable and re-entrant.
 
-The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables.  Each
-holds one per-point kernel, ``on_points``, on Python floats: f runs it on
-an input of any size and ``integrate`` on its own stage list, so both give
-the same values to the bit, and f returns a fresh array.
+The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables: f runs
+a per-point kernel on Python floats on an input of any size, ``integrate``
+the same two per-point expressions written out for its stage count; both
+give the same values to the bit, and f returns a fresh array.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -59,14 +61,21 @@ class _PlanarForce:
     """f(t, q) of a force on points of the plane that does not read t.
 
     ``on_points`` maps the flat coordinate list [x0, y0, x1, y1, ...] to the
-    flat force list on Python floats.  A plain class: a dataclass would add
-    about 0.6 ms to every import.
+    flat force list on Python floats; ``expressions``, its two components
+    at a point (x, y) as source, if given.  A plain class: a dataclass
+    would add about 0.6 ms to every import.
     """
 
-    __slots__ = ("on_points",)
+    __slots__ = ("on_points", "expressions")
 
-    def __init__(self, on_points: Callable[[list], list]):
+    def __init__(self, on_points: Callable[[list], list], expressions=None):
         self.on_points = on_points
+        self.expressions = expressions
+
+    def unrolled(self, points: int) -> Callable[[list], list]:
+        """on_points for a list of exactly this many points."""
+        return (self.on_points if self.expressions is None else
+                _unrolled(self.on_points, self.expressions, points))
 
     def __call__(self, t, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -74,6 +83,24 @@ class _PlanarForce:
             raise ValueError(f"expected points of the plane (last axis of "
                              f"length 2), got shape {q.shape}")
         return np.array(self.on_points(q.ravel().tolist())).reshape(q.shape)
+
+
+@cache
+def _unrolled(on_points, expressions, points):
+    """on_points(P) to the bit: the expressions written out per point, with
+    one-letter names indexed by point; a zero divisor hands P to on_points.
+    Cached by force and point count, as problem_from_name makes new forces."""
+    terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
+             for i in range(points) for expression in expressions]
+    namespace = {"sqrt": sqrt, "on_points": on_points}
+    exec(compile(f"def kernel(P):\n"
+                 f"    {''.join(f'x{i}, y{i}, ' for i in range(points))}= P\n"
+                 f"    try:\n"
+                 f"        return [{', '.join(terms)}]\n"
+                 f"    except ZeroDivisionError:\n"
+                 f"        return on_points(P)\n",
+                 f"<{on_points.__name__} x {points}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _kepler_points(xy: list) -> list:
@@ -121,7 +148,8 @@ def kepler() -> SecondOrderProblem:
                 np.array([-np.sin(t), np.cos(t)]))
 
     return SecondOrderProblem(
-        name="kepler", f=_PlanarForce(_kepler_points),
+        name="kepler", f=_PlanarForce(_kepler_points, (
+            "x / (d := -(r := x * x + y * y) * sqrt(r))", "y / d")),
         q0=np.array([1.0, 0.0]), qp0=np.array([0.0, 1.0]),
         hamiltonian=hamiltonian,
         invariants={"angmom": angular_momentum, "rlp": runge_lenz},
@@ -146,7 +174,8 @@ def henon_heiles() -> SecondOrderProblem:
                 + q1 * q1 * q2 - _cube(q2) / 3.0)
 
     return SecondOrderProblem(
-        name="henon-heiles", f=_PlanarForce(_henon_heiles_points),
+        name="henon-heiles", f=_PlanarForce(_henon_heiles_points, (
+            "-x - 2.0 * x * y", "-y - x * x + y * y")),
         q0=np.array([0.1, -0.5]), qp0=np.array([0.0, 0.0]),
         hamiltonian=hamiltonian)
 

@@ -175,6 +175,16 @@ def test_order_study_output(capsys):
     assert abs(mean - 4.0) < 0.2
 
 
+@pytest.mark.parametrize("levels", ["1", "0", "-3"])
+def test_order_without_a_slope_is_usage_error(capsys, levels):
+    # one level used to exit 0 printing "mean slope: nan"
+    assert main(["order", "--method", "legendre4", "--problem", "harmonic",
+                 "--h0", "0.1", f"--levels={levels}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --levels must be >= 2, got {levels}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_every_method_accepted_by_every_verb(tmp_path, capsys, name):
     assert main(["derive", "--method", name,

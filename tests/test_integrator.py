@@ -1129,6 +1129,51 @@ def test_kernel_calls_match_iterations(tableaux, name, problem_name):
     assert counts == {"calls": sweeps, "points": tableaux[name].s * sweeps}
 
 
+@pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_unrolled_kernel_calls_match_iterations(tableaux, monkeypatch, name,
+                                                problem_name):
+    # the built-in problems' path: integrate asks the force for its kernel
+    # unrolled for s points and calls it once per sweep; it calls neither f
+    # nor, on these orbits, the per-point loop
+    problem = csrkn.problem_from_name(problem_name)
+    compiled = problems._unrolled
+    counts = {"kernels": 0, "calls": 0, "points": 0}
+
+    def unrolled(on_points, expressions, points):
+        counts["kernels"] += 1
+        kernel = compiled(on_points, expressions, points)
+
+        def counted(xy):
+            counts["calls"] += 1
+            counts["points"] += len(xy) // 2
+            return kernel(xy)
+
+        return counted
+
+    def per_point(xy):
+        raise AssertionError("the unrolled kernel fell back")
+
+    class KernelOnly(problems._PlanarForce):
+        __slots__ = ()
+
+        def __call__(self, t, q):
+            raise AssertionError("integrate called f")
+
+    expected = csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
+                               problem.qp0, 0.1, 200)
+    monkeypatch.setattr(problems, "_unrolled", unrolled)
+    counted = dataclasses.replace(
+        problem, f=KernelOnly(per_point, problem.f.expressions))
+    trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
+                                 counted.qp0, 0.1, 200)
+    sweeps = int(trajectory.iterations.sum())
+    assert counts == {"kernels": 1, "calls": sweeps,
+                      "points": tableaux[name].s * sweeps}
+    assert trajectory.q.tobytes() == expected.q.tobytes()
+    assert np.array_equal(trajectory.iterations, expected.iterations)
+
+
 def test_kernel_list_of_another_length_is_a_force_error(tableaux):
     # a per-point kernel that drops the last point: the sweep's kernel
     # cannot unpack the list, and the typed force error says so

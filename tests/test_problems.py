@@ -171,6 +171,64 @@ def test_force_on_stage_arrays_equals_reference(factory, reference, rows):
         assert_matches_reference(f, reference, wide[::2, 1:])
 
 
+def same_floats(values, expected):
+    """Equal lists of floats to the bit, NaN up to its sign and payload."""
+    canonical = [np.where(np.isnan(v), 0.0, v).tobytes()
+                 for v in (np.array(values, float), np.array(expected))]
+    return (len(values) == len(expected)
+            and np.array_equal(np.isnan(values), np.isnan(expected))
+            and canonical[0] == canonical[1])
+
+
+@pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
+@pytest.mark.parametrize("points", range(1, 13))
+def test_unrolled_force_equals_f(factory, points):
+    # integrate's kernel for a stage count: every special point at every
+    # position among random ones, then lists of special points alone; at
+    # the origin it raises f's error, and where r^2 sqrt(r^2) underflows
+    # it gives f's +-inf or NaN
+    f = factory().f
+    kernel = f.unrolled(points)
+    rng = np.random.default_rng(100 + points)
+    special = special_points()
+    lists = []
+    for k, point in enumerate(special):
+        q = rng.uniform(-1.2, 1.2, size=(points, 2))
+        q[k % points] = point
+        lists.append(q)
+    for start in range(0, len(special) - points + 1, points):
+        lists.append(special[start:start + points])
+    for q in lists:
+        xy = q.ravel().tolist()
+        try:
+            expected = f(0.0, q).ravel().tolist()
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                kernel(xy)
+            assert str(info.value) == str(err) == csrkn.problems._ORIGIN
+            continue
+        forces = kernel(xy)
+        assert type(forces) is list and len(forces) == len(xy)
+        assert same_floats(forces, expected)
+
+
+@pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
+def test_problems_share_one_compiled_kernel(name):
+    # problem_from_name builds a new force on every call; the unrolled
+    # kernel is compiled once per force and point count for the process
+    first, second = (csrkn.problem_from_name(name).f for _ in range(2))
+    assert first is not second
+    for points in (1, 2, 3, 12):
+        assert first.unrolled(points) is second.unrolled(points)
+    assert first.unrolled(2) is not first.unrolled(3)
+
+
+def test_planar_force_without_expressions_runs_its_kernel():
+    kepler = csrkn.kepler()
+    force = csrkn.problems._PlanarForce(kepler.f.on_points)
+    assert force.unrolled(3) is kepler.f.on_points
+
+
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
 @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2, 0), (0,), (),
                                    (2, 2, 1)])

@@ -6,13 +6,14 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 import pytest
 
 import csrkn
 from csrkn import problems
-from csrkn.integrator import _kernel
+from csrkn.integrator import _kernel, _max_magnitude
 from reference_stepper import apply, harmonic_step_map, reference_integrate
 
 from test_integrator import CUSTOM_SPEC, spatial_force
@@ -104,6 +105,55 @@ def test_kernels_equal_plain_loops(s, d):
             plain = apply([weights[i * cols:(i + 1) * cols]
                            for i in range(rows)], base, forces, width)
             assert bits(kernel(base, forces)) == bits(plain)
+            if rows == cols:
+                assert_sweep_kernel_matches(weights, base, forces, plain,
+                                            width, rng)
+
+
+def test_sweep_kernel_of_a_large_state():
+    # 3 stages of 1,000 components: the 3,000 increment terms, written as one
+    # sum, would nest deeper than CPython's compiler accepts
+    rng = np.random.default_rng(7)
+    s, d = 3, 1000
+    weights = (rng.standard_normal(s * s) * 1e-2).tolist()
+    base, forces = (rng.standard_normal(s * d).tolist() for _ in range(2))
+    plain = apply([weights[i * s:(i + 1) * s] for i in range(s)], base,
+                  forces, d)
+    assert_sweep_kernel_matches(weights, base, forces, plain, d, rng)
+
+
+def assert_sweep_kernel_matches(weights, base, forces, plain, d, rng):
+    """The sweep kernel gives the plain sums and, against previous stage
+    lists P built around them, the increment integrate used to take."""
+    s = len(plain) // d
+    sweep = _kernel(s, s, d, True)(*weights)
+    # base entries near the largest double, so that the sums and a P of the
+    # opposite sign differ by more than it: the difference overflows to inf
+    huge = [math.copysign(1.5e308, x) for x in base]
+    huge_plain = apply([weights[i * s:(i + 1) * s] for i in range(s)], huge,
+                       forces, d)
+    n = len(plain)
+    nan_spots = set(rng.integers(0, n, 1 + n // 3).tolist())
+    cases = [
+        (base, plain, rng.standard_normal(n).tolist()),
+        # equal lists, inf - inf where the sums hold an infinity
+        (base, plain, list(plain)),
+        # +-0.0 pairs: each zero of the sums against the other sign
+        (base, plain, [-x if x == 0.0 else x for x in plain]),
+        (base, plain, [math.copysign(0.0, -x) for x in plain]),
+        # NaN in P only
+        (base, plain, [math.nan if e in nan_spots else x
+                       for e, x in enumerate(plain)]),
+        (huge, huge_plain, [-x for x in huge_plain]),
+        (huge, huge_plain, [x if e % 2 else -x
+                            for e, x in enumerate(huge_plain)]),
+    ]
+    for stage_base, expected, previous in cases:
+        current, increment = sweep(stage_base, forces, previous)
+        assert type(increment) is float
+        assert bits(current) == bits(expected)
+        assert bits([increment]) == bits(
+            [_max_magnitude(map(sub, expected, previous))])
 
 
 # sha256 of times, q, qp and iterations of a 300-step run at h = 0.1 from
@@ -161,3 +211,37 @@ def test_harmonic_steps_follow_exact_step_map(name, h):
                     abs(Fraction(qp[k + 1]) - (m10 * x + m11 * v)))
         unit = math.ulp(1.0) * math.hypot(q[k], qp[k])
         assert error <= Fraction(STEP_MAP_ULPS * unit), (k, error / unit)
+
+
+# det M - 1 of the exact step map at h = 0.1, in lowest terms: the miss of
+# the stored coefficients' doubles from an exactly symplectic map (about
+# -5.5e-19, -3.5e-19, -9.6e-20 and -2.4e-18 in the order below).  The
+# legendre4 and hermite3 tableaux are the same under every OpenBLAS kernel;
+# the chebyshev4 and hermite4 values depend on the BLAS and LAPACK that
+# derive their tableaux, as the tableaux's sha256 pins do.
+STEP_MAP_DET_MISS = {
+    "legendre4": Fraction(
+        "-817766161157506883876060826874279/"
+        "1499075090624715634819598411750298912626016157433856"),
+    "chebyshev4": Fraction(
+        "-2465155190663149177735290728058106037804400453411176089/"
+        "70791804295495226415701169811614608875830968365489252897534487024"
+        "83103744"),
+    "hermite4": Fraction(
+        "-113179595456223041058798258248086004230964856162865893/"
+        "11798629448084973208272155548146050484801546166375843312470155278"
+        "53326336"),
+    "hermite3": Fraction(
+        "-19371163006067993552517177913926986736756843254103489911936292576"
+        "810923/"
+        "79639458177548791934591201644622957037932155085203705893787437547"
+        "13032479982747278901248"),
+}
+
+
+@pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
+def test_step_map_determinant_pinned(name):
+    (m00, m01), (m10, m11) = harmonic_step_map(csrkn.builtin_tableau(name),
+                                               0.1)
+    miss = m00 * m11 - m01 * m10 - 1
+    assert miss == STEP_MAP_DET_MISS[name]

@@ -283,6 +283,27 @@ def test_empirical_order_harmonic():
     assert estimate.errors[0] > estimate.errors[-1]
 
 
+@pytest.mark.parametrize("problem", [csrkn.kepler(), csrkn.harmonic()])
+def test_empirical_order_reads_only_endpoints(monkeypatch, problem):
+    # each level records its first and last state only; the estimate equals
+    # the one from runs that record every state
+    tableau = csrkn.builtin_tableau("legendre4")
+    integrate, recorded = csrkn.verification.integrate, []
+
+    def record(*args, every_state=False):
+        trajectory = integrate(*args[:7] if every_state else args)
+        recorded.append(len(trajectory.times))
+        return trajectory
+
+    monkeypatch.setattr(csrkn.verification, "integrate", record)
+    estimate = csrkn.empirical_order(tableau, problem, 0.1, 4)
+    assert recorded == [2] * 4
+    monkeypatch.setattr(csrkn.verification, "integrate",
+                        functools.partial(record, every_state=True))
+    assert csrkn.empirical_order(tableau, problem, 0.1, 4) == estimate
+    assert recorded[4:] == [11, 21, 41, 81]
+
+
 def test_empirical_order_free_motion_is_exact():
     free = csrkn.SecondOrderProblem(
         name="free",
