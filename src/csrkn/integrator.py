@@ -170,21 +170,21 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:
-    """Repeated steps from (t0, q0, qp0), two nonempty vectors of one
-    length, with h and t0 taken as Python floats; deterministic for fixed
-    inputs.  iterations[k] counts the fixed-point sweeps of step k, one
-    force call each: ``problem.f`` on the (s, d) stage array or, for the
-    built-in planar forces on two components, their expressions written
-    out for s points, ``f.unrolled(s)``, on the stage list.  The state, the
-    stage bases q + c h q' and the stage values are Python float lists, and
-    every weighted sum (the start, h^2 A_bar F, h^2 b_bar F and h b' F) is
-    generated straight-line code summed left to right in binary64, whose
-    sweep form also returns the stage increment: no BLAS decides the bytes
-    of a run.  The first step starts from the explicit guess q + c h q',
-    steps 1 to m (m = 8) from the previous step's stage forces F_n
-    extrapolated to the new stage times, E F_n (Hairer, Lubich & Wanner,
-    Geometric Numerical Integration, 2006, sec. VIII.6.1), and every later
-    step adds to E F_n the extrapolation of the last m prediction errors
+    """Repeated steps from (t0, q0, qp0), two nonempty vectors of one length,
+    with h and t0 taken as Python floats; deterministic for fixed inputs.
+    iterations[k] counts the fixed-point sweeps of step k, one force call each:
+    ``problem.f`` on the (s, d) stage array or, for the built-in planar forces
+    on two components, their expressions written out for s points,
+    ``f.unrolled(s)``, on the stage list.  The state and stage values are
+    Python float lists, and every sum of a step (the stage bases q + c h q',
+    the drift q + h q', the start, h^2 A_bar F, h^2 b_bar F and h b' F) is
+    generated straight-line code summed left to right in binary64, which also
+    returns a sweep's stage increment and the new max |q| that scales the next
+    tolerance: no BLAS decides a run's bytes.  The first step starts from the
+    guess q + c h q', steps 1 to m (m = 8) from the previous step's stage
+    forces F_n extrapolated to the new stage times, E F_n (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, 2006, sec. VIII.6.1), and every
+    later step adds to E F_n the extrapolation of the last m prediction errors
     F_j - E F_{j-1} (as in the starting algorithms of Calvo, Laburta &
     Montijano, Comput. Math. Appl., 2003); repeated nodes, which have no
     extrapolation, start every step from the guess.  The start changes the
@@ -213,26 +213,25 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                          f"length, got shapes {q.shape} and {qp.shape}")
     s, dim = shape = (tableau.s, q.size)
     q, qp = q.tolist(), qp.tolist()
-    ch = h * tableau.c
-    stage_ch, hh = ch.tolist(), h * h
+    ch, hh = h * tableau.c, h * h
     h2_a_bar = [hh * a for a in chain(*tableau.a_bar.tolist())]
     sweep_kernel = _kernel(s, s, dim, True)(*h2_a_bar)
-    position, velocity = (
-        _kernel(1, s, dim)(*[weight * b for b in weights.tolist()])
-        for weight, weights in ((hh, tableau.b_bar), (h, tableau.b_prime)))
+    stage_bases = _kernel(s, 1, dim)(*ch.tolist())
+    drift, origin = _kernel(1, 1, dim)(h), [0.0] * dim
+    # against the origin, the position kernel's increment is max |q|
+    position = _kernel(1, s, dim, True)(*(hh * tableau.b_bar).tolist())
+    velocity = _kernel(1, s, dim)(*(h * tableau.b_prime).tolist())
     # the planar force's kernel for s points reads the stage list and no
     # stage time; any other force, or shape, goes through f
     on_points = (f.unrolled(s) if isinstance(f, _PlanarForce) and len(q) == 2
                  else None)
     times, qs, qps = [t0], [q], [qp]
-    iterations, extrapolate = [], None
-    # the prediction error F_j - E F_{j-1} of step j in block j mod m of
-    # one list, which the start reads oldest first
+    iterations, extrapolate, magnitude = [], None, _max_magnitude(q)
+    # the last m prediction errors F_j - E F_{j-1}, oldest first
     n = s * dim
     errors = [0.0] * (_HISTORY * n)
     for step in range(n_steps):
         t = t0 + step * h
-        cut = step % _HISTORY * n
         if step == 1:
             # built for the second step, so a single step never pays for it;
             # ahead is E F_n, the last step's stage forces extrapolated
@@ -243,13 +242,13 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                 correct = _kernel(1, _HISTORY, n)(*weights[1])
                 zeros = [0.0] * n
                 ahead = extrapolate(zeros, values)
-        # the stage bases and the start's stage values
-        previous = base = [x + c * v for c in stage_ch for x, v in zip(q, qp)]
+        # the stage bases q + c h q' and the start's stage values
+        previous = base = stage_bases(q * s, qp)
         if extrapolate is not None:
             previous = update(base, ahead if step <= _HISTORY else
-                              correct(ahead, errors[cut:] + errors[:cut]))
+                              correct(ahead, errors))
         t_stage = t + ch if on_points is None else None
-        scale = _FP_TOL * (1.0 + _max_magnitude(q))
+        scale = _FP_TOL * (1.0 + magnitude)
         delta, polish = None, 0
         for sweep in range(1, max_iters + 1):
             try:
@@ -295,9 +294,10 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             raise _failure(step, t, "force evaluation returned a non-finite "
                            "value", sweep, delta)
         if extrapolate is not None:
-            errors[cut:cut + n] = map(sub, values, ahead)
+            del errors[:n]
+            errors += map(sub, values, ahead)
             ahead = extrapolate(zeros, values)
-        q = position([x + h * v for x, v in zip(q, qp)], values)
+        q, magnitude = position(drift(q, qp), values, origin)
         qp = velocity(qp, values)
         iterations.append(sweep)
         if (step + 1) % record_every == 0 or step == n_steps - 1:

@@ -760,6 +760,29 @@ def test_single_step_builds_no_start_weights(tableaux, monkeypatch):
         assert calls == dict.fromkeys(builders, 1)
 
 
+def test_single_step_compiles_no_start_kernel(tableaux):
+    # the start's kernels, the s x s sum without the increment and the sum
+    # of the m prediction errors, are compiled at step 1: asking the cache
+    # for them after one step misses, and after two steps hits
+    kernel = csrkn.integrator._kernel
+    kepler = csrkn.kepler()
+
+    def probe(s):
+        before = kernel.cache_info()
+        kernel(s, s, 2)
+        kernel(1, _HISTORY, 2 * s)
+        after = kernel.cache_info()
+        return after.misses - before.misses, after.hits - before.hits
+
+    for tableau in tableaux.values():
+        kernel.cache_clear()
+        csrkn.rkn_step(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1)
+        assert probe(tableau.s) == (2, 0)
+        kernel.cache_clear()
+        csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 2)
+        assert probe(tableau.s) == (0, 2)
+
+
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_corrected_start_exactness_degree(tableaux, name):
     # stage forces sampled from a polynomial in t over the last m + 1

@@ -78,6 +78,33 @@ def test_integrate_equals_reference_stepper(name, problem_name):
     assert trajectory.iterations.tolist() == iterations
 
 
+def test_large_state_equals_reference_stepper():
+    # 1,000 uncoupled oscillators through f: 12 steps reach the corrected
+    # start, and each position update sums 1,000 magnitudes for the next
+    # step's tolerance; they start near q = 0, so that max |q| grows over
+    # the run and a stale tolerance would change the sweep counts
+    rng = np.random.default_rng(33)
+    d = 1000
+    stiffness = -rng.uniform(0.25, 4.0, d)
+    problem = csrkn.SecondOrderProblem(
+        name="oscillators", f=lambda t, q: stiffness * q,
+        q0=rng.uniform(-1e-3, 1e-3, d), qp0=rng.uniform(-1.0, 1.0, d))
+    weights = stiffness.tolist()
+
+    def force(times, xs):
+        return [weights[e % d] * x for e, x in enumerate(xs)]
+
+    tableau = csrkn.builtin_tableau("hermite4")
+    trajectory = csrkn.integrate(tableau, problem, 0.0, problem.q0,
+                                 problem.qp0, 0.1, 12)
+    times, q, qp, iterations = reference_integrate(
+        tableau, force, 0.0, problem.q0.tolist(), problem.qp0.tolist(), 0.1,
+        12)
+    assert trajectory.q.tobytes() == bits([x for row in q for x in row])
+    assert trajectory.qp.tobytes() == bits([x for row in qp for x in row])
+    assert trajectory.iterations.tolist() == iterations
+
+
 SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
 
 
@@ -108,6 +135,55 @@ def test_kernels_equal_plain_loops(s, d):
             if rows == cols:
                 assert_sweep_kernel_matches(weights, base, forces, plain,
                                             width, rng)
+
+
+SUBNORMALS = [5e-324, -5e-324, 1e-310, -2.2e-309]
+
+
+def random_list(rng, size, trial):
+    # mixed signs and scales; from trial 1 on, specials and subnormals, and
+    # in the last two trials entries near the largest double, whose sums
+    # and products overflow
+    array = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    if trial >= 4:
+        array = np.copysign(rng.uniform(0.8, 1.7, size) * 1e308, array)
+    if trial:
+        pool = (SPECIALS + SUBNORMALS)[:2 * trial + 1]
+        hits = rng.integers(0, size, 1 + size // 3)
+        array[hits] = rng.choice(pool, hits.size)
+    return array.tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", range(1, 13))
+def test_step_list_kernels_equal_plain_loops(s, d):
+    # the stage bases q + c h q' (s rows, one column), the drift q + h q'
+    # and the position update, whose increment against the origin is the
+    # max |q| that scales the next step's tolerance
+    rng = np.random.default_rng(1000 + 100 * s + d)
+    for trial in range(6):
+        ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
+        bases = _kernel(s, 1, d)(*ch)(q * s, qp)
+        assert bits(bases) == bits([x + c * v for c in ch
+                                    for x, v in zip(q, qp)])
+        h = ch[0]
+        drift = _kernel(1, 1, d)(h)(q, qp)
+        assert bits(drift) == bits([x + h * v for x, v in zip(q, qp)])
+        weights, forces = (random_list(rng, size, trial)
+                           for size in (s, s * d))
+        position = _kernel(1, s, d, True)(*weights)
+        # q itself, whose magnitudes' sum overflows in the last two trials,
+        # and new entries of -0.0, whose magnitude is +0.0
+        negative = [math.copysign(0.0, -w) for w in weights for _ in q]
+        for base, values in ((drift, forces), (q, forces),
+                             (q, [0.0] * (s * d)),
+                             ([-0.0] * d, [0.0] * (s * d)),
+                             ([-0.0] * d, [0.0] * (s * d - 1) + [-0.0]),
+                             ([-0.0] * d, negative)):
+            new, magnitude = position(base, values, [0.0] * d)
+            assert bits(new) == bits(apply([weights], base, values, d))
+            assert type(magnitude) is float
+            assert bits([magnitude]) == bits([_max_magnitude(new)])
 
 
 def test_sweep_kernel_of_a_large_state():
