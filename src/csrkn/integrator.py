@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -116,36 +117,143 @@ def _start_weights(c: np.ndarray, m: int):
     return extrapolation.ravel().tolist(), _corrected_extrapolation(m)
 
 
+def _sums(names, d, base, forces, stages=None):
+    """Source lines of n_e = base[e] + (w_i0 forces[k] + w_i1 forces[d + k]
+    + ...) for e = i d + k, the weights named row by row, written out and
+    taken left to right in binary64 (CPython fuses no multiply-add), so the
+    bytes depend on the order alone.  With the stage names, also the lines
+    of g_e = |n_e - stages[e]| and their sum t, and the increment max_e g_e
+    as an expression: NaN if one g_e is, as max() could skip it and t
+    cannot (summed 64 terms a statement, as the compiler refuses deeply
+    nested sums).  Returns (lines, increment or None)."""
+    n = range(len(names) * d)
+    lines = [f"n_{i * d + k} = {base[i * d + k]} + ("
+             + " + ".join(f"{w} * {forces[j * d + k]}"
+                          for j, w in enumerate(row))
+             + ")" for i, row in enumerate(names) for k in range(d)]
+    if stages is None:
+        return lines, None
+    sums = [" + ".join(f"g_{e}" for e in n[k:k + 64]) for k in n[::64]]
+    lines += [*(f"g_{e} = abs(n_{e} - {stages[e]})" for e in n),
+              f"t = {sums[0]}", *(f"t = t + {x}" for x in sums[1:])]
+    gaps = ", ".join(f"g_{e}" for e in n)
+    return lines, f"(max(0.0, {gaps}) if t == t else t)"
+
+
+def _weights(rows, cols):
+    return [[f"w{i}_{j}" for j in range(cols)] for i in range(rows)]
+
+
+def _compiled(label, parameters, signature, lines, namespace):
+    """make(*parameters), which returns the function of this signature and
+    body lines; label names the source in tracebacks."""
+    exec(compile(f"def make({', '.join(parameters)}):\n"
+                 f"    def {signature}:\n"
+                 + "".join(f"        {line}\n" for line in lines)
+                 + f"    return {signature.partition('(')[0]}\n",
+                 label, "exec"), namespace)
+    return namespace["make"]
+
+
 @cache
 def _kernel(rows: int, cols: int, d: int, increment: bool = False):
     """make(*w), for (rows, cols) weights w row by row, returns kernel(B, F)
-    = N = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k], sums
-    written out and taken left to right in binary64 (CPython fuses no
-    multiply-add), so the bytes depend on the order alone; compiled once per
-    shape.  With increment, kernel(B, F, P) = (N, max_e |N_e - P_e|), NaN
-    if one |N_e - P_e| is: max() could skip it, their sum cannot (taken 64
-    terms a statement, as the compiler refuses deeply nested sums)."""
-    names = [[f"w{i}_{j}" for j in range(cols)] for i in range(rows)]
+    = N = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k], the
+    sums of ``_sums``; compiled once per shape.  With increment,
+    kernel(B, F, P) = (N, max_e |N_e - P_e|), NaN if one |N_e - P_e| is."""
+    names = _weights(rows, cols)
     n = range(rows * d)
-    new, gaps = (", ".join(f"{v}{e}" for e in n) for v in "nd")
-    lines = [f"{''.join(f'f{e}, ' for e in range(cols * d))}= F",
-             *(f"n{i * d + k} = B[{i * d + k}] + ("
-               + " + ".join(f"{w} * f{j * d + k}" for j, w in enumerate(row))
-               + ")" for i, row in enumerate(names) for k in range(d)),
+    forces = [f"f{e}" for e in range(cols * d)]
+    stages = [f"p{e}" for e in n] if increment else None
+    sums, gap = _sums(names, d, [f"B[{e}]" for e in n], forces, stages)
+    new = ", ".join(f"n_{e}" for e in n)
+    lines = [f"{''.join(f'{x}, ' for x in forces)}= F", *sums,
              f"return [{new}]"]
     if increment:
-        sums = [" + ".join(f"d{e}" for e in n[k:k + 64]) for k in n[::64]]
-        lines[-1:] = [f"{''.join(f'p{e}, ' for e in n)}= P",
-                      *(f"d{e} = abs(n{e} - p{e})" for e in n),
-                      f"t = {sums[0]}", *(f"t = t + {x}" for x in sums[1:]),
-                      f"return [{new}], (max(0.0, {gaps}) if t == t else t)"]
-    namespace = {}
-    exec(compile(f"def make({', '.join(chain(*names))}):\n"
-                 f"    def kernel(B, F{', P' if increment else ''}):\n"
-                 + "".join(f"        {line}\n" for line in lines)
-                 + "    return kernel\n",
-                 f"<kernel {rows}x{cols}x{d}>", "exec"), namespace)
-    return namespace["make"]
+        lines[1:1] = [f"{''.join(f'{x}, ' for x in stages)}= P"]
+        lines[-1] += f", {gap}"
+    return _compiled(f"<kernel {rows}x{cols}x{d}>", chain(*names),
+                     f"kernel(B, F{', P' if increment else ''})", lines, {})
+
+
+@cache
+def _solver(s: int, d: int, on_points=None, expressions=None):
+    """make(f, max_iters, *w), for the h^2 A_bar weights w row by row,
+    returns solve(B, P, scale, times): one step's fixed-point sweeps from
+    the stage bases B and the start's stage values P, at most max_iters,
+    with the stage values as locals.  Each sweep takes the forces on the
+    stage values, the sums and increment of ``_sums`` and the stopping rule
+    (below the tolerance scale, up to _POLISH_SWEEPS more sweeps, and none
+    after an increment of exactly 0); a non-finite increment ends the loop.
+    It returns (F, sweeps, the last finite increment, the last increment,
+    polish sweeps, whether the sweeps ran out, None), with F the last force
+    list, or (None, sweeps, the last finite increment, None, polish sweeps,
+    False, error) when the forces or sums raise ValueError or
+    ArithmeticError.
+
+    The forces are the expressions of a planar force written out for s
+    points, each one-letter name indexed by point (the stage values are
+    x0, y0, x1, ...), where a zero divisor hands the stage list to
+    on_points; on_points on the stage list for a planar force without
+    expressions; or else f(times, stages) on the (s, d) stage array, with
+    the dtype, complex and shape checks of a supplied force.  Cached by
+    the per-point function and expressions, as problem_from_name makes a
+    new force on every call; f comes with each run."""
+    n = range(s * d)
+    forces = [f"f_{e}" for e in n]
+    planar = on_points is not None
+    stages = ([f"{v}{i}" for i in range(s) for v in "xy"] if planar
+              else [f"s{e}" for e in n])
+    unpack, listed = "".join(f"{x}, " for x in forces), ", ".join(stages)
+    if expressions is not None:
+        terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
+                 for i in range(s) for expression in expressions]
+        force = ["try:",
+                 *(f"    {x} = {term}" for x, term in zip(forces, terms)),
+                 "except ZeroDivisionError:",
+                 f"    {unpack}= on_points([{listed}])"]
+    elif planar:
+        force = [f"{unpack}= on_points([{listed}])"]
+    else:
+        # a complex result would lose its imaginary part, and one that
+        # broadcasts would integrate another equation
+        force = [f"forces = asarray(f(times, array([{listed}], float)"
+                 ".reshape(shape)))",
+                 'if forces.dtype.char != "d":',
+                 '    if forces.dtype.kind == "c":',
+                 '        raise ValueError("f returned complex values")',
+                 "    forces = forces.astype(float)",
+                 "if forces.shape != shape:",
+                 '    raise ValueError(f"f returned shape {forces.shape} '
+                 'for stages of shape {shape}")',
+                 f"{unpack}= forces.ravel().tolist()"]
+    names = _weights(s, s)
+    sums, increment = _sums(names, d, [f"b_{e}" for e in n], forces, stages)
+    lines = [f"{''.join(f'b_{e}, ' for e in n)}= B", f"{listed}, = P",
+             "delta, polish, exhausted = None, 0, False",
+             "for sweep in range(1, max_iters + 1):",
+             "    try:", *(f"        {line}" for line in force + sums),
+             f"        increment = {increment}",
+             "    except (ValueError, ArithmeticError) as err:",
+             "        return None, sweep, delta, None, polish, False, err",
+             "    if not isfinite(increment):",
+             "        break",
+             "    delta = increment",
+             *(f"    {x} = n_{e}" for e, x in enumerate(stages)),
+             "    if delta < scale:",
+             f"        if polish >= {_POLISH_SWEEPS} or delta == 0.0:",
+             "            break",
+             "        polish += 1",
+             "else:",
+             "    exhausted = True",
+             f"return [{', '.join(forces)}], sweep, delta, increment, "
+             "polish, exhausted, None"]
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
+                 "on_points": on_points, "array": np.array,
+                 "asarray": np.asarray, "shape": (s, d)}
+    label = f"<solver {s}x{d} {on_points.__name__ if planar else 'f'}>"
+    return _compiled(label, ["f", "max_iters", *chain(*names)],
+                     "solve(B, P, scale, times)", lines, namespace)
 
 
 def _failure(step: int, t: float, reason: str, sweeps: int,
@@ -172,23 +280,24 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               config: SolverConfig | None = None) -> Trajectory:
     """Repeated steps from (t0, q0, qp0), two nonempty vectors of one length,
     with h and t0 taken as Python floats; deterministic for fixed inputs.
-    iterations[k] counts the fixed-point sweeps of step k, one force call each:
-    ``problem.f`` on the (s, d) stage array or, for the built-in planar forces
-    on two components, their expressions written out for s points,
-    ``f.unrolled(s)``, on the stage list.  The state and stage values are
-    Python float lists, and every sum of a step (the stage bases q + c h q',
-    the drift q + h q', the start, h^2 A_bar F, h^2 b_bar F and h b' F) is
-    generated straight-line code summed left to right in binary64, which also
-    returns a sweep's stage increment and the new max |q| that scales the next
-    tolerance: no BLAS decides a run's bytes.  The first step starts from the
-    guess q + c h q', steps 1 to m (m = 8) from the previous step's stage
-    forces F_n extrapolated to the new stage times, E F_n (Hairer, Lubich &
-    Wanner, Geometric Numerical Integration, 2006, sec. VIII.6.1), and every
-    later step adds to E F_n the extrapolation of the last m prediction errors
-    F_j - E F_{j-1} (as in the starting algorithms of Calvo, Laburta &
-    Montijano, Comput. Math. Appl., 2003); repeated nodes, which have no
-    extrapolation, start every step from the guess.  The start changes the
-    sweep count, not the fixed point.
+    iterations[k] counts the fixed-point sweeps of step k, one force
+    evaluation each: ``problem.f`` on the (s, d) stage array or, for the
+    built-in planar forces on two components, their expressions written out
+    for s points on the stage values.  One generated solver per stage count,
+    state length and force runs a step's sweeps with the stage values as
+    locals.  The state is a Python float list, and every sum of a step (the
+    stage bases q + c h q', the drift q + h q', the start, h^2 A_bar F,
+    h^2 b_bar F and h b' F) is straight-line code summed left to right in
+    binary64, which also gives a sweep's stage increment and the new max |q|
+    that scales the next tolerance: no BLAS decides a run's bytes.  The
+    first step starts from the guess q + c h q', steps 1 to m (m = 8) from
+    the previous step's stage forces F_n extrapolated to the new stage
+    times, E F_n (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+    2006, sec. VIII.6.1), and every later step adds to E F_n the
+    extrapolation of the last m prediction errors F_j - E F_{j-1} (as in the
+    starting algorithms of Calvo, Laburta & Montijano, Comput. Math. Appl.,
+    2003); repeated nodes, which have no extrapolation, start every step
+    from the guess.  The start changes the sweep count, not the fixed point.
     """
     n_steps = _integer("n_steps", n_steps, 1)
     _real("step size", h, nonzero=True)
@@ -211,20 +320,20 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     if q.ndim != 1 or qp.shape != q.shape or not q.size:
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")
-    s, dim = shape = (tableau.s, q.size)
+    s, dim = tableau.s, q.size
     q, qp = q.tolist(), qp.tolist()
     ch, hh = h * tableau.c, h * h
     h2_a_bar = [hh * a for a in chain(*tableau.a_bar.tolist())]
-    sweep_kernel = _kernel(s, s, dim, True)(*h2_a_bar)
     stage_bases = _kernel(s, 1, dim)(*ch.tolist())
     drift, origin = _kernel(1, 1, dim)(h), [0.0] * dim
     # against the origin, the position kernel's increment is max |q|
     position = _kernel(1, s, dim, True)(*(hh * tableau.b_bar).tolist())
     velocity = _kernel(1, s, dim)(*(h * tableau.b_prime).tolist())
-    # the planar force's kernel for s points reads the stage list and no
-    # stage time; any other force, or shape, goes through f
-    on_points = (f.unrolled(s) if isinstance(f, _PlanarForce) and len(q) == 2
-                 else None)
+    # a planar force's expressions, written into the solver, read no stage
+    # time; any other force, or shape, goes through f
+    planar = isinstance(f, _PlanarForce) and dim == 2
+    solve = (_solver(s, dim, f.on_points, f.expressions) if planar
+             else _solver(s, dim))(f, max_iters, *h2_a_bar)
     times, qs, qps = [t0], [q], [qp]
     iterations, extrapolate, magnitude = [], None, _max_magnitude(q)
     # the last m prediction errors F_j - E F_{j-1}, oldest first
@@ -247,39 +356,13 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         if extrapolate is not None:
             previous = update(base, ahead if step <= _HISTORY else
                               correct(ahead, errors))
-        t_stage = t + ch if on_points is None else None
-        scale = _FP_TOL * (1.0 + magnitude)
-        delta, polish = None, 0
-        for sweep in range(1, max_iters + 1):
-            try:
-                if on_points is None:
-                    forces = np.asarray(f(t_stage, np.array(previous, float)
-                                          .reshape(shape)))
-                    # a complex result would lose its imaginary part, and
-                    # one that broadcasts would integrate another equation
-                    if forces.dtype.char != "d":
-                        if forces.dtype.kind == "c":
-                            raise ValueError("f returned complex values")
-                        forces = forces.astype(float)
-                    if forces.shape != shape:
-                        raise ValueError(f"f returned shape {forces.shape} "
-                                         f"for stages of shape {shape}")
-                    values = forces.ravel().tolist()
-                else:
-                    values = on_points(previous)
-                # a force list of another length fails to unpack here
-                current, increment = sweep_kernel(base, values, previous)
-            except (ValueError, ArithmeticError) as err:
-                raise _failure(step, t, f"force evaluation failed: {err}",
-                               sweep, delta) from err
-            if not isfinite(increment):
-                break
-            delta, previous = increment, current
-            if delta < scale:
-                if polish >= _POLISH_SWEEPS or delta == 0.0:
-                    break
-                polish += 1
-        else:
+        (values, sweep, delta, increment, polish, exhausted,
+         error) = solve(base, previous, _FP_TOL * (1.0 + magnitude),
+                        None if planar else t + ch)
+        if error is not None:
+            raise _failure(step, t, f"force evaluation failed: {error}",
+                           sweep, delta) from error
+        if exhausted:
             if not polish:
                 raise _failure(
                     step, t, f"stage iteration did not reach tolerance "

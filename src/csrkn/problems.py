@@ -6,16 +6,15 @@ Every callable broadcasts over a leading batch axis: f maps (..., d) to
 trajectory.  Problems are immutable and re-entrant.
 
 The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables: f runs
-a per-point kernel on Python floats on an input of any size, ``integrate``
-the same two per-point expressions written out for its stage count; both
-give the same values to the bit, and f returns a fresh array.
+a per-point kernel on Python floats on an input of any size, and
+``integrate``'s stage solver the same two per-point expressions written out
+for its stage count; both give the same values to the bit, and f returns a
+fresh array.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import cache
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -62,8 +61,9 @@ class _PlanarForce:
 
     ``on_points`` maps the flat coordinate list [x0, y0, x1, y1, ...] to the
     flat force list on Python floats; ``expressions``, its two components
-    at a point (x, y) as source, if given.  A plain class: a dataclass
-    would add about 0.6 ms to every import.
+    at a point (x, y) as source in one-letter names, which may call sqrt,
+    if given.  A plain class: a dataclass would add about 0.6 ms to every
+    import.
     """
 
     __slots__ = ("on_points", "expressions")
@@ -72,35 +72,12 @@ class _PlanarForce:
         self.on_points = on_points
         self.expressions = expressions
 
-    def unrolled(self, points: int) -> Callable[[list], list]:
-        """on_points for a list of exactly this many points."""
-        return (self.on_points if self.expressions is None else
-                _unrolled(self.on_points, self.expressions, points))
-
     def __call__(self, t, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.shape[-1:] != (2,):
             raise ValueError(f"expected points of the plane (last axis of "
                              f"length 2), got shape {q.shape}")
         return np.array(self.on_points(q.ravel().tolist())).reshape(q.shape)
-
-
-@cache
-def _unrolled(on_points, expressions, points):
-    """on_points(P) to the bit: the expressions written out per point, with
-    one-letter names indexed by point; a zero divisor hands P to on_points.
-    Cached by force and point count, as problem_from_name makes new forces."""
-    terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
-             for i in range(points) for expression in expressions]
-    namespace = {"sqrt": sqrt, "on_points": on_points}
-    exec(compile(f"def kernel(P):\n"
-                 f"    {''.join(f'x{i}, y{i}, ' for i in range(points))}= P\n"
-                 f"    try:\n"
-                 f"        return [{', '.join(terms)}]\n"
-                 f"    except ZeroDivisionError:\n"
-                 f"        return on_points(P)\n",
-                 f"<{on_points.__name__} x {points}>", "exec"), namespace)
-    return namespace["kernel"]
 
 
 def _kepler_points(xy: list) -> list:

@@ -3,6 +3,8 @@
 ``reference_integrate`` runs the stage iteration of ``integrate`` on Python
 floats, one loop per sum: the same weights, start, stopping rule and polish
 cap, and every sum w_0 x_0 + w_1 x_1 + ... taken left to right in binary64.
+``sweeps`` is its loop over one step's sweeps, the plain form of the stage
+solver.
 ``harmonic_step_map`` is the exact one-step map of q'' = -q, in fractions,
 built from the doubles the stage iteration uses.
 """
@@ -46,6 +48,30 @@ def error_weights(m):
     return [float((-1) ** k * math.comb(m, k + 1)) for k in reversed(range(m))]
 
 
+def sweeps(coupling, base, previous, force, scale, max_iters, d):
+    """The fixed-point sweeps of one step from the start's stage values
+    previous: (the last forces, sweeps, the last finite increment, the last
+    increment, polish sweeps, whether the sweeps ran out).  force maps the
+    flat stage list to the flat force list; below scale, up to
+    POLISH_SWEEPS more sweeps run, none after an increment of exactly 0,
+    and a non-finite increment ends the sweeps."""
+    delta, polish = None, 0
+    for sweep in range(1, max_iters + 1):
+        forces = force(previous)
+        current = apply(coupling, base, forces, d)
+        changes = [abs(x - y) for x, y in zip(current, previous)]
+        increment = (math.nan if any(map(math.isnan, changes))
+                     else max(changes))
+        if not math.isfinite(increment):
+            return forces, sweep, delta, increment, polish, False
+        delta, previous = increment, current
+        if delta < scale:
+            if polish >= POLISH_SWEEPS or delta == 0.0:
+                return forces, sweep, delta, increment, polish, False
+            polish += 1
+    return forces, sweep, delta, increment, polish, True
+
+
 def reference_integrate(tableau, force, t0, q0, qp0, h, n_steps,
                         max_iters=50):
     """(times, q, qp, iterations) as lists, every step recorded.
@@ -79,23 +105,13 @@ def reference_integrate(tableau, force, t0, q0, qp0, h, n_steps,
                          in zip(ahead, zip(*errors[-HISTORY:]))]
             previous = apply(coupling, base, guess, d)
         scale = FP_TOL * (1.0 + max(abs(x) for x in q))
-        delta, polish = None, 0
-        for sweep in range(1, max_iters + 1):
-            forces = force(stage_times, previous)
-            current = apply(coupling, base, forces, d)
-            changes = [abs(x - y) for x, y in zip(current, previous)]
-            increment = (math.nan if any(map(math.isnan, changes))
-                         else max(changes))
-            if not math.isfinite(increment):
-                raise ArithmeticError(f"non-finite increment at step {step}")
-            delta, previous = increment, current
-            if delta < scale:
-                if polish >= POLISH_SWEEPS or delta == 0.0:
-                    break
-                polish += 1
-        else:
-            if not polish:
-                raise ArithmeticError(f"no convergence at step {step}")
+        forces, sweep, _, increment, polish, exhausted = sweeps(
+            coupling, base, previous,
+            lambda xs: force(stage_times, xs), scale, max_iters, d)
+        if not math.isfinite(increment):
+            raise ArithmeticError(f"non-finite increment at step {step}")
+        if exhausted and not polish:
+            raise ArithmeticError(f"no convergence at step {step}")
         if not all(map(math.isfinite, forces)):
             raise ArithmeticError(f"non-finite force at step {step}")
         if nodes is not None and step > 0:

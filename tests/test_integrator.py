@@ -1154,28 +1154,23 @@ def test_kernel_calls_match_iterations(tableaux, name, problem_name):
 
 @pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
-def test_unrolled_kernel_calls_match_iterations(tableaux, monkeypatch, name,
-                                                problem_name):
-    # the built-in problems' path: integrate asks the force for its kernel
-    # unrolled for s points and calls it once per sweep; it calls neither f
-    # nor, on these orbits, the per-point loop
+def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
+    # the built-in problems' path: integrate compiles one stage solver for
+    # the stage count and the force's per-point function and expressions,
+    # shared by the forces of later problem_from_name calls, and its sweeps
+    # call neither f nor, on these orbits, the per-point loop
+    solver = csrkn.integrator._solver
+    solver.cache_clear()
+    runs = [csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
+                            problem.qp0, 0.1, 200)
+            for problem in (csrkn.problem_from_name(problem_name)
+                            for _ in range(2))]
+    info = solver.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     problem = csrkn.problem_from_name(problem_name)
-    compiled = problems._unrolled
-    counts = {"kernels": 0, "calls": 0, "points": 0}
-
-    def unrolled(on_points, expressions, points):
-        counts["kernels"] += 1
-        kernel = compiled(on_points, expressions, points)
-
-        def counted(xy):
-            counts["calls"] += 1
-            counts["points"] += len(xy) // 2
-            return kernel(xy)
-
-        return counted
 
     def per_point(xy):
-        raise AssertionError("the unrolled kernel fell back")
+        raise AssertionError("the solver fell back to the per-point loop")
 
     class KernelOnly(problems._PlanarForce):
         __slots__ = ()
@@ -1183,23 +1178,24 @@ def test_unrolled_kernel_calls_match_iterations(tableaux, monkeypatch, name,
         def __call__(self, t, q):
             raise AssertionError("integrate called f")
 
-    expected = csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
-                               problem.qp0, 0.1, 200)
-    monkeypatch.setattr(problems, "_unrolled", unrolled)
     counted = dataclasses.replace(
         problem, f=KernelOnly(per_point, problem.f.expressions))
     trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
                                  counted.qp0, 0.1, 200)
-    sweeps = int(trajectory.iterations.sum())
-    assert counts == {"kernels": 1, "calls": sweeps,
-                      "points": tableaux[name].s * sweeps}
-    assert trajectory.q.tobytes() == expected.q.tobytes()
-    assert np.array_equal(trajectory.iterations, expected.iterations)
+    # the plain run: a plain-function f takes the f path
+    plain = dataclasses.replace(problem, f=lambda t, q: problem.f(t, q))
+    expected = csrkn.integrate(tableaux[name], plain, 0.0, plain.q0,
+                               plain.qp0, 0.1, 200)
+    for run in (*runs, trajectory):
+        assert run.q.tobytes() == expected.q.tobytes()
+        assert run.qp.tobytes() == expected.qp.tobytes()
+        assert np.array_equal(run.iterations, expected.iterations)
 
 
 def test_kernel_list_of_another_length_is_a_force_error(tableaux):
-    # a per-point kernel that drops the last point: the sweep's kernel
-    # cannot unpack the list, and the typed force error says so
+    # a per-point kernel that drops the last point: the stage solver cannot
+    # unpack the list into its force locals, and the typed force error
+    # says so
     kepler = csrkn.kepler()
     short = problems._PlanarForce(lambda xy: kepler.f.on_points(xy)[:-2])
     problem = dataclasses.replace(kepler, f=short)
@@ -1211,3 +1207,82 @@ def test_kernel_list_of_another_length_is_a_force_error(tableaux):
                                "failed: ")
     assert (err.step_index, err.iterations, err.last_delta) == (0, 1, None)
     assert isinstance(err.__cause__, ValueError)
+
+
+def wall_points(xy):
+    # -x - sqrt(x - 0.5), -y per point: math.sqrt raises ValueError for
+    # x < 0.5
+    points = iter(xy)
+    forces = []
+    for x, y in zip(points, points):
+        forces.append(-x - math.sqrt(x - 0.5))
+        forces.append(-y)
+    return forces
+
+
+WALL = problems._PlanarForce(wall_points, ("-x - sqrt(x - 0.5)", "-y"))
+
+
+def on_each_force_path(force):
+    """The force as the stage solver's expressions, its per-point loop and
+    a supplied f."""
+    return {"expressions": force,
+            "per-point": problems._PlanarForce(force.on_points),
+            "f": lambda t, q: force(t, q)}
+
+
+@pytest.mark.parametrize("path", ["expressions", "per-point", "f"])
+@pytest.mark.parametrize("name,last_delta", [
+    ("legendre4", "0x1.97a3b4469f100p-10"),
+    ("hermite3", "0x1.eb851eb851e80p-9")])
+def test_force_error_mid_loop_pinned(tableaux, path, name, last_delta):
+    # the bases of step 0 sit at x = 0.5 and the first sweep pulls every
+    # stage below it, so the second sweep's force raises: on every force
+    # path, the message, sweep count and last increment of the parent loop
+    problem = csrkn.SecondOrderProblem(
+        name="wall", f=on_each_force_path(WALL)[path],
+        q0=np.array([0.5, 0.0]), qp0=np.array([0.0, 0.25]))
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
+                        problem.qp0, 0.1, 10)
+    err = info.value
+    assert str(err) == ("step 0 (t = 0) failed: force evaluation failed: "
+                        "math domain error")
+    assert (err.step_index, err.iterations) == (0, 2)
+    assert err.last_delta == float.fromhex(last_delta)
+    assert isinstance(err.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("path", ["expressions", "per-point", "f"])
+def test_sweep_limits_pinned(tableaux, path, caplog):
+    # hermite3 on Kepler from e = 0.5 needs 11 to 13 sweeps on its first
+    # steps: max_iters = 11 runs out during the polish sweeps of steps 0-3,
+    # which is logged, and max_iters = 10 fails on step 0
+    kepler = csrkn.kepler()
+    e = 0.5
+    problem = dataclasses.replace(
+        kepler, f=on_each_force_path(kepler.f)[path],
+        q0=np.array([1.0 - e, 0.0]),
+        qp0=np.array([0.0, math.sqrt((1.0 + e) / (1.0 - e))]))
+    tableau = tableaux["hermite3"]
+    with caplog.at_level(logging.WARNING, logger="csrkn"):
+        trajectory = csrkn.integrate(tableau, problem, 0.0, problem.q0,
+                                     problem.qp0, 0.1, 8,
+                                     csrkn.SolverConfig(max_iters=11))
+    assert trajectory.iterations.tolist() == [11, 11, 11, 11, 11, 10, 10, 9]
+    assert trajectory.q[-1].tolist() == [-0.22582033558360584,
+                                         0.8202335906956675]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"stage iteration at t = {t} reached max_iters = 11 during the "
+        f"polish sweeps (last increment {delta})"
+        for t, delta in (("0", "7.994e-15"), ("0.1", "9.090e-16"),
+                         ("0.2", "4.996e-16"), ("0.3", "5.551e-17"))]
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(tableau, problem, 0.0, problem.q0, problem.qp0, 0.1,
+                        8, csrkn.SolverConfig(max_iters=10))
+    err = info.value
+    assert str(err) == ("step 0 (t = 0) failed: stage iteration did not "
+                        "reach tolerance within 10 sweeps (last increment "
+                        "3.131e-13)")
+    assert (err.step_index, err.iterations) == (0, 10)
+    assert err.last_delta == float.fromhex("0x1.6080000000000p-42")

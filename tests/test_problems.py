@@ -180,15 +180,27 @@ def same_floats(values, expected):
             and canonical[0] == canonical[1])
 
 
+def first_sweep_forces(f, xy):
+    """(forces, error) of the stage solver's first sweep from the stage
+    list xy, with f's per-point function and expressions; zero weights
+    keep a non-finite force out of the sums' way."""
+    points = len(xy) // 2
+    make = csrkn.integrator._solver(points, 2, f.on_points, f.expressions)
+    solve = make(f, 1, *[0.0] * (points * points))
+    forces, sweeps, *_, error = solve(xy, xy, 0.0, None)
+    assert sweeps == 1
+    return forces, error
+
+
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
 @pytest.mark.parametrize("points", range(1, 13))
 def test_unrolled_force_equals_f(factory, points):
-    # integrate's kernel for a stage count: every special point at every
-    # position among random ones, then lists of special points alone; at
-    # the origin it raises f's error, and where r^2 sqrt(r^2) underflows
-    # it gives f's +-inf or NaN
+    # the stage solver's force for a stage count, the expressions written
+    # out per point: every special point at every position among random
+    # ones, then lists of special points alone; at the origin it returns
+    # f's error, and where r^2 sqrt(r^2) underflows it gives f's +-inf or
+    # NaN (x * -inf)
     f = factory().f
-    kernel = f.unrolled(points)
     rng = np.random.default_rng(100 + points)
     special = special_points()
     lists = []
@@ -200,33 +212,50 @@ def test_unrolled_force_equals_f(factory, points):
         lists.append(special[start:start + points])
     for q in lists:
         xy = q.ravel().tolist()
+        forces, error = first_sweep_forces(f, xy)
         try:
             expected = f(0.0, q).ravel().tolist()
         except ValueError as err:
-            with pytest.raises(ValueError) as info:
-                kernel(xy)
-            assert str(info.value) == str(err) == csrkn.problems._ORIGIN
+            assert forces is None and type(error) is ValueError
+            assert str(error) == str(err) == csrkn.problems._ORIGIN
             continue
-        forces = kernel(xy)
+        assert error is None
         assert type(forces) is list and len(forces) == len(xy)
         assert same_floats(forces, expected)
 
 
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
 def test_problems_share_one_compiled_kernel(name):
-    # problem_from_name builds a new force on every call; the unrolled
-    # kernel is compiled once per force and point count for the process
+    # problem_from_name builds a new force on every call; the stage solver
+    # is compiled once per stage count, per-point function and expressions
+    # for the process
     first, second = (csrkn.problem_from_name(name).f for _ in range(2))
     assert first is not second
+    solver = csrkn.integrator._solver
+
+    def compiled(force, points):
+        return solver(points, 2, force.on_points, force.expressions)
+
     for points in (1, 2, 3, 12):
-        assert first.unrolled(points) is second.unrolled(points)
-    assert first.unrolled(2) is not first.unrolled(3)
+        assert compiled(first, points) is compiled(second, points)
+    assert compiled(first, 2) is not compiled(first, 3)
 
 
 def test_planar_force_without_expressions_runs_its_kernel():
+    # with no expressions, each sweep calls the per-point function once on
+    # the stage list
     kepler = csrkn.kepler()
-    force = csrkn.problems._PlanarForce(kepler.f.on_points)
-    assert force.unrolled(3) is kepler.f.on_points
+    calls = []
+
+    def on_points(xy):
+        calls.append(list(xy))
+        return kepler.f.on_points(xy)
+
+    xy = [1.0, 0.0, 0.5, -0.25, -0.75, 2.0]
+    forces, error = first_sweep_forces(csrkn.problems._PlanarForce(on_points),
+                                       xy)
+    assert error is None and calls == [xy]
+    assert forces == kepler.f.on_points(xy)
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
@@ -241,9 +270,9 @@ def test_force_rejects_points_off_the_plane(factory, shape):
                                f"length 2), got shape {shape}")
 
 
-# integrate calls the planar force's per-point kernel on its stage list,
-# and a problem whose f is a plain function goes through f: both must give
-# the same runs to the bit
+# integrate's stage solver runs the planar force's expressions on its stage
+# values, and a problem whose f is a plain function goes through f: both
+# must give the same runs to the bit
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
 def test_force_paths_give_identical_runs(tableaux, name):
     problem = csrkn.problem_from_name(name)

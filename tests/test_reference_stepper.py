@@ -13,8 +13,9 @@ import pytest
 
 import csrkn
 from csrkn import problems
-from csrkn.integrator import _kernel, _max_magnitude
-from reference_stepper import apply, harmonic_step_map, reference_integrate
+from csrkn.integrator import _kernel, _max_magnitude, _solver
+from reference_stepper import (apply, harmonic_step_map, reference_integrate,
+                               sweeps)
 
 from test_integrator import CUSTOM_SPEC, spatial_force
 
@@ -199,8 +200,9 @@ def test_sweep_kernel_of_a_large_state():
 
 
 def assert_sweep_kernel_matches(weights, base, forces, plain, d, rng):
-    """The sweep kernel gives the plain sums and, against previous stage
-    lists P built around them, the increment integrate used to take."""
+    """The (s, s) kernel with the increment, whose lines the stage solver
+    shares, gives the plain sums and, against previous stage lists P built
+    around them, the increment integrate used to take."""
     s = len(plain) // d
     sweep = _kernel(s, s, d, True)(*weights)
     # base entries near the largest double, so that the sums and a P of the
@@ -230,6 +232,110 @@ def assert_sweep_kernel_matches(weights, base, forces, plain, d, rng):
         assert bits(current) == bits(expected)
         assert bits([increment]) == bits(
             [_max_magnitude(map(sub, expected, previous))])
+
+
+def solve_both(s, d, weights, base, previous, scale, max_iters, times,
+               force):
+    """One step's sweeps by the stage solver and by the plain loop of
+    reference_stepper.sweeps, and the stage lists each passed to the force:
+    force(times, xs) on the flat stage list, as f on the stage array; or a
+    planar force, through its expressions (no stage lists then)."""
+    coupling = [weights[i * s:(i + 1) * s] for i in range(s)]
+    seen = [], []
+    if isinstance(force, problems._PlanarForce):
+        plain_force, f = force.on_points, None
+        make = _solver(s, d, force.on_points, force.expressions)
+    else:
+        def plain_force(xs):
+            seen[0].append(list(xs))
+            return force(times, xs)
+
+        def f(t, q):
+            seen[1].append(q.ravel().tolist())
+            return np.array(force(t.tolist(), q.ravel().tolist())).reshape(
+                q.shape)
+
+        make = _solver(s, d)
+    plain = sweeps(coupling, base, previous, plain_force, scale, max_iters,
+                   d)
+    solved = make(f, max_iters, *weights)(base, previous, scale,
+                                          np.array(times))
+    assert solved[-1] is None
+    assert len(seen[0]) == len(seen[1])
+    for plain_stages, stages in zip(*seen):
+        assert bits(stages) == bits(plain_stages)
+    return plain, solved[:-1]
+
+
+def assert_same_sweeps(plain, solved):
+    forces, count, delta, increment, polish, exhausted = plain
+    assert bits(solved[0]) == bits(forces)
+    assert (solved[1], solved[4], solved[5]) == (count, polish, exhausted)
+    assert (solved[2] is None) == (delta is None)
+    if delta is not None:
+        assert bits([solved[2]]) == bits([delta])
+    assert type(solved[3]) is float
+    assert bits([solved[3]]) == bits([increment])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", range(1, 13))
+def test_solver_equals_plain_sweeps(s, d):
+    # whole loops on a nonlinear force through f: converged with its polish
+    # sweeps, stopped on the first sweep below a large scale, run out of
+    # sweeps, and never below a scale of 0; on two components also the
+    # Kepler and Henon-Heiles expressions
+    rng = np.random.default_rng(2000 + 100 * s + d)
+    forces = [spatial_points]
+    if d == 2:
+        forces += [csrkn.kepler().f, csrkn.henon_heiles().f]
+    for trial in range(3):
+        weights = (rng.standard_normal(s * s) * 0.02).tolist()
+        base = rng.uniform(0.5, 1.0, s * d) * rng.choice([-1.0, 1.0], s * d)
+        previous = (base + rng.standard_normal(s * d) * 1e-3).tolist()
+        base = base.tolist()
+        times = rng.uniform(0.0, 1.0, s).tolist()
+        tolerance = 1e-14 * (1.0 + max(map(abs, base)))
+        for force in forces:
+            for scale, max_iters in ((tolerance, 50), (1.0, 50),
+                                     (tolerance, 3), (0.0, 4)):
+                plain, solved = solve_both(s, d, weights, base, previous,
+                                           scale, max_iters, times, force)
+                assert_same_sweeps(plain, solved)
+                assert plain[5] == (max_iters < 50)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", range(1, 13))
+def test_solver_increments_equal_plain_sweeps(s, d):
+    # a force that ignores the stages, so the first sweep's sums N are
+    # fixed and the start's stage values P can be set against them: +-0.0
+    # pairs, NaN in P only, inf - inf where the sums hold an infinity, and
+    # differences that overflow; the second sweep, if any, reads N
+    rng = np.random.default_rng(3000 + 100 * s + d)
+    n = s * d
+    for trial in range(4):
+        weights, base, forces = (random_list(rng, size, trial)
+                                 for size in (s * s, n, n))
+        coupling = [weights[i * s:(i + 1) * s] for i in range(s)]
+        plain = apply(coupling, base, forces, d)
+        huge = [math.copysign(1.5e308, x) for x in base]
+        huge_plain = apply(coupling, huge, forces, d)
+        nan_spots = set(rng.integers(0, n, 1 + n // 3).tolist())
+        cases = [
+            (base, rng.standard_normal(n).tolist()),
+            (base, list(plain)),
+            (base, [-x if x == 0.0 else x for x in plain]),
+            (base, [math.copysign(0.0, -x) for x in plain]),
+            (base, [math.nan if e in nan_spots else x
+                    for e, x in enumerate(plain)]),
+            (huge, [-x for x in huge_plain]),
+            (huge, [x if e % 2 else -x for e, x in enumerate(huge_plain)]),
+        ]
+        for stage_base, previous in cases:
+            result = solve_both(s, d, weights, stage_base, previous, 0.0, 2,
+                                [0.0] * s, lambda times, xs: forces)
+            assert_same_sweeps(*result)
 
 
 # sha256 of times, q, qp and iterations of a 300-step run at h = 0.1 from
