@@ -117,31 +117,35 @@ def _start_weights(c: np.ndarray, m: int):
     return extrapolation.ravel().tolist(), _corrected_extrapolation(m)
 
 
-def _sums(names, d, base, forces, stages=None):
-    """Source lines of n_e = base[e] + (w_i0 forces[k] + w_i1 forces[d + k]
+def _sums(names, d, new, base, forces, stages=None):
+    """Source lines of new[e] = base[e] + (w_i0 forces[k] + w_i1 forces[d + k]
     + ...) for e = i d + k, the weights named row by row, written out and
     taken left to right in binary64 (CPython fuses no multiply-add), so the
     bytes depend on the order alone.  With the stage names, also the lines
-    of g_e = |n_e - stages[e]| and their sum t, and the increment max_e g_e
-    as an expression: NaN if one g_e is, as max() could skip it and t
-    cannot (summed 64 terms a statement, as the compiler refuses deeply
-    nested sums).  Returns (lines, increment or None)."""
-    n = range(len(names) * d)
-    lines = [f"n_{i * d + k} = {base[i * d + k]} + ("
+    of g_e = |new[e] - stages[e]| and their sum t, and the increment
+    max_e g_e as an expression: NaN if one g_e is, as max() could skip it
+    and t cannot (summed 64 terms a statement, as the compiler refuses
+    deeply nested sums).  Returns (lines, increment or None)."""
+    n = range(len(new))
+    lines = [f"{new[i * d + k]} = {base[i * d + k]} + ("
              + " + ".join(f"{w} * {forces[j * d + k]}"
                           for j, w in enumerate(row))
              + ")" for i, row in enumerate(names) for k in range(d)]
     if stages is None:
         return lines, None
     sums = [" + ".join(f"g_{e}" for e in n[k:k + 64]) for k in n[::64]]
-    lines += [*(f"g_{e} = abs(n_{e} - {stages[e]})" for e in n),
+    lines += [*(f"g_{e} = abs({new[e]} - {stages[e]})" for e in n),
               f"t = {sums[0]}", *(f"t = t + {x}" for x in sums[1:])]
     gaps = ", ".join(f"g_{e}" for e in n)
     return lines, f"(max(0.0, {gaps}) if t == t else t)"
 
 
-def _weights(rows, cols):
-    return [[f"w{i}_{j}" for j in range(cols)] for i in range(rows)]
+def _weights(rows, cols, prefix="w"):
+    return [[f"{prefix}{i}_{j}" for j in range(cols)] for i in range(rows)]
+
+
+def _unpack(names, source):
+    return f"{''.join(f'{x}, ' for x in names)}= {source}"
 
 
 def _compiled(label, parameters, signature, lines, namespace):
@@ -156,64 +160,55 @@ def _compiled(label, parameters, signature, lines, namespace):
 
 
 @cache
-def _kernel(rows: int, cols: int, d: int, increment: bool = False):
+def _kernel(rows: int, cols: int, d: int):
     """make(*w), for (rows, cols) weights w row by row, returns kernel(B, F)
-    = N = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k], the
-    sums of ``_sums``; compiled once per shape.  With increment,
-    kernel(B, F, P) = (N, max_e |N_e - P_e|), NaN if one |N_e - P_e| is."""
-    names = _weights(rows, cols)
-    n = range(rows * d)
+    = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k], the sums
+    of ``_sums``; compiled once per shape."""
+    names, new = _weights(rows, cols), [f"n_{e}" for e in range(rows * d)]
     forces = [f"f{e}" for e in range(cols * d)]
-    stages = [f"p{e}" for e in n] if increment else None
-    sums, gap = _sums(names, d, [f"B[{e}]" for e in n], forces, stages)
-    new = ", ".join(f"n_{e}" for e in n)
-    lines = [f"{''.join(f'{x}, ' for x in forces)}= F", *sums,
-             f"return [{new}]"]
-    if increment:
-        lines[1:1] = [f"{''.join(f'{x}, ' for x in stages)}= P"]
-        lines[-1] += f", {gap}"
+    sums, _ = _sums(names, d, new, [f"B[{e}]" for e in range(rows * d)],
+                    forces)
+    lines = [_unpack(forces, "F"), *sums, f"return [{', '.join(new)}]"]
     return _compiled(f"<kernel {rows}x{cols}x{d}>", chain(*names),
-                     f"kernel(B, F{', P' if increment else ''})", lines, {})
+                     "kernel(B, F)", lines, {})
 
 
 @cache
-def _solver(s: int, d: int, on_points=None, expressions=None):
-    """make(f, max_iters, *w), for the h^2 A_bar weights w row by row,
-    returns solve(B, P, scale, times): one step's fixed-point sweeps from
-    the stage bases B and the start's stage values P, at most max_iters,
-    with the stage values as locals.  Each sweep takes the forces on the
-    stage values, the sums and increment of ``_sums`` and the stopping rule
-    (below the tolerance scale, up to _POLISH_SWEEPS more sweeps, and none
-    after an increment of exactly 0); a non-finite increment ends the loop.
-    It returns (F, sweeps, the last finite increment, the last increment,
-    polish sweeps, whether the sweeps ran out, None), with F the last force
-    list, or (None, sweeps, the last finite increment, None, polish sweeps,
-    False, error) when the forces or sums raise ValueError or
-    ArithmeticError.
+def _step(s: int, d: int, on_points=None, expressions=None):
+    """make(f, max_iters, *w), for the weights h c, h, h^2 A_bar row by
+    row, h^2 b_bar and h b', returns step(q, qp, G, m, times), one whole
+    step on float lists with every sum from ``_sums``: the stage bases
+    B = q + c h q', the start B + h^2 A_bar G (B for G None), at most
+    max_iters fixed-point sweeps with the stage values as locals, and the
+    new q = q + h q' + h^2 b_bar F and q' + h b' F.  A sweep takes the
+    forces, the sums and their increment, and stops below the scale
+    1e-14 (1 + m), m = max |q|, after up to _POLISH_SWEEPS more sweeps, or
+    at once on an increment of exactly 0; a non-finite increment ends the
+    loop.  It returns (F, sweeps, the last finite increment, the last
+    increment, polish sweeps, whether the sweeps ran out, None, new q, new
+    q', new max |q|), or (None, sweeps, the last finite increment, None,
+    polish sweeps, False, error, q, qp, m) when the forces or sums raise
+    ValueError or ArithmeticError.
 
-    The forces are the expressions of a planar force written out for s
-    points, each one-letter name indexed by point (the stage values are
-    x0, y0, x1, ...), where a zero divisor hands the stage list to
-    on_points; on_points on the stage list for a planar force without
-    expressions; or else f(times, stages) on the (s, d) stage array, with
-    the dtype, complex and shape checks of a supplied force.  Cached by
-    the per-point function and expressions, as problem_from_name makes a
-    new force on every call; f comes with each run."""
+    The forces are a planar force's expressions written out for s points,
+    each one-letter name indexed by point (the stage values are x0, y0,
+    x1, ...), where a zero divisor hands the stage list to on_points; or
+    else f(times, stages) on the (s, d) stage array, with the checks of a
+    supplied force.  Cached by the per-point function and expressions, as
+    problem_from_name makes a new force on every call."""
     n = range(s * d)
-    forces = [f"f_{e}" for e in n]
-    planar = on_points is not None
-    stages = ([f"{v}{i}" for i in range(s) for v in "xy"] if planar
+    forces, bases, new, start = ([f"{x}_{e}" for e in n] for x in "fbne")
+    q, qp = ([f"{x}_{k}" for k in range(d)] for x in "qv")
+    stages = ([f"{v}{i}" for i in range(s) for v in "xy"] if on_points
               else [f"s{e}" for e in n])
-    unpack, listed = "".join(f"{x}, " for x in forces), ", ".join(stages)
-    if expressions is not None:
+    listed = ", ".join(stages)
+    if on_points:
         terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
                  for i in range(s) for expression in expressions]
         force = ["try:",
                  *(f"    {x} = {term}" for x, term in zip(forces, terms)),
                  "except ZeroDivisionError:",
-                 f"    {unpack}= on_points([{listed}])"]
-    elif planar:
-        force = [f"{unpack}= on_points([{listed}])"]
+                 f"    {_unpack(forces, f'on_points([{listed}])')}"]
     else:
         # a complex result would lose its imaginary part, and one that
         # broadcasts would integrate another equation
@@ -226,16 +221,24 @@ def _solver(s: int, d: int, on_points=None, expressions=None):
                  "if forces.shape != shape:",
                  '    raise ValueError(f"f returned shape {forces.shape} '
                  'for stages of shape {shape}")',
-                 f"{unpack}= forces.ravel().tolist()"]
-    names = _weights(s, s)
-    sums, increment = _sums(names, d, [f"b_{e}" for e in n], forces, stages)
-    lines = [f"{''.join(f'b_{e}, ' for e in n)}= B", f"{listed}, = P",
+                 _unpack(forces, "forces.ravel().tolist()")]
+    c, h, a = _weights(s, 1, "c"), _weights(1, 1, "h"), _weights(s, s, "a")
+    p, v = _weights(1, s, "p"), _weights(1, s, "v")
+    sweep, increment = _sums(a, d, new, bases, forces, stages)
+    position, magnitude = _sums(p, d, new[:d], q, forces, ["0.0"] * d)
+    lines = [_unpack(q, "q"), _unpack(qp, "qp"),
+             *_sums(c, d, bases, q * s, qp)[0], "if G is None:",
+             *(f"    {x} = {y}" for x, y in zip(stages, bases)),
+             "else:", f"    {_unpack(start, 'G')}",
+             *(f"    {x}" for x in _sums(a, d, stages, bases, start)[0]),
+             "scale = tolerance * (1.0 + m)",
              "delta, polish, exhausted = None, 0, False",
              "for sweep in range(1, max_iters + 1):",
-             "    try:", *(f"        {line}" for line in force + sums),
+             "    try:", *(f"        {line}" for line in force + sweep),
              f"        increment = {increment}",
              "    except (ValueError, ArithmeticError) as err:",
-             "        return None, sweep, delta, None, polish, False, err",
+             "        return None, sweep, delta, None, polish, False, err, "
+             "q, qp, m",
              "    if not isfinite(increment):",
              "        break",
              "    delta = increment",
@@ -246,14 +249,18 @@ def _solver(s: int, d: int, on_points=None, expressions=None):
              "        polish += 1",
              "else:",
              "    exhausted = True",
+             *_sums(h, d, q, q, qp)[0], *position, f"m = {magnitude}",
+             *_sums(v, d, qp, qp, forces)[0],
              f"return [{', '.join(forces)}], sweep, delta, increment, "
-             "polish, exhausted, None"]
+             f"polish, exhausted, None, [{', '.join(new[:d])}], "
+             f"[{', '.join(qp)}], m"]
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
                  "on_points": on_points, "array": np.array,
-                 "asarray": np.asarray, "shape": (s, d)}
-    label = f"<solver {s}x{d} {on_points.__name__ if planar else 'f'}>"
-    return _compiled(label, ["f", "max_iters", *chain(*names)],
-                     "solve(B, P, scale, times)", lines, namespace)
+                 "asarray": np.asarray, "shape": (s, d),
+                 "tolerance": _FP_TOL}
+    label = f"<step {s}x{d} {on_points.__name__ if on_points else 'f'}>"
+    return _compiled(label, ["f", "max_iters", *chain(*c, *h, *a, *p, *v)],
+                     "step(q, qp, G, m, times)", lines, namespace)
 
 
 def _failure(step: int, t: float, reason: str, sweeps: int,
@@ -283,21 +290,22 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     iterations[k] counts the fixed-point sweeps of step k, one force
     evaluation each: ``problem.f`` on the (s, d) stage array or, for the
     built-in planar forces on two components, their expressions written out
-    for s points on the stage values.  One generated solver per stage count,
-    state length and force runs a step's sweeps with the stage values as
-    locals.  The state is a Python float list, and every sum of a step (the
-    stage bases q + c h q', the drift q + h q', the start, h^2 A_bar F,
-    h^2 b_bar F and h b' F) is straight-line code summed left to right in
-    binary64, which also gives a sweep's stage increment and the new max |q|
-    that scales the next tolerance: no BLAS decides a run's bytes.  The
-    first step starts from the guess q + c h q', steps 1 to m (m = 8) from
-    the previous step's stage forces F_n extrapolated to the new stage
-    times, E F_n (Hairer, Lubich & Wanner, Geometric Numerical Integration,
-    2006, sec. VIII.6.1), and every later step adds to E F_n the
-    extrapolation of the last m prediction errors F_j - E F_{j-1} (as in the
-    starting algorithms of Calvo, Laburta & Montijano, Comput. Math. Appl.,
-    2003); repeated nodes, which have no extrapolation, start every step
-    from the guess.  The start changes the sweep count, not the fixed point.
+    for s points on the stage values.  One generated function per stage
+    count, state length and force runs a whole step on Python float lists:
+    every sum (the stage bases q + c h q', the start, h^2 A_bar F, the
+    drift q + h q', h^2 b_bar F and h b' F) is straight-line code summed
+    left to right in binary64, which also gives a sweep's stage increment
+    and the new max |q| that scales the next tolerance, so no BLAS decides
+    a run's bytes; only the start's extrapolation and error sums, from step
+    1 on, are separate generated kernels.  The first step starts from the
+    guess q + c h q', steps 1 to m (m = 8) from the previous step's stage
+    forces F_n extrapolated to the new stage times, E F_n (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, 2006, sec. VIII.6.1), and
+    every later step adds to E F_n the extrapolation of the last m
+    prediction errors F_j - E F_{j-1} (as in the starting algorithms of
+    Calvo, Laburta & Montijano, Comput. Math. Appl., 2003); repeated nodes,
+    which have no extrapolation, start every step from the guess.  The
+    start changes the sweep count, not the fixed point.
     """
     n_steps = _integer("n_steps", n_steps, 1)
     _real("step size", h, nonzero=True)
@@ -323,21 +331,18 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     s, dim = tableau.s, q.size
     q, qp = q.tolist(), qp.tolist()
     ch, hh = h * tableau.c, h * h
-    h2_a_bar = [hh * a for a in chain(*tableau.a_bar.tolist())]
-    stage_bases = _kernel(s, 1, dim)(*ch.tolist())
-    drift, origin = _kernel(1, 1, dim)(h), [0.0] * dim
-    # against the origin, the position kernel's increment is max |q|
-    position = _kernel(1, s, dim, True)(*(hh * tableau.b_bar).tolist())
-    velocity = _kernel(1, s, dim)(*(h * tableau.b_prime).tolist())
-    # a planar force's expressions, written into the solver, read no stage
+    # a planar force's expressions, written into the step, read no stage
     # time; any other force, or shape, goes through f
     planar = isinstance(f, _PlanarForce) and dim == 2
-    solve = (_solver(s, dim, f.on_points, f.expressions) if planar
-             else _solver(s, dim))(f, max_iters, *h2_a_bar)
+    advance = (_step(s, dim, f.on_points, f.expressions) if planar
+               else _step(s, dim))(
+        f, max_iters, *ch.tolist(), h,
+        *(hh * a for a in chain(*tableau.a_bar.tolist())),
+        *(hh * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist())
     times, qs, qps = [t0], [q], [qp]
     iterations, extrapolate, magnitude = [], None, _max_magnitude(q)
     # the last m prediction errors F_j - E F_{j-1}, oldest first
-    n = s * dim
+    n, start = s * dim, None
     errors = [0.0] * (_HISTORY * n)
     for step in range(n_steps):
         t = t0 + step * h
@@ -347,18 +352,14 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             weights = _start_weights(tableau.c, _HISTORY)
             if weights is not None:
                 extrapolate = _kernel(s, s, dim)(*weights[0])
-                update = _kernel(s, s, dim)(*h2_a_bar)
                 correct = _kernel(1, _HISTORY, n)(*weights[1])
                 zeros = [0.0] * n
                 ahead = extrapolate(zeros, values)
-        # the stage bases q + c h q' and the start's stage values
-        previous = base = stage_bases(q * s, qp)
         if extrapolate is not None:
-            previous = update(base, ahead if step <= _HISTORY else
-                              correct(ahead, errors))
-        (values, sweep, delta, increment, polish, exhausted,
-         error) = solve(base, previous, _FP_TOL * (1.0 + magnitude),
-                        None if planar else t + ch)
+            start = ahead if step <= _HISTORY else correct(ahead, errors)
+        (values, sweep, delta, increment, polish, exhausted, error, q, qp,
+         magnitude) = advance(q, qp, start, magnitude,
+                              None if planar else t + ch)
         if error is not None:
             raise _failure(step, t, f"force evaluation failed: {error}",
                            sweep, delta) from error
@@ -380,8 +381,6 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
             del errors[:n]
             errors += map(sub, values, ahead)
             ahead = extrapolate(zeros, values)
-        q, magnitude = position(drift(q, qp), values, origin)
-        qp = velocity(qp, values)
         iterations.append(sweep)
         if (step + 1) % record_every == 0 or step == n_steps - 1:
             times.append(t0 + (step + 1) * h)

@@ -7,9 +7,9 @@ trajectory.  Problems are immutable and re-entrant.
 
 The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables: f runs
 a per-point kernel on Python floats on an input of any size, and
-``integrate``'s stage solver the same two per-point expressions written out
-for its stage count; both give the same values to the bit, and f returns a
-fresh array.
+``integrate``'s generated step the same two per-point expressions written
+out for its stage count; both give the same values to the bit, and f
+returns a fresh array.
 """
 
 from __future__ import annotations
@@ -60,15 +60,16 @@ class _PlanarForce:
     """f(t, q) of a force on points of the plane that does not read t.
 
     ``on_points`` maps the flat coordinate list [x0, y0, x1, y1, ...] to the
-    flat force list on Python floats; ``expressions``, its two components
-    at a point (x, y) as source in one-letter names, which may call sqrt,
-    if given.  A plain class: a dataclass would add about 0.6 ms to every
-    import.
+    flat force list on Python floats; ``expressions`` are its two components
+    at a point (x, y) as source in one-letter names, which may call sqrt.
+    ``integrate``'s step runs the expressions and hands the stage list to
+    ``on_points`` where one divides by zero.  A plain class: a dataclass
+    would add about 0.6 ms to every import.
     """
 
     __slots__ = ("on_points", "expressions")
 
-    def __init__(self, on_points: Callable[[list], list], expressions=None):
+    def __init__(self, on_points: Callable[[list], list], expressions):
         self.on_points = on_points
         self.expressions = expressions
 

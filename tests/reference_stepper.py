@@ -3,8 +3,8 @@
 ``reference_integrate`` runs the stage iteration of ``integrate`` on Python
 floats, one loop per sum: the same weights, start, stopping rule and polish
 cap, and every sum w_0 x_0 + w_1 x_1 + ... taken left to right in binary64.
-``sweeps`` is its loop over one step's sweeps, the plain form of the stage
-solver.
+``sweeps`` is its loop over one step's sweeps, the plain form of the sweep
+loop in the generated step.
 ``harmonic_step_map`` is the exact one-step map of q'' = -q, in fractions,
 built from the doubles the stage iteration uses.
 """

@@ -12,8 +12,9 @@ import pytest
 import csrkn
 import csrkn.integrator
 from csrkn import problems
+from csrkn.construction import _max_magnitude
 from csrkn.integrator import (_HISTORY, _corrected_extrapolation,
-                              _extrapolation, _max_magnitude, _start_weights)
+                              _extrapolation, _start_weights)
 
 from conftest import SYMMETRIC_METHODS
 
@@ -783,6 +784,24 @@ def test_single_step_compiles_no_start_kernel(tableaux):
         assert probe(tableau.s) == (0, 2)
 
 
+def test_runs_compile_one_step(tableaux):
+    # a single step compiles its step and no sum kernel; a run with a warm
+    # start compiles the same step and the start's two kernel shapes
+    kernel, step = csrkn.integrator._kernel, csrkn.integrator._step
+    kepler = csrkn.kepler()
+
+    def compiled(*run):
+        kernel.cache_clear()
+        step.cache_clear()
+        run[0](tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, *run[1:])
+        return [(info.currsize, info.misses)
+                for info in (step.cache_info(), kernel.cache_info())]
+
+    for tableau in tableaux.values():
+        assert compiled(csrkn.rkn_step) == [(1, 1), (0, 0)]
+        assert compiled(csrkn.integrate, 2) == [(1, 1), (2, 2)]
+
+
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_corrected_start_exactness_degree(tableaux, name):
     # stage forces sampled from a polynomial in t over the last m + 1
@@ -1124,11 +1143,17 @@ def test_force_calls_match_iterations(tableaux, name, problem_name):
     assert counts == {"calls": sweeps, "rows": tableaux[name].s * sweeps}
 
 
+# planar-force expressions that raise ZeroDivisionError at every point, so
+# that every sweep hands the stage list to the per-point function
+DIVIDING = ("x / 0.0", "y / 0.0")
+
+
 @pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_kernel_calls_match_iterations(tableaux, name, problem_name):
-    # the path users run: integrate calls the planar force's per-point
-    # kernel once per sweep on the s stage points, and never f
+    # through the zero-divisor fallback, here on every sweep: integrate
+    # calls the planar force's per-point kernel once per sweep on the s
+    # stage points, and never f
     problem = csrkn.problem_from_name(problem_name)
     kernel = problem.f.on_points
     counts = {"calls": 0, "points": 0}
@@ -1145,7 +1170,7 @@ def test_kernel_calls_match_iterations(tableaux, name, problem_name):
             raise AssertionError("integrate called f")
 
     counted = dataclasses.replace(
-        problem, f=KernelOnly(on_points))
+        problem, f=KernelOnly(on_points, DIVIDING))
     trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
                                  counted.qp0, 0.1, 200)
     sweeps = int(trajectory.iterations.sum())
@@ -1155,22 +1180,22 @@ def test_kernel_calls_match_iterations(tableaux, name, problem_name):
 @pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
-    # the built-in problems' path: integrate compiles one stage solver for
-    # the stage count and the force's per-point function and expressions,
+    # the built-in problems' path: integrate compiles one step for the
+    # stage count and the force's per-point function and expressions,
     # shared by the forces of later problem_from_name calls, and its sweeps
     # call neither f nor, on these orbits, the per-point loop
-    solver = csrkn.integrator._solver
-    solver.cache_clear()
+    step = csrkn.integrator._step
+    step.cache_clear()
     runs = [csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
                             problem.qp0, 0.1, 200)
             for problem in (csrkn.problem_from_name(problem_name)
                             for _ in range(2))]
-    info = solver.cache_info()
+    info = step.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     problem = csrkn.problem_from_name(problem_name)
 
     def per_point(xy):
-        raise AssertionError("the solver fell back to the per-point loop")
+        raise AssertionError("the step fell back to the per-point loop")
 
     class KernelOnly(problems._PlanarForce):
         __slots__ = ()
@@ -1193,11 +1218,12 @@ def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
 
 
 def test_kernel_list_of_another_length_is_a_force_error(tableaux):
-    # a per-point kernel that drops the last point: the stage solver cannot
-    # unpack the list into its force locals, and the typed force error
-    # says so
+    # a per-point kernel that drops the last point, reached through the
+    # zero-divisor fallback: the step cannot unpack the list into its force
+    # locals, and the typed force error says so
     kepler = csrkn.kepler()
-    short = problems._PlanarForce(lambda xy: kepler.f.on_points(xy)[:-2])
+    short = problems._PlanarForce(lambda xy: kepler.f.on_points(xy)[:-2],
+                                  DIVIDING)
     problem = dataclasses.replace(kepler, f=short)
     with pytest.raises(csrkn.StageConvergenceError) as info:
         csrkn.integrate(tableaux["legendre4"], problem, 0.0, problem.q0,
@@ -1224,10 +1250,10 @@ WALL = problems._PlanarForce(wall_points, ("-x - sqrt(x - 0.5)", "-y"))
 
 
 def on_each_force_path(force):
-    """The force as the stage solver's expressions, its per-point loop and
-    a supplied f."""
+    """The force as the step's expressions, its per-point loop (behind
+    expressions that always divide by zero) and a supplied f."""
     return {"expressions": force,
-            "per-point": problems._PlanarForce(force.on_points),
+            "per-point": problems._PlanarForce(force.on_points, DIVIDING),
             "f": lambda t, q: force(t, q)}
 
 

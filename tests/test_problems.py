@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csrkn
+from reference_stepper import apply
 
 PI = math.pi
 
@@ -180,26 +181,34 @@ def same_floats(values, expected):
             and canonical[0] == canonical[1])
 
 
-def first_sweep_forces(f, xy):
-    """(forces, error) of the stage solver's first sweep from the stage
-    list xy, with f's per-point function and expressions; zero weights
-    keep a non-finite force out of the sums' way."""
+def first_sweep(f, xy):
+    """(forces, error, stages) of the generated step's first sweep, with
+    f's per-point function and expressions, from the start G = xy.  On
+    bases of -0.0 and the identity for h^2 A_bar the stages are the plain
+    loops' sums: xy itself, up to the signs of zeros, except that an
+    infinite or NaN entry puts 0 * inf = NaN into the same component of
+    every other point."""
     points = len(xy) // 2
-    make = csrkn.integrator._solver(points, 2, f.on_points, f.expressions)
-    solve = make(f, 1, *[0.0] * (points * points))
-    forces, sweeps, *_, error = solve(xy, xy, 0.0, None)
+    identity = [float(i == j) for i in range(points) for j in range(points)]
+    make = csrkn.integrator._step(points, 2, f.on_points, f.expressions)
+    step = make(f, 1, *[1.0] * points, 0.0, *identity,
+                *[0.0] * (2 * points))
+    minus = [-0.0, -0.0]
+    forces, sweeps, *_, error, _, _, _ = step(minus, minus, xy, 0.0, None)
     assert sweeps == 1
-    return forces, error
+    stages = apply([identity[i * points:(i + 1) * points]
+                    for i in range(points)], [-0.0] * len(xy), xy, 2)
+    return forces, error, stages
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
 @pytest.mark.parametrize("points", range(1, 13))
 def test_unrolled_force_equals_f(factory, points):
-    # the stage solver's force for a stage count, the expressions written
-    # out per point: every special point at every position among random
-    # ones, then lists of special points alone; at the origin it returns
-    # f's error, and where r^2 sqrt(r^2) underflows it gives f's +-inf or
-    # NaN (x * -inf)
+    # the step's force for a stage count, the expressions written out per
+    # point: every special point at every position among random ones, then
+    # lists of special points alone; at the origin it returns f's error,
+    # and where r^2 sqrt(r^2) underflows it gives f's +-inf or NaN
+    # (x * -inf)
     f = factory().f
     rng = np.random.default_rng(100 + points)
     special = special_points()
@@ -211,39 +220,47 @@ def test_unrolled_force_equals_f(factory, points):
     for start in range(0, len(special) - points + 1, points):
         lists.append(special[start:start + points])
     for q in lists:
-        xy = q.ravel().tolist()
-        forces, error = first_sweep_forces(f, xy)
+        forces, error, stages = first_sweep(f, q.ravel().tolist())
+        placed = np.reshape(stages, q.shape)
+        for k in range(2):
+            # a component's entries reach their points, zeros' signs aside,
+            # where it holds at most one non-finite entry: that one alone
+            bad = np.flatnonzero(~np.isfinite(q[:, k]))
+            rows = bad if len(bad) == 1 else range(points * (not len(bad)))
+            for i in rows:
+                assert (placed[i, k] == q[i, k]
+                        or np.isnan(placed[i, k]) and np.isnan(q[i, k]))
         try:
-            expected = f(0.0, q).ravel().tolist()
+            expected = f(0.0, np.array(stages).reshape(points, 2))
         except ValueError as err:
             assert forces is None and type(error) is ValueError
             assert str(error) == str(err) == csrkn.problems._ORIGIN
             continue
         assert error is None
-        assert type(forces) is list and len(forces) == len(xy)
-        assert same_floats(forces, expected)
+        assert type(forces) is list and len(forces) == len(stages)
+        assert same_floats(forces, expected.ravel().tolist())
 
 
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
 def test_problems_share_one_compiled_kernel(name):
-    # problem_from_name builds a new force on every call; the stage solver
-    # is compiled once per stage count, per-point function and expressions
-    # for the process
+    # problem_from_name builds a new force on every call; the step is
+    # compiled once per stage count, per-point function and expressions for
+    # the process
     first, second = (csrkn.problem_from_name(name).f for _ in range(2))
     assert first is not second
-    solver = csrkn.integrator._solver
+    step = csrkn.integrator._step
 
     def compiled(force, points):
-        return solver(points, 2, force.on_points, force.expressions)
+        return step(points, 2, force.on_points, force.expressions)
 
     for points in (1, 2, 3, 12):
         assert compiled(first, points) is compiled(second, points)
     assert compiled(first, 2) is not compiled(first, 3)
 
 
-def test_planar_force_without_expressions_runs_its_kernel():
-    # with no expressions, each sweep calls the per-point function once on
-    # the stage list
+def test_zero_divisor_hands_the_stage_list_to_the_per_point_function():
+    # expressions that divide by zero: each sweep calls the per-point
+    # function once on the stage list
     kepler = csrkn.kepler()
     calls = []
 
@@ -252,8 +269,9 @@ def test_planar_force_without_expressions_runs_its_kernel():
         return kepler.f.on_points(xy)
 
     xy = [1.0, 0.0, 0.5, -0.25, -0.75, 2.0]
-    forces, error = first_sweep_forces(csrkn.problems._PlanarForce(on_points),
-                                       xy)
+    force = csrkn.problems._PlanarForce(on_points, ("x / 0.0", "y / 0.0"))
+    forces, error, stages = first_sweep(force, xy)
+    assert stages == xy
     assert error is None and calls == [xy]
     assert forces == kepler.f.on_points(xy)
 
@@ -270,7 +288,7 @@ def test_force_rejects_points_off_the_plane(factory, shape):
                                f"length 2), got shape {shape}")
 
 
-# integrate's stage solver runs the planar force's expressions on its stage
+# integrate's step runs the planar force's expressions on its stage
 # values, and a problem whose f is a plain function goes through f: both
 # must give the same runs to the bit
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])

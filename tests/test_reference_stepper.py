@@ -6,16 +6,16 @@ import hashlib
 import math
 import struct
 from fractions import Fraction
-from operator import sub
 
 import numpy as np
 import pytest
 
 import csrkn
 from csrkn import problems
-from csrkn.integrator import _kernel, _max_magnitude, _solver
-from reference_stepper import (apply, harmonic_step_map, reference_integrate,
-                               sweeps)
+from csrkn.construction import _max_magnitude
+from csrkn.integrator import _kernel, _step
+from reference_stepper import (FP_TOL, apply, harmonic_step_map,
+                               reference_integrate, sweeps)
 
 from test_integrator import CUSTOM_SPEC, spatial_force
 
@@ -112,12 +112,12 @@ SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", range(1, 13))
 def test_kernels_equal_plain_loops(s, d):
-    # every shape integrate builds: the sweep and start (s, s), the state
-    # updates (1, s) and the error sums (1, m) over s d entries; random
-    # entries of mixed sign and scale, with signed zeros, infinities and
-    # NaN in both the weights and the lists
+    # every shape integrate builds outside its step: the start's
+    # extrapolation (s, s) and its error sum (1, m) over s d entries; random
+    # entries of mixed sign and scale, with signed zeros, infinities and NaN
+    # in both the weights and the lists
     rng = np.random.default_rng(100 * s + d)
-    for rows, cols, width in ((s, s, d), (1, s, d), (1, 8, s * d)):
+    for rows, cols, width in ((s, s, d), (1, 8, s * d)):
         for trial in range(4):
             values = [rng.standard_normal(rows * cols),
                       rng.standard_normal(rows * width),
@@ -133,9 +133,6 @@ def test_kernels_equal_plain_loops(s, d):
             plain = apply([weights[i * cols:(i + 1) * cols]
                            for i in range(rows)], base, forces, width)
             assert bits(kernel(base, forces)) == bits(plain)
-            if rows == cols:
-                assert_sweep_kernel_matches(weights, base, forces, plain,
-                                            width, rng)
 
 
 SUBNORMALS = [5e-324, -5e-324, 1e-310, -2.2e-309]
@@ -155,152 +152,167 @@ def random_list(rng, size, trial):
     return array.tolist()
 
 
+def fixed(values):
+    """A force on the flat stage list that returns values whatever the
+    stages."""
+    return lambda times, xs: values
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", range(1, 13))
 def test_step_list_kernels_equal_plain_loops(s, d):
-    # the stage bases q + c h q' (s rows, one column), the drift q + h q'
-    # and the position update, whose increment against the origin is the
-    # max |q| that scales the next step's tolerance
+    # one sweep of the step on a force that returns a fixed list: the
+    # stage bases q + c h q' that f sees, the drift q + h q' under the
+    # position update, the velocity update and the new max |q| against
+    # _max_magnitude
     rng = np.random.default_rng(1000 + 100 * s + d)
     for trial in range(6):
         ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
-        bases = _kernel(s, 1, d)(*ch)(q * s, qp)
-        assert bits(bases) == bits([x + c * v for c in ch
-                                    for x, v in zip(q, qp)])
-        h = ch[0]
-        drift = _kernel(1, 1, d)(h)(q, qp)
-        assert bits(drift) == bits([x + h * v for x, v in zip(q, qp)])
-        weights, forces = (random_list(rng, size, trial)
-                           for size in (s, s * d))
-        position = _kernel(1, s, d, True)(*weights)
-        # q itself, whose magnitudes' sum overflows in the last two trials,
-        # and new entries of -0.0, whose magnitude is +0.0
-        negative = [math.copysign(0.0, -w) for w in weights for _ in q]
-        for base, values in ((drift, forces), (q, forces),
-                             (q, [0.0] * (s * d)),
-                             ([-0.0] * d, [0.0] * (s * d)),
-                             ([-0.0] * d, [0.0] * (s * d - 1) + [-0.0]),
-                             ([-0.0] * d, negative)):
-            new, magnitude = position(base, values, [0.0] * d)
-            assert bits(new) == bits(apply([weights], base, values, d))
-            assert type(magnitude) is float
-            assert bits([magnitude]) == bits([_max_magnitude(new)])
+        weights, position, velocity, forces = (
+            random_list(rng, size, trial) for size in (s * s, s, s, s * d))
+        # at h = 0 and q' = -0.0 the drift is q itself, whose magnitudes'
+        # sum overflows in the last two trials, or -0.0 for q = -0.0; and
+        # new entries of -0.0, whose magnitude is +0.0
+        minus, zeros = [-0.0] * d, [0.0] * (s * d)
+        negative = [math.copysign(0.0, -w) for w in position for _ in q]
+        for state, h, values in (((q, qp), ch[0], forces),
+                                 ((q, minus), 0.0, forces),
+                                 ((q, minus), 0.0, zeros),
+                                 ((minus, minus), 0.0, zeros),
+                                 ((minus, minus), 0.0, zeros[1:] + [-0.0]),
+                                 ((minus, minus), 0.0, negative)):
+            assert_same_sweeps(*solve_both(
+                s, d, ch, weights, (h, position, velocity), *state, None,
+                0.0, 1, [0.0] * s, fixed(values)))
 
 
 def test_sweep_kernel_of_a_large_state():
-    # 3 stages of 1,000 components: the 3,000 increment terms, written as one
-    # sum, would nest deeper than CPython's compiler accepts
-    rng = np.random.default_rng(7)
-    s, d = 3, 1000
-    weights = (rng.standard_normal(s * s) * 1e-2).tolist()
-    base, forces = (rng.standard_normal(s * d).tolist() for _ in range(2))
-    plain = apply([weights[i * s:(i + 1) * s] for i in range(s)], base,
-                  forces, d)
-    assert_sweep_kernel_matches(weights, base, forces, plain, d, rng)
+    # 3 stages of 1,000 components: the 3,000 increment terms and the 1,000
+    # magnitudes of the new q, each written as one sum, would nest deeper
+    # than CPython's compiler accepts
+    assert_increments_match(3, 1000, np.random.default_rng(7), 0)
 
 
-def assert_sweep_kernel_matches(weights, base, forces, plain, d, rng):
-    """The (s, s) kernel with the increment, whose lines the stage solver
-    shares, gives the plain sums and, against previous stage lists P built
-    around them, the increment integrate used to take."""
-    s = len(plain) // d
-    sweep = _kernel(s, s, d, True)(*weights)
-    # base entries near the largest double, so that the sums and a P of the
-    # opposite sign differ by more than it: the difference overflows to inf
-    huge = [math.copysign(1.5e308, x) for x in base]
-    huge_plain = apply([weights[i * s:(i + 1) * s] for i in range(s)], huge,
-                       forces, d)
-    n = len(plain)
+def assert_increments_match(s, d, rng, trial):
+    """Steps on a force that ignores the stages, so the first sweep's sums
+    N = B + h^2 A_bar F are fixed and the start P = B + h^2 A_bar G is set
+    against them by G: P = N (inf - inf where the sums hold an infinity),
+    +-0.0 pairs, NaN in P only, and differences that overflow; the second
+    sweep, if any, reads N.  Random lists of this trial otherwise."""
+    n = s * d
+    ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
+    weights, forces = (random_list(rng, size, trial) for size in (s * s, n))
+    updates = (ch[0], *(random_list(rng, s, trial) for _ in range(2)))
     nan_spots = set(rng.integers(0, n, 1 + n // 3).tolist())
+    ones, zero, minus = [1.0] * s, [0.0] * d, [-0.0] * d
+    identity = [float(i == j) for i in range(s) for j in range(s)]
+    huge = [math.copysign(1.5e308, x) for x in forces]
+    below, above = (rng.uniform(0.5, 2.0, n) * sign for sign in (-1.0, 1.0))
     cases = [
-        (base, plain, rng.standard_normal(n).tolist()),
-        # equal lists, inf - inf where the sums hold an infinity
-        (base, plain, list(plain)),
-        # +-0.0 pairs: each zero of the sums against the other sign
-        (base, plain, [-x if x == 0.0 else x for x in plain]),
-        (base, plain, [math.copysign(0.0, -x) for x in plain]),
-        # NaN in P only
-        (base, plain, [math.nan if e in nan_spots else x
-                       for e, x in enumerate(plain)]),
-        (huge, huge_plain, [-x for x in huge_plain]),
-        (huge, huge_plain, [x if e % 2 else -x
-                            for e, x in enumerate(huge_plain)]),
+        (ch, weights, q, qp, forces, rng.standard_normal(n).tolist()),
+        (ch, weights, q, qp, forces, list(forces)),
+        (ch, weights, q, qp, forces, [math.nan if e in nan_spots else x
+                                      for e, x in enumerate(forces)]),
+        # zero weights on bases of -0.0: N = -0.0 against P = +0.0, and
+        # with F and G swapped the other way round
+        (ones, [0.0] * (s * s), minus, minus, below.tolist(),
+         above.tolist()),
+        (ones, [0.0] * (s * s), minus, minus, above.tolist(),
+         below.tolist()),
+        # bases of 0 and the identity: N = F and P = G near the largest
+        # double, of opposite signs
+        (ones, identity, zero, zero, huge, [-x for x in huge]),
+        (ones, identity, zero, zero, huge,
+         [x if e % 2 else -x for e, x in enumerate(huge)]),
     ]
-    for stage_base, expected, previous in cases:
-        current, increment = sweep(stage_base, forces, previous)
-        assert type(increment) is float
-        assert bits(current) == bits(expected)
-        assert bits([increment]) == bits(
-            [_max_magnitude(map(sub, expected, previous))])
+    for stage_ch, coupling, state_q, state_qp, values, start in cases:
+        # m = -1: a tolerance scale of 0
+        assert_same_sweeps(*solve_both(
+            s, d, stage_ch, coupling, updates, state_q, state_qp, start,
+            -1.0, 2, [0.0] * s, fixed(values)))
 
 
-def solve_both(s, d, weights, base, previous, scale, max_iters, times,
+def solve_both(s, d, ch, weights, updates, q, qp, start, m, max_iters, times,
                force):
-    """One step's sweeps by the stage solver and by the plain loop of
-    reference_stepper.sweeps, and the stage lists each passed to the force:
-    force(times, xs) on the flat stage list, as f on the stage array; or a
-    planar force, through its expressions (no stage lists then)."""
+    """One step by the generated step and by plain loops, and the stage
+    lists each passed to the force.  The plain step takes the bases
+    q + c h q', the start (the bases, or the bases plus h^2 A_bar start),
+    reference_stepper.sweeps and the updates, for updates = (h, h^2 b_bar,
+    h b').  force(times, xs) on the flat stage list serves as f on the
+    stage array; a planar force runs through its expressions (no stage
+    lists then)."""
+    h, position, velocity = updates
     coupling = [weights[i * s:(i + 1) * s] for i in range(s)]
     seen = [], []
     if isinstance(force, problems._PlanarForce):
-        plain_force, f = force.on_points, None
-        make = _solver(s, d, force.on_points, force.expressions)
+        plain_force, f = force.on_points, force
+        make = _step(s, d, force.on_points, force.expressions)
     else:
         def plain_force(xs):
             seen[0].append(list(xs))
             return force(times, xs)
 
-        def f(t, q):
-            seen[1].append(q.ravel().tolist())
-            return np.array(force(t.tolist(), q.ravel().tolist())).reshape(
-                q.shape)
+        def f(t, stages):
+            seen[1].append(stages.ravel().tolist())
+            return np.array(force(t.tolist(), stages.ravel().tolist())
+                            ).reshape(stages.shape)
 
-        make = _solver(s, d)
-    plain = sweeps(coupling, base, previous, plain_force, scale, max_iters,
-                   d)
-    solved = make(f, max_iters, *weights)(base, previous, scale,
-                                          np.array(times))
-    assert solved[-1] is None
+        make = _step(s, d)
+    base = [x + c * v for c in ch for x, v in zip(q, qp)]
+    previous = base if start is None else apply(coupling, base, start, d)
+    plain = sweeps(coupling, base, previous, plain_force,
+                   FP_TOL * (1.0 + m), max_iters, d)
+    new = apply([position], [x + h * v for x, v in zip(q, qp)], plain[0], d)
+    plain += (new, apply([velocity], qp, plain[0], d), _max_magnitude(new))
+    step = make(f, max_iters, *ch, h, *weights, *position, *velocity)
+    solved = step(q, qp, start, m, np.array(times))
+    assert solved[6] is None
     assert len(seen[0]) == len(seen[1])
     for plain_stages, stages in zip(*seen):
         assert bits(stages) == bits(plain_stages)
-    return plain, solved[:-1]
+    return plain, solved[:6] + solved[7:]
 
 
 def assert_same_sweeps(plain, solved):
-    forces, count, delta, increment, polish, exhausted = plain
+    forces, count, delta, increment, polish, exhausted, q, qp, m = plain
     assert bits(solved[0]) == bits(forces)
     assert (solved[1], solved[4], solved[5]) == (count, polish, exhausted)
     assert (solved[2] is None) == (delta is None)
     if delta is not None:
         assert bits([solved[2]]) == bits([delta])
-    assert type(solved[3]) is float
+    assert type(solved[3]) is float and type(solved[8]) is float
     assert bits([solved[3]]) == bits([increment])
+    assert bits(solved[6]) == bits(q) and bits(solved[7]) == bits(qp)
+    assert bits([solved[8]]) == bits([m])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", range(1, 13))
 def test_solver_equals_plain_sweeps(s, d):
-    # whole loops on a nonlinear force through f: converged with its polish
-    # sweeps, stopped on the first sweep below a large scale, run out of
-    # sweeps, and never below a scale of 0; on two components also the
-    # Kepler and Henon-Heiles expressions
+    # whole steps on a nonlinear force through f, from the bases and from a
+    # start: converged with its polish sweeps, stopped on the first sweep
+    # below a large scale, run out of sweeps, and never below a scale of 0
+    # (m = -1); on two components also the Kepler and Henon-Heiles
+    # expressions
     rng = np.random.default_rng(2000 + 100 * s + d)
     forces = [spatial_points]
     if d == 2:
         forces += [csrkn.kepler().f, csrkn.henon_heiles().f]
     for trial in range(3):
         weights = (rng.standard_normal(s * s) * 0.02).tolist()
-        base = rng.uniform(0.5, 1.0, s * d) * rng.choice([-1.0, 1.0], s * d)
-        previous = (base + rng.standard_normal(s * d) * 1e-3).tolist()
-        base = base.tolist()
+        ch = rng.uniform(0.0, 0.1, s).tolist()
+        q = rng.uniform(0.5, 1.0, d) * rng.choice([-1.0, 1.0], d)
+        qp = rng.standard_normal(d).tolist()
+        updates = (0.1, *(rng.uniform(0.0, 0.01, s).tolist()
+                          for _ in range(2)))
+        start = (rng.standard_normal(s * d) * 0.05).tolist() if trial else None
         times = rng.uniform(0.0, 1.0, s).tolist()
-        tolerance = 1e-14 * (1.0 + max(map(abs, base)))
+        magnitude, q = max(abs(q)), q.tolist()
         for force in forces:
-            for scale, max_iters in ((tolerance, 50), (1.0, 50),
-                                     (tolerance, 3), (0.0, 4)):
-                plain, solved = solve_both(s, d, weights, base, previous,
-                                           scale, max_iters, times, force)
+            for m, max_iters in ((magnitude, 50), (1e14, 50),
+                                 (magnitude, 3), (-1.0, 4)):
+                plain, solved = solve_both(s, d, ch, weights, updates, q, qp,
+                                           start, m, max_iters, times, force)
                 assert_same_sweeps(plain, solved)
                 assert plain[5] == (max_iters < 50)
 
@@ -308,34 +320,9 @@ def test_solver_equals_plain_sweeps(s, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", range(1, 13))
 def test_solver_increments_equal_plain_sweeps(s, d):
-    # a force that ignores the stages, so the first sweep's sums N are
-    # fixed and the start's stage values P can be set against them: +-0.0
-    # pairs, NaN in P only, inf - inf where the sums hold an infinity, and
-    # differences that overflow; the second sweep, if any, reads N
     rng = np.random.default_rng(3000 + 100 * s + d)
-    n = s * d
-    for trial in range(4):
-        weights, base, forces = (random_list(rng, size, trial)
-                                 for size in (s * s, n, n))
-        coupling = [weights[i * s:(i + 1) * s] for i in range(s)]
-        plain = apply(coupling, base, forces, d)
-        huge = [math.copysign(1.5e308, x) for x in base]
-        huge_plain = apply(coupling, huge, forces, d)
-        nan_spots = set(rng.integers(0, n, 1 + n // 3).tolist())
-        cases = [
-            (base, rng.standard_normal(n).tolist()),
-            (base, list(plain)),
-            (base, [-x if x == 0.0 else x for x in plain]),
-            (base, [math.copysign(0.0, -x) for x in plain]),
-            (base, [math.nan if e in nan_spots else x
-                    for e, x in enumerate(plain)]),
-            (huge, [-x for x in huge_plain]),
-            (huge, [x if e % 2 else -x for e, x in enumerate(huge_plain)]),
-        ]
-        for stage_base, previous in cases:
-            result = solve_both(s, d, weights, stage_base, previous, 0.0, 2,
-                                [0.0] * s, lambda times, xs: forces)
-            assert_same_sweeps(*result)
+    for trial in range(6):
+        assert_increments_match(s, d, rng, trial)
 
 
 # sha256 of times, q, qp and iterations of a 300-step run at h = 0.1 from
