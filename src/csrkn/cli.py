@@ -9,8 +9,11 @@ output, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import re
+import stat
 import sys
 
 from .basis import family_from_name
@@ -112,11 +115,26 @@ def _alpha_pins(triples) -> dict[tuple[int, int], float]:
     return pins
 
 
+@contextlib.contextmanager
+def _rewritten(path):
+    """A text stream that writes path in place and then cuts a longer old
+    file's tail: truncating to zero first, as open(path, "w") does, makes
+    ext4 (auto_da_alloc) hold the next rewrite until that writeback.  A
+    symlink is written through and a file keeps its mode; a crash
+    mid-write can leave the old tail."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              newline="\n") as stream:
+        yield stream
+        # a device or pipe (/dev/null, /dev/stdout) cannot be truncated
+        if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            stream.truncate()
+
+
 def _cmd_derive(args) -> int:
     tableau = _resolve_tableau(args)
     text = serialize_tableau(tableau)
     if args.out:
-        with open(args.out, "w", newline="\n") as stream:
+        with _rewritten(args.out) as stream:
             stream.write(text)
         print(f"wrote tableau to {args.out}")
     else:
@@ -132,7 +150,7 @@ def _cmd_check(args) -> int:
     for line in report_lines(report):
         print(line)
     if args.out:
-        with open(args.out, "w", newline="\n") as stream:
+        with _rewritten(args.out) as stream:
             stream.write(report_csv(report))
         print(f"wrote report to {args.out}")
     return 0
@@ -144,7 +162,7 @@ def _cmd_run(args) -> int:
     config = SolverConfig(record_every=args.record_every)
     trajectory = integrate(tableau, problem, args.t0, problem.q0,
                            problem.qp0, args.h, args.steps, config)
-    with open(args.out, "w", newline="\n") as stream:
+    with _rewritten(args.out) as stream:
         write_trajectory_csv(trajectory, problem, stream)
     print(f"wrote {len(trajectory.times)} samples to {args.out} "
           f"(max stage sweeps {int(trajectory.iterations.max())})")

@@ -1,6 +1,6 @@
 """Fixed-step integrator for q'' = f(t, q) driven by an RKN tableau.
 
-``integrate`` is one loop over the steps; ``rkn_step`` is its first step.
+``integrate`` takes all steps in generated code; ``rkn_step`` is its first.
 The implicit stage values are found by fixed-point iteration, which needs no
 Jacobians and contracts quickly at the step sizes these methods target.  On
 exit the stage values satisfy the stage equations exactly with respect to
@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from operator import sub
 
 import numpy as np
 
@@ -122,9 +121,9 @@ def _sums(names, d, new, base, forces, stages=None):
     + ...) for e = i d + k, the weights named row by row, written out and
     taken left to right in binary64 (CPython fuses no multiply-add), so the
     bytes depend on the order alone.  With the stage names, also the lines
-    of g_e = |new[e] - stages[e]| and their sum t, and the increment
+    of g_e = |new[e] - stages[e]| and their sum total, and the increment
     max_e g_e as an expression: NaN if one g_e is, as max() could skip it
-    and t cannot (summed 64 terms a statement, as the compiler refuses
+    and total cannot (summed 64 terms a statement, as the compiler refuses
     deeply nested sums).  Returns (lines, increment or None)."""
     n = range(len(new))
     lines = [f"{new[i * d + k]} = {base[i * d + k]} + ("
@@ -135,9 +134,10 @@ def _sums(names, d, new, base, forces, stages=None):
         return lines, None
     sums = [" + ".join(f"g_{e}" for e in n[k:k + 64]) for k in n[::64]]
     lines += [*(f"g_{e} = abs({new[e]} - {stages[e]})" for e in n),
-              f"t = {sums[0]}", *(f"t = t + {x}" for x in sums[1:])]
+              f"total = {sums[0]}",
+              *(f"total = total + {x}" for x in sums[1:])]
     gaps = ", ".join(f"g_{e}" for e in n)
-    return lines, f"(max(0.0, {gaps}) if t == t else t)"
+    return lines, f"(max(0.0, {gaps}) if total == total else total)"
 
 
 def _weights(rows, cols, prefix="w"):
@@ -160,56 +160,51 @@ def _compiled(label, parameters, signature, lines, namespace):
 
 
 @cache
-def _kernel(rows: int, cols: int, d: int):
-    """make(*w), for (rows, cols) weights w row by row, returns kernel(B, F)
-    = [B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...) for i, k], the sums
-    of ``_sums``; compiled once per shape."""
-    names, new = _weights(rows, cols), [f"n_{e}" for e in range(rows * d)]
-    forces = [f"f{e}" for e in range(cols * d)]
-    sums, _ = _sums(names, d, new, [f"B[{e}]" for e in range(rows * d)],
-                    forces)
-    lines = [_unpack(forces, "F"), *sums, f"return [{', '.join(new)}]"]
-    return _compiled(f"<kernel {rows}x{cols}x{d}>", chain(*names),
-                     "kernel(B, F)", lines, {})
-
-
-@cache
-def _step(s: int, d: int, on_points=None, expressions=None):
-    """make(f, max_iters, *w), for the weights h c, h, h^2 A_bar row by
-    row, h^2 b_bar and h b', returns step(q, qp, G, m, times), one whole
-    step on float lists with every sum from ``_sums``: the stage bases
-    B = q + c h q', the start B + h^2 A_bar G (B for G None), at most
-    max_iters fixed-point sweeps with the stage values as locals, and the
-    new q = q + h q' + h^2 b_bar F and q' + h b' F.  A sweep takes the
-    forces, the sums and their increment, and stops below the scale
-    1e-14 (1 + m), m = max |q|, after up to _POLISH_SWEEPS more sweeps, or
-    at once on an increment of exactly 0; a non-finite increment ends the
-    loop.  It returns (F, sweeps, the last finite increment, the last
-    increment, polish sweeps, whether the sweeps ran out, None, new q, new
-    q', new max |q|), or (None, sweeps, the last finite increment, None,
-    polish sweeps, False, error, q, qp, m) when the forces or sums raise
-    ValueError or ArithmeticError.
+def _run(s: int, d: int, warm: bool, expressions=None):
+    """make(f, on_points, max_iters, warn, *w), for the weights h c, h,
+    h^2 A_bar row by row, h^2 b_bar, h b' and, when warm, E row by row and
+    the _HISTORY error weights, returns run(q, qp, m, t0, n_steps,
+    record_every): every step on float lists, each sum from ``_sums``.
+    A step forms the stage bases B = q + c h q' and the start, runs at
+    most max_iters fixed-point sweeps on the stage values as locals and
+    writes q + h q' + h^2 b_bar F and q' + h b' F.  Sweeps stop below the
+    scale 1e-14 (1 + m), m = max |q|, after up to _POLISH_SWEEPS more, at
+    once on an increment of exactly 0 or on a non-finite one; running out
+    during the polish sweeps calls warn(step, last increment).  Steps
+    start from B or, warm, from step 1 on from B + h^2 A_bar a, for a =
+    E F the last forces extrapolated, plus from step _HISTORY + 1 on the
+    weighted last _HISTORY prediction errors F - a, locals oldest first.
+    run returns the times, q's and q''s of every record_every-th step and
+    the last, the sweeps per step and None, or after the run so far
+    (step, sweeps, last finite increment, error, kind): "force" when the
+    forces or sums raise ValueError or ArithmeticError, "sweeps" when the
+    sweeps run out, "finite" for a non-finite increment or force.
 
     The forces are a planar force's expressions written out for s points,
     each one-letter name indexed by point (the stage values are x0, y0,
     x1, ...), where a zero divisor hands the stage list to on_points; or
-    else f(times, stages) on the (s, d) stage array, with the checks of a
-    supplied force.  Cached by the per-point function and expressions, as
+    else f(t + c h, stages) on the (s, d) stage array, with the checks of
+    a supplied force.  Cached by the expressions, not by the force, as
     problem_from_name makes a new force on every call."""
-    n = range(s * d)
-    forces, bases, new, start = ([f"{x}_{e}" for e in n] for x in "fbne")
+    n = s * d
+    forces, bases, new, start, ahead = ([f"{x}_{e}" for e in range(n)]
+                                        for x in "fbnea")
     q, qp = ([f"{x}_{k}" for k in range(d)] for x in "qv")
-    stages = ([f"{v}{i}" for i in range(s) for v in "xy"] if on_points
-              else [f"s{e}" for e in n])
+    stages = ([f"{v}{i}" for i in range(s) for v in "xy"] if expressions
+              else [f"s{e}" for e in range(n)])
     listed = ", ".join(stages)
-    if on_points:
+    c, h, a = _weights(s, 1, "c"), _weights(1, 1, "h"), _weights(s, s, "a")
+    p, v = _weights(1, s, "p"), _weights(1, s, "v")
+    if expressions:
         terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
                  for i in range(s) for expression in expressions]
-        force = ["try:",
-                 *(f"    {x} = {term}" for x, term in zip(forces, terms)),
-                 "except ZeroDivisionError:",
-                 f"    {_unpack(forces, f'on_points([{listed}])')}"]
+        times, force = [], [
+            "try:", *(f"    {x} = {term}" for x, term in zip(forces, terms)),
+            "except ZeroDivisionError:",
+            f"    {_unpack(forces, f'on_points([{listed}])')}"]
     else:
+        times = ["t = t0 + step * h0_0",
+                 f"times = array([{', '.join(f't + {x}' for x, in c)}])"]
         # a complex result would lose its imaginary part, and one that
         # broadcasts would integrate another equation
         force = [f"forces = asarray(f(times, array([{listed}], float)"
@@ -222,52 +217,69 @@ def _step(s: int, d: int, on_points=None, expressions=None):
                  '    raise ValueError(f"f returned shape {forces.shape} '
                  'for stages of shape {shape}")',
                  _unpack(forces, "forces.ravel().tolist()")]
-    c, h, a = _weights(s, 1, "c"), _weights(1, 1, "h"), _weights(s, s, "a")
-    p, v = _weights(1, s, "p"), _weights(1, s, "v")
+    starts = [f"{x} = {y}" for x, y in zip(stages, bases)]
+    predict, extra = [], []
+    if warm:
+        # the next start is formed at a step's end, so the history locals
+        # follow the sweep's in the frame (the first 256 need no EXTENDED_ARG)
+        e, w = _weights(s, s, "E"), _weights(1, _HISTORY, "W")
+        history = [f"r{j}_{k}" for j in range(_HISTORY) for k in range(n)]
+        starts = ["if step:",
+                  *(f"    {x}" for x in _sums(a, d, stages, bases, start)[0]),
+                  "else:", *(f"    {x}" for x in starts)]
+        predict = [
+            "if step:", "    " + _unpack(history, ", ".join(history[n:] + [
+                f"{x} - {y}" for x, y in zip(forces, ahead)])),
+            "else:", f"    {' = '.join(history)} = 0.0",
+            *_sums(e, d, ahead, ["0.0"] * n, forces)[0],
+            f"if step >= {_HISTORY}:",
+            *(f"    {x}" for x in _sums(w, n, start, ahead, history)[0]),
+            "else:", f"    {_unpack(start, ', '.join(ahead))}"]
+        extra = [*chain(*e, *w)]
     sweep, increment = _sums(a, d, new, bases, forces, stages)
-    position, magnitude = _sums(p, d, new[:d], q, forces, ["0.0"] * d)
+    position, magnitude = _sums(p, d, q, q, forces, ["0.0"] * d)
+    finite = " and ".join(f"isfinite({x})" for x in ["increment", *forces])
+    failed = "return ts, qs, qps, iterations, (step, sweep, delta, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
-             *_sums(c, d, bases, q * s, qp)[0], "if G is None:",
-             *(f"    {x} = {y}" for x, y in zip(stages, bases)),
-             "else:", f"    {_unpack(start, 'G')}",
-             *(f"    {x}" for x in _sums(a, d, stages, bases, start)[0]),
-             "scale = tolerance * (1.0 + m)",
-             "delta, polish, exhausted = None, 0, False",
-             "for sweep in range(1, max_iters + 1):",
-             "    try:", *(f"        {line}" for line in force + sweep),
-             f"        increment = {increment}",
-             "    except (ValueError, ArithmeticError) as err:",
-             "        return None, sweep, delta, None, polish, False, err, "
-             "q, qp, m",
-             "    if not isfinite(increment):",
-             "        break",
-             "    delta = increment",
-             *(f"    {x} = n_{e}" for e, x in enumerate(stages)),
-             "    if delta < scale:",
-             f"        if polish >= {_POLISH_SWEEPS} or delta == 0.0:",
-             "            break",
-             "        polish += 1",
-             "else:",
-             "    exhausted = True",
-             *_sums(h, d, q, q, qp)[0], *position, f"m = {magnitude}",
-             *_sums(v, d, qp, qp, forces)[0],
-             f"return [{', '.join(forces)}], sweep, delta, increment, "
-             f"polish, exhausted, None, [{', '.join(new[:d])}], "
-             f"[{', '.join(qp)}], m"]
+             "ts, qs, qps, iterations = [t0], [q], [qp], []",
+             "for step in range(n_steps):", *(f"    {x}" for x in [
+                 *_sums(c, d, bases, q * s, qp)[0], *starts, *times,
+                 f"scale = {_FP_TOL!r} * (1.0 + m)",
+                 "delta, polish = None, 0",
+                 "for sweep in range(1, max_iters + 1):",
+                 "    try:", *(f"        {x}" for x in force + sweep),
+                 f"        increment = {increment}",
+                 "    except (ValueError, ArithmeticError) as err:",
+                 f"        {failed}err, 'force')",
+                 "    if not isfinite(increment):",
+                 "        break",
+                 "    delta = increment",
+                 *(f"    {x} = n_{e}" for e, x in enumerate(stages)),
+                 "    if delta < scale:",
+                 f"        if polish >= {_POLISH_SWEEPS} or delta == 0.0:",
+                 "            break",
+                 "        polish += 1",
+                 "else:",
+                 "    if not polish:",
+                 f"        {failed}None, 'sweeps')",
+                 "    warn(step, delta)",
+                 f"if not ({finite}):",
+                 f"    {failed}None, 'finite')",
+                 *predict, *_sums(h, d, q, q, qp)[0], *position,
+                 f"m = {magnitude}", *_sums(v, d, qp, qp, forces)[0],
+                 "iterations.append(sweep)",
+                 "if (step + 1) % record_every == 0 or step == n_steps - 1:",
+                 "    ts.append(t0 + (step + 1) * h0_0)",
+                 f"    qs.append([{', '.join(q)}])",
+                 f"    qps.append([{', '.join(qp)}])"]),
+             "return ts, qs, qps, iterations, None"]
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
-                 "on_points": on_points, "array": np.array,
-                 "asarray": np.asarray, "shape": (s, d),
-                 "tolerance": _FP_TOL}
-    label = f"<step {s}x{d} {on_points.__name__ if on_points else 'f'}>"
-    return _compiled(label, ["f", "max_iters", *chain(*c, *h, *a, *p, *v)],
-                     "step(q, qp, G, m, times)", lines, namespace)
-
-
-def _failure(step: int, t: float, reason: str, sweeps: int,
-             last_delta: float | None) -> StageConvergenceError:
-    return StageConvergenceError(f"step {step} (t = {t:g}) failed: {reason}",
-                                 step_index=step, time=t, iterations=sweeps,
-                                 last_delta=last_delta)
+                 "array": np.array, "asarray": np.asarray, "shape": (s, d)}
+    return _compiled(f"<run {s}x{d} {'warm' if warm else 'cold'}>",
+                     ["f", "on_points", "max_iters", "warn",
+                      *chain(*c, *h, *a, *p, *v), *extra],
+                     "run(q, qp, m, t0, n_steps, record_every)", lines,
+                     namespace)
 
 
 def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
@@ -290,30 +302,25 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     iterations[k] counts the fixed-point sweeps of step k, one force
     evaluation each: ``problem.f`` on the (s, d) stage array or, for the
     built-in planar forces on two components, their expressions written out
-    for s points on the stage values.  One generated function per stage
-    count, state length and force runs a whole step on Python float lists:
-    every sum (the stage bases q + c h q', the start, h^2 A_bar F, the
-    drift q + h q', h^2 b_bar F and h b' F) is straight-line code summed
-    left to right in binary64, which also gives a sweep's stage increment
-    and the new max |q| that scales the next tolerance, so no BLAS decides
-    a run's bytes; only the start's extrapolation and error sums, from step
-    1 on, are separate generated kernels.  The first step starts from the
-    guess q + c h q', steps 1 to m (m = 8) from the previous step's stage
-    forces F_n extrapolated to the new stage times, E F_n (Hairer, Lubich &
-    Wanner, Geometric Numerical Integration, 2006, sec. VIII.6.1), and
-    every later step adds to E F_n the extrapolation of the last m
-    prediction errors F_j - E F_{j-1} (as in the starting algorithms of
-    Calvo, Laburta & Montijano, Comput. Math. Appl., 2003); repeated nodes,
-    which have no extrapolation, start every step from the guess.  The
-    start changes the sweep count, not the fixed point.
+    for s points on the stage values.  One generated function, ``_run``,
+    takes all the steps on Python float lists, every sum written out and
+    taken left to right in binary64, so no BLAS decides a run's bytes.
+    The first step starts from the guess q + c h q', steps 1 to m (m = 8)
+    from the previous step's stage forces F_n extrapolated to the new stage
+    times, E F_n (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+    2006, sec. VIII.6.1), and every later step adds to E F_n the
+    extrapolation of the last m prediction errors F_j - E F_{j-1} (as in
+    the starting algorithms of Calvo, Laburta & Montijano, Comput. Math.
+    Appl., 2003).  A single step, and repeated nodes, which have no
+    extrapolation, compile no start and start every step from the guess.
+    The start changes the sweep count, not the fixed point.
     """
     n_steps = _integer("n_steps", n_steps, 1)
     _real("step size", h, nonzero=True)
     _real("start time", t0)
     h, t0 = float(h), float(t0)
     config = config or SolverConfig()
-    f, isfinite = problem.f, math.isfinite
-    max_iters, record_every = config.max_iters, config.record_every
+    f, max_iters = problem.f, config.max_iters
     arrays = []
     for name, value in (("q0", q0), ("qp0", qp0)):
         try:
@@ -328,64 +335,37 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     if q.ndim != 1 or qp.shape != q.shape or not q.size:
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")
-    s, dim = tableau.s, q.size
     q, qp = q.tolist(), qp.tolist()
-    ch, hh = h * tableau.c, h * h
-    # a planar force's expressions, written into the step, read no stage
+    # a planar force's expressions, written into the run, read no stage
     # time; any other force, or shape, goes through f
-    planar = isinstance(f, _PlanarForce) and dim == 2
-    advance = (_step(s, dim, f.on_points, f.expressions) if planar
-               else _step(s, dim))(
-        f, max_iters, *ch.tolist(), h,
-        *(hh * a for a in chain(*tableau.a_bar.tolist())),
-        *(hh * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist())
-    times, qs, qps = [t0], [q], [qp]
-    iterations, extrapolate, magnitude = [], None, _max_magnitude(q)
-    # the last m prediction errors F_j - E F_{j-1}, oldest first
-    n, start = s * dim, None
-    errors = [0.0] * (_HISTORY * n)
-    for step in range(n_steps):
+    planar = isinstance(f, _PlanarForce) and len(q) == 2
+    start = _start_weights(tableau.c, _HISTORY) if n_steps > 1 else None
+
+    def warn(step, delta):
+        _log.warning("stage iteration at t = %g reached max_iters = %d "
+                     "during the polish sweeps (last increment %.3e)",
+                     t0 + step * h, max_iters, delta)
+
+    run = _run(tableau.s, len(q), start is not None,
+               f.expressions if planar else None)(
+        f, f.on_points if planar else None, max_iters, warn,
+        *(h * tableau.c).tolist(), h,
+        *(h * h * a for a in chain(*tableau.a_bar.tolist())),
+        *(h * h * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist(),
+        *chain(*start or ()))
+    times, qs, qps, iterations, failure = run(
+        q, qp, _max_magnitude(q), t0, n_steps, config.record_every)
+    if failure:
+        step, sweeps, delta, error, kind = failure
         t = t0 + step * h
-        if step == 1:
-            # built for the second step, so a single step never pays for it;
-            # ahead is E F_n, the last step's stage forces extrapolated
-            weights = _start_weights(tableau.c, _HISTORY)
-            if weights is not None:
-                extrapolate = _kernel(s, s, dim)(*weights[0])
-                correct = _kernel(1, _HISTORY, n)(*weights[1])
-                zeros = [0.0] * n
-                ahead = extrapolate(zeros, values)
-        if extrapolate is not None:
-            start = ahead if step <= _HISTORY else correct(ahead, errors)
-        (values, sweep, delta, increment, polish, exhausted, error, q, qp,
-         magnitude) = advance(q, qp, start, magnitude,
-                              None if planar else t + ch)
-        if error is not None:
-            raise _failure(step, t, f"force evaluation failed: {error}",
-                           sweep, delta) from error
-        if exhausted:
-            if not polish:
-                raise _failure(
-                    step, t, f"stage iteration did not reach tolerance "
-                    f"within {max_iters} sweeps (last increment "
-                    f"{delta:.3e})", max_iters, delta)
-            _log.warning("stage iteration at t = %g reached max_iters = %d "
-                         "during the polish sweeps (last increment %.3e)",
-                         t, max_iters, delta)
-        # a non-finite increment leaves the sweeps early; non-finite forces
-        # can also meet the tolerance where a_bar does not reach them
-        if not (isfinite(increment) and all(map(isfinite, values))):
-            raise _failure(step, t, "force evaluation returned a non-finite "
-                           "value", sweep, delta)
-        if extrapolate is not None:
-            del errors[:n]
-            errors += map(sub, values, ahead)
-            ahead = extrapolate(zeros, values)
-        iterations.append(sweep)
-        if (step + 1) % record_every == 0 or step == n_steps - 1:
-            times.append(t0 + (step + 1) * h)
-            qs.append(q)
-            qps.append(qp)
+        reason = (f"force evaluation failed: {error}" if kind == "force"
+                  else "force evaluation returned a non-finite value"
+                  if kind == "finite" else "stage iteration did not reach "
+                  f"tolerance within {max_iters} sweeps (last increment "
+                  f"{delta:.3e})")
+        raise StageConvergenceError(
+            f"step {step} (t = {t:g}) failed: {reason}", step_index=step,
+            time=t, iterations=sweeps, last_delta=delta) from error
     return Trajectory(np.array(times), np.array(qs), np.array(qps),
                       np.array(iterations, dtype=int))
 

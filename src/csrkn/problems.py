@@ -7,7 +7,7 @@ trajectory.  Problems are immutable and re-entrant.
 
 The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables: f runs
 a per-point kernel on Python floats on an input of any size, and
-``integrate``'s generated step the same two per-point expressions written
+``integrate``'s generated run the same two per-point expressions written
 out for its stage count; both give the same values to the bit, and f
 returns a fresh array.
 """
@@ -62,7 +62,7 @@ class _PlanarForce:
     ``on_points`` maps the flat coordinate list [x0, y0, x1, y1, ...] to the
     flat force list on Python floats; ``expressions`` are its two components
     at a point (x, y) as source in one-letter names, which may call sqrt.
-    ``integrate``'s step runs the expressions and hands the stage list to
+    ``integrate``'s run takes the expressions and hands the stage list to
     ``on_points`` where one divides by zero.  A plain class: a dataclass
     would add about 0.6 ms to every import.
     """

@@ -167,6 +167,64 @@ def test_run_record_every(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 11
 
 
+def run_argv(steps, out):
+    return ["run", "--method", "chebyshev4", "--problem", "kepler", "--h",
+            "0.1", "--steps", str(steps), "--out", str(out)]
+
+
+@pytest.mark.parametrize("verb", ["derive", "check", "run"])
+def test_out_over_a_longer_file_equals_a_fresh_write(tmp_path, capsys,
+                                                     verb):
+    # --out is written in place and then cut: a shorter output over a
+    # longer file leaves no old tail
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    if verb == "run":
+        argvs = [run_argv(200, reused), run_argv(100, reused),
+                 run_argv(100, fresh)]
+    else:
+        longer = [verb, "--family", "shifted-legendre", "--stages", "6",
+                  "--symmetric", "--b-order", "8", "--cn-order", "3",
+                  "--tau-degree", "4"]
+        shorter = [verb, "--method", "legendre4"]
+        argvs = [longer + ["--out", str(reused)],
+                 shorter + ["--out", str(reused)],
+                 shorter + ["--out", str(fresh)]]
+    assert main(argvs[0]) == 0
+    size = reused.stat().st_size
+    for argv in argvs[1:]:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.stat().st_size < size
+
+
+def test_out_through_a_symlink_keeps_the_link(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    assert main(run_argv(10, link)) == 0
+    assert main(run_argv(10, tmp_path / "fresh.csv")) == 0
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_out_keeps_an_existing_file_mode(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    out.write_text("old")
+    out.chmod(0o640)
+    assert main(run_argv(10, out)) == 0
+    capsys.readouterr()
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert out.read_text().startswith("t,q1,q2,p1,p2")
+
+
+def test_out_to_a_device(capsys):
+    # a device cannot be truncated: --out /dev/null writes and exits 0
+    assert main(run_argv(10, os.devnull)) == 0
+    assert capsys.readouterr().out.startswith("wrote 11 samples to ")
+
+
 def test_order_study_output(capsys):
     assert main(["order", "--method", "legendre4", "--problem", "harmonic",
                  "--h0", "0.1", "--levels", "4"]) == 0

@@ -761,45 +761,66 @@ def test_single_step_builds_no_start_weights(tableaux, monkeypatch):
         assert calls == dict.fromkeys(builders, 1)
 
 
+def start_locals(s, warm):
+    """The names of the start's locals (the extrapolated forces, the start
+    and the prediction errors) among the cached Kepler run's locals."""
+    make = csrkn.integrator._run(s, 2, warm, csrkn.kepler().f.expressions)
+    run = make(*[0.0] * make.__code__.co_argcount)
+    return {x for x in run.__code__.co_varnames
+            if x.startswith(("a_", "e_", "r0_"))}
+
+
 def test_single_step_compiles_no_start_kernel(tableaux):
-    # the start's kernels, the s x s sum without the increment and the sum
-    # of the m prediction errors, are compiled at step 1: asking the cache
-    # for them after one step misses, and after two steps hits
-    kernel = csrkn.integrator._kernel
+    # one step compiles a cold run, with no start code: asking the cache
+    # for the cold run after one step hits and for the warm one misses,
+    # and the cold run has no start locals, which the warm run of a
+    # two-step run has
+    run = csrkn.integrator._run
     kepler = csrkn.kepler()
 
-    def probe(s):
-        before = kernel.cache_info()
-        kernel(s, s, 2)
-        kernel(1, _HISTORY, 2 * s)
-        after = kernel.cache_info()
-        return after.misses - before.misses, after.hits - before.hits
+    def probe(s, warm):
+        before = run.cache_info()
+        names = start_locals(s, warm)
+        after = run.cache_info()
+        return after.misses - before.misses, after.hits - before.hits, names
 
     for tableau in tableaux.values():
-        kernel.cache_clear()
+        s = tableau.s
+        run.cache_clear()
         csrkn.rkn_step(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1)
-        assert probe(tableau.s) == (2, 0)
-        kernel.cache_clear()
+        assert probe(s, False) == (0, 1, set())
+        assert probe(s, True)[:2] == (1, 0)
+        run.cache_clear()
         csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 2)
-        assert probe(tableau.s) == (0, 2)
+        misses, hits, names = probe(s, True)
+        assert (misses, hits) == (0, 1)
+        assert names == {f"{x}_{e}" for x in ("a", "e", "r0")
+                         for e in range(2 * s)}
 
 
-def test_runs_compile_one_step(tableaux):
-    # a single step compiles its step and no sum kernel; a run with a warm
-    # start compiles the same step and the start's two kernel shapes
-    kernel, step = csrkn.integrator._kernel, csrkn.integrator._step
+def test_runs_compile_one_step(tableaux, monkeypatch):
+    # a single step and a run with a warm start each compile exactly one
+    # function, the run of every step, and nothing else
+    run, compiled = csrkn.integrator._run, []
+    compile_run = csrkn.integrator._compiled
+
+    def counted(label, *args):
+        compiled.append(label)
+        return compile_run(label, *args)
+
+    monkeypatch.setattr(csrkn.integrator, "_compiled", counted)
     kepler = csrkn.kepler()
-
-    def compiled(*run):
-        kernel.cache_clear()
-        step.cache_clear()
-        run[0](tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, *run[1:])
-        return [(info.currsize, info.misses)
-                for info in (step.cache_info(), kernel.cache_info())]
-
     for tableau in tableaux.values():
-        assert compiled(csrkn.rkn_step) == [(1, 1), (0, 0)]
-        assert compiled(csrkn.integrate, 2) == [(1, 1), (2, 2)]
+        s = tableau.s
+        for steps, label in ((1, f"<run {s}x2 cold>"),
+                             (2, f"<run {s}x2 warm>")):
+            run.cache_clear()
+            compiled.clear()
+            csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0,
+                            0.1, steps)
+            assert compiled == [label]
+            info = run.cache_info()
+            assert (info.currsize, info.misses) == (1, 1)
 
 
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
@@ -1180,11 +1201,11 @@ def test_kernel_calls_match_iterations(tableaux, name, problem_name):
 @pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
-    # the built-in problems' path: integrate compiles one step for the
-    # stage count and the force's per-point function and expressions,
-    # shared by the forces of later problem_from_name calls, and its sweeps
-    # call neither f nor, on these orbits, the per-point loop
-    step = csrkn.integrator._step
+    # the built-in problems' path: integrate compiles one run for the
+    # stage count, the start and the force's expressions, shared by the
+    # forces of later problem_from_name calls, and its sweeps call neither
+    # f nor, on these orbits, the per-point loop
+    step = csrkn.integrator._run
     step.cache_clear()
     runs = [csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
                             problem.qp0, 0.1, 200)

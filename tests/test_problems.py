@@ -1,12 +1,12 @@
 """Benchmark problems: values, invariants, exact solutions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import csrkn
-from reference_stepper import apply
 
 PI = math.pi
 
@@ -182,29 +182,43 @@ def same_floats(values, expected):
 
 
 def first_sweep(f, xy):
-    """(forces, error, stages) of the generated step's first sweep, with
-    f's per-point function and expressions, from the start G = xy.  On
-    bases of -0.0 and the identity for h^2 A_bar the stages are the plain
-    loops' sums: xy itself, up to the signs of zeros, except that an
-    infinite or NaN entry puts 0 * inf = NaN into the same component of
-    every other point."""
+    """(forces, error) of the generated run's first sweep on the stage list
+    xy, with f's expressions and per-point function.  The run's weights
+    are stand-ins: with q = -0.0 and q' = (0, 1), each weight of h c picks
+    entry 2 i + k of xy as its product c_i q'_k, so that the stage bases
+    -0.0 + xy[e] are xy itself, and row 0 of h^2 A_bar records each force
+    it multiplies, before any check on it.  On a scale of 0 and one sweep
+    the run fails after that sweep, before its updates."""
     points = len(xy) // 2
-    identity = [float(i == j) for i in range(points) for j in range(points)]
-    make = csrkn.integrator._step(points, 2, f.on_points, f.expressions)
-    step = make(f, 1, *[1.0] * points, 0.0, *identity,
-                *[0.0] * (2 * points))
-    minus = [-0.0, -0.0]
-    forces, sweeps, *_, error, _, _, _ = step(minus, minus, xy, 0.0, None)
-    assert sweeps == 1
-    stages = apply([identity[i * points:(i + 1) * points]
-                    for i in range(points)], [-0.0] * len(xy), xy, 2)
-    return forces, error, stages
+    forces = [[] for _ in range(points)]
+
+    class Pick:
+        def __init__(self, i):
+            self.i = i
+
+        def __mul__(self, k):
+            return xy[2 * self.i + k]
+
+    class Record:
+        def __init__(self, j):
+            self.j = j
+
+        def __mul__(self, force):
+            forces[self.j].append(force)
+            return 0.0
+
+    make = csrkn.integrator._run(points, 2, False, f.expressions)
+    run = make(f, f.on_points, 1, None, *map(Pick, range(points)), 0.0,
+               *map(Record, range(points)), *[0.0] * (points * (points + 1)))
+    *_, failure = run([-0.0, -0.0], [0, 1], -1.0, 0.0, 1, 1)
+    assert failure[:2] == (0, 1)
+    return [x for point in forces for x in point] or None, failure[3]
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
 @pytest.mark.parametrize("points", range(1, 13))
 def test_unrolled_force_equals_f(factory, points):
-    # the step's force for a stage count, the expressions written out per
+    # the run's force for a stage count, the expressions written out per
     # point: every special point at every position among random ones, then
     # lists of special points alone; at the origin it returns f's error,
     # and where r^2 sqrt(r^2) underflows it gives f's +-inf or NaN
@@ -220,42 +234,59 @@ def test_unrolled_force_equals_f(factory, points):
     for start in range(0, len(special) - points + 1, points):
         lists.append(special[start:start + points])
     for q in lists:
-        forces, error, stages = first_sweep(f, q.ravel().tolist())
-        placed = np.reshape(stages, q.shape)
-        for k in range(2):
-            # a component's entries reach their points, zeros' signs aside,
-            # where it holds at most one non-finite entry: that one alone
-            bad = np.flatnonzero(~np.isfinite(q[:, k]))
-            rows = bad if len(bad) == 1 else range(points * (not len(bad)))
-            for i in rows:
-                assert (placed[i, k] == q[i, k]
-                        or np.isnan(placed[i, k]) and np.isnan(q[i, k]))
+        forces, error = first_sweep(f, q.ravel().tolist())
         try:
-            expected = f(0.0, np.array(stages).reshape(points, 2))
+            expected = f(0.0, q)
         except ValueError as err:
             assert forces is None and type(error) is ValueError
             assert str(error) == str(err) == csrkn.problems._ORIGIN
             continue
         assert error is None
-        assert type(forces) is list and len(forces) == len(stages)
+        assert type(forces) is list and len(forces) == q.size
         assert same_floats(forces, expected.ravel().tolist())
 
 
 @pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
 def test_problems_share_one_compiled_kernel(name):
-    # problem_from_name builds a new force on every call; the step is
-    # compiled once per stage count, per-point function and expressions for
-    # the process
+    # problem_from_name builds a new force on every call; the run is
+    # compiled once per stage count, start and expressions for the process
     first, second = (csrkn.problem_from_name(name).f for _ in range(2))
     assert first is not second
-    step = csrkn.integrator._step
+    run = csrkn.integrator._run
 
     def compiled(force, points):
-        return step(points, 2, force.on_points, force.expressions)
+        return run(points, 2, True, force.expressions)
 
     for points in (1, 2, 3, 12):
         assert compiled(first, points) is compiled(second, points)
     assert compiled(first, 2) is not compiled(first, 3)
+
+
+def test_forces_of_one_expression_share_one_run():
+    # two forces with the same expressions and their own per-point
+    # functions: their runs share one cache entry, and each run's zero
+    # divisor (here on every sweep) calls its own force's function
+    kepler = csrkn.kepler()
+    tableau = csrkn.builtin_tableau("legendre4")
+    calls = [], []
+
+    def counting(calls):
+        def on_points(xy):
+            calls.append(list(xy))
+            return kepler.f.on_points(xy)
+        return on_points
+
+    run = csrkn.integrator._run
+    run.cache_clear()
+    runs = [csrkn.integrate(
+        tableau, dataclasses.replace(kepler, f=csrkn.problems._PlanarForce(
+            counting(c), ("x / 0.0", "y / 0.0"))),
+        0.0, kepler.q0, kepler.qp0, 0.1, 3) for c in calls]
+    info = run.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    for trajectory, c in zip(runs, calls):
+        assert len(c) == trajectory.iterations.sum() > 0
+    assert calls[0] == calls[1]
 
 
 def test_zero_divisor_hands_the_stage_list_to_the_per_point_function():
@@ -270,8 +301,7 @@ def test_zero_divisor_hands_the_stage_list_to_the_per_point_function():
 
     xy = [1.0, 0.0, 0.5, -0.25, -0.75, 2.0]
     force = csrkn.problems._PlanarForce(on_points, ("x / 0.0", "y / 0.0"))
-    forces, error, stages = first_sweep(force, xy)
-    assert stages == xy
+    forces, error = first_sweep(force, xy)
     assert error is None and calls == [xy]
     assert forces == kepler.f.on_points(xy)
 

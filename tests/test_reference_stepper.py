@@ -12,8 +12,7 @@ import pytest
 
 import csrkn
 from csrkn import problems
-from csrkn.construction import _max_magnitude
-from csrkn.integrator import _kernel, _step
+from csrkn.integrator import _compiled, _run, _sums, _unpack, _weights
 from reference_stepper import (FP_TOL, apply, harmonic_step_map,
                                reference_integrate, sweeps)
 
@@ -79,6 +78,33 @@ def test_integrate_equals_reference_stepper(name, problem_name):
     assert trajectory.iterations.tolist() == iterations
 
 
+# the step counts where the start changes branch: the bases alone (1),
+# E F_n from step 1 (2), the last step before (8) and the first steps with
+# (9, 10) the m = 8 prediction errors; thinned as record_every says
+@pytest.mark.parametrize("problem_name", sorted(CASES))
+@pytest.mark.parametrize("name", [*csrkn.BUILTIN_METHODS, "repeated"])
+def test_run_at_history_edges_equals_reference_stepper(name, problem_name):
+    problem, force = CASES[problem_name]
+    tableau = tableau_named(name)
+    for n_steps in (1, 2, 8, 9, 10):
+        times, q, qp, iterations = reference_integrate(
+            tableau, force, 0.0, problem.q0.tolist(), problem.qp0.tolist(),
+            0.1, n_steps)
+        for every in (1, 3, n_steps):
+            trajectory = csrkn.integrate(
+                tableau, problem, 0.0, problem.q0, problem.qp0, 0.1, n_steps,
+                csrkn.SolverConfig(record_every=every))
+            kept = [k for k in range(n_steps + 1)
+                    if k % every == 0 or k == n_steps]
+            assert trajectory.times.tobytes() == bits([times[k]
+                                                       for k in kept])
+            assert trajectory.q.tobytes() == bits([x for k in kept
+                                                   for x in q[k]])
+            assert trajectory.qp.tobytes() == bits([x for k in kept
+                                                    for x in qp[k]])
+            assert trajectory.iterations.tolist() == iterations
+
+
 def test_large_state_equals_reference_stepper():
     # 1,000 uncoupled oscillators through f: 12 steps reach the corrected
     # start, and each position update sums 1,000 magnitudes for the next
@@ -112,10 +138,10 @@ SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", range(1, 13))
 def test_kernels_equal_plain_loops(s, d):
-    # every shape integrate builds outside its step: the start's
-    # extrapolation (s, s) and its error sum (1, m) over s d entries; random
-    # entries of mixed sign and scale, with signed zeros, infinities and NaN
-    # in both the weights and the lists
+    # the sums the run writes for its start, compiled alone: the
+    # extrapolation (s, s) and the error sum (1, m) over s d entries;
+    # random entries of mixed sign and scale, with signed zeros,
+    # infinities and NaN in both the weights and the lists
     rng = np.random.default_rng(100 * s + d)
     for rows, cols, width in ((s, s, d), (1, 8, s * d)):
         for trial in range(4):
@@ -129,10 +155,23 @@ def test_kernels_equal_plain_loops(s, d):
                     array[hits] = rng.choice(SPECIALS[:2 * trial + 1],
                                              hits.size)
             weights, base, forces = (array.tolist() for array in values)
-            kernel = _kernel(rows, cols, width)(*weights)
+            kernel = sum_kernel(rows, cols, width)(*weights)
             plain = apply([weights[i * cols:(i + 1) * cols]
                            for i in range(rows)], base, forces, width)
             assert bits(kernel(base, forces)) == bits(plain)
+
+
+def sum_kernel(rows, cols, d):
+    """make(*w), for (rows, cols) weights w row by row, returns
+    kernel(B, F), the list of the lines _sums writes for
+    B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...)."""
+    names, new = _weights(rows, cols), [f"n_{e}" for e in range(rows * d)]
+    forces = [f"f{e}" for e in range(cols * d)]
+    sums, _ = _sums(names, d, new, [f"B[{e}]" for e in range(rows * d)],
+                    forces)
+    lines = [_unpack(forces, "F"), *sums, f"return [{', '.join(new)}]"]
+    return _compiled("<sums>", [x for row in names for x in row],
+                     "kernel(B, F)", lines, {})
 
 
 SUBNORMALS = [5e-324, -5e-324, 1e-310, -2.2e-309]
@@ -161,18 +200,17 @@ def fixed(values):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", range(1, 13))
 def test_step_list_kernels_equal_plain_loops(s, d):
-    # one sweep of the step on a force that returns a fixed list: the
-    # stage bases q + c h q' that f sees, the drift q + h q' under the
-    # position update, the velocity update and the new max |q| against
-    # _max_magnitude
+    # one step of the run on a force that returns a fixed list, whose
+    # second sweep repeats the first's sums: the stage bases q + c h q'
+    # that f sees, and where the step ends with finite values the drift
+    # q + h q' under the position update and the velocity update
     rng = np.random.default_rng(1000 + 100 * s + d)
     for trial in range(6):
         ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
         weights, position, velocity, forces = (
             random_list(rng, size, trial) for size in (s * s, s, s, s * d))
-        # at h = 0 and q' = -0.0 the drift is q itself, whose magnitudes'
-        # sum overflows in the last two trials, or -0.0 for q = -0.0; and
-        # new entries of -0.0, whose magnitude is +0.0
+        # at h = 0 and q' = -0.0 the drift is q itself, or -0.0 for
+        # q = -0.0; and new entries of -0.0
         minus, zeros = [-0.0] * d, [0.0] * (s * d)
         negative = [math.copysign(0.0, -w) for w in position for _ in q]
         for state, h, values in (((q, qp), ch[0], forces),
@@ -181,9 +219,8 @@ def test_step_list_kernels_equal_plain_loops(s, d):
                                  ((minus, minus), 0.0, zeros),
                                  ((minus, minus), 0.0, zeros[1:] + [-0.0]),
                                  ((minus, minus), 0.0, negative)):
-            assert_same_sweeps(*solve_both(
-                s, d, ch, weights, (h, position, velocity), *state, None,
-                0.0, 1, [0.0] * s, fixed(values)))
+            assert_same_step(s, d, ch, weights, (h, position, velocity),
+                             *state, None, 0.0, 2, 0.0, fixed(values))
 
 
 def test_sweep_kernel_of_a_large_state():
@@ -194,11 +231,12 @@ def test_sweep_kernel_of_a_large_state():
 
 
 def assert_increments_match(s, d, rng, trial):
-    """Steps on a force that ignores the stages, so the first sweep's sums
-    N = B + h^2 A_bar F are fixed and the start P = B + h^2 A_bar G is set
-    against them by G: P = N (inf - inf where the sums hold an infinity),
-    +-0.0 pairs, NaN in P only, and differences that overflow; the second
-    sweep, if any, reads N.  Random lists of this trial otherwise."""
+    """Steps on a force that ignores the stages but returns G on its first
+    call, so the second sweep's sums N = B + h^2 A_bar F are fixed and its
+    stage values P = B + h^2 A_bar G are set against them by G: P = N
+    (inf - inf where the sums hold an infinity), +-0.0 pairs, NaN in G,
+    and differences that overflow.  Two sweeps end on that increment,
+    three read N once more.  Random lists of this trial otherwise."""
     n = s * d
     ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
     weights, forces = (random_list(rng, size, trial) for size in (s * s, n))
@@ -227,63 +265,90 @@ def assert_increments_match(s, d, rng, trial):
     ]
     for stage_ch, coupling, state_q, state_qp, values, start in cases:
         # m = -1: a tolerance scale of 0
-        assert_same_sweeps(*solve_both(
-            s, d, stage_ch, coupling, updates, state_q, state_qp, start,
-            -1.0, 2, [0.0] * s, fixed(values)))
+        for max_iters in (2, 3):
+            assert_same_step(s, d, stage_ch, coupling, updates, state_q,
+                             state_qp, start, -1.0, max_iters, 0.0,
+                             fixed(values))
 
 
-def solve_both(s, d, ch, weights, updates, q, qp, start, m, max_iters, times,
-               force):
-    """One step by the generated step and by plain loops, and the stage
-    lists each passed to the force.  The plain step takes the bases
-    q + c h q', the start (the bases, or the bases plus h^2 A_bar start),
-    reference_stepper.sweeps and the updates, for updates = (h, h^2 b_bar,
-    h b').  force(times, xs) on the flat stage list serves as f on the
-    stage array; a planar force runs through its expressions (no stage
-    lists then)."""
+def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
+                     t0, force):
+    """One cold step by the generated run and by plain loops, compared bit
+    for bit: the stage lists f sees, its last forces, the sweeps, the
+    polish-cap warning, the failure and, when the step ends, the new q
+    and q'.  The plain step takes the bases q + c h q',
+    reference_stepper.sweeps from them and the updates, for updates =
+    (h, h^2 b_bar, h b').  force(times, xs) on the flat stage list serves
+    as f on the stage array, at the stage times t0 + c h; its first call
+    returns start if one is given.  A planar force runs through its
+    expressions (no stage lists then, and no start).  Returns the plain
+    (forces, sweeps, last finite increment, last increment, polish
+    sweeps, whether the sweeps ran out)."""
     h, position, velocity = updates
     coupling = [weights[i * s:(i + 1) * s] for i in range(s)]
-    seen = [], []
+    times = [t0 + c for c in ch]
+    seen = [], [], []
+    expressions = on_points = None
     if isinstance(force, problems._PlanarForce):
         plain_force, f = force.on_points, force
-        make = _step(s, d, force.on_points, force.expressions)
+        expressions, on_points = force.expressions, force.on_points
     else:
+        def starting(start):
+            calls = []
+
+            def first(times, xs):
+                calls.append(None)
+                return start if len(calls) == 1 else force(times, xs)
+            return first if start is not None else force
+
+        plain_values, values = starting(start), starting(start)
+
         def plain_force(xs):
             seen[0].append(list(xs))
-            return force(times, xs)
+            return plain_values(times, xs)
 
         def f(t, stages):
             seen[1].append(stages.ravel().tolist())
-            return np.array(force(t.tolist(), stages.ravel().tolist())
-                            ).reshape(stages.shape)
+            forces = np.array(values(t.tolist(), stages.ravel().tolist()))
+            seen[2].append(forces.tolist())
+            return forces.reshape(stages.shape)
 
-        make = _step(s, d)
+    warnings = []
+    run = _run(s, d, False, expressions)(
+        f, on_points, max_iters,
+        lambda step, delta: warnings.append((step, delta)),
+        *ch, h, *weights, *position, *velocity)
+    ts, qs, qps, iterations, failure = run(q, qp, m, t0, 1, 1)
     base = [x + c * v for c in ch for x, v in zip(q, qp)]
-    previous = base if start is None else apply(coupling, base, start, d)
-    plain = sweeps(coupling, base, previous, plain_force,
-                   FP_TOL * (1.0 + m), max_iters, d)
-    new = apply([position], [x + h * v for x, v in zip(q, qp)], plain[0], d)
-    plain += (new, apply([velocity], qp, plain[0], d), _max_magnitude(new))
-    step = make(f, max_iters, *ch, h, *weights, *position, *velocity)
-    solved = step(q, qp, start, m, np.array(times))
-    assert solved[6] is None
+    plain = sweeps(coupling, base, base, plain_force, FP_TOL * (1.0 + m),
+                   max_iters, d)
+    forces, count, delta, increment, polish, exhausted = plain
     assert len(seen[0]) == len(seen[1])
-    for plain_stages, stages in zip(*seen):
+    for plain_stages, stages in zip(seen[0], seen[1]):
         assert bits(stages) == bits(plain_stages)
-    return plain, solved[:6] + solved[7:]
-
-
-def assert_same_sweeps(plain, solved):
-    forces, count, delta, increment, polish, exhausted, q, qp, m = plain
-    assert bits(solved[0]) == bits(forces)
-    assert (solved[1], solved[4], solved[5]) == (count, polish, exhausted)
-    assert (solved[2] is None) == (delta is None)
+    if seen[2]:
+        assert bits(seen[2][-1]) == bits(forces)
+    assert len(warnings) == (exhausted and polish > 0)
+    for step, warned in warnings:
+        assert step == 0 and bits([warned]) == bits([delta])
+    if exhausted and not polish:
+        kind = "sweeps"
+    elif not (math.isfinite(increment) and all(map(math.isfinite, forces))):
+        kind = "finite"
+    else:
+        new = apply([position], [x + h * v for x, v in zip(q, qp)], forces,
+                    d)
+        assert failure is None and iterations == [count]
+        assert bits(qs[1]) == bits(new)
+        assert bits(qps[1]) == bits(apply([velocity], qp, forces, d))
+        assert bits(ts) == bits([t0, t0 + h])
+        return plain
+    step, sweep, last, error, reason = failure
+    assert (step, sweep, error, reason) == (0, count, None, kind)
+    assert (last is None) == (delta is None)
     if delta is not None:
-        assert bits([solved[2]]) == bits([delta])
-    assert type(solved[3]) is float and type(solved[8]) is float
-    assert bits([solved[3]]) == bits([increment])
-    assert bits(solved[6]) == bits(q) and bits(solved[7]) == bits(qp)
-    assert bits([solved[8]]) == bits([m])
+        assert bits([last]) == bits([delta])
+    return plain
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -293,7 +358,7 @@ def test_solver_equals_plain_sweeps(s, d):
     # start: converged with its polish sweeps, stopped on the first sweep
     # below a large scale, run out of sweeps, and never below a scale of 0
     # (m = -1); on two components also the Kepler and Henon-Heiles
-    # expressions
+    # expressions, from the bases
     rng = np.random.default_rng(2000 + 100 * s + d)
     forces = [spatial_points]
     if d == 2:
@@ -306,14 +371,13 @@ def test_solver_equals_plain_sweeps(s, d):
         updates = (0.1, *(rng.uniform(0.0, 0.01, s).tolist()
                           for _ in range(2)))
         start = (rng.standard_normal(s * d) * 0.05).tolist() if trial else None
-        times = rng.uniform(0.0, 1.0, s).tolist()
+        t0 = float(rng.uniform(0.0, 1.0))
         magnitude, q = max(abs(q)), q.tolist()
         for force in forces:
             for m, max_iters in ((magnitude, 50), (1e14, 50),
                                  (magnitude, 3), (-1.0, 4)):
-                plain, solved = solve_both(s, d, ch, weights, updates, q, qp,
-                                           start, m, max_iters, times, force)
-                assert_same_sweeps(plain, solved)
+                plain = assert_same_step(s, d, ch, weights, updates, q, qp,
+                                         start, m, max_iters, t0, force)
                 assert plain[5] == (max_iters < 50)
 
 
