@@ -117,17 +117,19 @@ def _alpha_pins(triples) -> dict[tuple[int, int], float]:
 
 @contextlib.contextmanager
 def _rewritten(path):
-    """A text stream that writes path in place and then cuts a longer old
-    file's tail: truncating to zero first, as open(path, "w") does, makes
-    ext4 (auto_da_alloc) hold the next rewrite until that writeback.  A
-    symlink is written through and a file keeps its mode; a crash
-    mid-write can leave the old tail."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              newline="\n") as stream:
-        yield stream
-        # a device or pipe (/dev/null, /dev/stdout) cannot be truncated
-        if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-            stream.truncate()
+    """A text stream that writes path in place, then cuts the old tail
+    where the written bytes end, also when the write fails: truncating to
+    zero first, as open(path, "w") does, makes ext4 (auto_da_alloc) hold
+    the next rewrite until that writeback.  A symlink is written through
+    and a file keeps its mode; a device or pipe cannot be cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="\n") as stream:
+        try:
+            yield stream
+            stream.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _cmd_derive(args) -> int:

@@ -110,10 +110,8 @@ def _corrected_extrapolation(m: int) -> list:
 def _start_weights(c: np.ndarray, m: int):
     """The start's kernel weights, E row by row and the m error weights, or
     None for repeated nodes."""
-    extrapolation = _extrapolation(c)
-    if extrapolation is None:
-        return None
-    return extrapolation.ravel().tolist(), _corrected_extrapolation(m)
+    if (extrapolation := _extrapolation(c)) is not None:
+        return extrapolation.ravel().tolist(), _corrected_extrapolation(m)
 
 
 def _sums(names, d, new, base, forces, stages=None):
@@ -140,6 +138,13 @@ def _sums(names, d, new, base, forces, stages=None):
     return lines, f"(max(0.0, {gaps}) if total == total else total)"
 
 
+def _updates(d, q, qp, forces, h, p, v):
+    """Source lines of q + h q' + p F, with m its max |q|, and qp + v F."""
+    position, magnitude = _sums(p, d, q, q, forces, ["0.0"] * d)
+    return [*_sums(h, d, q, q, qp)[0], *position, f"m = {magnitude}",
+            *_sums(v, d, qp, qp, forces)[0]]
+
+
 def _weights(rows, cols, prefix="w"):
     return [[f"{prefix}{i}_{j}" for j in range(cols)] for i in range(rows)]
 
@@ -164,21 +169,20 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     """make(f, on_points, max_iters, warn, *w), for the weights h c, h,
     h^2 A_bar row by row, h^2 b_bar, h b' and, when warm, E row by row and
     the _HISTORY error weights, returns run(q, qp, m, t0, n_steps,
-    record_every): every step on float lists, each sum from ``_sums``.
-    A step forms the stage bases B = q + c h q' and the start, runs at
-    most max_iters fixed-point sweeps on the stage values as locals and
-    writes q + h q' + h^2 b_bar F and q' + h b' F.  Sweeps stop below the
-    scale 1e-14 (1 + m), m = max |q|, after up to _POLISH_SWEEPS more, at
-    once on an increment of exactly 0 or on a non-finite one; running out
-    during the polish sweeps calls warn(step, last increment).  Steps
-    start from B or, warm, from step 1 on from B + h^2 A_bar a, for a =
-    E F the last forces extrapolated, plus from step _HISTORY + 1 on the
-    weighted last _HISTORY prediction errors F - a, locals oldest first.
-    run returns the times, q's and q''s of every record_every-th step and
-    the last, the sweeps per step and None, or after the run so far
-    (step, sweeps, last finite increment, error, kind): "force" when the
-    forces or sums raise ValueError or ArithmeticError, "sweeps" when the
-    sweeps run out, "finite" for a non-finite increment or force.
+    record_every), m = max |q|: every step on float lists, each sum from
+    ``_sums``.  A step forms the stage bases B = q + c h q' and the start,
+    runs at most max_iters fixed-point sweeps on the stage values as locals
+    (below the scale 1e-14 (1 + m) up to _POLISH_SWEEPS more, none after an
+    increment of exactly 0 or a non-finite one; warn(step, increment) if
+    the polish sweeps run out) and writes the ``_updates``.  Steps start
+    from B or, warm, from step 1 on from B + h^2 A_bar a, for a = E F the
+    last forces extrapolated, plus from step _HISTORY + 1 on the weighted
+    last _HISTORY prediction errors F - a, the list r oldest first.  run
+    returns the times, q's and q''s of every record_every-th step and the
+    last, the sweeps per step and None, or the run so far and (step,
+    sweeps, last finite increment, error, kind): "force" when the forces or
+    sums raise ValueError or ArithmeticError, "sweeps" when the sweeps run
+    out, "finite" for a non-finite increment or force.
 
     The forces are a planar force's expressions written out for s points,
     each one-letter name indexed by point (the stage values are x0, y0,
@@ -220,24 +224,21 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     starts = [f"{x} = {y}" for x, y in zip(stages, bases)]
     predict, extra = [], []
     if warm:
-        # the next start is formed at a step's end, so the history locals
-        # follow the sweep's in the frame (the first 256 need no EXTENDED_ARG)
         e, w = _weights(s, s, "E"), _weights(1, _HISTORY, "W")
-        history = [f"r{j}_{k}" for j in range(_HISTORY) for k in range(n)]
+        history = [f"r[{k}]" for k in range(_HISTORY * n)]
         starts = ["if step:",
                   *(f"    {x}" for x in _sums(a, d, stages, bases, start)[0]),
                   "else:", *(f"    {x}" for x in starts)]
         predict = [
-            "if step:", "    " + _unpack(history, ", ".join(history[n:] + [
-                f"{x} - {y}" for x, y in zip(forces, ahead)])),
-            "else:", f"    {' = '.join(history)} = 0.0",
+            "if step:", f"    del r[:{n}]",
+            f"    r += [{', '.join(map('{} - {}'.format, forces, ahead))}]",
+            "else:", f"    r = [0.0] * {_HISTORY * n}",
             *_sums(e, d, ahead, ["0.0"] * n, forces)[0],
             f"if step >= {_HISTORY}:",
             *(f"    {x}" for x in _sums(w, n, start, ahead, history)[0]),
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
         extra = [*chain(*e, *w)]
     sweep, increment = _sums(a, d, new, bases, forces, stages)
-    position, magnitude = _sums(p, d, q, q, forces, ["0.0"] * d)
     finite = " and ".join(f"isfinite({x})" for x in ["increment", *forces])
     failed = "return ts, qs, qps, iterations, (step, sweep, delta, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
@@ -265,8 +266,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  "    warn(step, delta)",
                  f"if not ({finite}):",
                  f"    {failed}None, 'finite')",
-                 *predict, *_sums(h, d, q, q, qp)[0], *position,
-                 f"m = {magnitude}", *_sums(v, d, qp, qp, forces)[0],
+                 *predict, *_updates(d, q, qp, forces, h, p, v),
                  "iterations.append(sweep)",
                  "if (step + 1) % record_every == 0 or step == n_steps - 1:",
                  "    ts.append(t0 + (step + 1) * h0_0)",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import csrkn
+from csrkn import cli
 from csrkn.cli import main
 
 from conftest import reference_tableau_arrays
@@ -217,6 +218,27 @@ def test_out_keeps_an_existing_file_mode(tmp_path, capsys):
     capsys.readouterr()
     assert out.stat().st_mode & 0o777 == 0o640
     assert out.read_text().startswith("t,q1,q2,p1,p2")
+
+
+def test_failed_write_over_a_longer_file_leaves_no_old_bytes(
+        tmp_path, capsys, monkeypatch):
+    # the writer raises after more than a buffer of new bytes reached the
+    # file: what is left is a prefix of the new output, and main exits 1
+    out, fresh = tmp_path / "traj.csv", tmp_path / "fresh.csv"
+    out.write_bytes(b"x" * 1_000_000)
+    assert main(run_argv(100, fresh)) == 0
+    written = fresh.read_text()
+
+    def failing(trajectory, problem, stream):
+        stream.write(written[:50_000])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", failing)
+    assert main(run_argv(100, out)) == 1
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert b"x" not in data and 0 < len(data) <= 50_000
+    assert written.encode().startswith(data)
 
 
 def test_out_to_a_device(capsys):

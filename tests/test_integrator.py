@@ -763,11 +763,12 @@ def test_single_step_builds_no_start_weights(tableaux, monkeypatch):
 
 def start_locals(s, warm):
     """The names of the start's locals (the extrapolated forces, the start
-    and the prediction errors) among the cached Kepler run's locals."""
+    and the list of prediction errors, r) among the cached Kepler run's
+    locals."""
     make = csrkn.integrator._run(s, 2, warm, csrkn.kepler().f.expressions)
     run = make(*[0.0] * make.__code__.co_argcount)
     return {x for x in run.__code__.co_varnames
-            if x.startswith(("a_", "e_", "r0_"))}
+            if x.startswith(("a_", "e_")) or x == "r"}
 
 
 def test_single_step_compiles_no_start_kernel(tableaux):
@@ -794,8 +795,8 @@ def test_single_step_compiles_no_start_kernel(tableaux):
         csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 2)
         misses, hits, names = probe(s, True)
         assert (misses, hits) == (0, 1)
-        assert names == {f"{x}_{e}" for x in ("a", "e", "r0")
-                         for e in range(2 * s)}
+        assert names == {"r", *(f"{x}_{e}" for x in "ae"
+                                for e in range(2 * s))}
 
 
 def test_runs_compile_one_step(tableaux, monkeypatch):

@@ -12,7 +12,9 @@ import pytest
 
 import csrkn
 from csrkn import problems
-from csrkn.integrator import _compiled, _run, _sums, _unpack, _weights
+from csrkn.construction import _max_magnitude
+from csrkn.integrator import (_compiled, _run, _sums, _unpack, _updates,
+                              _weights)
 from reference_stepper import (FP_TOL, apply, harmonic_step_map,
                                reference_integrate, sweeps)
 
@@ -203,14 +205,18 @@ def test_step_list_kernels_equal_plain_loops(s, d):
     # one step of the run on a force that returns a fixed list, whose
     # second sweep repeats the first's sums: the stage bases q + c h q'
     # that f sees, and where the step ends with finite values the drift
-    # q + h q' under the position update and the velocity update
+    # q + h q' under the position update and the velocity update; and in
+    # every case the run's update lines compiled alone, with the new
+    # max |q| against _max_magnitude
     rng = np.random.default_rng(1000 + 100 * s + d)
     for trial in range(6):
         ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
         weights, position, velocity, forces = (
             random_list(rng, size, trial) for size in (s * s, s, s, s * d))
-        # at h = 0 and q' = -0.0 the drift is q itself, or -0.0 for
-        # q = -0.0; and new entries of -0.0
+        update = update_kernel(s, d)
+        # at h = 0 and q' = -0.0 the drift is q itself, whose magnitudes'
+        # sum overflows in the last two trials, or -0.0 for q = -0.0; and
+        # new entries of -0.0, whose magnitude is +0.0
         minus, zeros = [-0.0] * d, [0.0] * (s * d)
         negative = [math.copysign(0.0, -w) for w in position for _ in q]
         for state, h, values in (((q, qp), ch[0], forces),
@@ -221,6 +227,29 @@ def test_step_list_kernels_equal_plain_loops(s, d):
                                  ((minus, minus), 0.0, negative)):
             assert_same_step(s, d, ch, weights, (h, position, velocity),
                              *state, None, 0.0, 2, 0.0, fixed(values))
+            new = apply([position],
+                        [x + h * v for x, v in zip(*state)], values, d)
+            new_q, new_qp, m = update(h, *position, *velocity)(*state,
+                                                               values)
+            assert bits(new_q) == bits(new)
+            assert bits(new_qp) == bits(apply([velocity], state[1], values,
+                                              d))
+            assert type(m) is float
+            assert bits([m]) == bits([_max_magnitude(new)])
+
+
+def update_kernel(s, d):
+    """make(h, *h^2 b_bar, *h b') returns kernel(q, qp, F), the run's
+    update lines from ``_updates`` compiled alone: (the new q, the new q',
+    the new q's max |q|)."""
+    q, qp = [f"q_{k}" for k in range(d)], [f"v_{k}" for k in range(d)]
+    forces = [f"f_{e}" for e in range(s * d)]
+    h, p, v = _weights(1, 1, "h"), _weights(1, s, "p"), _weights(1, s, "v")
+    lines = [_unpack(q, "q"), _unpack(qp, "qp"), _unpack(forces, "F"),
+             *_updates(d, q, qp, forces, h, p, v),
+             f"return [{', '.join(q)}], [{', '.join(qp)}], m"]
+    return _compiled("<updates>", [*h[0], *p[0], *v[0]], "kernel(q, qp, F)",
+                     lines, {})
 
 
 def test_sweep_kernel_of_a_large_state():
@@ -358,7 +387,8 @@ def test_solver_equals_plain_sweeps(s, d):
     # start: converged with its polish sweeps, stopped on the first sweep
     # below a large scale, run out of sweeps, and never below a scale of 0
     # (m = -1); on two components also the Kepler and Henon-Heiles
-    # expressions, from the bases
+    # expressions, from the bases and, in a warm two-step run of the
+    # tableau of these weights, from the start B + h^2 A_bar E F
     rng = np.random.default_rng(2000 + 100 * s + d)
     forces = [spatial_points]
     if d == 2:
@@ -379,6 +409,40 @@ def test_solver_equals_plain_sweeps(s, d):
                 plain = assert_same_step(s, d, ch, weights, updates, q, qp,
                                          start, m, max_iters, t0, force)
                 assert plain[5] == (max_iters < 50)
+            if start is not None and force is not spatial_points:
+                for max_iters in (50, 15):
+                    assert_warm_run_matches(ch, weights, updates, q, qp,
+                                            max_iters, t0, force)
+
+
+def assert_warm_run_matches(ch, weights, updates, q, qp, max_iters, t0,
+                            force):
+    """Two steps of integrate on a planar force and of reference_integrate,
+    both on the tableau whose weights at h are ch, h^2 A_bar, h^2 b_bar
+    and h b', for updates = (h, h^2 b_bar, h b'); the second step starts
+    from E F of the first.  Equal bit for bit, or failing at one step."""
+    h, position, velocity = updates
+    s, hh = len(ch), h * h
+    tableau = csrkn.RKNTableau(
+        c=np.array(ch) / h, a_bar=np.reshape(weights, (s, s)) / hh,
+        b_bar=np.array(position) / hh, b_prime=np.array(velocity) / h)
+    problem = csrkn.SecondOrderProblem(name="planar", f=force,
+                                       q0=np.array(q), qp0=np.array(qp))
+    config = csrkn.SolverConfig(max_iters=max_iters)
+    try:
+        times, qs, qps, iterations = reference_integrate(
+            tableau, lambda times, xs: force.on_points(xs), t0, q, qp, h, 2,
+            max_iters)
+    except ArithmeticError as err:
+        with pytest.raises(csrkn.StageConvergenceError) as info:
+            csrkn.integrate(tableau, problem, t0, q, qp, h, 2, config)
+        assert str(err).endswith(f"step {info.value.step_index}")
+        return
+    trajectory = csrkn.integrate(tableau, problem, t0, q, qp, h, 2, config)
+    assert trajectory.times.tobytes() == bits(times)
+    assert trajectory.q.tobytes() == bits([x for row in qs for x in row])
+    assert trajectory.qp.tobytes() == bits([x for row in qps for x in row])
+    assert trajectory.iterations.tolist() == iterations
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
