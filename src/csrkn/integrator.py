@@ -27,7 +27,8 @@ import numpy as np
 
 from .basis import _integer, _real
 from .construction import RKNTableau, _max_magnitude
-from .problems import SecondOrderProblem, _PlanarForce, invariant_drift
+from .problems import (_COORDINATES, SecondOrderProblem, _compiled,
+                       _PointForce, invariant_drift)
 
 # mixed absolute/relative stage-increment tolerance of the fixed point
 _FP_TOL = 1e-14
@@ -153,17 +154,6 @@ def _unpack(names, source):
     return f"{''.join(f'{x}, ' for x in names)}= {source}"
 
 
-def _compiled(label, parameters, signature, lines, namespace):
-    """make(*parameters), which returns the function of this signature and
-    body lines; label names the source in tracebacks."""
-    exec(compile(f"def make({', '.join(parameters)}):\n"
-                 f"    def {signature}:\n"
-                 + "".join(f"        {line}\n" for line in lines)
-                 + f"    return {signature.partition('(')[0]}\n",
-                 label, "exec"), namespace)
-    return namespace["make"]
-
-
 @cache
 def _run(s: int, d: int, warm: bool, expressions=None):
     """make(f, on_points, max_iters, warn, *w), for the weights h c, h,
@@ -184,9 +174,9 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     sums raise ValueError or ArithmeticError, "sweeps" when the sweeps run
     out, "finite" for a non-finite increment or force.
 
-    The forces are a planar force's expressions written out for s points,
-    each one-letter name indexed by point (the stage values are x0, y0,
-    x1, ...), where a zero divisor hands the stage list to on_points; or
+    The forces are a point force's dim expressions, each one-letter name
+    indexed by point (stage value e is coordinate e % dim of point
+    e // dim), where a zero divisor hands the stage list to on_points; or
     else f(t + c h, stages) on the (s, d) stage array, with the checks of
     a supplied force.  Cached by the expressions, not by the force, as
     problem_from_name makes a new force on every call."""
@@ -194,14 +184,14 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     forces, bases, new, start, ahead = ([f"{x}_{e}" for e in range(n)]
                                         for x in "fbnea")
     q, qp = ([f"{x}_{k}" for k in range(d)] for x in "qv")
-    stages = ([f"{v}{i}" for i in range(s) for v in "xy"] if expressions
-              else [f"s{e}" for e in range(n)])
+    dim = len(expressions) if expressions else 1
+    stages = [f"{_COORDINATES[e % dim]}{e // dim}" for e in range(n)]
     listed = ", ".join(stages)
     c, h, a = _weights(s, 1, "c"), _weights(1, 1, "h"), _weights(s, s, "a")
     p, v = _weights(1, s, "p"), _weights(1, s, "v")
     if expressions:
         terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
-                 for i in range(s) for expression in expressions]
+                 for i in range(n // dim) for expression in expressions]
         times, force = [], [
             "try:", *(f"    {x} = {term}" for x, term in zip(forces, terms)),
             "except ZeroDivisionError:",
@@ -300,9 +290,9 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     """Repeated steps from (t0, q0, qp0), two nonempty vectors of one length,
     with h and t0 taken as Python floats; deterministic for fixed inputs.
     iterations[k] counts the fixed-point sweeps of step k, one force
-    evaluation each: ``problem.f`` on the (s, d) stage array or, for the
-    built-in planar forces on two components, their expressions written out
-    for s points on the stage values.  One generated function, ``_run``,
+    evaluation each: ``problem.f`` on the (s, d) stage array or, for a
+    point force of dimension d or 1 (the built-ins), its expressions
+    written out on the stage values.  One generated function, ``_run``,
     takes all the steps on Python float lists, every sum written out and
     taken left to right in binary64, so no BLAS decides a run's bytes.
     The first step starts from the guess q + c h q', steps 1 to m (m = 8)
@@ -336,9 +326,9 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")
     q, qp = q.tolist(), qp.tolist()
-    # a planar force's expressions, written into the run, read no stage
-    # time; any other force, or shape, goes through f
-    planar = isinstance(f, _PlanarForce) and len(q) == 2
+    # a point force's expressions, written into the run, read no stage
+    # time; any other force, or a state of other points, goes through f
+    point = isinstance(f, _PointForce) and len(f.expressions) in (1, len(q))
     start = _start_weights(tableau.c, _HISTORY) if n_steps > 1 else None
 
     def warn(step, delta):
@@ -347,8 +337,8 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
                      t0 + step * h, max_iters, delta)
 
     run = _run(tableau.s, len(q), start is not None,
-               f.expressions if planar else None)(
-        f, f.on_points if planar else None, max_iters, warn,
+               f.expressions if point else None)(
+        f, f.on_points if point else None, max_iters, warn,
         *(h * tableau.c).tolist(), h,
         *(h * h * a for a in chain(*tableau.a_bar.tolist())),
         *(h * h * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist(),

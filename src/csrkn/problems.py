@@ -5,16 +5,16 @@ Every callable broadcasts over a leading batch axis: f maps (..., d) to
 (...), or to (..., k) for a vector invariant, so one call covers a whole
 trajectory.  Problems are immutable and re-entrant.
 
-The Kepler and Henon-Heiles forces are ``_PlanarForce`` callables: f runs
-a per-point kernel on Python floats on an input of any size, and
-``integrate``'s generated run the same two per-point expressions written
-out for its stage count; both give the same values to the bit, and f
-returns a fresh array.
+Each built-in force is a ``_PointForce``, written once as its expressions
+at one point: f runs them per point on Python floats on an input of any
+size, and ``integrate``'s generated run writes them out on its stage
+values; both give the same values to the bit, and f returns a fresh array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf, sqrt
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -54,51 +54,74 @@ def _cube(x: np.ndarray) -> np.ndarray:
 
 
 _ORIGIN = "acceleration is undefined at the origin"
+_COORDINATES = "xyz"
 
 
-class _PlanarForce:
-    """f(t, q) of a force on points of the plane that does not read t.
+def _compiled(label, parameters, signature, lines, namespace):
+    """make(*parameters), which returns the function of this signature and
+    body lines; label names the source in tracebacks."""
+    exec(compile(f"def make({', '.join(parameters)}):\n"
+                 f"    def {signature}:\n"
+                 + "".join(f"        {line}\n" for line in lines)
+                 + f"    return {signature.partition('(')[0]}\n",
+                 label, "exec"), namespace)
+    return namespace["make"]
 
-    ``on_points`` maps the flat coordinate list [x0, y0, x1, y1, ...] to the
-    flat force list on Python floats; ``expressions`` are its two components
-    at a point (x, y) as source in one-letter names, which may call sqrt.
-    ``integrate``'s run takes the expressions and hands the stage list to
-    ``on_points`` where one divides by zero.  A plain class: a dataclass
-    would add about 0.6 ms to every import.
+
+@cache
+def _points(expressions: tuple):
+    """make(on_zero), which returns on_points(xs): the flat force list of
+    the expressions at each point of the flat coordinate list xs, or
+    on_zero(x, ...) at a point where one divides by zero, if given."""
+    names = ", ".join(_COORDINATES[:len(expressions)])
+    return _compiled(f"<points {names}>", ["on_zero"], "on_points(xs)", [
+        "points, forces = iter(xs), []",
+        f"for {names}, in zip({', '.join(['points'] * len(expressions))}):",
+        f"    try: forces += {''.join(f'({e}), ' for e in expressions)}",
+        "    except ZeroDivisionError:",
+        "        if on_zero is None: raise",
+        f"        forces += on_zero({names})",
+        "return forces"], {"sqrt": sqrt})
+
+
+class _PointForce:
+    """f(t, q) of a force at each point that does not read t.
+
+    ``expressions`` are its d components at one point as source in
+    one-letter names, the coordinates x, y, z and temporaries, which may
+    call sqrt.  Points of the line (d = 1) are the entries of an array of
+    any shape, other points the last axis.  ``on_points`` (compiled on
+    first use) evaluates them on a flat coordinate list; ``integrate``'s
+    run writes them out, and hands its stage list to ``on_points`` where
+    one divides by zero.  A plain class: a dataclass would add about
+    0.6 ms to every import.
     """
 
-    __slots__ = ("on_points", "expressions")
+    __slots__ = ("expressions", "on_zero")
 
-    def __init__(self, on_points: Callable[[list], list], expressions):
-        self.on_points = on_points
+    def __init__(self, expressions: tuple, on_zero: Callable | None = None):
         self.expressions = expressions
+        self.on_zero = on_zero
+
+    on_points = property(lambda self: _points(self.expressions)(self.on_zero))
 
     def __call__(self, t, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if q.shape[-1:] != (2,):
-            raise ValueError(f"expected points of the plane (last axis of "
-                             f"length 2), got shape {q.shape}")
+        if np.iscomplexobj(q):  # numpy would drop the imaginary part
+            raise TypeError(f"q must hold real numbers, got {q!r}")
+        q, d = np.asarray(q, dtype=float), len(self.expressions)
+        if d > 1 and q.shape[-1:] != (d,):
+            space = "the plane" if d == 2 else "space"
+            raise ValueError(f"expected points of {space} (last axis of "
+                             f"length {d}), got shape {q.shape}")
         return np.array(self.on_points(q.ravel().tolist())).reshape(q.shape)
 
 
-def _kepler_points(xy: list) -> list:
-    points = iter(xy)
-    forces = []
-    for x, y in zip(points, points):
-        r2 = x * x + y * y
-        if r2 == 0.0:
-            raise ValueError(_ORIGIN)
-        den = -r2 * sqrt(r2)
-        if den == 0.0:
-            # r^2 sqrt(r^2) underflowed to -0.0, where Python raises on
-            # x / den: x * -inf is numpy's x / -0.0 (+-inf, or NaN for
-            # x = 0), which integrate reports as a non-finite force
-            forces.append(x * -inf)
-            forces.append(y * -inf)
-        else:
-            forces.append(x / den)
-            forces.append(y / den)
-    return forces
+def _kepler_on_zero(x, y):
+    # r^2 sqrt(r^2) is 0 at the origin or where it underflows to -0.0, for
+    # which x * -inf is numpy's x / -0.0: +-inf, or NaN for x = 0
+    if x * x + y * y == 0.0:
+        raise ValueError(_ORIGIN)
+    return x * -inf, y * -inf
 
 
 def kepler() -> SecondOrderProblem:
@@ -126,21 +149,13 @@ def kepler() -> SecondOrderProblem:
                 np.array([-np.sin(t), np.cos(t)]))
 
     return SecondOrderProblem(
-        name="kepler", f=_PlanarForce(_kepler_points, (
-            "x / (d := -(r := x * x + y * y) * sqrt(r))", "y / d")),
+        name="kepler", f=_PointForce((
+            "x / (d := -(r := x * x + y * y) * sqrt(r))", "y / d"),
+            _kepler_on_zero),
         q0=np.array([1.0, 0.0]), qp0=np.array([0.0, 1.0]),
         hamiltonian=hamiltonian,
         invariants={"angmom": angular_momentum, "rlp": runge_lenz},
         exact=exact)
-
-
-def _henon_heiles_points(xy: list) -> list:
-    points = iter(xy)
-    forces = []
-    for x, y in zip(points, points):
-        forces.append(-x - 2.0 * x * y)
-        forces.append(-y - x * x + y * y)
-    return forces
 
 
 def henon_heiles() -> SecondOrderProblem:
@@ -152,7 +167,7 @@ def henon_heiles() -> SecondOrderProblem:
                 + q1 * q1 * q2 - _cube(q2) / 3.0)
 
     return SecondOrderProblem(
-        name="henon-heiles", f=_PlanarForce(_henon_heiles_points, (
+        name="henon-heiles", f=_PointForce((
             "-x - 2.0 * x * y", "-y - x * x + y * y")),
         q0=np.array([0.1, -0.5]), qp0=np.array([0.0, 0.0]),
         hamiltonian=hamiltonian)
@@ -161,9 +176,6 @@ def henon_heiles() -> SecondOrderProblem:
 def harmonic() -> SecondOrderProblem:
     """Unit oscillator q'' = -q; clean closed form for order studies."""
 
-    def f(t, q):
-        return -np.asarray(q, dtype=float)
-
     def hamiltonian(q, qp):
         return 0.5 * (_squared_norm(qp) + _squared_norm(q))
 
@@ -171,7 +183,7 @@ def harmonic() -> SecondOrderProblem:
         return (np.array([np.cos(t)]), np.array([-np.sin(t)]))
 
     return SecondOrderProblem(
-        name="harmonic", f=f,
+        name="harmonic", f=_PointForce(("-x",)),
         q0=np.array([1.0]), qp0=np.array([0.0]),
         hamiltonian=hamiltonian, exact=exact)
 

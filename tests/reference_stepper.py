@@ -5,6 +5,8 @@ floats, one loop per sum: the same weights, start, stopping rule and polish
 cap, and every sum w_0 x_0 + w_1 x_1 + ... taken left to right in binary64.
 ``sweeps`` is its loop over one step's sweeps, the plain form of the sweep
 loop in the generated step.
+``kepler_points`` and ``henon_heiles_points`` are the built-in planar
+forces as plain per-point loops on the flat coordinate list.
 ``harmonic_step_map`` is the exact one-step map of q'' = -q, in fractions,
 built from the doubles the stage iteration uses.
 """
@@ -15,6 +17,34 @@ from fractions import Fraction
 FP_TOL = 1e-14
 POLISH_SWEEPS = 2
 HISTORY = 8
+
+
+def kepler_points(xy):
+    points = iter(xy)
+    forces = []
+    for x, y in zip(points, points):
+        r2 = x * x + y * y
+        if r2 == 0.0:
+            raise ValueError("acceleration is undefined at the origin")
+        den = -r2 * math.sqrt(r2)
+        if den == 0.0:
+            # r^2 sqrt(r^2) underflowed to -0.0, where Python raises on
+            # x / den: x * -inf is numpy's x / -0.0
+            forces.append(x * -math.inf)
+            forces.append(y * -math.inf)
+        else:
+            forces.append(x / den)
+            forces.append(y / den)
+    return forces
+
+
+def henon_heiles_points(xy):
+    points = iter(xy)
+    forces = []
+    for x, y in zip(points, points):
+        forces.append(-x - 2.0 * x * y)
+        forces.append(-y - x * x + y * y)
+    return forces
 
 
 def dot(weights, values):

@@ -1165,34 +1165,56 @@ def test_force_calls_match_iterations(tableaux, name, problem_name):
     assert counts == {"calls": sweeps, "rows": tableaux[name].s * sweeps}
 
 
-# planar-force expressions that raise ZeroDivisionError at every point, so
-# that every sweep hands the stage list to the per-point function
+# point-force expressions that raise ZeroDivisionError at every point, so
+# that every sweep hands the stage list to the per-point function, which
+# hands each point to on_zero
 DIVIDING = ("x / 0.0", "y / 0.0")
+
+
+def through_on_zero(force):
+    """on_zero(x, y): the force at the point by its own per-point function,
+    for expressions that always divide by zero."""
+    return lambda x, y: force.on_points([x, y])
+
+
+class KernelOnly(problems._PointForce):
+    """A point force that integrate may not call as f: counts records its
+    per-point function's calls and points, and without counts the run may
+    not call that function either."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, expressions, on_zero=None, counts=None):
+        super().__init__(expressions, on_zero)
+        self.counts = counts
+
+    @property
+    def on_points(self):
+        on_points, counts = super().on_points, self.counts
+
+        def counted(xy):
+            if counts is None:
+                raise AssertionError("the run fell back to the per-point "
+                                     "function")
+            counts["calls"] += 1
+            counts["points"] += len(xy) // 2
+            return on_points(xy)
+        return counted
+
+    def __call__(self, t, q):
+        raise AssertionError("integrate called f")
 
 
 @pytest.mark.parametrize("problem_name", ["kepler", "henon-heiles"])
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_kernel_calls_match_iterations(tableaux, name, problem_name):
     # through the zero-divisor fallback, here on every sweep: integrate
-    # calls the planar force's per-point kernel once per sweep on the s
+    # calls the point force's per-point function once per sweep on the s
     # stage points, and never f
     problem = csrkn.problem_from_name(problem_name)
-    kernel = problem.f.on_points
     counts = {"calls": 0, "points": 0}
-
-    def on_points(xy):
-        counts["calls"] += 1
-        counts["points"] += len(xy) // 2
-        return kernel(xy)
-
-    class KernelOnly(problems._PlanarForce):
-        __slots__ = ()
-
-        def __call__(self, t, q):
-            raise AssertionError("integrate called f")
-
-    counted = dataclasses.replace(
-        problem, f=KernelOnly(on_points, DIVIDING))
+    counted = dataclasses.replace(problem, f=KernelOnly(
+        DIVIDING, through_on_zero(problem.f), counts))
     trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
                                  counted.qp0, 0.1, 200)
     sweeps = int(trajectory.iterations.sum())
@@ -1205,7 +1227,7 @@ def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
     # the built-in problems' path: integrate compiles one run for the
     # stage count, the start and the force's expressions, shared by the
     # forces of later problem_from_name calls, and its sweeps call neither
-    # f nor, on these orbits, the per-point loop
+    # f nor, on these orbits, the per-point function
     step = csrkn.integrator._run
     step.cache_clear()
     runs = [csrkn.integrate(tableaux[name], problem, 0.0, problem.q0,
@@ -1215,18 +1237,8 @@ def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
     info = step.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     problem = csrkn.problem_from_name(problem_name)
-
-    def per_point(xy):
-        raise AssertionError("the step fell back to the per-point loop")
-
-    class KernelOnly(problems._PlanarForce):
-        __slots__ = ()
-
-        def __call__(self, t, q):
-            raise AssertionError("integrate called f")
-
-    counted = dataclasses.replace(
-        problem, f=KernelOnly(per_point, problem.f.expressions))
+    counted = dataclasses.replace(problem,
+                                  f=KernelOnly(problem.f.expressions))
     trajectory = csrkn.integrate(tableaux[name], counted, 0.0, counted.q0,
                                  counted.qp0, 0.1, 200)
     # the plain run: a plain-function f takes the f path
@@ -1240,12 +1252,12 @@ def test_unrolled_kernel_calls_match_iterations(tableaux, name, problem_name):
 
 
 def test_kernel_list_of_another_length_is_a_force_error(tableaux):
-    # a per-point kernel that drops the last point, reached through the
+    # an on_zero that drops a point's last component, reached through the
     # zero-divisor fallback: the step cannot unpack the list into its force
     # locals, and the typed force error says so
     kepler = csrkn.kepler()
-    short = problems._PlanarForce(lambda xy: kepler.f.on_points(xy)[:-2],
-                                  DIVIDING)
+    short = problems._PointForce(
+        DIVIDING, lambda x, y: kepler.f.on_points([x, y])[:-1])
     problem = dataclasses.replace(kepler, f=short)
     with pytest.raises(csrkn.StageConvergenceError) as info:
         csrkn.integrate(tableaux["legendre4"], problem, 0.0, problem.q0,
@@ -1257,25 +1269,16 @@ def test_kernel_list_of_another_length_is_a_force_error(tableaux):
     assert isinstance(err.__cause__, ValueError)
 
 
-def wall_points(xy):
-    # -x - sqrt(x - 0.5), -y per point: math.sqrt raises ValueError for
-    # x < 0.5
-    points = iter(xy)
-    forces = []
-    for x, y in zip(points, points):
-        forces.append(-x - math.sqrt(x - 0.5))
-        forces.append(-y)
-    return forces
-
-
-WALL = problems._PlanarForce(wall_points, ("-x - sqrt(x - 0.5)", "-y"))
+# -x - sqrt(x - 0.5), -y per point: math.sqrt raises ValueError for x < 0.5
+WALL = problems._PointForce(("-x - sqrt(x - 0.5)", "-y"))
 
 
 def on_each_force_path(force):
-    """The force as the step's expressions, its per-point loop (behind
+    """The force as the step's expressions, its per-point function (behind
     expressions that always divide by zero) and a supplied f."""
     return {"expressions": force,
-            "per-point": problems._PlanarForce(force.on_points, DIVIDING),
+            "per-point": problems._PointForce(DIVIDING,
+                                              through_on_zero(force)),
             "f": lambda t, q: force(t, q)}
 
 

@@ -263,83 +263,154 @@ def test_problems_share_one_compiled_kernel(name):
 
 
 def test_forces_of_one_expression_share_one_run():
-    # two forces with the same expressions and their own per-point
-    # functions: their runs share one cache entry, and each run's zero
-    # divisor (here on every sweep) calls its own force's function
+    # two forces with the same expressions and their own on_zero: their
+    # runs share one cache entry, and each run's zero divisor (here on
+    # every sweep) calls its own force's on_zero at each stage point
     kepler = csrkn.kepler()
     tableau = csrkn.builtin_tableau("legendre4")
     calls = [], []
 
     def counting(calls):
-        def on_points(xy):
-            calls.append(list(xy))
-            return kepler.f.on_points(xy)
-        return on_points
+        def on_zero(x, y):
+            calls.append((x, y))
+            return kepler.f.on_points([x, y])
+        return on_zero
 
     run = csrkn.integrator._run
     run.cache_clear()
     runs = [csrkn.integrate(
-        tableau, dataclasses.replace(kepler, f=csrkn.problems._PlanarForce(
-            counting(c), ("x / 0.0", "y / 0.0"))),
+        tableau, dataclasses.replace(kepler, f=csrkn.problems._PointForce(
+            ("x / 0.0", "y / 0.0"), counting(c))),
         0.0, kepler.q0, kepler.qp0, 0.1, 3) for c in calls]
     info = run.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     for trajectory, c in zip(runs, calls):
-        assert len(c) == trajectory.iterations.sum() > 0
+        assert len(c) == tableau.s * trajectory.iterations.sum() > 0
     assert calls[0] == calls[1]
 
 
 def test_zero_divisor_hands_the_stage_list_to_the_per_point_function():
-    # expressions that divide by zero: each sweep calls the per-point
-    # function once on the stage list
+    # expressions that divide by zero: the sweep hands the stage list to
+    # the per-point function, which calls on_zero at each point in order
     kepler = csrkn.kepler()
     calls = []
 
-    def on_points(xy):
-        calls.append(list(xy))
-        return kepler.f.on_points(xy)
+    def on_zero(x, y):
+        calls.append([x, y])
+        return kepler.f.on_points([x, y])
 
     xy = [1.0, 0.0, 0.5, -0.25, -0.75, 2.0]
-    force = csrkn.problems._PlanarForce(on_points, ("x / 0.0", "y / 0.0"))
+    force = csrkn.problems._PointForce(("x / 0.0", "y / 0.0"), on_zero)
     forces, error = first_sweep(force, xy)
-    assert error is None and calls == [xy]
+    assert error is None and calls == [xy[0:2], xy[2:4], xy[4:6]]
     assert forces == kepler.f.on_points(xy)
 
 
-@pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
+def kepler_3d():
+    """Kepler in space on an inclined orbit of eccentricity 0.3: a point
+    force of dimension 3, which no built-in problem has."""
+    return csrkn.SecondOrderProblem(
+        name="kepler-3d", f=csrkn.problems._PointForce((
+            "x / (d := -(r := x * x + y * y + z * z) * sqrt(r))", "y / d",
+            "z / d")),
+        q0=np.array([0.7, 0.0, 0.0]),
+        qp0=np.array([0.0, 1.2 * math.cos(0.4), 1.2 * math.sin(0.4)]))
+
+
+@pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles,
+                                     kepler_3d])
 @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2, 0), (0,), (),
                                    (2, 2, 1)])
 def test_force_rejects_points_off_the_plane(factory, shape):
     # a Henon-Heiles force on (n, 3) used to read the third coordinate as a
-    # harmonic one, and on (n, 1) raised IndexError
+    # harmonic one, and on (n, 1) raised IndexError; a force in space
+    # takes (3, 3) and refuses the plane's (3, 2) in its place
+    f = factory().f
+    space = len(f.expressions) == 3
+    if space and shape == (3, 3):
+        shape = (3, 2)
     with pytest.raises(ValueError) as info:
-        factory().f(0.0, np.ones(shape))
-    assert str(info.value) == ("expected points of the plane (last axis of "
-                               f"length 2), got shape {shape}")
+        f(0.0, np.ones(shape))
+    assert str(info.value) == (
+        "expected points of space (last axis of length 3), got shape "
+        f"{shape}" if space else "expected points of the plane (last axis "
+        f"of length 2), got shape {shape}")
 
 
-# integrate's step runs the planar force's expressions on its stage
-# values, and a problem whose f is a plain function goes through f: both
-# must give the same runs to the bit
-@pytest.mark.parametrize("name", ["kepler", "henon-heiles"])
-def test_force_paths_give_identical_runs(tableaux, name):
-    problem = csrkn.problem_from_name(name)
-    wrapped = csrkn.SecondOrderProblem(
-        name="wrapped", f=lambda t, q: problem.f(t, q),
-        q0=problem.q0, qp0=problem.qp0)
-    # the CLI's largest custom method: 12 stages
+@pytest.mark.parametrize("factory", [*csrkn.PROBLEMS.values(), kepler_3d])
+@pytest.mark.parametrize("q", [np.array([1 + 1j, 0.5]), [0.25 + 0j],
+                               np.ones((2, 3), dtype=np.complex64)])
+def test_force_refuses_complex_points(factory, q):
+    # numpy would keep the real part with only a ComplexWarning, as
+    # integrate's q0 would
+    with pytest.raises(TypeError) as info:
+        factory().f(0.0, q)
+    assert str(info.value) == f"q must hold real numbers, got {q!r}"
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (3,), (2, 3), (2, 0, 4),
+                                   (4, 3, 2)])
+def test_harmonic_force_takes_every_shape(shape):
+    # d = 1: every entry of any array is a point of the line
+    q = np.random.default_rng(len(shape)).uniform(-2.0, 2.0, size=shape)
+    before = q.tobytes()
+    forces = csrkn.harmonic().f(0.0, q)
+    assert forces.dtype == np.float64 and forces.shape == q.shape
+    assert forces.tobytes() == (-q).tobytes()
+    assert not np.shares_memory(forces, q) and q.tobytes() == before
+    # nested lists too
+    assert csrkn.harmonic().f(0.0, q.tolist()).tobytes() == forces.tobytes()
+
+
+def test_problems_compile_per_point_functions_on_first_use():
+    # constructing the problems compiles nothing; the first per-point call
+    # compiles one function per expressions tuple, shared by later forces
+    points = csrkn.problems._points
+    points.cache_clear()
+    forces = [factory().f for factory in (*csrkn.PROBLEMS.values(),
+                                          *csrkn.PROBLEMS.values())]
+    assert points.cache_info().currsize == 0
+    for force in forces:
+        force(0.0, np.ones(len(force.expressions)))
+    info = points.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 3)
+
+
+def assert_same_runs(problem, other, tableaux, n_steps):
+    """The runs of both problems, by the built-ins and the CLI's largest
+    custom method (12 stages), equal bit for bit in states and sweeps."""
     spec = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_LEGENDRE, b_order=8,
                                   cn_order=3, tau_degree=4, symmetric=True)
-    methods = [*tableaux.values(), csrkn.derive(spec, 12)]
-
-    def runs(problem):
-        return [csrkn.integrate(method, problem, 0.0, problem.q0,
-                                problem.qp0, 0.1, 100) for method in methods]
-
-    for expected, trajectory in zip(runs(problem), runs(wrapped)):
+    for method in [*tableaux.values(), csrkn.derive(spec, 12)]:
+        expected, trajectory = (
+            csrkn.integrate(method, p, 0.0, p.q0, p.qp0, 0.1, n_steps)
+            for p in (problem, other))
         assert trajectory.q.tobytes() == expected.q.tobytes()
         assert trajectory.qp.tobytes() == expected.qp.tobytes()
         assert np.array_equal(trajectory.iterations, expected.iterations)
+
+
+def wrapped(problem):
+    """The problem with its force as a plain function: the f path."""
+    return dataclasses.replace(problem, f=lambda t, q: problem.f(t, q))
+
+
+# integrate's run writes a point force's expressions out on its stage
+# values, and a problem whose f is a plain function goes through f: both
+# must give the same runs to the bit; harmonic (d = 1) is componentwise,
+# so three oscillators are 3 s points of the line
+@pytest.mark.parametrize("name", ["kepler", "henon-heiles", "harmonic",
+                                  "harmonic-3"])
+def test_force_paths_give_identical_runs(tableaux, name):
+    problem = csrkn.problem_from_name(name.removesuffix("-3"))
+    if name == "harmonic-3":
+        problem = dataclasses.replace(problem, q0=np.array([1.0, -0.5, 0.25]),
+                                      qp0=np.array([0.0, 0.75, -0.5]))
+    assert_same_runs(problem, wrapped(problem), tableaux, 100)
+
+
+def test_force_in_space_paths_give_identical_runs(tableaux):
+    assert_same_runs(kepler_3d(), wrapped(kepler_3d()), tableaux, 300)
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])

@@ -16,6 +16,7 @@ from csrkn.construction import _max_magnitude
 from csrkn.integrator import (_compiled, _run, _sums, _unpack, _updates,
                               _weights)
 from reference_stepper import (FP_TOL, apply, harmonic_step_map,
+                               henon_heiles_points, kepler_points,
                                reference_integrate, sweeps)
 
 from test_integrator import CUSTOM_SPEC, spatial_force
@@ -44,16 +45,18 @@ def spatial_points(times, xs):
 
 # each problem with its force on the flat stage list, for the reference
 CASES = {
-    "kepler": (csrkn.kepler(),
-               lambda times, xs: problems._kepler_points(xs)),
+    "kepler": (csrkn.kepler(), lambda times, xs: kepler_points(xs)),
     "henon-heiles": (csrkn.henon_heiles(),
-                     lambda times, xs: problems._henon_heiles_points(xs)),
+                     lambda times, xs: henon_heiles_points(xs)),
     "harmonic": (csrkn.harmonic(), lambda times, xs: [-x for x in xs]),
     "spatial": (csrkn.SecondOrderProblem(
         name="spatial", f=spatial_force, q0=np.array([1.0, -0.5, 0.25]),
         qp0=np.array([0.0, 0.75, -0.5])), spatial_points),
 }
 METHODS = [*csrkn.BUILTIN_METHODS, *CUSTOM_STAGES, "repeated"]
+# the reference loop of each planar point force, by its expressions
+POINTS = {csrkn.kepler().f.expressions: kepler_points,
+          csrkn.henon_heiles().f.expressions: henon_heiles_points}
 
 
 def bits(values):
@@ -309,8 +312,9 @@ def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
     reference_stepper.sweeps from them and the updates, for updates =
     (h, h^2 b_bar, h b').  force(times, xs) on the flat stage list serves
     as f on the stage array, at the stage times t0 + c h; its first call
-    returns start if one is given.  A planar force runs through its
-    expressions (no stage lists then, and no start).  Returns the plain
+    returns start if one is given.  A point force runs through its
+    expressions against its reference loop in POINTS (no stage lists
+    then, and no start).  Returns the plain
     (forces, sweeps, last finite increment, last increment, polish
     sweeps, whether the sweeps ran out)."""
     h, position, velocity = updates
@@ -318,8 +322,8 @@ def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
     times = [t0 + c for c in ch]
     seen = [], [], []
     expressions = on_points = None
-    if isinstance(force, problems._PlanarForce):
-        plain_force, f = force.on_points, force
+    if isinstance(force, problems._PointForce):
+        plain_force, f = POINTS[force.expressions], force
         expressions, on_points = force.expressions, force.on_points
     else:
         def starting(start):
@@ -431,8 +435,8 @@ def assert_warm_run_matches(ch, weights, updates, q, qp, max_iters, t0,
     config = csrkn.SolverConfig(max_iters=max_iters)
     try:
         times, qs, qps, iterations = reference_integrate(
-            tableau, lambda times, xs: force.on_points(xs), t0, q, qp, h, 2,
-            max_iters)
+            tableau, lambda times, xs: POINTS[force.expressions](xs), t0, q,
+            qp, h, 2, max_iters)
     except ArithmeticError as err:
         with pytest.raises(csrkn.StageConvergenceError) as info:
             csrkn.integrate(tableau, problem, t0, q, qp, h, 2, config)
