@@ -148,11 +148,19 @@ def interval_integrals(family: Family) -> tuple[np.ndarray, ...]:
     return ones, gram, _integrals(primitives, polys, basis.ratios, family.m0)
 
 
+def _check_family(basis: OrthonormalBasis, spec: ConstructionSpec | None):
+    if spec is not None and spec.family is not basis.family:
+        raise ConstructionError(
+            f"spec family {spec.family.value} does not match "
+            f"basis family {basis.family.value}")
+
+
 def build_b(basis: OrthonormalBasis, spec: ConstructionSpec) -> np.ndarray:
     """Series coefficients lam of the velocity-weight function B: the
     b_order integrals int_0^1 P_j dx (the stage interval of every family),
     so the weight moment conditions hold by construction and, for a
     reflection-symmetric weight, the odd terms are exactly 0."""
+    _check_family(basis, spec)
     if spec.b_order > basis.max_degree:
         raise ConstructionError(f"b_order {spec.b_order} exceeds basis "
                                 f"degree {basis.max_degree}")
@@ -254,6 +262,7 @@ def solve_alpha(basis: OrthonormalBasis,
     any remaining coupled rank deficiency or inconsistent equation is
     reported rather than resolved silently.
     """
+    _check_family(basis, spec)
     r = spec.alpha_range
     if r > basis.max_degree:
         raise ConstructionError(f"alpha_range {r} exceeds basis degree "
@@ -384,8 +393,14 @@ def assemble(basis: OrthonormalBasis, lam: np.ndarray,
              alpha: Mapping[tuple[int, int], float],
              spec: ConstructionSpec | None = None) -> ContinuousCoefficients:
     """Combine the weight series and coupling coefficients after checking
-    symplecticity on alpha and, for a symmetric spec, the parity of lam
-    exactly and time reversibility on alpha."""
+    that basis and spec share a family, that every alpha index is in the
+    basis, symplecticity on alpha and, for a symmetric spec, the parity of
+    lam exactly and time reversibility on alpha."""
+    _check_family(basis, spec)
+    top = basis.max_degree
+    for i, j in alpha:
+        if not (0 <= i <= top and 0 <= j <= top):
+            raise ConstructionError(f"alpha index {i, j} outside range 0..{top}")
     coeffs = ContinuousCoefficients(
         basis=basis, lam=np.asarray(lam, dtype=float),
         alpha={key: float(v) for key, v in alpha.items()}, spec=spec)

@@ -46,6 +46,10 @@ _POLISH_SWEEPS = 2
 # Beyond m ~ 10 the rounding that the binomial weights amplify (about 2^m)
 # takes over.
 _HISTORY = 8
+# the errors' weights oldest first, (-1)^k C(m, k + 1) for k = m - 1 .. 0:
+# exact up to degree s + m - 1 for stage forces polynomial in t
+_ERROR_WEIGHTS = tuple(float((-1) ** k * math.comb(_HISTORY, k + 1))
+                       for k in reversed(range(_HISTORY)))
 
 _log = logging.getLogger("csrkn")
 
@@ -85,34 +89,17 @@ class Trajectory:
     iterations: np.ndarray
 
 
-def _extrapolation(c: np.ndarray) -> np.ndarray | None:
-    """E[i, j] = l_j(1 + c_i), the Lagrange basis on the nodes c evaluated
-    one step ahead: E @ forces extrapolates one step's stage forces to the
-    next step's stage times.  None when the nodes are not distinct."""
+def _extrapolation(c: np.ndarray) -> list | None:
+    """E row by row, E[i, j] = l_j(1 + c_i) for the Lagrange basis l on the
+    nodes c: E F extrapolates one step's stage forces F to the next step's
+    stage times.  None when the nodes are not distinct."""
     nodes = c.tolist()
     if len(set(nodes)) < len(nodes):
         return None
-    return np.array([[math.prod([(ahead - other) / (node - other)
-                                 for m, other in enumerate(nodes) if m != j],
-                                start=1.0) for j, node in enumerate(nodes)]
-                     for ahead in [1.0 + node for node in nodes]])
-
-
-def _corrected_extrapolation(m: int) -> list:
-    """[w_{m-1}, ..., w_0] for w_k = (-1)^k C(m, k+1): E F_n plus
-    sum_{k<m} w_k eps_{n-k} over the last m prediction errors
-    eps_j = F_j - E F_{j-1}, oldest first, extrapolates the stage forces
-    one step ahead, exactly up to degree s + m - 1 for stage forces sampled
-    from a polynomial in t."""
-    return [float((-1) ** k * math.comb(m, k + 1))
-            for k in reversed(range(m))]
-
-
-def _start_weights(c: np.ndarray, m: int):
-    """The start's kernel weights, E row by row and the m error weights, or
-    None for repeated nodes."""
-    if (extrapolation := _extrapolation(c)) is not None:
-        return extrapolation.ravel().tolist(), _corrected_extrapolation(m)
+    return [math.prod([(ahead - other) / (node - other)
+                       for m, other in enumerate(nodes) if m != j], start=1.0)
+            for ahead in [1.0 + node for node in nodes]
+            for j, node in enumerate(nodes)]
 
 
 def _sums(names, d, new, base, forces, stages=None):
@@ -157,29 +144,32 @@ def _unpack(names, source):
 @cache
 def _run(s: int, d: int, warm: bool, expressions=None):
     """make(f, on_points, max_iters, warn, *w), for the weights h c, h,
-    h^2 A_bar row by row, h^2 b_bar, h b' and, when warm, E row by row and
-    the _HISTORY error weights, returns run(q, qp, m, t0, n_steps,
-    record_every), m = max |q|: every step on float lists, each sum from
-    ``_sums``.  A step forms the stage bases B = q + c h q' and the start,
-    runs at most max_iters fixed-point sweeps on the stage values as locals
-    (below the scale 1e-14 (1 + m) up to _POLISH_SWEEPS more, none after an
-    increment of exactly 0 or a non-finite one; warn(step, increment) if
-    the polish sweeps run out) and writes the ``_updates``.  Steps start
-    from B or, warm, from step 1 on from B + h^2 A_bar a, for a = E F the
-    last forces extrapolated, plus from step _HISTORY + 1 on the weighted
-    last _HISTORY prediction errors F - a, the list r oldest first.  run
-    returns the times, q's and q''s of every record_every-th step and the
-    last, the sweeps per step and None, or the run so far and (step,
-    sweeps, last finite increment, error, kind): "force" when the forces or
-    sums raise ValueError or ArithmeticError, "sweeps" when the sweeps run
-    out, "finite" for a non-finite increment or force.
+    h^2 A_bar row by row, h^2 b_bar, h b' and, when warm, E row by row,
+    returns run(q, qp, m, t_start, n_steps, record_every), m = max |q|:
+    every step on float lists, each sum from ``_sums``.  A step forms the
+    stage bases B = q + c h q' and the start, runs at most max_iters
+    fixed-point sweeps on the stage values as locals (below the scale
+    1e-14 (1 + m) up to _POLISH_SWEEPS more, none after an increment of
+    exactly 0 or a non-finite one; warn(step, increment) if the polish
+    sweeps run out) and writes the ``_updates``.  Steps start from B or,
+    warm, from step 1 on from B + h^2 A_bar a, for a = E F the last forces
+    extrapolated, plus from step _HISTORY + 1 on the last _HISTORY
+    prediction errors F - a, the list r oldest first, weighted by
+    _ERROR_WEIGHTS written in as float literals (the same multiplies as by
+    a parameter).  run returns the times, q's and q''s of every
+    record_every-th step and the last, the sweeps per step and None, or
+    the run so far and (step, sweeps, last finite increment, error, kind):
+    "force" when the forces or sums raise ValueError or ArithmeticError,
+    "sweeps" when the sweeps run out, "finite" for a non-finite increment
+    or force.
 
     The forces are a point force's dim expressions, each one-letter name
     indexed by point (stage value e is coordinate e % dim of point
-    e // dim), where a zero divisor hands the stage list to on_points; or
-    else f(t + c h, stages) on the (s, d) stage array, with the checks of
-    a supplied force.  Cached by the expressions, not by the force, as
-    problem_from_name makes a new force on every call."""
+    e // dim, so no other name of the run is a letter and digits alone:
+    the start time is t_start), where a zero divisor hands the stage list
+    to on_points; or else f(t + c h, stages) on the (s, d) stage array,
+    with the checks of a supplied force.  Cached by the expressions, not
+    by the force, as problem_from_name makes a new force on every call."""
     n = s * d
     forces, bases, new, start, ahead = ([f"{x}_{e}" for e in range(n)]
                                         for x in "fbnea")
@@ -197,7 +187,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
             "except ZeroDivisionError:",
             f"    {_unpack(forces, f'on_points([{listed}])')}"]
     else:
-        times = ["t = t0 + step * h0_0",
+        times = ["t = t_start + step * h0_0",
                  f"times = array([{', '.join(f't + {x}' for x, in c)}])"]
         # a complex result would lose its imaginary part, and one that
         # broadcasts would integrate another equation
@@ -212,9 +202,9 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  'for stages of shape {shape}")',
                  _unpack(forces, "forces.ravel().tolist()")]
     starts = [f"{x} = {y}" for x, y in zip(stages, bases)]
-    predict, extra = [], []
+    predict, e = [], []
     if warm:
-        e, w = _weights(s, s, "E"), _weights(1, _HISTORY, "W")
+        e = _weights(s, s, "E")
         history = [f"r[{k}]" for k in range(_HISTORY * n)]
         starts = ["if step:",
                   *(f"    {x}" for x in _sums(a, d, stages, bases, start)[0]),
@@ -225,14 +215,14 @@ def _run(s: int, d: int, warm: bool, expressions=None):
             "else:", f"    r = [0.0] * {_HISTORY * n}",
             *_sums(e, d, ahead, ["0.0"] * n, forces)[0],
             f"if step >= {_HISTORY}:",
-            *(f"    {x}" for x in _sums(w, n, start, ahead, history)[0]),
+            *(f"    {x}" for x in _sums([list(map(repr, _ERROR_WEIGHTS))],
+                                       n, start, ahead, history)[0]),
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
-        extra = [*chain(*e, *w)]
     sweep, increment = _sums(a, d, new, bases, forces, stages)
     finite = " and ".join(f"isfinite({x})" for x in ["increment", *forces])
     failed = "return ts, qs, qps, iterations, (step, sweep, delta, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
-             "ts, qs, qps, iterations = [t0], [q], [qp], []",
+             "ts, qs, qps, iterations = [t_start], [q], [qp], []",
              "for step in range(n_steps):", *(f"    {x}" for x in [
                  *_sums(c, d, bases, q * s, qp)[0], *starts, *times,
                  f"scale = {_FP_TOL!r} * (1.0 + m)",
@@ -259,7 +249,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  *predict, *_updates(d, q, qp, forces, h, p, v),
                  "iterations.append(sweep)",
                  "if (step + 1) % record_every == 0 or step == n_steps - 1:",
-                 "    ts.append(t0 + (step + 1) * h0_0)",
+                 "    ts.append(t_start + (step + 1) * h0_0)",
                  f"    qs.append([{', '.join(q)}])",
                  f"    qps.append([{', '.join(qp)}])"]),
              "return ts, qs, qps, iterations, None"]
@@ -267,8 +257,8 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  "array": np.array, "asarray": np.asarray, "shape": (s, d)}
     return _compiled(f"<run {s}x{d} {'warm' if warm else 'cold'}>",
                      ["f", "on_points", "max_iters", "warn",
-                      *chain(*c, *h, *a, *p, *v), *extra],
-                     "run(q, qp, m, t0, n_steps, record_every)", lines,
+                      *chain(*c, *h, *a, *p, *v, *e)],
+                     "run(q, qp, m, t_start, n_steps, record_every)", lines,
                      namespace)
 
 
@@ -301,7 +291,8 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     2006, sec. VIII.6.1), and every later step adds to E F_n the
     extrapolation of the last m prediction errors F_j - E F_{j-1} (as in
     the starting algorithms of Calvo, Laburta & Montijano, Comput. Math.
-    Appl., 2003).  A single step, and repeated nodes, which have no
+    Appl., 2003), with E built per call and the m error weights written
+    into the run.  A single step, and repeated nodes, which have no
     extrapolation, compile no start and start every step from the guess.
     The start changes the sweep count, not the fixed point.
     """
@@ -329,7 +320,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     # a point force's expressions, written into the run, read no stage
     # time; any other force, or a state of other points, goes through f
     point = isinstance(f, _PointForce) and len(f.expressions) in (1, len(q))
-    start = _start_weights(tableau.c, _HISTORY) if n_steps > 1 else None
+    start = _extrapolation(tableau.c) if n_steps > 1 else None
 
     def warn(step, delta):
         _log.warning("stage iteration at t = %g reached max_iters = %d "
@@ -342,7 +333,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         *(h * tableau.c).tolist(), h,
         *(h * h * a for a in chain(*tableau.a_bar.tolist())),
         *(h * h * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist(),
-        *chain(*start or ()))
+        *start or ())
     times, qs, qps, iterations, failure = run(
         q, qp, _max_magnitude(q), t0, n_steps, config.record_every)
     if failure:

@@ -299,6 +299,46 @@ def test_discretize_family_mismatch(bases, coefficient_sets):
         csrkn.discretize(coefficient_sets["legendre4"], rule)
 
 
+def assert_family_mismatch(build, *args):
+    # chebyshev4's spec on a Legendre basis used to give a "shifted-legendre"
+    # tableau of predicted order 4 built with Chebyshev's gamma factor
+    with pytest.raises(csrkn.ConstructionError) as info:
+        build(*args)
+    assert str(info.value) == ("spec family shifted-chebyshev1 does not "
+                               "match basis family shifted-legendre")
+
+
+def test_build_b_rejects_a_basis_of_another_family(bases):
+    assert_family_mismatch(csrkn.build_b,
+                           bases[csrkn.Family.SHIFTED_LEGENDRE],
+                           method_spec("chebyshev4"))
+
+
+def test_solve_alpha_rejects_a_basis_of_another_family(bases):
+    assert_family_mismatch(csrkn.solve_alpha,
+                           bases[csrkn.Family.SHIFTED_LEGENDRE],
+                           method_spec("chebyshev4"))
+
+
+def test_assemble_rejects_a_basis_of_another_family(bases, coefficient_sets):
+    coeffs = coefficient_sets["chebyshev4"]
+    assert_family_mismatch(csrkn.assemble,
+                           bases[csrkn.Family.SHIFTED_LEGENDRE], coeffs.lam,
+                           coeffs.alpha, coeffs.spec)
+
+
+# kernel_matrix wrote alpha(-1, 2) to the kernel's last row, so discretize
+# returned another tableau, and alpha(13, 13) failed in numpy's matmul
+@pytest.mark.parametrize("keys", [[(-1, 2), (2, -1)], [(13, 13)]])
+def test_assemble_rejects_alpha_indices_outside_the_basis(coefficient_sets,
+                                                          keys):
+    coeffs = coefficient_sets["legendre4"]
+    alpha = {**coeffs.alpha, **dict.fromkeys(keys, 1e-3)}
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.assemble(coeffs.basis, coeffs.lam, alpha, coeffs.spec)
+    assert str(info.value) == f"alpha index {keys[0]} outside range 0..12"
+
+
 def test_discretize_samples_the_basis_once(monkeypatch, coefficient_sets):
     # the one sample is the rule's own, taken when the rule was built:
     # discretize runs the three-term recurrence zero times

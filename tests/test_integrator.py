@@ -13,8 +13,7 @@ import csrkn
 import csrkn.integrator
 from csrkn import problems
 from csrkn.construction import _max_magnitude
-from csrkn.integrator import (_HISTORY, _corrected_extrapolation,
-                              _extrapolation, _start_weights)
+from csrkn.integrator import _ERROR_WEIGHTS, _HISTORY, _extrapolation
 
 from conftest import SYMMETRIC_METHODS
 
@@ -664,7 +663,7 @@ def _column_loop_extrapolation(c):
 
 
 def _block_loop_corrected_extrapolation(extrapolation, m):
-    # the per-block loop _corrected_extrapolation replaced
+    # the per-block loop the binomial error weights replaced
     s = len(extrapolation)
     identity = np.eye(s)
     blocks = [np.zeros((s, s)) for _ in range(m + 1)]
@@ -682,27 +681,29 @@ def assert_same_array(new, reference):
     assert new.tobytes() == reference.tobytes()
 
 
-def assert_start_weights_match_references(c, m):
+def assert_start_weights_match_references(c):
+    # E as a flat list of Python floats, the column loop's bytes (its -0.0
+    # entries from 1 + c_i = c_j included)
+    flat = _extrapolation(c)
     extrapolation = _column_loop_extrapolation(c)
-    assert_same_array(_extrapolation(c), extrapolation)
-    weights = _corrected_extrapolation(m)
-    assert _start_weights(c, m) == (extrapolation.ravel().tolist(), weights)
+    assert type(flat) is list and {type(x) for x in flat} == {float}
+    assert np.array(flat).tobytes() == extrapolation.tobytes()
     # E F_n + sum_j weights[j] (F_{n-m+1+j} - E F_{n-m+j}) as blocks on
     # F_{n-m}, ..., F_n; each entry rounds as in the per-block loop
-    s = len(c)
+    s, m = len(c), _HISTORY
+    assert len(_ERROR_WEIGHTS) == m
     blocks = [np.zeros((s, s)) for _ in range(m + 1)]
     blocks[m] += extrapolation
-    for i in range(m):
-        blocks[i] -= weights[i] * extrapolation
-        blocks[i + 1] += weights[i] * np.eye(s)
+    for i, weight in enumerate(_ERROR_WEIGHTS):
+        blocks[i] -= weight * extrapolation
+        blocks[i + 1] += weight * np.eye(s)
     assert_same_array(np.hstack(blocks),
                       _block_loop_corrected_extrapolation(extrapolation, m))
 
 
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)
 def test_start_weights_bit_identical_on_builtins(tableaux, name):
-    for m in (0, 1, _HISTORY, 12):
-        assert_start_weights_match_references(tableaux[name].c, m)
+    assert_start_weights_match_references(tableaux[name].c)
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -715,8 +716,7 @@ def test_start_weights_bit_identical_on_random_nodes(s):
     node_sets.append(np.arange(s, dtype=float) / max(s - 1, 1))
     for c in node_sets:
         assert len(np.unique(c)) == s
-        for m in range(13):
-            assert_start_weights_match_references(c, m)
+        assert_start_weights_match_references(c)
 
 
 @pytest.mark.parametrize("nodes", [[0.5, 0.5], [0.0, -0.0], [-0.0, 0.0],
@@ -725,40 +725,44 @@ def test_repeated_nodes_have_no_start_weights(nodes):
     c = np.array(nodes)
     assert _column_loop_extrapolation(c) is None
     assert _extrapolation(c) is None
-    assert _start_weights(c, _HISTORY) is None
 
 
 def test_single_step_builds_no_start_weights(tableaux, monkeypatch):
-    # the start's weights are built at step 1, for the second step
-    builders = ("_extrapolation", "_corrected_extrapolation",
-                "_start_weights")
+    # E is built once per warm call, and a single step is cold
     kepler = csrkn.kepler()
 
     def refuse(*args):
         raise AssertionError("a single step built start weights")
 
-    for name in builders:
-        monkeypatch.setattr(csrkn.integrator, name, refuse)
+    monkeypatch.setattr(csrkn.integrator, "_extrapolation", refuse)
     for tableau in tableaux.values():
         csrkn.rkn_step(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1)
         csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 1)
     monkeypatch.undo()
 
-    calls = dict.fromkeys(builders, 0)
+    calls = []
 
-    def counted(name, build):
-        def wrapper(*args):
-            calls[name] += 1
-            return build(*args)
-        return wrapper
+    def counted(c):
+        calls.append(c)
+        return _extrapolation(c)
 
-    for name in builders:
-        monkeypatch.setattr(csrkn.integrator, name,
-                            counted(name, getattr(csrkn.integrator, name)))
+    monkeypatch.setattr(csrkn.integrator, "_extrapolation", counted)
     for tableau in tableaux.values():
-        calls.update(dict.fromkeys(builders, 0))
+        calls.clear()
         csrkn.integrate(tableau, kepler, 0.0, kepler.q0, kepler.qp0, 0.1, 2)
-        assert calls == dict.fromkeys(builders, 1)
+        assert len(calls) == 1 and calls[0] is tableau.c
+
+
+def test_warm_run_writes_the_error_weights_into_its_source():
+    # a warm run's factory takes E and no error weights: they are
+    # constants of the run
+    for s in range(1, 4):
+        cold, warm = (csrkn.integrator._run(s, 2, start, None)
+                      for start in (False, True))
+        count = warm.__code__.co_argcount
+        assert count - cold.__code__.co_argcount == s * s
+        run = warm(*[0.0] * count)
+        assert set(_ERROR_WEIGHTS) <= set(run.__code__.co_consts)
 
 
 def start_locals(s, warm):
@@ -835,9 +839,8 @@ def test_corrected_start_exactness_degree(tableaux, name):
     # of order 1.
     c = tableaux[name].c
     s, m = len(c), _HISTORY
-    extrapolation = _extrapolation(c)
-    weights = _corrected_extrapolation(m)
-    assert len(weights) == m
+    extrapolation = np.array(_extrapolation(c)).reshape(s, s)
+    weights = _ERROR_WEIGHTS
     sampled = [(step + c) / (m + 2) for step in range(m + 1)]
     ahead = (m + 1 + c) / (m + 2)
 
@@ -1267,6 +1270,23 @@ def test_kernel_list_of_another_length_is_a_force_error(tableaux):
                                "failed: ")
     assert (err.step_index, err.iterations, err.last_delta) == (0, 1, None)
     assert isinstance(err.__cause__, ValueError)
+
+
+def test_force_temporaries_leave_the_run_alone(tableaux):
+    # the run appends the point index to every one-letter name of a point
+    # force, and point 0's temporary t became t0, the run's start time
+    # (times 0, 5.1, 5.2, ...): with any one-letter temporary, the run
+    # gives the times, states and sweeps of the same force through f
+    harmonic = csrkn.harmonic()
+    for letter in "abcdefghijklmnopqrstuvw":
+        force = problems._PointForce((f"-x + 0.0 * ({letter} := 5.0)",))
+        runs = [csrkn.integrate(tableaux["legendre4"],
+                                dataclasses.replace(harmonic, f=f), 0.0,
+                                harmonic.q0, harmonic.qp0, 0.1, 12)
+                for f in (force, lambda t, q: force(t, q))]
+        for field in ("times", "q", "qp", "iterations"):
+            written, plain = (getattr(run, field) for run in runs)
+            assert written.tobytes() == plain.tobytes(), (letter, field)
 
 
 # -x - sqrt(x - 0.5), -y per point: math.sqrt raises ValueError for x < 0.5
