@@ -132,6 +132,15 @@ def _integer(name: str, value, low=None, high=None, error=ValueError) -> int:
     return number
 
 
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array; TypeError naming the argument for None or
+    complex values, which numpy would read as NaN or cut to their real
+    parts."""
+    if value is None or np.iscomplexobj(value):
+        raise TypeError(f"{name} must hold real numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _real(name: str, value, error=ValueError, *, nonzero=False) -> None:
     """Check that value is a finite real number, nonzero if asked; the errors
     name the argument: TypeError for a non-real value, else error."""
@@ -218,7 +227,7 @@ class OrthonormalBasis:
         (degree + 1,) + shape(x), from the three-term recurrence."""
         if not 0 <= degree <= self.max_degree:
             raise ValueError(f"degree {degree} outside 0..{self.max_degree}")
-        x = np.asarray(x, dtype=float)
+        x = _reals("x", x)
         diag, off = recurrence_coefficients(self.family, degree)
         out = np.empty((degree + 1,) + x.shape)
         out[0] = 1.0 / math.sqrt(self.moments[0])

@@ -36,7 +36,8 @@ from typing import Mapping
 import numpy as np
 
 from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer,
-                    _integrals, _real, make_basis, recurrence_coefficients)
+                    _integrals, _real, _reals, make_basis,
+                    recurrence_coefficients)
 from .quadrature import QuadratureRule, gauss_rule
 
 TABLEAU_TOL = 1e-12
@@ -352,14 +353,14 @@ class ContinuousCoefficients:
     def b(self, tau):
         """Velocity weight B(tau)."""
         deg = self.degrees[0]
-        values = self.basis.values(tau, deg)
+        values = self.basis.values(_reals("tau", tau), deg)
         flat = self.lam[: deg + 1] @ values.reshape(deg + 1, -1)
         return flat.reshape(values.shape[1:])[()]
 
     def a_bar(self, tau, sigma):
         """Coupling kernel at (tau, sigma)."""
-        tau, sigma = np.broadcast_arrays(np.asarray(tau, dtype=float),
-                                         np.asarray(sigma, dtype=float))
+        tau, sigma = np.broadcast_arrays(_reals("tau", tau),
+                                         _reals("sigma", sigma))
         n = self._sample_degrees[1] + 1
         kernel = kernel_matrix(self.basis, self.alpha, n)
         p_tau = self.basis.values(tau, n - 1).reshape(n, -1)
@@ -402,7 +403,7 @@ def assemble(basis: OrthonormalBasis, lam: np.ndarray,
         if not (0 <= i <= top and 0 <= j <= top):
             raise ConstructionError(f"alpha index {i, j} outside range 0..{top}")
     coeffs = ContinuousCoefficients(
-        basis=basis, lam=np.asarray(lam, dtype=float),
+        basis=basis, lam=_reals("lam", lam),
         alpha={key: float(v) for key, v in alpha.items()}, spec=spec)
     residual = coeffs.symplectic_residual
     if not residual <= TABLEAU_TOL:

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .basis import _integer, _real
+from .basis import _integer, _real, _reals
 from .construction import RKNTableau, _max_magnitude
 from .problems import (_COORDINATES, SecondOrderProblem, _compiled,
                        _PointForce, invariant_drift)
@@ -141,35 +141,40 @@ def _unpack(names, source):
     return f"{''.join(f'{x}, ' for x in names)}= {source}"
 
 
+def _fail(step, time, sweeps, delta, reason, cause=None):
+    raise StageConvergenceError(
+        f"step {step} (t = {time:g}) failed: {reason}", step_index=step,
+        time=time, iterations=sweeps, last_delta=delta) from cause
+
+
 @cache
 def _run(s: int, d: int, warm: bool, expressions=None):
-    """make(f, on_points, max_iters, warn, *w), for the weights h c, h,
-    h^2 A_bar row by row, h^2 b_bar, h b' and, when warm, E row by row,
-    returns run(q, qp, m, t_start, n_steps, record_every), m = max |q|:
-    every step on float lists, each sum from ``_sums``.  A step forms the
-    stage bases B = q + c h q' and the start, runs at most max_iters
-    fixed-point sweeps on the stage values as locals (below the scale
-    1e-14 (1 + m) up to _POLISH_SWEEPS more, none after an increment of
-    exactly 0 or a non-finite one; warn(step, increment) if the polish
-    sweeps run out) and writes the ``_updates``.  Steps start from B or,
+    """make(f, max_iters, *w), for the weights h c, h, h^2 A_bar row by
+    row, h^2 b_bar, h b' and, when warm, E row by row, returns
+    run(q, qp, m, t_start, n_steps, record_every), m = max |q|: every step
+    on float lists, each sum from ``_sums``.  A step forms the stage bases
+    B = q + c h q' and the start, runs at most max_iters fixed-point sweeps
+    on the stage values as locals (below the scale 1e-14 (1 + m) up to
+    _POLISH_SWEEPS more, none after an increment of exactly 0 or a
+    non-finite one) and writes the ``_updates``.  Steps start from B or,
     warm, from step 1 on from B + h^2 A_bar a, for a = E F the last forces
     extrapolated, plus from step _HISTORY + 1 on the last _HISTORY
     prediction errors F - a, the list r oldest first, weighted by
     _ERROR_WEIGHTS written in as float literals (the same multiplies as by
     a parameter).  run returns the times, q's and q''s of every
-    record_every-th step and the last, the sweeps per step and None, or
-    the run so far and (step, sweeps, last finite increment, error, kind):
-    "force" when the forces or sums raise ValueError or ArithmeticError,
-    "sweeps" when the sweeps run out, "finite" for a non-finite increment
-    or force.
+    record_every-th step and the last, and the sweeps per step; it logs
+    polish sweeps that run out, and ``_fail`` raises where the forces or
+    sums raise ValueError or ArithmeticError, the sweeps run out, or an
+    increment or force is not finite.
 
     The forces are a point force's dim expressions, each one-letter name
     indexed by point (stage value e is coordinate e % dim of point
     e // dim, so no other name of the run is a letter and digits alone:
     the start time is t_start), where a zero divisor hands the stage list
-    to on_points; or else f(t + c h, stages) on the (s, d) stage array,
-    with the checks of a supplied force.  Cached by the expressions, not
-    by the force, as problem_from_name makes a new force on every call."""
+    to f, the force's on_points; or else f(t + c h, stages) on the (s, d)
+    stage array, with the checks of a supplied force.  Cached by the
+    expressions, not by the force, as problem_from_name makes a new force
+    on every call."""
     n = s * d
     forces, bases, new, start, ahead = ([f"{x}_{e}" for e in range(n)]
                                         for x in "fbnea")
@@ -179,15 +184,16 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     listed = ", ".join(stages)
     c, h, a = _weights(s, 1, "c"), _weights(1, 1, "h"), _weights(s, s, "a")
     p, v = _weights(1, s, "p"), _weights(1, s, "v")
+    now = "t_start + step * h0_0"
     if expressions:
         terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
                  for i in range(n // dim) for expression in expressions]
         times, force = [], [
             "try:", *(f"    {x} = {term}" for x, term in zip(forces, terms)),
             "except ZeroDivisionError:",
-            f"    {_unpack(forces, f'on_points([{listed}])')}"]
+            f"    {_unpack(forces, f'f([{listed}])')}"]
     else:
-        times = ["t = t_start + step * h0_0",
+        times = [f"t = {now}",
                  f"times = array([{', '.join(f't + {x}' for x, in c)}])"]
         # a complex result would lose its imaginary part, and one that
         # broadcasts would integrate another equation
@@ -220,7 +226,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
     sweep, increment = _sums(a, d, new, bases, forces, stages)
     finite = " and ".join(f"isfinite({x})" for x in ["increment", *forces])
-    failed = "return ts, qs, qps, iterations, (step, sweep, delta, "
+    fail = f"fail(step, {now}, sweep, delta, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
              "ts, qs, qps, iterations = [t_start], [q], [qp], []",
              "for step in range(n_steps):", *(f"    {x}" for x in [
@@ -231,7 +237,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  "    try:", *(f"        {x}" for x in force + sweep),
                  f"        increment = {increment}",
                  "    except (ValueError, ArithmeticError) as err:",
-                 f"        {failed}err, 'force')",
+                 f'        {fail}f"force evaluation failed: {{err}}", err)',
                  "    if not isfinite(increment):",
                  "        break",
                  "    delta = increment",
@@ -242,22 +248,25 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  "        polish += 1",
                  "else:",
                  "    if not polish:",
-                 f"        {failed}None, 'sweeps')",
-                 "    warn(step, delta)",
+                 f'        {fail}f"stage iteration did not reach tolerance '
+                 'within {max_iters} sweeps (last increment {delta:.3e})")',
+                 '    warning("stage iteration at t = %g reached max_iters = '
+                 '%d during the polish sweeps (last increment %.3e)", '
+                 f"{now}, max_iters, delta)",
                  f"if not ({finite}):",
-                 f"    {failed}None, 'finite')",
+                 f'    {fail}"force evaluation returned a non-finite value")',
                  *predict, *_updates(d, q, qp, forces, h, p, v),
                  "iterations.append(sweep)",
                  "if (step + 1) % record_every == 0 or step == n_steps - 1:",
                  "    ts.append(t_start + (step + 1) * h0_0)",
                  f"    qs.append([{', '.join(q)}])",
                  f"    qps.append([{', '.join(qp)}])"]),
-             "return ts, qs, qps, iterations, None"]
+             "return ts, qs, qps, iterations"]
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
-                 "array": np.array, "asarray": np.asarray, "shape": (s, d)}
+                 "array": np.array, "asarray": np.asarray, "shape": (s, d),
+                 "fail": _fail, "warning": _log.warning}
     return _compiled(f"<run {s}x{d} {'warm' if warm else 'cold'}>",
-                     ["f", "on_points", "max_iters", "warn",
-                      *chain(*c, *h, *a, *p, *v, *e)],
+                     ["f", "max_iters", *chain(*c, *h, *a, *p, *v, *e)],
                      "run(q, qp, m, t_start, n_steps, record_every)", lines,
                      namespace)
 
@@ -301,13 +310,11 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     _real("start time", t0)
     h, t0 = float(h), float(t0)
     config = config or SolverConfig()
-    f, max_iters = problem.f, config.max_iters
+    f = problem.f
     arrays = []
     for name, value in (("q0", q0), ("qp0", qp0)):
         try:
-            if np.iscomplexobj(value):  # numpy would drop the imaginary part
-                raise TypeError
-            arrays.append(np.array(value, dtype=float))
+            arrays.append(_reals(name, value))
         except (TypeError, ValueError, OverflowError) as err:
             kind = TypeError if isinstance(err, TypeError) else ValueError
             raise kind(f"{name} must hold real numbers, got "
@@ -321,32 +328,15 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     # time; any other force, or a state of other points, goes through f
     point = isinstance(f, _PointForce) and len(f.expressions) in (1, len(q))
     start = _extrapolation(tableau.c) if n_steps > 1 else None
-
-    def warn(step, delta):
-        _log.warning("stage iteration at t = %g reached max_iters = %d "
-                     "during the polish sweeps (last increment %.3e)",
-                     t0 + step * h, max_iters, delta)
-
     run = _run(tableau.s, len(q), start is not None,
                f.expressions if point else None)(
-        f, f.on_points if point else None, max_iters, warn,
+        f.on_points if point else f, config.max_iters,
         *(h * tableau.c).tolist(), h,
         *(h * h * a for a in chain(*tableau.a_bar.tolist())),
         *(h * h * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist(),
         *start or ())
-    times, qs, qps, iterations, failure = run(
+    times, qs, qps, iterations = run(
         q, qp, _max_magnitude(q), t0, n_steps, config.record_every)
-    if failure:
-        step, sweeps, delta, error, kind = failure
-        t = t0 + step * h
-        reason = (f"force evaluation failed: {error}" if kind == "force"
-                  else "force evaluation returned a non-finite value"
-                  if kind == "finite" else "stage iteration did not reach "
-                  f"tolerance within {max_iters} sweeps (last increment "
-                  f"{delta:.3e})")
-        raise StageConvergenceError(
-            f"step {step} (t = {t:g}) failed: {reason}", step_index=step,
-            time=t, iterations=sweeps, last_delta=delta) from error
     return Trajectory(np.array(times), np.array(qs), np.array(qps),
                       np.array(iterations, dtype=int))
 

@@ -13,12 +13,16 @@ values; both give the same values to the bit, and f returns a fresh array.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from functools import cache
 from math import inf, sqrt
+from string import ascii_lowercase
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
+
+from .basis import _reals
 
 if TYPE_CHECKING:
     from .integrator import Trajectory
@@ -84,31 +88,67 @@ def _points(expressions: tuple):
         "return forces"], {"sqrt": sqrt})
 
 
+@cache
+def _check(expressions: tuple) -> None:
+    """ValueError unless there are one to three expressions that the run
+    and on_points can write in among their own names: each one expression,
+    also in parentheses (a comment would cut off on_points' line), that
+    reads only one-letter lowercase names and sqrt and assigns only
+    one-letter lowercase names other than the coordinates.  The error
+    names the first expression that is not."""
+    if not 1 <= len(expressions) <= len(_COORDINATES):
+        raise ValueError(f"a point force takes 1 to {len(_COORDINATES)} "
+                         f"expressions, got {len(expressions)}")
+    coordinates, letters = _COORDINATES[:len(expressions)], {*ascii_lowercase}
+    readable, assignable = letters | {"sqrt"}, letters - {*coordinates}
+    for expression in expressions:
+        if not isinstance(expression, str):
+            raise TypeError(f"force expression must be a string, got "
+                            f"{expression!r}")
+        try:
+            ast.parse(expression, mode="eval")
+            tree = ast.parse(f"({expression})", mode="eval")
+        except SyntaxError:
+            raise ValueError(f"force expression {expression!r} does not "
+                             f"parse") from None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id not in (
+                    readable if isinstance(node.ctx, ast.Load) else assignable):
+                raise ValueError(
+                    f"force expression {expression!r} uses {node.id!r}: it "
+                    f"may read only one-letter names and sqrt, and assign "
+                    f"only one-letter names other than "
+                    f"{', '.join(coordinates)}")
+
+
 class _PointForce:
     """f(t, q) of a force at each point that does not read t.
 
     ``expressions`` are its d components at one point as source in
     one-letter names, the coordinates x, y, z and temporaries, which may
-    call sqrt.  Points of the line (d = 1) are the entries of an array of
-    any shape, other points the last axis.  ``on_points`` (compiled on
-    first use) evaluates them on a flat coordinate list; ``integrate``'s
-    run writes them out, and hands its stage list to ``on_points`` where
-    one divides by zero.  A plain class: a dataclass would add about
-    0.6 ms to every import.
+    call sqrt; ``_check`` rejects any other when the force is made.
+    Points of the line (d = 1) are the entries of an array of any shape,
+    other points the last axis.  ``on_points`` (compiled on first use)
+    evaluates them on a flat coordinate list; ``integrate``'s run writes
+    them out, and hands its stage list to ``on_points`` where one divides
+    by zero.  A plain class: a dataclass would add about 0.6 ms to every
+    import.
     """
 
     __slots__ = ("expressions", "on_zero")
 
     def __init__(self, expressions: tuple, on_zero: Callable | None = None):
+        if not isinstance(expressions, tuple):  # a str reads as its letters
+            raise TypeError(f"expressions must be a tuple of strings, got "
+                            f"{expressions!r}")
+        _check(expressions)
         self.expressions = expressions
         self.on_zero = on_zero
 
     on_points = property(lambda self: _points(self.expressions)(self.on_zero))
 
     def __call__(self, t, q) -> np.ndarray:
-        if np.iscomplexobj(q):  # numpy would drop the imaginary part
-            raise TypeError(f"q must hold real numbers, got {q!r}")
-        q, d = np.asarray(q, dtype=float), len(self.expressions)
+        q, d = _reals("q", q), len(self.expressions)
         if d > 1 and q.shape[-1:] != (d,):
             space = "the plane" if d == 2 else "space"
             raise ValueError(f"expected points of {space} (last axis of "

@@ -424,6 +424,18 @@ def test_values_match_monomial_view(bases, family):
         basis.values(x, basis.max_degree + 1)
 
 
+# numpy read None as NaN ([P_0, nan, ...]) and cut a complex x to its
+# real part behind a ComplexWarning
+@pytest.mark.parametrize("x", [None, 0.5j, [0.25, 0.5 + 0j],
+                               np.array([0.5], dtype=np.complex64)])
+def test_values_refuse_points_that_are_not_real(bases, x):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    for evaluate in (lambda: basis.values(x, 2), lambda: basis.eval(1, x)):
+        with pytest.raises(TypeError) as info:
+            evaluate()
+        assert str(info.value) == f"x must hold real numbers, got {x!r}"
+
+
 def test_basis_equality_and_hash_do_not_raise():
     family = csrkn.Family.SHIFTED_LEGENDRE
     cached = csrkn.make_basis(family, 3)

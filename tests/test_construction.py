@@ -125,6 +125,32 @@ def test_assemble_legendre_kernel_values(coefficient_sets):
     assert coeffs.a_bar(c1, c2) == pytest.approx((1 - s3) / 6, abs=1e-14)
 
 
+# numpy cut a complex lam to its real part behind a ComplexWarning
+@pytest.mark.parametrize("imaginary", [1e-3j, 0j])
+def test_assemble_refuses_complex_lam(bases, imaginary):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    spec = method_spec("legendre4")
+    lam = csrkn.build_b(basis, spec) + imaginary
+    with pytest.raises(TypeError) as info:
+        csrkn.assemble(basis, lam, csrkn.solve_alpha(basis, spec), spec)
+    assert str(info.value) == f"lam must hold real numbers, got {lam!r}"
+
+
+# None read as NaN and a complex point lost its imaginary part, in the
+# weight and on either side of the kernel
+@pytest.mark.parametrize("point", [None, 0.5j, [0.25, 0.5 + 0j]])
+def test_coefficients_refuse_points_that_are_not_real(coefficient_sets,
+                                                       point):
+    coeffs = coefficient_sets["chebyshev4"]
+    for name, evaluate in (("tau", lambda: coeffs.b(point)),
+                           ("tau", lambda: coeffs.a_bar(point, 0.5)),
+                           ("sigma", lambda: coeffs.a_bar(0.5, point))):
+        with pytest.raises(TypeError) as info:
+            evaluate()
+        assert str(info.value) == (f"{name} must hold real numbers, got "
+                                   f"{point!r}")
+
+
 def test_assemble_rejects_broken_constraint(bases):
     basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
     spec = method_spec("legendre4")

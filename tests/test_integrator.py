@@ -491,12 +491,13 @@ def test_huge_integer_step_or_start_error_names_it(tableaux, argument,
 
 # a state that does not convert to floats used to raise numpy's message,
 # which named neither argument, and a complex array lost its imaginary part
-# behind numpy's ComplexWarning
+# behind numpy's ComplexWarning; None read as a NaN of shape ()
 @pytest.mark.parametrize("value,error", [(["a", 0.0], ValueError),
                                          ([1j, 0.0], TypeError),
                                          ([10**400, 0.0], ValueError),
                                          ([[1.0], [1.0, 2.0]], ValueError),
-                                         (np.array([1 + 1j, 0.0]), TypeError)])
+                                         (np.array([1 + 1j, 0.0]), TypeError),
+                                         (None, TypeError)])
 @pytest.mark.parametrize("argument", ["q0", "qp0"])
 def test_state_that_is_not_real_names_it(tableaux, argument, value, error):
     kepler = csrkn.kepler()

@@ -183,7 +183,8 @@ def same_floats(values, expected):
 
 def first_sweep(f, xy):
     """(forces, error) of the generated run's first sweep on the stage list
-    xy, with f's expressions and per-point function.  The run's weights
+    xy, with f's expressions and per-point function: the error is the
+    cause of the run's failure, None unless the force raised.  The run's weights
     are stand-ins: with q = -0.0 and q' = (0, 1), each weight of h c picks
     entry 2 i + k of xy as its product c_i q'_k, so that the stage bases
     -0.0 + xy[e] are xy itself, and row 0 of h^2 A_bar records each force
@@ -208,11 +209,12 @@ def first_sweep(f, xy):
             return 0.0
 
     make = csrkn.integrator._run(points, 2, False, f.expressions)
-    run = make(f, f.on_points, 1, None, *map(Pick, range(points)), 0.0,
+    run = make(f.on_points, 1, *map(Pick, range(points)), 0.0,
                *map(Record, range(points)), *[0.0] * (points * (points + 1)))
-    *_, failure = run([-0.0, -0.0], [0, 1], -1.0, 0.0, 1, 1)
-    assert failure[:2] == (0, 1)
-    return [x for point in forces for x in point] or None, failure[3]
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        run([-0.0, -0.0], [0, 1], -1.0, 0.0, 1, 1)
+    assert (info.value.step_index, info.value.iterations) == (0, 1)
+    return [x for point in forces for x in point] or None, info.value.__cause__
 
 
 @pytest.mark.parametrize("factory", [csrkn.kepler, csrkn.henon_heiles])
@@ -339,10 +341,10 @@ def test_force_rejects_points_off_the_plane(factory, shape):
 
 @pytest.mark.parametrize("factory", [*csrkn.PROBLEMS.values(), kepler_3d])
 @pytest.mark.parametrize("q", [np.array([1 + 1j, 0.5]), [0.25 + 0j],
-                               np.ones((2, 3), dtype=np.complex64)])
+                               np.ones((2, 3), dtype=np.complex64), None])
 def test_force_refuses_complex_points(factory, q):
     # numpy would keep the real part with only a ComplexWarning, as
-    # integrate's q0 would
+    # integrate's q0 would, and read None as a NaN point
     with pytest.raises(TypeError) as info:
         factory().f(0.0, q)
     assert str(info.value) == f"q must hold real numbers, got {q!r}"
@@ -360,6 +362,93 @@ def test_harmonic_force_takes_every_shape(shape):
     assert not np.shares_memory(forces, q) and q.tobytes() == before
     # nested lists too
     assert csrkn.harmonic().f(0.0, q.tolist()).tobytes() == forces.tobytes()
+
+
+# names the run holds or does not index by point: on harmonic, legendre4,
+# 5 steps, scale set the stopping scale to 1.0 (3 sweeps a step where f
+# takes 6, 6, 5, 6, 5), step read the step counter where f raises
+# NameError, and x := 2.0 overwrote a stage value (no convergence in 50
+# sweeps) where f's stage array stays as it is
+@pytest.mark.parametrize("expressions,name", [
+    (("-x + 0.0 * (scale := 1.0)",), "scale"),
+    (("-x + step * 0.0",), "step"),
+    (("-x", "-y + 0.0 * (y := 2.0)"), "y"),
+    (("-x + 0.0 * (x := 2.0)",), "x"),
+    (("-x + 0.0 * (sqrt := 1.0)",), "sqrt"),
+    (("-x + exp(x)",), "exp"),
+    (("-x + 0.0 * (ab := 1.0)",), "ab"),
+    (("-X",), "X"),
+    (("-x - \u00e9",), "\u00e9")])
+def test_point_force_refuses_names_the_run_holds(expressions, name):
+    coordinates = ", ".join("xyz"[:len(expressions)])
+    with pytest.raises(ValueError) as info:
+        csrkn.problems._PointForce(expressions)
+    assert str(info.value) == (
+        f"force expression {expressions[-1]!r} uses {name!r}: it may read "
+        f"only one-letter names and sqrt, and assign only one-letter names "
+        f"other than {coordinates}")
+
+
+# a syntax error surfaced only at the first run, as a bare SyntaxError; a
+# trailing comment cuts off the rest of on_points' line, and a line break
+# outside brackets the run's
+@pytest.mark.parametrize("expression", ["-x +", "-x  # restoring",
+                                        "-x\n- y", ""])
+def test_point_force_refuses_expressions_that_do_not_parse(expression):
+    with pytest.raises(ValueError) as info:
+        csrkn.problems._PointForce((expression,))
+    assert str(info.value) == (f"force expression {expression!r} does not "
+                               f"parse")
+
+
+@pytest.mark.parametrize("expressions", [(), ("-x", "-y", "-z", "-x")])
+def test_point_force_takes_one_to_three_expressions(expressions):
+    # no coordinate names a fourth component: f raised "too many values to
+    # unpack" and the run an IndexError while compiling; none gave a bare
+    # SyntaxError
+    with pytest.raises(ValueError) as info:
+        csrkn.problems._PointForce(expressions)
+    assert str(info.value) == (f"a point force takes 1 to 3 expressions, "
+                               f"got {len(expressions)}")
+
+
+def test_point_force_expressions_are_a_tuple_of_strings():
+    # a str read as its characters ("'-' does not parse") and a list
+    # failed the cache's hash
+    for expressions in ("-x", ["-x"]):
+        with pytest.raises(TypeError) as info:
+            csrkn.problems._PointForce(expressions)
+        assert str(info.value) == ("expressions must be a tuple of strings, "
+                                   f"got {expressions!r}")
+    with pytest.raises(TypeError) as info:
+        csrkn.problems._PointForce(("-x", 2.0))
+    assert str(info.value) == "force expression must be a string, got 2.0"
+
+
+def test_point_forces_in_use_pass_the_check():
+    # the built-ins, the forces the tests build, and forms in brackets
+    # across lines or with a comment inside, which both writers keep; the
+    # check runs once per expressions tuple
+    check = csrkn.problems._check
+    check.cache_clear()
+    for _ in range(2):
+        for factory in (*csrkn.PROBLEMS.values(), kepler_3d):
+            factory()
+    assert check.cache_info().misses == len(csrkn.PROBLEMS) + 1
+    assert check.cache_info().hits == len(csrkn.PROBLEMS) + 1
+    for expressions in [("x / 0.0", "y / 0.0"), ("-x - sqrt(x - 0.5)", "-y"),
+                        *((f"-x + 0.0 * ({t} := 5.0)",) for t in "atwz")]:
+        csrkn.problems._PointForce(expressions)
+    harmonic = csrkn.harmonic()
+    tableau = csrkn.builtin_tableau("legendre4")
+    for expressions in [("(-x\n - 0.0 * x)",), ("(-x  # restoring\n)",)]:
+        force = csrkn.problems._PointForce(expressions)
+        runs = [csrkn.integrate(tableau, dataclasses.replace(harmonic, f=f),
+                                0.0, harmonic.q0, harmonic.qp0, 0.1, 3)
+                for f in (harmonic.f, force, lambda t, q: force(t, q))]
+        for run in runs[1:]:
+            assert run.q.tobytes() == runs[0].q.tobytes()
+            assert run.qp.tobytes() == runs[0].qp.tobytes()
 
 
 def test_problems_compile_per_point_functions_on_first_use():

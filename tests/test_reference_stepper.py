@@ -3,6 +3,7 @@ reference_stepper.py and, on q'' = -q, the exact step map.  None of these
 depend on BLAS, so they hold under any OpenBLAS kernel."""
 
 import hashlib
+import logging
 import math
 import struct
 from fractions import Fraction
@@ -303,12 +304,27 @@ def assert_increments_match(s, d, rng, trial):
                              fixed(values))
 
 
+def logged(run, *args):
+    """(run(*args) or the StageConvergenceError it raised, the records
+    logged on the csrkn logger meanwhile)."""
+    records, handler = [], logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("csrkn")
+    logger.addHandler(handler)
+    try:
+        return run(*args), records
+    except csrkn.StageConvergenceError as err:
+        return err, records
+    finally:
+        logger.removeHandler(handler)
+
+
 def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
                      t0, force):
     """One cold step by the generated run and by plain loops, compared bit
     for bit: the stage lists f sees, its last forces, the sweeps, the
-    polish-cap warning, the failure and, when the step ends, the new q
-    and q'.  The plain step takes the bases q + c h q',
+    logged polish-cap warning, the raised failure and, when the step ends,
+    the new q and q'.  The plain step takes the bases q + c h q',
     reference_stepper.sweeps from them and the updates, for updates =
     (h, h^2 b_bar, h b').  force(times, xs) on the flat stage list serves
     as f on the stage array, at the stage times t0 + c h; its first call
@@ -321,10 +337,10 @@ def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
     coupling = [weights[i * s:(i + 1) * s] for i in range(s)]
     times = [t0 + c for c in ch]
     seen = [], [], []
-    expressions = on_points = None
+    expressions = None
     if isinstance(force, problems._PointForce):
-        plain_force, f = POINTS[force.expressions], force
-        expressions, on_points = force.expressions, force.on_points
+        plain_force, f = POINTS[force.expressions], force.on_points
+        expressions = force.expressions
     else:
         def starting(start):
             calls = []
@@ -346,12 +362,9 @@ def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
             seen[2].append(forces.tolist())
             return forces.reshape(stages.shape)
 
-    warnings = []
-    run = _run(s, d, False, expressions)(
-        f, on_points, max_iters,
-        lambda step, delta: warnings.append((step, delta)),
-        *ch, h, *weights, *position, *velocity)
-    ts, qs, qps, iterations, failure = run(q, qp, m, t0, 1, 1)
+    run = _run(s, d, False, expressions)(f, max_iters, *ch, h, *weights,
+                                         *position, *velocity)
+    result, records = logged(run, q, qp, m, t0, 1, 1)
     base = [x + c * v for c in ch for x, v in zip(q, qp)]
     plain = sweeps(coupling, base, base, plain_force, FP_TOL * (1.0 + m),
                    max_iters, d)
@@ -361,26 +374,33 @@ def assert_same_step(s, d, ch, weights, updates, q, qp, start, m, max_iters,
         assert bits(stages) == bits(plain_stages)
     if seen[2]:
         assert bits(seen[2][-1]) == bits(forces)
-    assert len(warnings) == (exhausted and polish > 0)
-    for step, warned in warnings:
-        assert step == 0 and bits([warned]) == bits([delta])
+    # step 0's time, t0 + 0 h: NaN for an infinite or NaN h
+    time = t0 + 0 * h
+    assert len(records) == (exhausted and polish > 0)
+    for record in records:
+        assert record.args[1] == max_iters
+        assert bits(record.args[::2]) == bits([time, delta])
     if exhausted and not polish:
-        kind = "sweeps"
+        reason = (f"stage iteration did not reach tolerance within "
+                  f"{max_iters} sweeps (last increment {delta:.3e})")
     elif not (math.isfinite(increment) and all(map(math.isfinite, forces))):
-        kind = "finite"
+        reason = "force evaluation returned a non-finite value"
     else:
+        ts, qs, qps, iterations = result
         new = apply([position], [x + h * v for x, v in zip(q, qp)], forces,
                     d)
-        assert failure is None and iterations == [count]
+        assert iterations == [count]
         assert bits(qs[1]) == bits(new)
         assert bits(qps[1]) == bits(apply([velocity], qp, forces, d))
         assert bits(ts) == bits([t0, t0 + h])
         return plain
-    step, sweep, last, error, reason = failure
-    assert (step, sweep, error, reason) == (0, count, None, kind)
-    assert (last is None) == (delta is None)
+    assert str(result) == f"step 0 (t = {time:g}) failed: {reason}"
+    assert bits([result.time]) == bits([time])
+    assert (result.step_index, result.iterations) == (0, count)
+    assert result.__cause__ is None
+    assert (result.last_delta is None) == (delta is None)
     if delta is not None:
-        assert bits([last]) == bits([delta])
+        assert bits([result.last_delta]) == bits([delta])
     return plain
 
 
