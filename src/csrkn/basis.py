@@ -133,12 +133,20 @@ def _integer(name: str, value, low=None, high=None, error=ValueError) -> int:
 
 
 def _reals(name: str, value) -> np.ndarray:
-    """value as a float array; TypeError naming the argument for None or
-    complex values, which numpy would read as NaN or cut to their real
-    parts."""
-    if value is None or np.iscomplexobj(value):
-        raise TypeError(f"{name} must hold real numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
+    """value as a float array, the one conversion of an array argument.
+    The errors name it: TypeError for None anywhere and complex values,
+    which numpy reads as NaN or its real part, or where float() raises
+    one, else ValueError (strings, ragged nesting, huge ints)."""
+    try:
+        array = np.asarray(value)
+        kind = array.dtype.kind
+        if kind in "cmMSU" or (kind == "O"
+                               and any(x is None for x in array.flat)):
+            raise ValueError if kind in "SU" else TypeError
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as err:
+        error = TypeError if isinstance(err, TypeError) else ValueError
+        raise error(f"{name} must hold real numbers, got {value!r}") from None
 
 
 def _real(name: str, value, error=ValueError, *, nonzero=False) -> None:
@@ -247,7 +255,6 @@ class OrthonormalBasis:
     def _exact(self, poly) -> tuple[float, tuple[Fraction, ...]]:
         """(scale, exact coefficients) of poly: (sigma_n, pi_n) when poly
         is the family's own P_n, else (1, poly's doubles as fractions)."""
-        poly = np.asarray(poly, dtype=float)
         n = len(poly) - 1
         if 0 <= n <= self.max_degree and np.array_equal(poly, self.coeffs[n]):
             return self.monic[n]
@@ -319,8 +326,8 @@ def inner_product(basis: OrthonormalBasis, p, q) -> float:
     cancellation of high-degree cross terms costs no accuracy.  A vector
     equal to the family's own ``poly(n)`` is read as its exact sigma_n
     pi_n; any other vector as its doubles (sigma = 1)."""
-    sp, p = basis._exact(p)
-    sq, q = basis._exact(q)
+    sp, p = basis._exact(_reals("p", p))
+    sq, q = basis._exact(_reals("q", q))
     deg = (len(p) - 1) + (len(q) - 1)
     if deg > 2 * basis.max_degree + 2:
         raise ValueError(

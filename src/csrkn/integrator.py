@@ -155,17 +155,18 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     on float lists, each sum from ``_sums``.  A step forms the stage bases
     B = q + c h q' and the start, runs at most max_iters fixed-point sweeps
     on the stage values as locals (below the scale 1e-14 (1 + m) up to
-    _POLISH_SWEEPS more, none after an increment of exactly 0 or a
-    non-finite one) and writes the ``_updates``.  Steps start from B or,
-    warm, from step 1 on from B + h^2 A_bar a, for a = E F the last forces
-    extrapolated, plus from step _HISTORY + 1 on the last _HISTORY
-    prediction errors F - a, the list r oldest first, weighted by
-    _ERROR_WEIGHTS written in as float literals (the same multiplies as by
-    a parameter).  run returns the times, q's and q''s of every
-    record_every-th step and the last, and the sweeps per step; it logs
-    polish sweeps that run out, and ``_fail`` raises where the forces or
-    sums raise ValueError or ArithmeticError, the sweeps run out, or an
-    increment or force is not finite.
+    _POLISH_SWEEPS more, none after an increment of exactly 0) and writes
+    the ``_updates``.  Steps start from B or, warm, from step 1 on from
+    B + h^2 A_bar a, for a = E F the last forces extrapolated, plus from
+    step _HISTORY + 1 on the last _HISTORY prediction errors F - a, the
+    list r oldest first, weighted by _ERROR_WEIGHTS written in as float
+    literals (the same multiplies as by a parameter).  run returns the
+    times, q's and q''s of every record_every-th step and the last, and
+    the sweeps per step; it logs polish sweeps that run out, and ``_fail``
+    raises where the forces or sums raise ValueError or ArithmeticError,
+    the sweeps run out, or a sweep's increment is not finite, which it is
+    only if every force is (each enters every stage sum of its coordinate
+    times a weight, and 0 * inf is NaN).
 
     The forces are a point force's dim expressions, each one-letter name
     indexed by point (stage value e is coordinate e % dim of point
@@ -225,7 +226,6 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                                        n, start, ahead, history)[0]),
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
     sweep, increment = _sums(a, d, new, bases, forces, stages)
-    finite = " and ".join(f"isfinite({x})" for x in ["increment", *forces])
     fail = f"fail(step, {now}, sweep, delta, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
              "ts, qs, qps, iterations = [t_start], [q], [qp], []",
@@ -239,7 +239,8 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  "    except (ValueError, ArithmeticError) as err:",
                  f'        {fail}f"force evaluation failed: {{err}}", err)',
                  "    if not isfinite(increment):",
-                 "        break",
+                 f'        {fail}"force evaluation returned a non-finite '
+                 'value")',
                  "    delta = increment",
                  *(f"    {x} = n_{e}" for e, x in enumerate(stages)),
                  "    if delta < scale:",
@@ -253,8 +254,6 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  '    warning("stage iteration at t = %g reached max_iters = '
                  '%d during the polish sweeps (last increment %.3e)", '
                  f"{now}, max_iters, delta)",
-                 f"if not ({finite}):",
-                 f'    {fail}"force evaluation returned a non-finite value")',
                  *predict, *_updates(d, q, qp, forces, h, p, v),
                  "iterations.append(sweep)",
                  "if (step + 1) % record_every == 0 or step == n_steps - 1:",
@@ -286,8 +285,8 @@ def rkn_step(tableau: RKNTableau, problem: SecondOrderProblem, t: float,
 def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:
-    """Repeated steps from (t0, q0, qp0), two nonempty vectors of one length,
-    with h and t0 taken as Python floats; deterministic for fixed inputs.
+    """Repeated steps from (t0, q0, qp0), two nonempty real vectors of one
+    length (``_reals``), h and t0 as Python floats; deterministic.
     iterations[k] counts the fixed-point sweeps of step k, one force
     evaluation each: ``problem.f`` on the (s, d) stage array or, for a
     point force of dimension d or 1 (the built-ins), its expressions
@@ -311,15 +310,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
     h, t0 = float(h), float(t0)
     config = config or SolverConfig()
     f = problem.f
-    arrays = []
-    for name, value in (("q0", q0), ("qp0", qp0)):
-        try:
-            arrays.append(_reals(name, value))
-        except (TypeError, ValueError, OverflowError) as err:
-            kind = TypeError if isinstance(err, TypeError) else ValueError
-            raise kind(f"{name} must hold real numbers, got "
-                       f"{value!r}") from None
-    q, qp = arrays
+    q, qp = _reals("q0", q0), _reals("qp0", qp0)
     if q.ndim != 1 or qp.shape != q.shape or not q.size:
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")

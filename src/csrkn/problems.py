@@ -88,14 +88,39 @@ def _points(expressions: tuple):
         "return forces"], {"sqrt": sqrt})
 
 
+def _refused(node):
+    """The first node of an expression tree, depth first, outside the force
+    grammar, or None: int and float constants, names other than sqrt,
+    sqrt(...) of one positional argument, binary + - * /, unary - and +
+    and :=."""
+    if isinstance(node, ast.Constant):
+        return None if type(node.value) in (int, float) else node
+    if isinstance(node, ast.Name):
+        return None if node.id != "sqrt" else node
+    if isinstance(node, ast.NamedExpr):
+        return _refused(node.value)
+    if isinstance(node, ast.UnaryOp) and isinstance(
+            node.op, (ast.UAdd, ast.USub)):
+        return _refused(node.operand)
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        return _refused(node.left) or _refused(node.right)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt" and len(node.args) == 1
+            and not node.keywords):
+        return _refused(node.args[0])
+    return node
+
+
 @cache
 def _check(expressions: tuple) -> None:
     """ValueError unless there are one to three expressions that the run
     and on_points can write in among their own names: each one expression,
     also in parentheses (a comment would cut off on_points' line), that
-    reads only one-letter lowercase names and sqrt and assigns only
-    one-letter lowercase names other than the coordinates.  The error
-    names the first expression that is not."""
+    reads only one-letter lowercase names and sqrt, assigns only
+    one-letter lowercase names other than the coordinates, and is built
+    from ``_refused``'s grammar alone.  The error names the first
+    expression that is not and the name or construct it refuses."""
     if not 1 <= len(expressions) <= len(_COORDINATES):
         raise ValueError(f"a point force takes 1 to {len(_COORDINATES)} "
                          f"expressions, got {len(expressions)}")
@@ -119,14 +144,22 @@ def _check(expressions: tuple) -> None:
                     f"may read only one-letter names and sqrt, and assign "
                     f"only one-letter names other than "
                     f"{', '.join(coordinates)}")
+        refused = _refused(tree.body)
+        if refused is not None:
+            raise ValueError(
+                f"force expression {expression!r} uses "
+                f"{ast.unparse(refused)!r}: it may use only int and float "
+                f"constants, one-letter names, sqrt of one argument, "
+                f"binary + - * /, unary - and +, and :=")
 
 
 class _PointForce:
     """f(t, q) of a force at each point that does not read t.
 
     ``expressions`` are its d components at one point as source in
-    one-letter names, the coordinates x, y, z and temporaries, which may
-    call sqrt; ``_check`` rejects any other when the force is made.
+    one-letter names, the coordinates x, y, z and temporaries, numbers,
+    + - * /, := and sqrt; ``_check`` rejects any other name or construct
+    when the force is made.
     Points of the line (d = 1) are the entries of an array of any shape,
     other points the last axis.  ``on_points`` (compiled on first use)
     evaluates them on a flat coordinate list; ``integrate``'s run writes

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer,
+from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer, _reals,
                     _shared_table, make_basis, recurrence_coefficients)
 
 _CHRISTOFFEL_RTOL = 1e-11
@@ -40,10 +40,11 @@ class QuadratureRule:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+        nodes, weights = (np.array(_reals(name, getattr(self, name)))
+                          for name in ("nodes", "weights"))
         values = make_basis(self.family, MAX_DEGREE).values(nodes, MAX_DEGREE)
         for name, array in (("nodes", nodes), ("values", values),
-                            ("weights", np.array(self.weights, dtype=float))):
+                            ("weights", weights)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 

@@ -11,7 +11,7 @@ from numpy.polynomial import hermite as np_hermite
 
 import csrkn
 from csrkn import basis as basis_module
-from csrkn.basis import MAX_DEGREE, recurrence_coefficients
+from csrkn.basis import MAX_DEGREE, _reals, recurrence_coefficients
 from csrkn.construction import interval_integrals
 
 ALL_FAMILIES = list(csrkn.Family)
@@ -427,13 +427,51 @@ def test_values_match_monomial_view(bases, family):
 # numpy read None as NaN ([P_0, nan, ...]) and cut a complex x to its
 # real part behind a ComplexWarning
 @pytest.mark.parametrize("x", [None, 0.5j, [0.25, 0.5 + 0j],
-                               np.array([0.5], dtype=np.complex64)])
+                               np.array([0.5], dtype=np.complex64),
+                               [None, 0.0], [[0.5], [None]]])
 def test_values_refuse_points_that_are_not_real(bases, x):
     basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
     for evaluate in (lambda: basis.values(x, 2), lambda: basis.eval(1, x)):
         with pytest.raises(TypeError) as info:
             evaluate()
         assert str(info.value) == f"x must hold real numbers, got {x!r}"
+
+
+# numpy read a string of digits as its number, None inside a sequence as
+# NaN and a date as its count of years since 1970
+@pytest.mark.parametrize("value,error", [("0.5", ValueError),
+                                         (["0.25", 0.5], ValueError),
+                                         ([[0.5], [0.5, 1.0]], ValueError),
+                                         ([10**400], ValueError),
+                                         ([None, 0.0], TypeError),
+                                         ([object()], TypeError),
+                                         (np.datetime64("2020"), TypeError)])
+def test_array_arguments_hold_real_numbers(bases, value, error):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    for name, evaluate in (("x", lambda: basis.values(value, 2)),
+                           ("x", lambda: basis.eval(1, value)),
+                           ("p", lambda: csrkn.inner_product(basis, value,
+                                                             [1.0])),
+                           ("q", lambda: csrkn.inner_product(basis, [1.0],
+                                                             value))):
+        with pytest.raises(error) as info:
+            evaluate()
+        assert str(info.value) == (f"{name} must hold real numbers, got "
+                                   f"{value!r}")
+
+
+def test_real_arrays_convert_as_numpy_does():
+    # the one conversion keeps numpy's values: float64 arrays as they
+    # are, and lists of ints, bools and fractions as float64
+    array = np.linspace(0.0, 1.0, 5)
+    assert _reals("x", array) is array
+    for value in ([1, 2**63, 2**64 + 1, True], [Fraction(1, 3), 0.5],
+                  np.arange(3, dtype=np.float32), 0.25, [[1, 2], [3, 4]]):
+        converted = _reals("x", value)
+        expected = np.asarray(value, dtype=float)
+        assert converted.dtype == np.float64
+        assert converted.tobytes() == expected.tobytes()
+        assert converted.shape == expected.shape
 
 
 def test_basis_equality_and_hash_do_not_raise():

@@ -138,7 +138,8 @@ def test_assemble_refuses_complex_lam(bases, imaginary):
 
 # None read as NaN and a complex point lost its imaginary part, in the
 # weight and on either side of the kernel
-@pytest.mark.parametrize("point", [None, 0.5j, [0.25, 0.5 + 0j]])
+@pytest.mark.parametrize("point", [None, 0.5j, [0.25, 0.5 + 0j],
+                                   [None, 0.0], [[0.5], [None]]])
 def test_coefficients_refuse_points_that_are_not_real(coefficient_sets,
                                                        point):
     coeffs = coefficient_sets["chebyshev4"]
@@ -149,6 +150,29 @@ def test_coefficients_refuse_points_that_are_not_real(coefficient_sets,
             evaluate()
         assert str(info.value) == (f"{name} must hold real numbers, got "
                                    f"{point!r}")
+
+
+# numpy read None in lam as NaN and a string of digits as its number
+@pytest.mark.parametrize("lam,error", [([None, 0.0], TypeError),
+                                       ([[0.5], [None]], TypeError),
+                                       (["1.0", "0.0"], ValueError)])
+def test_assemble_refuses_lam_that_is_not_real(bases, lam, error):
+    basis = bases[csrkn.Family.SHIFTED_LEGENDRE]
+    spec = method_spec("legendre4")
+    with pytest.raises(error) as info:
+        csrkn.assemble(basis, lam, csrkn.solve_alpha(basis, spec), spec)
+    assert str(info.value) == f"lam must hold real numbers, got {lam!r}"
+
+
+def test_coefficients_refuse_points_that_are_strings(coefficient_sets):
+    # numpy read a string of digits as its number
+    coeffs = coefficient_sets["chebyshev4"]
+    for name, evaluate in (("tau", lambda: coeffs.b("0.5")),
+                           ("tau", lambda: coeffs.a_bar("0.5", 0.5)),
+                           ("sigma", lambda: coeffs.a_bar(0.5, "0.5"))):
+        with pytest.raises(ValueError) as info:
+            evaluate()
+        assert str(info.value) == f"{name} must hold real numbers, got '0.5'"
 
 
 def test_assemble_rejects_broken_constraint(bases):

@@ -497,7 +497,10 @@ def test_huge_integer_step_or_start_error_names_it(tableaux, argument,
                                          ([10**400, 0.0], ValueError),
                                          ([[1.0], [1.0, 2.0]], ValueError),
                                          (np.array([1 + 1j, 0.0]), TypeError),
-                                         (None, TypeError)])
+                                         (None, TypeError),
+                                         ([None, 0.0], TypeError),
+                                         ([[0.5], [None]], TypeError),
+                                         (["1.0", "0.0"], ValueError)])
 @pytest.mark.parametrize("argument", ["q0", "qp0"])
 def test_state_that_is_not_real_names_it(tableaux, argument, value, error):
     kepler = csrkn.kepler()
@@ -827,6 +830,30 @@ def test_runs_compile_one_step(tableaux, monkeypatch):
             assert compiled == [label]
             info = run.cache_info()
             assert (info.currsize, info.misses) == (1, 1)
+
+
+def test_run_tests_one_increment_per_sweep(monkeypatch):
+    # a non-finite force makes its sweep's increment non-finite, so the run
+    # tests that one scalar per sweep and nothing after the sweeps
+    run, sources = csrkn.integrator._run, []
+    compile_run = csrkn.integrator._compiled
+
+    def captured(label, parameters, signature, lines, namespace):
+        sources.append(lines)
+        return compile_run(label, parameters, signature, lines, namespace)
+
+    monkeypatch.setattr(csrkn.integrator, "_compiled", captured)
+    run.cache_clear()
+    try:
+        run(3, 2, True, csrkn.kepler().f.expressions)
+    finally:
+        run.cache_clear()
+    lines, = sources
+    checks = [line for line in lines if "isfinite" in line]
+    assert [line.strip() for line in checks] == ["if not isfinite(increment):"]
+    loop = next(line for line in lines if "for sweep in" in line)
+    assert lines.index(loop) < lines.index(checks[0])
+    assert checks[0].index("if") == loop.index("for") + 4
 
 
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)

@@ -341,11 +341,21 @@ def test_force_rejects_points_off_the_plane(factory, shape):
 
 @pytest.mark.parametrize("factory", [*csrkn.PROBLEMS.values(), kepler_3d])
 @pytest.mark.parametrize("q", [np.array([1 + 1j, 0.5]), [0.25 + 0j],
-                               np.ones((2, 3), dtype=np.complex64), None])
+                               np.ones((2, 3), dtype=np.complex64), None,
+                               [None, 0.0], [[0.5], [None]]])
 def test_force_refuses_complex_points(factory, q):
     # numpy would keep the real part with only a ComplexWarning, as
     # integrate's q0 would, and read None as a NaN point
     with pytest.raises(TypeError) as info:
+        factory().f(0.0, q)
+    assert str(info.value) == f"q must hold real numbers, got {q!r}"
+
+
+@pytest.mark.parametrize("factory", [*csrkn.PROBLEMS.values(), kepler_3d])
+@pytest.mark.parametrize("q", ["0.5", ["1.0", "0.5"], [[0.5], [0.5, 1.0]]])
+def test_force_refuses_points_that_do_not_convert(factory, q):
+    # numpy read a string of digits as its number
+    with pytest.raises(ValueError) as info:
         factory().f(0.0, q)
     assert str(info.value) == f"q must hold real numbers, got {q!r}"
 
@@ -423,6 +433,40 @@ def test_point_force_expressions_are_a_tuple_of_strings():
     with pytest.raises(TypeError) as info:
         csrkn.problems._PointForce(("-x", 2.0))
     assert str(info.value) == "force expression must be a string, got 2.0"
+
+
+# each accepted as a force and then: a bare TypeError from the run's sums
+# (x.hex(), lambda), the constant force 1.0 (x.__class__(1)), a tuple or
+# list that the run unpacks or adds, or a power the run and f evaluate
+@pytest.mark.parametrize("expression,construct", [
+    ("x.hex()", "x.hex()"),
+    ("lambda: x", "lambda: x"),
+    ("x.__class__(1)", "x.__class__(1)"),
+    ("-x, y", "(-x, y)"),
+    ("[x]", "[x]"),
+    ("x ** 2", "x ** 2"),
+    ("-x // 2.0", "-x // 2.0"),
+    ("-x if x else x", "-x if x else x"),
+    ("not x", "not x"),
+    ("x < 1.0", "x < 1.0"),
+    ("x[0]", "x[0]"),
+    ("-x * True", "True"),
+    ("-x * 1j", "1j"),
+    ("-x + 'a'", "'a'"),
+    ("sqrt", "sqrt"),
+    ("-x + sqrt", "sqrt"),
+    ("sqrt(x, x)", "sqrt(x, x)"),
+    ("sqrt(*x)", "*x"),
+    ("sqrt(x=x)", "sqrt(x=x)"),
+    ("x(1.0)", "x(1.0)")])
+def test_point_force_refuses_constructs_outside_its_grammar(expression,
+                                                            construct):
+    with pytest.raises(ValueError) as info:
+        csrkn.problems._PointForce((expression,))
+    assert str(info.value) == (
+        f"force expression {expression!r} uses {construct!r}: it may use "
+        f"only int and float constants, one-letter names, sqrt of one "
+        f"argument, binary + - * /, unary - and +, and :=")
 
 
 def test_point_forces_in_use_pass_the_check():

@@ -264,6 +264,23 @@ def test_perturbed_rule_loses_exactness(bases, family):
     assert csrkn.exactness_degree(broken, basis) < 2 * 3 - 1
 
 
+# numpy read None as NaN, cut a complex value to its real part and read
+# a string of digits as its number
+@pytest.mark.parametrize("value,error", [([None, 0.5, 1.0], TypeError),
+                                         ([[0.5], [None]], TypeError),
+                                         ([0.25, 0.5j, 0.75], TypeError),
+                                         (["0.25", "0.5", "0.75"], ValueError),
+                                         ([[0.25], [0.5, 0.75]], ValueError)])
+@pytest.mark.parametrize("field", ["nodes", "weights"])
+def test_hand_built_rule_holds_real_numbers(bases, field, value, error):
+    rule = csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 3)
+    arrays = {"nodes": rule.nodes, "weights": rule.weights, field: value}
+    with pytest.raises(error) as info:
+        QuadratureRule(family=rule.family, s=3, **arrays)
+    assert str(info.value) == (f"{field} must hold real numbers, got "
+                               f"{value!r}")
+
+
 # |G - I| > tol is False for NaN, so a NaN node or weight read as exact (6);
 # P_0 is constant, so a NaN node still integrates constants (degree 0)
 @pytest.mark.parametrize("field,degree", [("nodes", 0), ("weights", -1)])

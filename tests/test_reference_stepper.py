@@ -304,6 +304,48 @@ def assert_increments_match(s, d, rng, trial):
                              fixed(values))
 
 
+def counted_verlet_force(sweep, bad, d):
+    """A force on the flat stage list of the Stormer-Verlet tableau that
+    counts its calls in rounds of sweep calls.  At call j of a round the
+    first stage gets -x (1 + j / 8), which moves the second stage every
+    sweep, and the second stage gets bad on its first component at
+    j = sweep, else -x.  The run and the plain sweeps, called one after
+    the other, each take one round and meet bad on their sweep-th sweep."""
+    calls = []
+
+    def force(times, xs):
+        calls.append(None)
+        j = (len(calls) - 1) % sweep + 1
+        return [-x * (1.0 + j / 8.0) for x in xs[:d]] + [
+            bad if e == 0 and j == sweep else -x
+            for e, x in enumerate(xs[d:])]
+    return force
+
+
+# Stormer-Verlet: c = (0, 1), A_bar = [[0, 0], [1/2, 0]].  The second
+# stage's force enters the stage sums only times the zero weights of the
+# second column, where 0 * inf and 0 * NaN are NaN, so the increment of
+# the sweep that returns it is NaN and the step fails on that sweep with
+# the increment before it
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("sweep", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_non_finite_force_of_a_zero_column_equals_plain_sweeps(d, sweep,
+                                                               bad):
+    h = 0.125
+    hh = h * h
+    q, qp = [0.75, -0.5][:d], [0.25, 1.0][:d]
+    updates = (h, [0.5 * hh, 0.0], [0.5 * h, 0.5 * h])
+    plain = assert_same_step(2, d, [0.0, h], [0.0, 0.0, 0.5 * hh, 0.0],
+                             updates, q, qp, None, max(map(abs, q)), 50,
+                             0.5, counted_verlet_force(sweep, bad, d))
+    forces, count, delta, increment = plain[:4]
+    assert count == sweep and math.isnan(increment)
+    assert (delta is None) == (sweep == 1)
+    assert not math.isfinite(forces[d]) and all(map(math.isfinite,
+                                                    forces[:d]))
+
+
 def logged(run, *args):
     """(run(*args) or the StageConvergenceError it raised, the records
     logged on the csrkn logger meanwhile)."""
