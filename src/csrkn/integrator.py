@@ -106,11 +106,11 @@ def _sums(names, d, new, base, forces, stages=None):
     """Source lines of new[e] = base[e] + (w_i0 forces[k] + w_i1 forces[d + k]
     + ...) for e = i d + k, the weights named row by row, written out and
     taken left to right in binary64 (CPython fuses no multiply-add), so the
-    bytes depend on the order alone.  With the stage names, also the lines
-    of g_e = |new[e] - stages[e]| and their sum total, and the increment
-    max_e g_e as an expression: NaN if one g_e is, as max() could skip it
-    and total cannot (summed 64 terms a statement, as the compiler refuses
-    deeply nested sums).  Returns (lines, increment or None)."""
+    bytes depend on the order alone.  With the stage names, zeros for the
+    max |q| of ``_updates``, also the lines of g_e = |new[e] - stages[e]|,
+    their sum total and max_e g_e as an expression: NaN if one g_e is, as
+    max() could skip it and total cannot (summed 64 terms a statement, as
+    the compiler refuses deeply nested sums).  Returns (lines, max or None)."""
     n = range(len(new))
     lines = [f"{new[i * d + k]} = {base[i * d + k]} + ("
              + " + ".join(f"{w} * {forces[j * d + k]}"
@@ -141,10 +141,16 @@ def _unpack(names, source):
     return f"{''.join(f'{x}, ' for x in names)}= {source}"
 
 
-def _fail(step, time, sweeps, delta, reason, cause=None):
+def _increment(diffs):
+    """max |g| over one sweep's finite stage differences g, None for None."""
+    return None if diffs is None else max(0.0, *map(abs, diffs))
+
+
+def _fail(step, time, sweeps, diffs, reason, cause=None):
+    """Raise the failure of a step, last_delta the increment of diffs."""
     raise StageConvergenceError(
         f"step {step} (t = {time:g}) failed: {reason}", step_index=step,
-        time=time, iterations=sweeps, last_delta=delta) from cause
+        time=time, iterations=sweeps, last_delta=_increment(diffs)) from cause
 
 
 @cache
@@ -162,11 +168,15 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     list r oldest first, weighted by _ERROR_WEIGHTS written in as float
     literals (the same multiplies as by a parameter).  run returns the
     times, q's and q''s of every record_every-th step and the last, and
-    the sweeps per step; it logs polish sweeps that run out, and ``_fail``
-    raises where the forces or sums raise ValueError or ArithmeticError,
-    the sweeps run out, or a sweep's increment is not finite, which it is
-    only if every force is (each enters every stage sum of its coordinate
-    times a weight, and 0 * inf is NaN).
+    the sweeps per step.  A sweep decides on its differences g_e = n_e -
+    p_e by chained comparisons, calling nothing: all in (-scale, scale)
+    (|g_e| < scale for scale > 0) meet the tolerance, else all finite go
+    on, else ``_fail`` raises (a non-finite force makes some g_e so, as
+    each force enters every stage sum of its coordinate times a weight and
+    0 * inf is NaN).  Only where reported, ``_increment`` takes the
+    increment max |g_e| of the last finite ones, ``last``: the warning on
+    polish sweeps that run out, and ``_fail`` where the forces or sums
+    raise ValueError or ArithmeticError or the sweeps run out.
 
     The forces are a point force's dim expressions, each one-letter name
     indexed by point (stage value e is coordinate e % dim of point
@@ -225,35 +235,42 @@ def _run(s: int, d: int, warm: bool, expressions=None):
             *(f"    {x}" for x in _sums([list(map(repr, _ERROR_WEIGHTS))],
                                        n, start, ahead, history)[0]),
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
-    sweep, increment = _sums(a, d, new, bases, forces, stages)
-    fail = f"fail(step, {now}, sweep, delta, "
+    gaps = [f"g_{e}" for e in range(n)]
+    within = " and ".join(f"lo < {g} < scale" for g in gaps)
+    # 1e999 is inf as a constant of the code, not a global looked up
+    finite = " and ".join(f"-1e999 < {g} < 1e999" for g in gaps)
+    sweep = [*_sums(a, d, new, bases, forces)[0],
+             *(f"{g} = {x} - {y}" for g, x, y in zip(gaps, new, stages))]
+    fail = f"fail(step, {now}, sweep, last, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
              "ts, qs, qps, iterations = [t_start], [q], [qp], []",
              "for step in range(n_steps):", *(f"    {x}" for x in [
                  *_sums(c, d, bases, q * s, qp)[0], *starts, *times,
                  f"scale = {_FP_TOL!r} * (1.0 + m)",
-                 "delta, polish = None, 0",
+                 "lo, last, polish = -scale, None, 0",
                  "for sweep in range(1, max_iters + 1):",
                  "    try:", *(f"        {x}" for x in force + sweep),
-                 f"        increment = {increment}",
                  "    except (ValueError, ArithmeticError) as err:",
                  f'        {fail}f"force evaluation failed: {{err}}", err)',
-                 "    if not isfinite(increment):",
-                 f'        {fail}"force evaluation returned a non-finite '
-                 'value")',
-                 "    delta = increment",
-                 *(f"    {x} = n_{e}" for e, x in enumerate(stages)),
-                 "    if delta < scale:",
-                 f"        if polish >= {_POLISH_SWEEPS} or delta == 0.0:",
+                 f"    if {within}:",
+                 f"        if polish >= {_POLISH_SWEEPS} or not "
+                 f"({' or '.join(gaps)}):",
                  "            break",
                  "        polish += 1",
+                 f"    elif not ({finite}):",
+                 f'        {fail}"force evaluation returned a non-finite '
+                 'value")',
+                 # a sweep that ends the step leaves stage values no line reads
+                 *(f"    {x} = {y}" for x, y in zip(stages, new)),
+                 f"    last = ({', '.join(gaps)},)",
                  "else:",
                  "    if not polish:",
                  f'        {fail}f"stage iteration did not reach tolerance '
-                 'within {max_iters} sweeps (last increment {delta:.3e})")',
+                 'within {max_iters} sweeps (last increment '
+                 '{increment(last):.3e})")',
                  '    warning("stage iteration at t = %g reached max_iters = '
                  '%d during the polish sweeps (last increment %.3e)", '
-                 f"{now}, max_iters, delta)",
+                 f"{now}, max_iters, increment(last))",
                  *predict, *_updates(d, q, qp, forces, h, p, v),
                  "iterations.append(sweep)",
                  "if (step + 1) % record_every == 0 or step == n_steps - 1:",
@@ -261,9 +278,9 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  f"    qs.append([{', '.join(q)}])",
                  f"    qps.append([{', '.join(qp)}])"]),
              "return ts, qs, qps, iterations"]
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
-                 "array": np.array, "asarray": np.asarray, "shape": (s, d),
-                 "fail": _fail, "warning": _log.warning}
+    namespace = {"sqrt": math.sqrt, "array": np.array, "asarray": np.asarray,
+                 "shape": (s, d), "fail": _fail, "increment": _increment,
+                 "warning": _log.warning}
     return _compiled(f"<run {s}x{d} {'warm' if warm else 'cold'}>",
                      ["f", "max_iters", *chain(*c, *h, *a, *p, *v, *e)],
                      "run(q, qp, m, t_start, n_steps, record_every)", lines,

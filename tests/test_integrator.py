@@ -5,6 +5,7 @@ import hashlib
 import io
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -832,9 +833,14 @@ def test_runs_compile_one_step(tableaux, monkeypatch):
             assert (info.currsize, info.misses) == (1, 1)
 
 
-def test_run_tests_one_increment_per_sweep(monkeypatch):
-    # a non-finite force makes its sweep's increment non-finite, so the run
-    # tests that one scalar per sweep and nothing after the sweeps
+def test_run_decides_each_sweep_by_comparisons(monkeypatch):
+    # a sweep decides on its stage differences g_e = n_e - p_e by chained
+    # comparisons alone: converged, else not finite (the one finiteness
+    # decision, taken before the stage values are), which fails.  On the
+    # point-force path it calls no function but the force's sqrt, the
+    # zero-divisor fallback f and the failures; the increment max |g_e| is
+    # computed only where it is reported, and nothing after the sweeps
+    # tests finiteness again
     run, sources = csrkn.integrator._run, []
     compile_run = csrkn.integrator._compiled
 
@@ -849,11 +855,31 @@ def test_run_tests_one_increment_per_sweep(monkeypatch):
     finally:
         run.cache_clear()
     lines, = sources
-    checks = [line for line in lines if "isfinite" in line]
-    assert [line.strip() for line in checks] == ["if not isfinite(increment):"]
-    loop = next(line for line in lines if "for sweep in" in line)
-    assert lines.index(loop) < lines.index(checks[0])
-    assert checks[0].index("if") == loop.index("for") + 4
+
+    def depth(line):
+        return len(line) - len(line.lstrip())
+
+    loop = next(i for i, line in enumerate(lines) if "for sweep in" in line)
+    end = next(i for i in range(loop + 1, len(lines))
+               if depth(lines[i]) <= depth(lines[loop]))
+    body, after = lines[loop + 1:end], lines[end:]
+    gaps = [f"g_{e}" for e in range(6)]
+    within = "if " + " and ".join(f"lo < {g} < scale" for g in gaps) + ":"
+    finite = [i for i, line in enumerate(body) if "-1e999 <" in line]
+    assert len(finite) == 1
+    check = body[finite[0]]
+    assert check.strip() == "elif not (" + " and ".join(
+        f"-1e999 < {g} < 1e999" for g in gaps) + "):"
+    assert depth(check) == depth(lines[loop]) + 4
+    assert "non-finite" in body[finite[0] + 1]
+    strip = [line.strip() for line in body]
+    assert strip.count("x0 = n_0") == 1
+    assert strip.index(within) < finite[0] < strip.index("x0 = n_0")
+    for word in ("isfinite", "abs(", "max("):
+        assert not any(word in line for line in body), word
+    assert set(re.findall(r"(\w+)\(", "\n".join(body))) == {"sqrt", "f",
+                                                             "fail"}
+    assert not any("isfinite" in line or "1e999" in line for line in after)
 
 
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)

@@ -268,8 +268,11 @@ def assert_increments_match(s, d, rng, trial):
     call, so the second sweep's sums N = B + h^2 A_bar F are fixed and its
     stage values P = B + h^2 A_bar G are set against them by G: P = N
     (inf - inf where the sums hold an infinity), +-0.0 pairs, NaN in G,
-    and differences that overflow.  Two sweeps end on that increment,
-    three read N once more.  Random lists of this trial otherwise."""
+    and differences that overflow; and at the scale 1e-14, differences of
+    exactly +-scale and one ulp inside, finite ones whose absolute sum
+    overflows, and +-0.0 pairs after a first sweep that moved.  Two sweeps
+    end on that increment, three read N once more.  Random lists of this
+    trial otherwise."""
     n = s * d
     ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
     weights, forces = (random_list(rng, size, trial) for size in (s * s, n))
@@ -296,12 +299,35 @@ def assert_increments_match(s, d, rng, trial):
         (ones, identity, zero, zero, huge,
          [x if e % 2 else -x for e, x in enumerate(huge)]),
     ]
-    for stage_ch, coupling, state_q, state_qp, values, start in cases:
-        # m = -1: a tolerance scale of 0
-        for max_iters in (2, 3):
-            assert_same_step(s, d, stage_ch, coupling, updates, state_q,
-                             state_qp, start, -1.0, max_iters, 0.0,
-                             fixed(values))
+    # the edges of the tolerance at m = 0, the scale 1e-14: on bases of 0
+    # and the identity, F = -g against G = -2 g, so that the second
+    # sweep's difference g is exact (Sterbenz) and the first sweep's -2 g
+    # does not meet the tolerance: g = +-scale (not converged), one ulp
+    # inside (converged), and finite g whose absolute sum overflows (the
+    # run goes on); on bases of -0.0, a first stage value moved by -1.0
+    # and the rest set so that the second sweep's differences are +0.0
+    # and -0.0, which end the step there
+    alternate = [(-1.0) ** e for e in range(n)]
+    edges = [*((ones, identity, zero, zero, [-x * g for x in alternate],
+                [-2.0 * x * g for x in alternate])
+               for g in (FP_TOL, -FP_TOL, math.nextafter(FP_TOL, 0.0))),
+             (ones, identity, zero, zero, [0.75e308 * x for x in alternate],
+              [-0.75e308 * x for x in alternate]),
+             (ones, identity, minus, minus, [-1.0] + [-0.0] * (n - 1),
+              [-1.0] + [0.0] * (n - 1))]
+    outcomes = []
+    # m = -1: a tolerance scale of 0; m = 0: the scale 1e-14
+    for m, group in ((-1.0, cases), (0.0, edges)):
+        for stage_ch, coupling, state_q, state_qp, values, start in group:
+            for max_iters in (2, 3):
+                plain = assert_same_step(s, d, stage_ch, coupling, updates,
+                                         state_q, state_qp, start, m,
+                                         max_iters, 0.0, fixed(values))
+                outcomes.append((plain[1], plain[4], plain[5]))
+    # (sweeps, polish sweeps, whether the sweeps ran out) of the edges
+    assert outcomes[-10:] == [(2, 0, True), (3, 0, False)] * 2 + [
+        (2, 1, True), (3, 1, False), (2, 0, True), (3, 0, False),
+        (2, 0, False), (2, 0, False)]
 
 
 def counted_verlet_force(sweep, bad, d):
@@ -517,6 +543,79 @@ def test_solver_increments_equal_plain_sweeps(s, d):
     rng = np.random.default_rng(3000 + 100 * s + d)
     for trial in range(6):
         assert_increments_match(s, d, rng, trial)
+
+
+def in_turn(calls):
+    """A force on the flat stage list that returns calls[j] on its j-th
+    call of each round of len(calls) calls, whatever the stages, or raises
+    calls[j] where it is an exception."""
+    made = []
+
+    def force(xs):
+        made.append(None)
+        value = calls[(len(made) - 1) % len(calls)]
+        if isinstance(value, Exception):
+            raise value
+        return value
+    return force
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("s", [1, 3])
+def test_reported_increments_equal_plain_sweeps(s, d):
+    # the run computes a sweep's increment only where it reports one: a
+    # force that raises or returns inf or NaN on the polish sweep right
+    # after the sweep that met the tolerance, and polish-cap exits whose
+    # last sweep met the tolerance or did not.  last_delta, the failure
+    # and the warning text equal those of the plain sweeps, which stop
+    # before the raising call.  On bases of 0 and the identity the stage
+    # values of sweep k are the forces of call k: 1.0, then differences of
+    # a few ulps of mixed sign, below the tolerance but not 0, or 2.0
+    n, h = s * d, 0.125
+    ones = [1.0] * s
+    identity = [float(i == j) for i in range(s) for j in range(s)]
+    updates = ([0.5 * h * h] * s, [0.5 * h] * s)
+    far, jump = [1.0] * n, [2.0] * n
+    near, nearer = ([1.0 + k * (-1.0) ** e * (e + 1) * 2.0 ** -52
+                     for e in range(n)] for k in (1.0, -1.0))
+    raised = ValueError("no force at these stages")
+    cases = [([far, near, raised], 3), ([far, near, [math.inf] + near[1:]], 3),
+             ([far, near, near[:-1] + [math.nan]], 3), ([far, near], 2),
+             ([far, near, nearer], 3), ([far, near, jump], 3)]
+    coupling, base = [identity[i * s:(i + 1) * s] for i in range(s)], [0.0] * n
+    for calls, max_iters in cases:
+        force = in_turn(calls)
+
+        def f(t, stages):
+            return np.array(force(stages)).reshape(stages.shape)
+
+        run = _run(s, d, False, None)(f, max_iters, *ones, h, *identity,
+                                      *updates[0], *updates[1])
+        result, records = logged(run, [0.0] * d, [0.0] * d, 0.0, 0.0, 1, 1)
+        # the run took one round of calls; the plain sweeps stop before a
+        # raising one
+        plain = sweeps(coupling, base, base, force, FP_TOL,
+                       max_iters - (calls[-1] is raised), d)
+        delta, polish = plain[2], plain[4]
+        assert polish and delta > 0.0
+        if isinstance(result, Exception):
+            reason = ("force evaluation failed: no force at these stages"
+                      if calls[-1] is raised else
+                      "force evaluation returned a non-finite value")
+            assert str(result) == f"step 0 (t = 0) failed: {reason}"
+            assert result.__cause__ is (raised if calls[-1] is raised
+                                        else None)
+            assert (result.iterations, records) == (max_iters, [])
+            assert bits([result.last_delta]) == bits([delta])
+            assert delta < FP_TOL
+            continue
+        assert result[3] == [max_iters]
+        record, = records
+        assert record.getMessage() == (
+            f"stage iteration at t = 0 reached max_iters = {max_iters} "
+            f"during the polish sweeps (last increment {delta:.3e})")
+        assert bits([record.args[2]]) == bits([delta])
+        assert (delta < FP_TOL) == (calls[-1] is not jump)
 
 
 # sha256 of times, q, qp and iterations of a 300-step run at h = 0.1 from
