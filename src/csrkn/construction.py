@@ -278,6 +278,9 @@ def solve_alpha(basis: OrthonormalBasis,
             if i + j > 1 and (i + j) % 2 == 1:
                 pinned[(i, j)] = 0.0
     for key, value in spec.free_alpha.items():
+        if key == (1, 0):
+            raise ConstructionError("alpha(1, 0) is alpha(0, 1) + <x, P_1>_w, "
+                                    "not free; pin alpha(0, 1) instead")
         i, j = min(key), max(key)
         if (i, j) not in pairs:
             raise ConstructionError(f"alpha index {key} outside range 0..{r}")

@@ -102,35 +102,30 @@ def _extrapolation(c: np.ndarray) -> list | None:
             for j, node in enumerate(nodes)]
 
 
-def _sums(names, d, new, base, forces, stages=None):
+def _sums(names, d, new, base, forces):
     """Source lines of new[e] = base[e] + (w_i0 forces[k] + w_i1 forces[d + k]
     + ...) for e = i d + k, the weights named row by row, written out and
     taken left to right in binary64 (CPython fuses no multiply-add), so the
-    bytes depend on the order alone.  With the stage names, zeros for the
-    max |q| of ``_updates``, also the lines of g_e = |new[e] - stages[e]|,
-    their sum total and max_e g_e as an expression: NaN if one g_e is, as
-    max() could skip it and total cannot (summed 64 terms a statement, as
-    the compiler refuses deeply nested sums).  Returns (lines, max or None)."""
-    n = range(len(new))
-    lines = [f"{new[i * d + k]} = {base[i * d + k]} + ("
-             + " + ".join(f"{w} * {forces[j * d + k]}"
-                          for j, w in enumerate(row))
-             + ")" for i, row in enumerate(names) for k in range(d)]
-    if stages is None:
-        return lines, None
-    sums = [" + ".join(f"g_{e}" for e in n[k:k + 64]) for k in n[::64]]
-    lines += [*(f"g_{e} = abs({new[e]} - {stages[e]})" for e in n),
-              f"total = {sums[0]}",
-              *(f"total = total + {x}" for x in sums[1:])]
-    gaps = ", ".join(f"g_{e}" for e in n)
-    return lines, f"(max(0.0, {gaps}) if total == total else total)"
+    bytes depend on the order alone."""
+    return [f"{new[i * d + k]} = {base[i * d + k]} + ("
+            + " + ".join(f"{w} * {forces[j * d + k]}"
+                         for j, w in enumerate(row))
+            + ")" for i, row in enumerate(names) for k in range(d)]
 
 
 def _updates(d, q, qp, forces, h, p, v):
-    """Source lines of q + h q' + p F, with m its max |q|, and qp + v F."""
-    position, magnitude = _sums(p, d, q, q, forces, ["0.0"] * d)
-    return [*_sums(h, d, q, q, qp)[0], *position, f"m = {magnitude}",
-            *_sums(v, d, qp, qp, forces)[0]]
+    """Source lines of q + h q' + p F, with m its max |q|, and qp + v F.  m
+    is NaN if one g_k = |q_k| is, as max() could skip it and total cannot
+    (summed 64 terms a statement, as the compiler refuses deeply nested
+    sums)."""
+    n = range(d)
+    sums = [" + ".join(f"g_{k}" for k in n[j:j + 64]) for j in n[::64]]
+    magnitudes = ", ".join(f"g_{k}" for k in n)
+    return [*_sums(h, d, q, q, qp), *_sums(p, d, q, q, forces),
+            *(f"g_{k} = abs({x})" for k, x in enumerate(q)),
+            f"total = {sums[0]}", *(f"total = total + {x}" for x in sums[1:]),
+            f"m = max(0.0, {magnitudes}) if total == total else total",
+            *_sums(v, d, qp, qp, forces)]
 
 
 def _weights(rows, cols, prefix="w"):
@@ -141,16 +136,12 @@ def _unpack(names, source):
     return f"{''.join(f'{x}, ' for x in names)}= {source}"
 
 
-def _increment(diffs):
-    """max |g| over one sweep's finite stage differences g, None for None."""
-    return None if diffs is None else max(0.0, *map(abs, diffs))
-
-
 def _fail(step, time, sweeps, diffs, reason, cause=None):
     """Raise the failure of a step, last_delta the increment of diffs."""
     raise StageConvergenceError(
         f"step {step} (t = {time:g}) failed: {reason}", step_index=step,
-        time=time, iterations=sweeps, last_delta=_increment(diffs)) from cause
+        time=time, iterations=sweeps,
+        last_delta=None if diffs is None else _max_magnitude(diffs)) from cause
 
 
 @cache
@@ -173,7 +164,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     (|g_e| < scale for scale > 0) meet the tolerance, else all finite go
     on, else ``_fail`` raises (a non-finite force makes some g_e so, as
     each force enters every stage sum of its coordinate times a weight and
-    0 * inf is NaN).  Only where reported, ``_increment`` takes the
+    0 * inf is NaN).  Only where reported, ``_max_magnitude`` takes the
     increment max |g_e| of the last finite ones, ``last``: the warning on
     polish sweeps that run out, and ``_fail`` where the forces or sums
     raise ValueError or ArithmeticError or the sweeps run out.
@@ -224,28 +215,28 @@ def _run(s: int, d: int, warm: bool, expressions=None):
         e = _weights(s, s, "E")
         history = [f"r[{k}]" for k in range(_HISTORY * n)]
         starts = ["if step:",
-                  *(f"    {x}" for x in _sums(a, d, stages, bases, start)[0]),
+                  *(f"    {x}" for x in _sums(a, d, stages, bases, start)),
                   "else:", *(f"    {x}" for x in starts)]
         predict = [
             "if step:", f"    del r[:{n}]",
             f"    r += [{', '.join(map('{} - {}'.format, forces, ahead))}]",
             "else:", f"    r = [0.0] * {_HISTORY * n}",
-            *_sums(e, d, ahead, ["0.0"] * n, forces)[0],
+            *_sums(e, d, ahead, ["0.0"] * n, forces),
             f"if step >= {_HISTORY}:",
             *(f"    {x}" for x in _sums([list(map(repr, _ERROR_WEIGHTS))],
-                                       n, start, ahead, history)[0]),
+                                       n, start, ahead, history)),
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
     gaps = [f"g_{e}" for e in range(n)]
     within = " and ".join(f"lo < {g} < scale" for g in gaps)
     # 1e999 is inf as a constant of the code, not a global looked up
     finite = " and ".join(f"-1e999 < {g} < 1e999" for g in gaps)
-    sweep = [*_sums(a, d, new, bases, forces)[0],
+    sweep = [*_sums(a, d, new, bases, forces),
              *(f"{g} = {x} - {y}" for g, x, y in zip(gaps, new, stages))]
     fail = f"fail(step, {now}, sweep, last, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
              "ts, qs, qps, iterations = [t_start], [q], [qp], []",
              "for step in range(n_steps):", *(f"    {x}" for x in [
-                 *_sums(c, d, bases, q * s, qp)[0], *starts, *times,
+                 *_sums(c, d, bases, q * s, qp), *starts, *times,
                  f"scale = {_FP_TOL!r} * (1.0 + m)",
                  "lo, last, polish = -scale, None, 0",
                  "for sweep in range(1, max_iters + 1):",
@@ -279,7 +270,7 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  f"    qps.append([{', '.join(qp)}])"]),
              "return ts, qs, qps, iterations"]
     namespace = {"sqrt": math.sqrt, "array": np.array, "asarray": np.asarray,
-                 "shape": (s, d), "fail": _fail, "increment": _increment,
+                 "shape": (s, d), "fail": _fail, "increment": _max_magnitude,
                  "warning": _log.warning}
     return _compiled(f"<run {s}x{d} {'warm' if warm else 'cold'}>",
                      ["f", "max_iters", *chain(*c, *h, *a, *p, *v, *e)],

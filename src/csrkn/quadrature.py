@@ -42,6 +42,10 @@ class QuadratureRule:
     def __post_init__(self):
         nodes, weights = (np.array(_reals(name, getattr(self, name)))
                           for name in ("nodes", "weights"))
+        s = _integer("s", self.s, 1, MAX_DEGREE)
+        if nodes.shape != (s,) or weights.shape != (s,):
+            raise ValueError(f"nodes and weights must have shape ({s},), "
+                             f"got {nodes.shape} and {weights.shape}")
         values = make_basis(self.family, MAX_DEGREE).values(nodes, MAX_DEGREE)
         for name, array in (("nodes", nodes), ("values", values),
                             ("weights", weights)):

@@ -543,6 +543,19 @@ def test_malformed_pinned_alpha_is_usage_error(tmp_path, capsys, verb, pin,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["derive", "check"])
+def test_pinned_alpha_1_0_is_usage_error(tmp_path, capsys, verb):
+    # used to pin alpha(0, 1) to the value given for alpha(1, 0)
+    out = tmp_path / "out.txt"
+    assert main([verb, "--family", "shifted-legendre", "--stages", "2",
+                 "--set-alpha", "1", "0", "0.3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: alpha(1, 0) is alpha(0, 1) + <x, P_1>_w, "
+                            "not free; pin alpha(0, 1) instead\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _spec_default_cases(count=30, seed=18):
     """Seeded custom constructions, each with a random subset of the
     construction flags given: (family, stages, argv flags, spec fields)."""

@@ -110,6 +110,21 @@ def test_solve_alpha_conflicting_pin(bases):
             free_alpha={(0, 1): 0.123}))
 
 
+# alpha(1, 0) = alpha(0, 1) + <x, P_1>_w: a (1, 0) pin used to be read as
+# alpha(0, 1), so alpha(1, 0) came out 0.3 + sqrt(3) / 6, and under the
+# symmetry a correct (1, 0) pin was reported as a conflict
+@pytest.mark.parametrize("symmetric,value", [(False, 0.3),
+                                             (True, math.sqrt(3) / 12)])
+def test_solve_alpha_rejects_a_pin_of_alpha_1_0(bases, symmetric, value):
+    spec = csrkn.ConstructionSpec(
+        family=csrkn.Family.SHIFTED_LEGENDRE, b_order=1, cn_order=1,
+        tau_degree=1, free_alpha={(1, 0): value}, symmetric=symmetric)
+    with pytest.raises(csrkn.ConstructionError) as info:
+        csrkn.solve_alpha(bases[spec.family], spec)
+    assert str(info.value) == ("alpha(1, 0) is alpha(0, 1) + <x, P_1>_w, "
+                               "not free; pin alpha(0, 1) instead")
+
+
 def test_solve_alpha_reports_coupled_rank_deficiency(bases):
     basis = bases[csrkn.Family.STANDARD_HERMITE]
     spec = csrkn.ConstructionSpec(family=csrkn.Family.STANDARD_HERMITE)

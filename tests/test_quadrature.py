@@ -281,6 +281,38 @@ def test_hand_built_rule_holds_real_numbers(bases, field, value, error):
                                f"{value!r}")
 
 
+# a weight list of another length used to broadcast (b' = (1, 1, 1) from
+# weights=[1.0]), and an s other than the node count changed
+# exactness_degree's reading
+@pytest.mark.parametrize("s,nodes,weights", [
+    (3, [0.1, 0.5, 0.9], [1.0]),
+    (7, [0.1, 0.5, 0.9], [0.3, 0.4, 0.3]),
+    (3, [[0.1, 0.5, 0.9]], [0.3, 0.4, 0.3]),
+    (1, [[0.5]], [1.0]),
+    (1, 0.5, 1.0)])
+def test_hand_built_rule_has_s_nodes_and_weights(s, nodes, weights):
+    with pytest.raises(ValueError) as info:
+        QuadratureRule(family=csrkn.Family.SHIFTED_LEGENDRE, s=s,
+                       nodes=nodes, weights=weights)
+    assert str(info.value) == (
+        f"nodes and weights must have shape ({s},), got "
+        f"{np.shape(nodes)} and {np.shape(weights)}")
+
+
+@pytest.mark.parametrize("s,error,message", [
+    (0, ValueError, f"s must be in 1..{MAX_DEGREE}, got 0"),
+    (MAX_DEGREE + 1, ValueError,
+     f"s must be in 1..{MAX_DEGREE}, got {MAX_DEGREE + 1}"),
+    (3.0, TypeError, "s must be an integer, got 3.0"),
+    (True, TypeError, "s must be an integer, got True")])
+def test_hand_built_rule_checks_s(bases, s, error, message):
+    rule = csrkn.gauss_rule(bases[csrkn.Family.SHIFTED_LEGENDRE], 3)
+    with pytest.raises(error) as info:
+        QuadratureRule(family=rule.family, s=s, nodes=rule.nodes,
+                       weights=rule.weights)
+    assert str(info.value) == message
+
+
 # |G - I| > tol is False for NaN, so a NaN node or weight read as exact (6);
 # P_0 is constant, so a NaN node still integrates constants (degree 0)
 @pytest.mark.parametrize("field,degree", [("nodes", 0), ("weights", -1)])

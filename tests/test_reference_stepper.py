@@ -173,8 +173,8 @@ def sum_kernel(rows, cols, d):
     B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...)."""
     names, new = _weights(rows, cols), [f"n_{e}" for e in range(rows * d)]
     forces = [f"f{e}" for e in range(cols * d)]
-    sums, _ = _sums(names, d, new, [f"B[{e}]" for e in range(rows * d)],
-                    forces)
+    sums = _sums(names, d, new, [f"B[{e}]" for e in range(rows * d)],
+                 forces)
     lines = [_unpack(forces, "F"), *sums, f"return [{', '.join(new)}]"]
     return _compiled("<sums>", [x for row in names for x in row],
                      "kernel(B, F)", lines, {})
@@ -254,6 +254,35 @@ def update_kernel(s, d):
              f"return [{', '.join(q)}], [{', '.join(qp)}], m"]
     return _compiled("<updates>", [*h[0], *p[0], *v[0]], "kernel(q, qp, F)",
                      lines, {})
+
+
+@pytest.mark.parametrize("d", [64, 65, 130, 1000])
+def test_update_kernel_max_magnitude_across_chunks(d):
+    # the new q's magnitudes are summed 64 terms a statement: NaN, inf and
+    # +-0.0 in the last chunk, which only the last total line reads when
+    # d > 64; at h = 0, q' = -0.0 and F = -0.0 the new q is q, bit for bit
+    rng = np.random.default_rng(d)
+    update = update_kernel(1, d)(0.0, 1.0, 1.0)
+    minus, chunk = [-0.0] * d, range(d - 1 - (d - 1) % 64, d)
+    finite = random_list(rng, d, 0)
+    cases = []
+    # as many of each list as the last chunk holds (1 at d = 65)
+    for specials in ([math.nan], [math.inf, -0.0], [-math.inf, 0.0],
+                     [math.nan, math.inf, -0.0], [-0.0]):
+        q = list(finite)
+        for spot, value in zip(rng.permutation(chunk).tolist(), specials):
+            q[spot] = value
+        cases.append(q)
+    # magnitudes that are all zero, the largest one in the last chunk, and
+    # magnitudes whose total overflows
+    cases += [[math.copysign(0.0, x) for x in finite],
+              [x if e in chunk else x * 1e-3 for e, x in enumerate(finite)],
+              [math.copysign(1.5e308, x) for x in finite]]
+    for q in cases:
+        new_q, new_qp, m = update(q, minus, minus)
+        assert bits(new_q) == bits(q)
+        assert type(m) is float
+        assert bits([m]) == bits([_max_magnitude(q)])
 
 
 def test_sweep_kernel_of_a_large_state():
