@@ -102,15 +102,18 @@ def _extrapolation(c: np.ndarray) -> list | None:
             for j, node in enumerate(nodes)]
 
 
-def _sums(names, d, new, base, forces):
-    """Source lines of new[e] = base[e] + (w_i0 forces[k] + w_i1 forces[d + k]
-    + ...) for e = i d + k, the weights named row by row, written out and
-    taken left to right in binary64 (CPython fuses no multiply-add), so the
-    bytes depend on the order alone."""
-    return [f"{new[i * d + k]} = {base[i * d + k]} + ("
+def _sums(names, d, base, forces):
+    """Right-hand sides base[e] + (w_i0 forces[k] + w_i1 forces[d + k] + ...)
+    for e = i d + k, weights named row by row, summed left to right in
+    binary64 (CPython fuses no multiply-add), so the order sets the bytes."""
+    return [f"{base[i * d + k]} + ("
             + " + ".join(f"{w} * {forces[j * d + k]}"
                          for j, w in enumerate(row))
             + ")" for i, row in enumerate(names) for k in range(d)]
+
+
+def _set(names, values):
+    return list(map("{} = {}".format, names, values))
 
 
 def _updates(d, q, qp, forces, h, p, v):
@@ -121,11 +124,11 @@ def _updates(d, q, qp, forces, h, p, v):
     n = range(d)
     sums = [" + ".join(f"g_{k}" for k in n[j:j + 64]) for j in n[::64]]
     magnitudes = ", ".join(f"g_{k}" for k in n)
-    return [*_sums(h, d, q, q, qp), *_sums(p, d, q, q, forces),
+    return [*_set(q, _sums(h, d, q, qp)), *_set(q, _sums(p, d, q, forces)),
             *(f"g_{k} = abs({x})" for k, x in enumerate(q)),
             f"total = {sums[0]}", *(f"total = total + {x}" for x in sums[1:]),
             f"m = max(0.0, {magnitudes}) if total == total else total",
-            *_sums(v, d, qp, qp, forces)]
+            *_set(qp, _sums(v, d, qp, forces))]
 
 
 def _weights(rows, cols, prefix="w"):
@@ -146,28 +149,27 @@ def _fail(step, time, sweeps, diffs, reason, cause=None):
 
 @cache
 def _run(s: int, d: int, warm: bool, expressions=None):
-    """make(f, max_iters, *w), for the weights h c, h, h^2 A_bar row by
-    row, h^2 b_bar, h b' and, when warm, E row by row, returns
-    run(q, qp, m, t_start, n_steps, record_every), m = max |q|: every step
-    on float lists, each sum from ``_sums``.  A step forms the stage bases
-    B = q + c h q' and the start, runs at most max_iters fixed-point sweeps
-    on the stage values as locals (below the scale 1e-14 (1 + m) up to
-    _POLISH_SWEEPS more, none after an increment of exactly 0) and writes
-    the ``_updates``.  Steps start from B or, warm, from step 1 on from
-    B + h^2 A_bar a, for a = E F the last forces extrapolated, plus from
-    step _HISTORY + 1 on the last _HISTORY prediction errors F - a, the
-    list r oldest first, weighted by _ERROR_WEIGHTS written in as float
-    literals (the same multiplies as by a parameter).  run returns the
-    times, q's and q''s of every record_every-th step and the last, and
-    the sweeps per step.  A sweep decides on its differences g_e = n_e -
-    p_e by chained comparisons, calling nothing: all in (-scale, scale)
-    (|g_e| < scale for scale > 0) meet the tolerance, else all finite go
-    on, else ``_fail`` raises (a non-finite force makes some g_e so, as
-    each force enters every stage sum of its coordinate times a weight and
-    0 * inf is NaN).  Only where reported, ``_max_magnitude`` takes the
-    increment max |g_e| of the last finite ones, ``last``: the warning on
-    polish sweeps that run out, and ``_fail`` where the forces or sums
-    raise ValueError or ArithmeticError or the sweeps run out.
+    """make(f, max_iters, *w), for the weights h c, h, h^2 A_bar row by row,
+    h^2 b_bar, h b' and, when warm, E row by row, returns run(q, qp, m,
+    t_start, n_steps, record_every), m = max |q|: every step on float lists,
+    each sum from ``_sums``.  A step forms the stage bases B = q + c h q' and
+    the start, runs at most max_iters fixed-point sweeps on the stage values as
+    locals (below the scale 1e-14 (1 + m) up to _POLISH_SWEEPS more, none after
+    an increment of exactly 0) and writes the ``_updates``.  Steps start from B
+    or, warm, from step 1 on from B + h^2 A_bar a, for a = E F the last forces
+    extrapolated, plus from step _HISTORY + 1 on the last _HISTORY prediction
+    errors F - a, the list r oldest first, weighted by _ERROR_WEIGHTS written
+    in as float literals (the same multiplies as by a parameter).  run returns
+    the times, q's and q''s of every record_every-th step and the last, and the
+    sweeps per step.  A sweep takes g_e = p_e - (p_e := n_e), rebinding each
+    stage value p_e in place to its new value n_e (no line reads what a
+    failing or final sweep leaves), and decides by chained comparisons that
+    call nothing and read no sign of g: all in (-scale, scale) meet the
+    tolerance, else all finite go on, else ``_fail`` raises (a non-finite
+    force makes some g_e so, as each force enters every stage sum of its
+    coordinate times a weight and 0 * inf is NaN).  Only where reported,
+    ``_max_magnitude`` takes max |g_e| of the last finite ones, ``last``, in
+    the warning on polish sweeps that run out and in ``_fail``.
 
     The forces are a point force's dim expressions, each one-letter name
     indexed by point (stage value e is coordinate e % dim of point
@@ -178,8 +180,8 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     expressions, not by the force, as problem_from_name makes a new force
     on every call."""
     n = s * d
-    forces, bases, new, start, ahead = ([f"{x}_{e}" for e in range(n)]
-                                        for x in "fbnea")
+    forces, bases, start, ahead = ([f"{x}_{e}" for e in range(n)]
+                                   for x in "fbea")
     q, qp = ([f"{x}_{k}" for k in range(d)] for x in "qv")
     dim = len(expressions) if expressions else 1
     stages = [f"{_COORDINATES[e % dim]}{e // dim}" for e in range(n)]
@@ -209,34 +211,34 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  '    raise ValueError(f"f returned shape {forces.shape} '
                  'for stages of shape {shape}")',
                  _unpack(forces, "forces.ravel().tolist()")]
-    starts = [f"{x} = {y}" for x, y in zip(stages, bases)]
+    starts = _set(stages, bases)
     predict, e = [], []
     if warm:
         e = _weights(s, s, "E")
         history = [f"r[{k}]" for k in range(_HISTORY * n)]
-        starts = ["if step:",
-                  *(f"    {x}" for x in _sums(a, d, stages, bases, start)),
+        starts = ["if step:", *(f"    {x}" for x in _set(
+                      stages, _sums(a, d, bases, start))),
                   "else:", *(f"    {x}" for x in starts)]
         predict = [
             "if step:", f"    del r[:{n}]",
             f"    r += [{', '.join(map('{} - {}'.format, forces, ahead))}]",
             "else:", f"    r = [0.0] * {_HISTORY * n}",
-            *_sums(e, d, ahead, ["0.0"] * n, forces),
+            *_set(ahead, _sums(e, d, ["0.0"] * n, forces)),
             f"if step >= {_HISTORY}:",
-            *(f"    {x}" for x in _sums([list(map(repr, _ERROR_WEIGHTS))],
-                                       n, start, ahead, history)),
+            *(f"    {x}" for x in _set(start, _sums(
+                [list(map(repr, _ERROR_WEIGHTS))], n, ahead, history))),
             "else:", f"    {_unpack(start, ', '.join(ahead))}"]
     gaps = [f"g_{e}" for e in range(n)]
     within = " and ".join(f"lo < {g} < scale" for g in gaps)
     # 1e999 is inf as a constant of the code, not a global looked up
     finite = " and ".join(f"-1e999 < {g} < 1e999" for g in gaps)
-    sweep = [*_sums(a, d, new, bases, forces),
-             *(f"{g} = {x} - {y}" for g, x, y in zip(gaps, new, stages))]
+    sweep = [f"{g} = {x} - ({x} := {y})" for g, x, y in
+             zip(gaps, stages, _sums(a, d, bases, forces))]
     fail = f"fail(step, {now}, sweep, last, "
     lines = [_unpack(q, "q"), _unpack(qp, "qp"),
              "ts, qs, qps, iterations = [t_start], [q], [qp], []",
              "for step in range(n_steps):", *(f"    {x}" for x in [
-                 *_sums(c, d, bases, q * s, qp), *starts, *times,
+                 *_set(bases, _sums(c, d, q * s, qp)), *starts, *times,
                  f"scale = {_FP_TOL!r} * (1.0 + m)",
                  "lo, last, polish = -scale, None, 0",
                  "for sweep in range(1, max_iters + 1):",
@@ -251,8 +253,6 @@ def _run(s: int, d: int, warm: bool, expressions=None):
                  f"    elif not ({finite}):",
                  f'        {fail}"force evaluation returned a non-finite '
                  'value")',
-                 # a sweep that ends the step leaves stage values no line reads
-                 *(f"    {x} = {y}" for x, y in zip(stages, new)),
                  f"    last = ({', '.join(gaps)},)",
                  "else:",
                  "    if not polish:",
@@ -294,13 +294,15 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
               q0, qp0, h: float, n_steps: int,
               config: SolverConfig | None = None) -> Trajectory:
     """Repeated steps from (t0, q0, qp0), two nonempty real vectors of one
-    length (``_reals``), h and t0 as Python floats; deterministic.
-    iterations[k] counts the fixed-point sweeps of step k, one force
-    evaluation each: ``problem.f`` on the (s, d) stage array or, for a
-    point force of dimension d or 1 (the built-ins), its expressions
-    written out on the stage values.  One generated function, ``_run``,
-    takes all the steps on Python float lists, every sum written out and
-    taken left to right in binary64, so no BLAS decides a run's bytes.
+    length (``_reals``), h and t0 as Python floats, by a tableau of real
+    arrays of shapes (s,), (s, s), (s,), (s,) for one s >= 1, else a
+    ValueError names the field; deterministic.  iterations[k] counts the
+    fixed-point sweeps of step k, one force evaluation each: ``problem.f``
+    on the (s, d) stage array or, for a point force of dimension d or 1
+    (the built-ins), its expressions written out on the stage values.  One
+    generated function, ``_run``, takes all the steps on Python float
+    lists, every sum written out and taken left to right in binary64, so
+    no BLAS decides a run's bytes.
     The first step starts from the guess q + c h q', steps 1 to m (m = 8)
     from the previous step's stage forces F_n extrapolated to the new stage
     times, E F_n (Hairer, Lubich & Wanner, Geometric Numerical Integration,
@@ -323,17 +325,26 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         raise ValueError(f"q0 and qp0 must be vectors of one positive "
                          f"length, got shapes {q.shape} and {qp.shape}")
     q, qp = q.tolist(), qp.tolist()
+    names = "c", "a_bar", "b_bar", "b_prime"
+    c, a_bar, b_bar, b_prime = fields = [
+        _reals(f"tableau {name}", getattr(tableau, name)) for name in names]
+    # s as most vectors give it, so the error names the one that differs
+    lengths = [len(x) if x.ndim == 1 else 0 for x in (c, b_bar, b_prime)]
+    s = max(lengths, key=lengths.count)
+    for name, field, shape in zip(names, fields, [(s,), (s, s), (s,), (s,)]):
+        if field.shape != shape or not s:
+            raise ValueError(
+                f"tableau {name} has shape {field.shape}; c, a_bar, b_bar "
+                "and b_prime need (s,), (s, s), (s,), (s,) for one s >= 1")
     # a point force's expressions, written into the run, read no stage
     # time; any other force, or a state of other points, goes through f
     point = isinstance(f, _PointForce) and len(f.expressions) in (1, len(q))
-    start = _extrapolation(tableau.c) if n_steps > 1 else None
-    run = _run(tableau.s, len(q), start is not None,
+    start = _extrapolation(c) if n_steps > 1 else None
+    run = _run(s, len(q), start is not None,
                f.expressions if point else None)(
-        f.on_points if point else f, config.max_iters,
-        *(h * tableau.c).tolist(), h,
-        *(h * h * a for a in chain(*tableau.a_bar.tolist())),
-        *(h * h * tableau.b_bar).tolist(), *(h * tableau.b_prime).tolist(),
-        *start or ())
+        f.on_points if point else f, config.max_iters, *(h * c).tolist(), h,
+        *(h * h * a for a in chain(*a_bar.tolist())),
+        *(h * h * b_bar).tolist(), *(h * b_prime).tolist(), *start or ())
     times, qs, qps, iterations = run(
         q, qp, _max_magnitude(q), t0, n_steps, config.record_every)
     return Trajectory(np.array(times), np.array(qs), np.array(qps),

@@ -1,5 +1,6 @@
 """Stage iteration, stepping, determinism, and failure modes."""
 
+import ast
 import dataclasses
 import hashlib
 import io
@@ -426,6 +427,53 @@ def test_non_vector_state_rejected_before_any_force(tableaux, q0, qp0):
     assert calls == []
 
 
+# Stormer-Verlet: c = (0, 1), A_bar = [[0, 0], [1/2, 0]]
+STORMER_VERLET = {"c": [0.0, 1.0], "a_bar": [[0.0, 0.0], [0.5, 0.0]],
+                  "b_bar": [0.5, 0.0], "b_prime": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("field,values", [
+    ("c", {"c": [0.0]}), ("b_prime", {"b_prime": [0.5, 0.5, 0.0]}),
+    ("a_bar", {"a_bar": [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]}),
+    ("c", {"c": [[0.0, 1.0]]}),
+    ("c", {"c": [], "a_bar": [], "b_bar": [], "b_prime": []})])
+def test_tableau_of_the_wrong_shape_names_its_field(field, values):
+    # a hand-built tableau whose arrays do not fit used to fail on the
+    # generated run's arguments with a TypeError naming nothing; the field
+    # named is the one that differs from the others, an empty c for no
+    # stages
+    calls = []
+
+    def f(t, q):
+        calls.append(t)
+        return -q
+
+    problem = csrkn.SecondOrderProblem(name="counted", f=f,
+                                       q0=np.array([1.0]),
+                                       qp0=np.array([0.0]))
+    tableau = csrkn.RKNTableau(**{**STORMER_VERLET, **values})
+    with pytest.raises(ValueError, match=f"^tableau {field} has shape "):
+        csrkn.integrate(tableau, problem, 0.0, problem.q0, problem.qp0,
+                        0.1, 3)
+    assert calls == []
+
+
+def test_list_built_tableau_runs_as_array_built():
+    # lists used to fail with an AttributeError on .tolist(); the run of
+    # Stormer-Verlet from lists equals its run from arrays bit for bit
+    kepler = csrkn.kepler()
+    runs = [dataclasses.astuple(csrkn.integrate(
+                csrkn.RKNTableau(**fields), kepler, 0.0, kepler.q0,
+                kepler.qp0, 0.1, 20))
+            for fields in (STORMER_VERLET, {name: np.array(value) for
+                                            name, value in
+                                            STORMER_VERLET.items()})]
+    for listed, arrayed in zip(*runs):
+        assert listed.dtype == arrayed.dtype
+        assert listed.shape == arrayed.shape
+        assert listed.tobytes() == arrayed.tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         csrkn.SolverConfig(max_iters=0)
@@ -834,13 +882,13 @@ def test_runs_compile_one_step(tableaux, monkeypatch):
 
 
 def test_run_decides_each_sweep_by_comparisons(monkeypatch):
-    # a sweep decides on its stage differences g_e = n_e - p_e by chained
+    # a sweep decides on its stage differences g_e = p_e - n_e by chained
     # comparisons alone: converged, else not finite (the one finiteness
-    # decision, taken before the stage values are), which fails.  On the
-    # point-force path it calls no function but the force's sqrt, the
-    # zero-divisor fallback f and the failures; the increment max |g_e| is
-    # computed only where it is reported, and nothing after the sweeps
-    # tests finiteness again
+    # decision, taken after each stage value is rebound in place where its
+    # difference is taken), which fails.  On the point-force path it calls
+    # no function but the force's sqrt, the zero-divisor fallback f and the
+    # failures; the increment max |g_e| is computed only where it is
+    # reported, and nothing after the sweeps tests finiteness again
     run, sources = csrkn.integrator._run, []
     compile_run = csrkn.integrator._compiled
 
@@ -873,13 +921,54 @@ def test_run_decides_each_sweep_by_comparisons(monkeypatch):
     assert depth(check) == depth(lines[loop]) + 4
     assert "non-finite" in body[finite[0] + 1]
     strip = [line.strip() for line in body]
-    assert strip.count("x0 = n_0") == 1
-    assert strip.index(within) < finite[0] < strip.index("x0 = n_0")
+    rebound = [i for i, line in enumerate(strip)
+               if line.startswith("g_0 = x0 - (x0 := b_0 + (")]
+    assert len(rebound) == 1
+    assert rebound[0] < strip.index(within) < finite[0]
     for word in ("isfinite", "abs(", "max("):
         assert not any(word in line for line in body), word
     assert set(re.findall(r"(\w+)\(", "\n".join(body))) == {"sqrt", "f",
                                                              "fail"}
     assert not any("isfinite" in line or "1e999" in line for line in after)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3, 12])
+def test_run_holds_one_local_per_stage_value(monkeypatch, s, d):
+    # each sweep rebinds its stage values in place as it takes their
+    # differences: no run holds a second name per stage value (n_steps is
+    # the step count), and inside the sweep loop each stage local is
+    # stored exactly once, on the point-force path and the f path, warm
+    # and cold
+    sources = []
+    compile_run = csrkn.integrator._compiled
+
+    def captured(label, parameters, signature, lines, namespace):
+        sources.append(lines)
+        return compile_run(label, parameters, signature, lines, namespace)
+
+    monkeypatch.setattr(csrkn.integrator, "_compiled", captured)
+    points = {1: csrkn.harmonic().f.expressions,
+              2: csrkn.kepler().f.expressions, 3: ("-x", "-y", "-z")}
+    for warm in (False, True):
+        for expressions in (points[d], None):
+            make = csrkn.integrator._run.__wrapped__(s, d, warm, expressions)
+            run, = [code for code in make.__code__.co_consts
+                    if getattr(code, "co_name", None) == "run"]
+            assert "n_steps" in run.co_varnames
+            assert not [name for name in run.co_varnames
+                        if re.fullmatch(r"n_\d+", name)]
+            dim = len(expressions) if expressions else 1
+            stages = [f"{problems._COORDINATES[e % dim]}{e // dim}"
+                      for e in range(s * d)]
+            loop, = [node for node in ast.walk(ast.parse("\n".join(
+                         sources.pop()))) if isinstance(node, ast.For)
+                     and getattr(node.target, "id", None) == "sweep"]
+            stored = [node.id for statement in loop.body
+                      for node in ast.walk(statement)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Store)]
+            assert all(stored.count(x) == 1 for x in stages), stored
 
 
 @pytest.mark.parametrize("name", csrkn.BUILTIN_METHODS)

@@ -169,13 +169,11 @@ def test_kernels_equal_plain_loops(s, d):
 
 def sum_kernel(rows, cols, d):
     """make(*w), for (rows, cols) weights w row by row, returns
-    kernel(B, F), the list of the lines _sums writes for
+    kernel(B, F), the list of the right-hand sides _sums writes for
     B[i d + k] + (w_i0 F[k] + w_i1 F[d + k] + ...)."""
-    names, new = _weights(rows, cols), [f"n_{e}" for e in range(rows * d)]
-    forces = [f"f{e}" for e in range(cols * d)]
-    sums = _sums(names, d, new, [f"B[{e}]" for e in range(rows * d)],
-                 forces)
-    lines = [_unpack(forces, "F"), *sums, f"return [{', '.join(new)}]"]
+    names, forces = _weights(rows, cols), [f"f{e}" for e in range(cols * d)]
+    sums = _sums(names, d, [f"B[{e}]" for e in range(rows * d)], forces)
+    lines = [_unpack(forces, "F"), f"return [{', '.join(sums)}]"]
     return _compiled("<sums>", [x for row in names for x in row],
                      "kernel(B, F)", lines, {})
 
