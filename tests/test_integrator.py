@@ -1270,6 +1270,52 @@ def test_non_finite_state_raises(tableaux, q0):
     assert (err.iterations, err.last_delta) == (1, None)
 
 
+# one stage whose position weight 1e300 turns q_0 = 1e308 into NaN in the
+# update of step 0: q + h q' overflows to inf and h^2 b_bar F to -inf
+NAN_UPDATE = csrkn.RKNTableau(c=[0.5], a_bar=[[0.0]], b_bar=[1e300],
+                              b_prime=[1.0])
+NAN_FORCES = {"point force": csrkn.harmonic(),
+              "plain f": dataclasses.replace(
+                  csrkn.harmonic(), f=lambda t, q: -np.asarray(q, float))}
+
+
+@pytest.mark.parametrize("force", NAN_FORCES)
+def test_position_turned_nan_fails_the_next_sweep(force):
+    # the NaN position makes every stage base of the next step NaN, so its
+    # first sweep fails whatever the tolerance scale; a single step
+    # returns the NaN state
+    problem = NAN_FORCES[force]
+    q0, qp0 = [1e308, 0.5], [1e308, 0.0]
+    one = csrkn.integrate(NAN_UPDATE, problem, 0.0, q0, qp0, 1.0, 1)
+    assert math.isnan(one.q[-1, 0]) and one.q[-1, 1] == -5e299
+    assert one.iterations.tolist() == [1]
+    with pytest.raises(csrkn.StageConvergenceError) as info:
+        csrkn.integrate(NAN_UPDATE, problem, 0.0, q0, qp0, 1.0, 3)
+    err = info.value
+    assert str(err) == ("step 1 (t = 1) failed: force evaluation returned "
+                        "a non-finite value")
+    assert (err.step_index, err.time) == (1, 1.0)
+    assert (err.iterations, err.last_delta) == (1, None)
+
+
+@pytest.mark.parametrize("force", NAN_FORCES)
+@pytest.mark.parametrize("q0", [[np.nan, 0.5], [0.5, np.inf],
+                                [-np.inf, np.nan]])
+def test_non_finite_start_fails_the_first_sweep(tableaux, force, q0):
+    # NaN, inf or both in q0 fail step 0 at sweep 1, cold and warm
+    problem = NAN_FORCES[force]
+    for tableau in (NAN_UPDATE, tableaux["legendre4"]):
+        for n_steps in (1, 3):
+            with pytest.raises(csrkn.StageConvergenceError) as info:
+                csrkn.integrate(tableau, problem, 0.0, q0, [0.0, 0.25], 0.1,
+                                n_steps)
+            err = info.value
+            assert str(err) == ("step 0 (t = 0) failed: force evaluation "
+                                "returned a non-finite value")
+            assert (err.step_index, err.time) == (0, 0.0)
+            assert (err.iterations, err.last_delta) == (1, None)
+
+
 def test_overflowing_predictor_raises():
     # nearly repeated nodes give a predictor with entries near +-1250, so
     # the warm start of step 1 overflows to NaN in the second component
