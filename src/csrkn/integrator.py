@@ -117,17 +117,12 @@ def _set(names, values):
 
 
 def _updates(d, q, qp, forces, h, p, v):
-    """Source lines of q + h q' + p F, with m its max |q|, and qp + v F.  m
-    is NaN if one g_k = |q_k| is, as max() could skip it and total cannot
-    (summed 64 terms a statement, as the compiler refuses deeply nested
-    sums)."""
-    n = range(d)
-    sums = [" + ".join(f"g_{k}" for k in n[j:j + 64]) for j in n[::64]]
-    magnitudes = ", ".join(f"g_{k}" for k in n)
+    """Source lines of q + h q' + p F, with m = max(0.0, |q_0|, ...) of the
+    new q, and qp + v F.  m skips a NaN, which nothing reads: m only scales
+    the next step's tolerance, and a NaN q_k makes that step's stage bases,
+    so its first sweep's differences, NaN, which fail at any scale."""
     return [*_set(q, _sums(h, d, q, qp)), *_set(q, _sums(p, d, q, forces)),
-            *(f"g_{k} = abs({x})" for k, x in enumerate(q)),
-            f"total = {sums[0]}", *(f"total = total + {x}" for x in sums[1:]),
-            f"m = max(0.0, {magnitudes}) if total == total else total",
+            f"m = max(0.0, {', '.join(f'abs({x})' for x in q)})",
             *_set(qp, _sums(v, d, qp, forces))]
 
 
@@ -151,11 +146,11 @@ def _fail(step, time, sweeps, diffs, reason, cause=None):
 def _run(s: int, d: int, warm: bool, expressions=None):
     """make(f, max_iters, *w), for the weights h c, h, h^2 A_bar row by row,
     h^2 b_bar, h b' and, when warm, E row by row, returns run(q, qp, m,
-    t_start, n_steps, record_every), m = max |q|: every step on float lists,
-    each sum from ``_sums``.  A step forms the stage bases B = q + c h q' and
-    the start, runs at most max_iters fixed-point sweeps on the stage values as
-    locals (below the scale 1e-14 (1 + m) up to _POLISH_SWEEPS more, none after
-    an increment of exactly 0) and writes the ``_updates``.  Steps start from B
+    t_start, n_steps, record_every), m = max |q| skipping NaN: every step on
+    float lists, each sum from ``_sums``.  A step forms the stage bases
+    B = q + c h q' and the start, runs at most max_iters sweeps on the stage
+    values as locals (below 1e-14 (1 + m) up to _POLISH_SWEEPS more, none
+    after an increment of 0) and writes the ``_updates``.  Steps start from B
     or, warm, from step 1 on from B + h^2 A_bar a, for a = E F the last forces
     extrapolated, plus from step _HISTORY + 1 on the last _HISTORY prediction
     errors F - a, the list r oldest first, weighted by _ERROR_WEIGHTS written
@@ -190,8 +185,9 @@ def _run(s: int, d: int, warm: bool, expressions=None):
     p, v = _weights(1, s, "p"), _weights(1, s, "v")
     now = "t_start + step * h0_0"
     if expressions:
-        terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
-                 for i in range(n // dim) for expression in expressions]
+        templates = [re.sub(r"\b([a-z])\b", r"\g<1>{0}", expression)
+                     for expression in expressions]
+        terms = [x.format(i) for i in range(n // dim) for x in templates]
         times, force = [], [
             "try:", *(f"    {x} = {term}" for x, term in zip(forces, terms)),
             "except ZeroDivisionError:",
@@ -227,7 +223,9 @@ def _run(s: int, d: int, warm: bool, expressions=None):
             f"if step >= {_HISTORY}:",
             *(f"    {x}" for x in _set(start, _sums(
                 [list(map(repr, _ERROR_WEIGHTS))], n, ahead, history))),
-            "else:", f"    {_unpack(start, ', '.join(ahead))}"]
+            # a trailing comma makes one stage value a tuple
+            "else:",
+            f"    {_unpack(start, ', '.join(ahead) + ',' * (n == 1))}"]
     gaps = [f"g_{e}" for e in range(n)]
     within = " and ".join(f"lo < {g} < scale" for g in gaps)
     # 1e999 is inf as a constant of the code, not a global looked up
@@ -346,7 +344,7 @@ def integrate(tableau: RKNTableau, problem: SecondOrderProblem, t0: float,
         *(h * h * a for a in chain(*a_bar.tolist())),
         *(h * h * b_bar).tolist(), *(h * b_prime).tolist(), *start or ())
     times, qs, qps, iterations = run(
-        q, qp, _max_magnitude(q), t0, n_steps, config.record_every)
+        q, qp, max(0.0, *map(abs, q)), t0, n_steps, config.record_every)
     return Trajectory(np.array(times), np.array(qs), np.array(qps),
                       np.array(iterations, dtype=int))
 

@@ -142,7 +142,8 @@ def check_continuous(coeffs: ContinuousCoefficients) -> ConditionReport:
 
 def check_discrete(tableau: RKNTableau) -> ConditionReport:
     """Measure the classical simplifying assumptions of a tableau up to
-    condition order 2s + 2."""
+    condition order 2s + 2; the predicted order is their bound, which can
+    understate a tableau not built on them (an order-6 composition reads 4)."""
     bp, a = tableau.b_prime, tableau.a_bar
     powers, weight, stage, transpose = _condition_sides(tableau.c,
                                                         2 * tableau.s + 2)

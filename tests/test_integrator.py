@@ -932,6 +932,49 @@ def test_run_decides_each_sweep_by_comparisons(monkeypatch):
     assert not any("isfinite" in line or "1e999" in line for line in after)
 
 
+def run_source(monkeypatch, *args):
+    """The body lines _run writes for these arguments, not compiled."""
+    sources = []
+    monkeypatch.setattr(csrkn.integrator, "_compiled",
+                        lambda *args: sources.append(args[3]))
+    csrkn.integrator._run.__wrapped__(*args)
+    return sources.pop()
+
+
+def test_run_writes_max_magnitude_in_one_line(monkeypatch):
+    # the new position's max |q| is one max() call, with no sum of the
+    # magnitudes to catch a NaN
+    lines = run_source(monkeypatch, 3, 2, True, csrkn.kepler().f.expressions)
+    assert [line.strip() for line in lines if "max(" in line] == [
+        "m = max(0.0, abs(q_0), abs(q_1))"]
+    assert not any(re.search(r"\btotal\b", line) for line in lines)
+
+
+POINT_FORCES = {
+    "kepler": csrkn.kepler().f.expressions,
+    "henon-heiles": csrkn.henon_heiles().f.expressions,
+    "harmonic": csrkn.harmonic().f.expressions,
+    "kepler-3d": ("x / (d := -(r := x * x + y * y + z * z) * sqrt(r))",
+                  "y / d", "z / d")}
+
+
+@pytest.mark.parametrize("points", [1, 2, 12, 3000])
+@pytest.mark.parametrize("name", POINT_FORCES)
+def test_force_terms_indexed_per_point(monkeypatch, name, points):
+    # the sweep's force lines, one per stage value, are each expression
+    # with every one-letter name indexed by point, as substituting point by
+    # point writes them; 3,000 points as 3 stages of 1,000 points each
+    expressions = POINT_FORCES[name]
+    dim = len(expressions)
+    s = points if points <= 12 else 3
+    lines = run_source(monkeypatch, s, dim * points // s, True, expressions)
+    terms = [re.sub(r"\b([a-z])\b", rf"\g<1>{i}", expression)
+             for i in range(points) for expression in expressions]
+    assert [line.strip() for line in lines
+            if re.match(r"\s*f_\d+ = ", line)] == [
+        f"f_{e} = {term}" for e, term in enumerate(terms)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("s", [1, 2, 3, 12])
 def test_run_holds_one_local_per_stage_value(monkeypatch, s, d):

@@ -13,7 +13,6 @@ import pytest
 
 import csrkn
 from csrkn import problems
-from csrkn.construction import _max_magnitude
 from csrkn.integrator import (_compiled, _run, _sums, _unpack, _updates,
                               _weights)
 from reference_stepper import (FP_TOL, apply, harmonic_step_map,
@@ -111,11 +110,44 @@ def test_run_at_history_edges_equals_reference_stepper(name, problem_name):
             assert trajectory.iterations.tolist() == iterations
 
 
+# one stage on one component: the warm run's start has one stage value
+ONE_STAGE = {
+    "derived": csrkn.derive(csrkn.ConstructionSpec(
+        family=csrkn.Family.SHIFTED_LEGENDRE), 1),
+    "by hand": csrkn.RKNTableau(
+        c=np.array([0.5]), a_bar=np.array([[0.25]]), b_bar=np.array([0.5]),
+        b_prime=np.array([1.0]))}
+ONE_COMPONENT = {
+    "point force": (csrkn.harmonic(), lambda times, xs: [-x for x in xs]),
+    "plain f": (csrkn.SecondOrderProblem(
+        name="cubic", f=lambda t, q: -(1.0 + 0.5 * q * q) * q,
+        q0=np.array([0.75]), qp0=np.array([-0.5])),
+        lambda times, xs: [-(1.0 + 0.5 * x * x) * x for x in xs])}
+
+
+@pytest.mark.parametrize("force", ONE_COMPONENT)
+@pytest.mark.parametrize("name", ONE_STAGE)
+def test_one_stage_value_equals_reference_stepper(name, force):
+    problem, points = ONE_COMPONENT[force]
+    tableau = ONE_STAGE[name]
+    for n_steps in (2, 9, 50):
+        trajectory = csrkn.integrate(tableau, problem, 0.0, problem.q0,
+                                     problem.qp0, 0.1, n_steps)
+        times, q, qp, iterations = reference_integrate(
+            tableau, points, 0.0, problem.q0.tolist(), problem.qp0.tolist(),
+            0.1, n_steps)
+        assert trajectory.times.tobytes() == bits(times)
+        assert trajectory.q.tobytes() == bits([x for row in q for x in row])
+        assert trajectory.qp.tobytes() == bits([x for row in qp
+                                                for x in row])
+        assert trajectory.iterations.tolist() == iterations
+
+
 def test_large_state_equals_reference_stepper():
     # 1,000 uncoupled oscillators through f: 12 steps reach the corrected
-    # start, and each position update sums 1,000 magnitudes for the next
-    # step's tolerance; they start near q = 0, so that max |q| grows over
-    # the run and a stale tolerance would change the sweep counts
+    # start, and each position update takes the max of 1,000 magnitudes
+    # for the next step's tolerance; they start near q = 0, so that max |q|
+    # grows over the run and a stale tolerance would change the sweep counts
     rng = np.random.default_rng(33)
     d = 1000
     stiffness = -rng.uniform(0.25, 4.0, d)
@@ -209,7 +241,7 @@ def test_step_list_kernels_equal_plain_loops(s, d):
     # that f sees, and where the step ends with finite values the drift
     # q + h q' under the position update and the velocity update; and in
     # every case the run's update lines compiled alone, with the new
-    # max |q| against _max_magnitude
+    # max |q| against max(0.0, |q_0|, ...), which skips a NaN
     rng = np.random.default_rng(1000 + 100 * s + d)
     for trial in range(6):
         ch, q, qp = (random_list(rng, size, trial) for size in (s, d, d))
@@ -237,7 +269,7 @@ def test_step_list_kernels_equal_plain_loops(s, d):
             assert bits(new_qp) == bits(apply([velocity], state[1], values,
                                               d))
             assert type(m) is float
-            assert bits([m]) == bits([_max_magnitude(new)])
+            assert bits([m]) == bits([max(0.0, *map(abs, new))])
 
 
 def update_kernel(s, d):
@@ -256,31 +288,34 @@ def update_kernel(s, d):
 
 @pytest.mark.parametrize("d", [64, 65, 130, 1000])
 def test_update_kernel_max_magnitude_across_chunks(d):
-    # the new q's magnitudes are summed 64 terms a statement: NaN, inf and
-    # +-0.0 in the last chunk, which only the last total line reads when
-    # d > 64; at h = 0, q' = -0.0 and F = -0.0 the new q is q, bit for bit
+    # the new q's max |q| is one call, max(0.0, abs(q_0), ...), which
+    # compiles at d = 1,000, and which skips a NaN, so a NaN q gives the
+    # largest other magnitude, or +0.0: NaN, inf and +-0.0 anywhere, first
+    # and last; at h = 0, q' = -0.0 and F = -0.0 the new q is q, bit for bit
     rng = np.random.default_rng(d)
     update = update_kernel(1, d)(0.0, 1.0, 1.0)
-    minus, chunk = [-0.0] * d, range(d - 1 - (d - 1) % 64, d)
+    minus = [-0.0] * d
     finite = random_list(rng, d, 0)
     cases = []
-    # as many of each list as the last chunk holds (1 at d = 65)
     for specials in ([math.nan], [math.inf, -0.0], [-math.inf, 0.0],
-                     [math.nan, math.inf, -0.0], [-0.0]):
+                     [math.nan, math.inf, -0.0], [-0.0], [math.nan] * 3):
         q = list(finite)
-        for spot, value in zip(rng.permutation(chunk).tolist(), specials):
+        spots = rng.choice(d, len(specials), replace=False).tolist()
+        for spot, value in zip(spots, specials):
             q[spot] = value
         cases.append(q)
-    # magnitudes that are all zero, the largest one in the last chunk, and
-    # magnitudes whose total overflows
-    cases += [[math.copysign(0.0, x) for x in finite],
-              [x if e in chunk else x * 1e-3 for e, x in enumerate(finite)],
+    # NaN first, last and everywhere; magnitudes that are all zero, the
+    # largest one last, and magnitudes whose sum overflows
+    cases += [[math.nan, *finite[1:]], [*finite[:-1], math.nan],
+              [math.nan] * d, [math.nan, *[-0.0] * (d - 1)],
+              [math.copysign(0.0, x) for x in finite],
+              [*(x * 1e-3 for x in finite[:-1]), 1e3],
               [math.copysign(1.5e308, x) for x in finite]]
     for q in cases:
         new_q, new_qp, m = update(q, minus, minus)
         assert bits(new_q) == bits(q)
         assert type(m) is float
-        assert bits([m]) == bits([_max_magnitude(q)])
+        assert bits([m]) == bits([max(0.0, *map(abs, q))])
 
 
 def test_sweep_kernel_of_a_large_state():

@@ -276,6 +276,27 @@ def test_order_bound_with_quadrature_from_measured_data(coefficient_sets,
         assert bound == CAPTION_ORDERS[name], name
 
 
+@pytest.mark.parametrize("stages", range(7, 13))
+def test_check_of_more_than_six_stages(stages):
+    # the CLI's custom spec past 6 stages: order 6, the bound of its
+    # coefficients' degrees at quadrature order 2s, symplectic and
+    # symmetric to rounding, and a text round trip that keeps every bit
+    spec = csrkn.ConstructionSpec(
+        family=csrkn.Family.SHIFTED_LEGENDRE, b_order=8, cn_order=3,
+        tau_degree=4, symmetric=True)
+    tableau = csrkn.derive(spec, stages)
+    report = csrkn.check_discrete(tableau)
+    degrees = csrkn.construction._coefficients(spec).degrees
+    assert report.predicted_order == 6 == csrkn.order_bound_with_quadrature(
+        8, 3, 3, 2 * stages, *degrees)
+    assert report.symplectic_residual <= 1e-12
+    assert report.symmetry_residual <= 1e-12
+    back = csrkn.parse_tableau(csrkn.serialize_tableau(tableau))
+    for name in ("c", "a_bar", "b_bar", "b_prime"):
+        assert (getattr(back, name).tobytes()
+                == getattr(tableau, name).tobytes()), name
+
+
 def test_empirical_order_harmonic():
     tableau = csrkn.builtin_tableau("legendre4")
     estimate = csrkn.empirical_order(tableau, csrkn.harmonic(), 0.1, 4)
