@@ -301,21 +301,25 @@ def make_basis(family: Family, max_degree: int) -> OrthonormalBasis:
         monic=tuple(monic), ratios=tuple(ratios))
 
 
-def _integrals(rows, cols, moments, scale: float = 1.0) -> np.ndarray:
+def _integrals(rows, cols, moments, scale: float = 1.0, *,
+               exact: bool = False) -> np.ndarray:
     """The one exact integration path: a read-only array of scale s_r s_c
     sum_{m,n} r[m] c[n] moments[m + n] over the rows (s_r, r) and columns
     (s_c, c), for rationals r, c and moments (long enough for every
-    product) and double scales.  The sums run on integer numerators and
-    each entry rounds once from its exact value, so an exact 0 is 0."""
+    product) and double scales.  The sums run on integer numerators, and
+    each entry is its exact value as a Fraction if exact, else that value
+    rounded once, so an exact 0 is 0."""
     top, den, mu = _over(scale, moments)
     width = max(len(r) for _, r in rows)
     # per column: sum_n c[n] moments[m + n] for m < width
     cols = [(t * top, b * den, [sum(map(operator.mul, c, mu[m:]))
                                 for m in range(width)])
             for t, b, c in (_over(*col) for col in cols)]
-    out = np.array([[t * tc * sum(map(operator.mul, r, sums)) / (b * bc)
+    divide = Fraction if exact else operator.truediv
+    out = np.array([[divide(t * tc * sum(map(operator.mul, r, sums)), b * bc)
                      for tc, bc, sums in cols]
-                    for t, b, r in (_over(*row) for row in rows)])
+                    for t, b, r in (_over(*row) for row in rows)],
+                   dtype=object if exact else float)
     out.flags.writeable = False
     return out
 

@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .basis import (MAX_DEGREE, Family, OrthonormalBasis, _integer,
-                    _integrals, _real, _reals, make_basis,
+                    _integrals, _over, _real, _reals, make_basis,
                     recurrence_coefficients)
 from .quadrature import QuadratureRule, gauss_rule
 
@@ -224,31 +224,45 @@ def _left_sides(basis: OrthonormalBasis,
             @ gram[: r + 1, :n_cond]).T.ravel()
 
 
+def _rank(columns) -> int:
+    """Exact rank of rational columns, by fraction-free integer elimination."""
+    kept = {}  # pivot row -> column scaled to integers, reduced, over its gcd
+    for column in columns:
+        v = _over(1.0, column)[2]
+        for p, u in kept.items():
+            if v[p]:
+                v = [u[p] * x - v[p] * y for x, y in zip(v, u)]
+        if g := math.gcd(*v):
+            kept[next(i for i, x in enumerate(v) if x)] = [x // g for x in v]
+    return len(kept)
+
+
 @functools.lru_cache(maxsize=256)
 def _solve_plan(family: Family, n_cond: int, r: int,
                 unknowns: tuple[tuple[int, int], ...]):
     """solve_alpha's system as far as its structure fixes it, built once per
-    key and shared: (the condition matrix without its idle columns, read
+    key and shared: (the condition matrix of the active unknowns, read
     only, each column the left sides of one unit coefficient taken through
-    kernel_matrix; the idle unknowns; the active ones; the rank-deficiency
-    message or None)."""
+    kernel_matrix; the idle unknowns, which no condition touches and which
+    take 0; the active ones; the rank-deficiency message or None).  The
+    matrix is R_((k,m),(i,j)) = g_jk [m = i] + g_ik [m = j] (one term if
+    i = j), g_jk = int_0^1 pi_j pi_k for the monic pi_j, times sigma_n and
+    P_0 factors, so the idle split and the rank are read exactly off R."""
     basis = make_basis(family, MAX_DEGREE)
+    pis = [(1.0, pi) for _, pi in basis.monic[: r + 1]]
+    unit = [Fraction(1, n) for n in range(1, r + n_cond + 1)]
+    g = _integrals(pis, pis[:n_cond], unit, exact=True)
+    columns = {(i, j): [g[j, k] if m == i else g[i, k] if m == j else 0
+                        for k in range(n_cond) for m in range(r + 1)]
+               for i, j in unknowns}
+    active = tuple(pair for pair in unknowns if any(columns[pair]))
     matrix = np.array([_left_sides(basis, _expand({pair: 1.0}, 0.0), r, n_cond)
-                       for pair in unknowns]).reshape(-1, (r + 1) * n_cond).T
-    # coefficients the conditions never touch take their default value 0
-    idle = ~matrix.any(axis=0)
-    matrix = matrix[:, ~idle]
+                       for pair in active]).reshape(-1, (r + 1) * n_cond).T
     matrix.flags.writeable = False
-    flags = list(zip(unknowns, idle.tolist()))
-    active = tuple(pair for pair, off in flags if not off)
-    error = None
-    if active:
-        sing = np.linalg.svd(matrix, compute_uv=False)
-        if (sing > 1e-10 * sing[0]).sum() < len(active):
-            error = (f"rank deficiency couples the alpha coefficients "
-                     f"{', '.join(map(str, active))}; pin some of them via "
-                     f"free_alpha")
-    return matrix, tuple(pair for pair, off in flags if off), active, error
+    error = (f"rank deficiency couples the alpha coefficients "
+             f"{', '.join(map(str, active))}; pin some of them via free_alpha"
+             if _rank(map(columns.get, active)) < len(active) else None)
+    return matrix, tuple(p for p in unknowns if p not in active), active, error
 
 
 def solve_alpha(basis: OrthonormalBasis,
@@ -259,9 +273,9 @@ def solve_alpha(basis: OrthonormalBasis,
     polynomial identity in tau of degree at most alpha_range; matching its
     coefficients on P_0(tau) .. P_alpha_range(tau) yields a linear system in
     the upper-triangle unknowns alpha[i <= j].  Symmetric and user pins are
-    substituted first; unknowns the system never touches fall back to zero;
-    any remaining coupled rank deficiency or inconsistent equation is
-    reported rather than resolved silently.
+    substituted first; unknowns the system never touches take zero; a rank
+    deficiency among the rest, decided exactly by the plan, or an
+    inconsistent equation is reported rather than resolved silently.
     """
     _check_family(basis, spec)
     r = spec.alpha_range
@@ -271,12 +285,9 @@ def solve_alpha(basis: OrthonormalBasis,
     gap = _gap(basis.family)
     pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
 
-    pinned: dict[tuple[int, int], float] = {}
+    pinned = {(i, j): 0.0 for i, j in pairs if spec.symmetric and (i + j) % 2}
     if spec.symmetric:
         pinned[(0, 1)] = -0.5 * gap
-        for (i, j) in pairs:
-            if i + j > 1 and (i + j) % 2 == 1:
-                pinned[(i, j)] = 0.0
     for key, value in spec.free_alpha.items():
         if key == (1, 0):
             raise ConstructionError("alpha(1, 0) is alpha(0, 1) + <x, P_1>_w, "
@@ -286,15 +297,17 @@ def solve_alpha(basis: OrthonormalBasis,
             raise ConstructionError(f"alpha index {key} outside range 0..{r}")
         if (i, j) in pinned and not math.isclose(pinned[(i, j)], value,
                                                  rel_tol=0.0, abs_tol=1e-13):
-            raise ConstructionError(
-                f"alpha{key} = {value} conflicts with the symmetry "
-                f"constraint value {pinned[(i, j)]}")
+            # any pair but the symmetry's is pinned by the mirrored key
+            other = ("the symmetry constraint value" if spec.symmetric
+                     and (i + j) % 2 else f"alpha{key[::-1]} =")
+            raise ConstructionError(f"alpha{key} = {value} conflicts with "
+                                    f"{other} {pinned[(i, j)]}")
         pinned[(i, j)] = float(value)
 
     solution = dict(pinned)
     n_cond = spec.cn_order - 1
     if n_cond:
-        matrix, idle, active, error = _solve_plan(
+        matrix, _, active, error = _solve_plan(
             basis.family, n_cond, r,
             tuple(pair for pair in pairs if pair not in pinned))
         if error:
@@ -302,9 +315,7 @@ def solve_alpha(basis: OrthonormalBasis,
         targets = interval_integrals(basis.family)[2]
         vector = (targets[:n_cond, : r + 1].ravel()
                   - _left_sides(basis, _expand(pinned, gap), r, n_cond))
-        solution.update(dict.fromkeys(idle, 0.0))
-        values = (np.linalg.lstsq(matrix, vector, rcond=None)[0] if active
-                  else np.zeros(0))
+        values = np.linalg.lstsq(matrix, vector, rcond=None)[0]
         residual = np.abs(matrix @ values - vector)
         worst = int(residual.argmax())
         if not residual[worst] <= 1e-10 * max(1.0, np.abs(vector).max()):

@@ -111,6 +111,31 @@ def test_successive_calls_share_no_arguments(tmp_path):
     assert csrkn.cli._parser() is csrkn.cli._parser()
 
 
+# pinning one coefficient as both (i, j) and (j, i) with other values used
+# to name "the symmetry constraint" even with no symmetry asked for
+@pytest.mark.parametrize("symmetric,pins,message", [
+    (False, ["1", "2", "0.5", "2", "1", "0.25"],
+     "alpha(2, 1) = 0.25 conflicts with alpha(1, 2) = 0.5"),
+    (False, ["2", "1", "0.25", "1", "2", "0.5"],
+     "alpha(1, 2) = 0.5 conflicts with alpha(2, 1) = 0.25"),
+    # a symmetric spec pins only the odd-sum pairs and alpha(0, 1)
+    (True, ["0", "2", "0.5", "2", "0", "0.25"],
+     "alpha(2, 0) = 0.25 conflicts with alpha(0, 2) = 0.5"),
+    (True, ["1", "2", "0.5"],
+     "alpha(1, 2) = 0.5 conflicts with the symmetry constraint value 0.0"),
+    (True, ["1", "2", "0", "2", "1", "0.5"],
+     "alpha(2, 1) = 0.5 conflicts with the symmetry constraint value 0.0")])
+def test_conflicting_pins_name_the_other_pin(capsys, symmetric, pins,
+                                             message):
+    argv = ["derive", "--family", "shifted-legendre", "--b-order", "5",
+            "--cn-order", "2", "--tau-degree", "2", "--stages", "3"]
+    argv += ["--symmetric"] * symmetric
+    for start in range(0, len(pins), 3):
+        argv += ["--set-alpha", *pins[start: start + 3]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_parser_not_built_at_import():
     code = ("import csrkn.cli; "
             "print(csrkn.cli._parser.cache_info().currsize)")

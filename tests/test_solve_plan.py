@@ -2,19 +2,31 @@
 idle/active split and one rank verdict per structure (family, number of
 conditions, alpha_range, unknowns), shared read-only and bounded.
 
+The split and the verdict are exact: the idle unknowns are the zero columns
+of the rational matrix R of ``_solve_plan``'s docstring and the rank is one
+integer elimination over its active columns (``_rank``), so no singular
+value or cut-off decides them.  The tests hold both to the float decisions
+they replaced, the zero columns of the full unit-column matrix and the
+cut-off on lstsq's singular values, over every structure they reach.
+
 CI also runs this file alone in a fresh process, so the cold-memo tests
-cannot pass only because another file built the plans first.
+cannot pass only because another file built the plans first, and once more
+under another OpenBLAS kernel, so the plan bytes and verdicts cannot depend
+on the BLAS kernel.
 """
 
 import hashlib
 import itertools
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import csrkn
 from csrkn import construction
-from csrkn.construction import _solve_plan
+from csrkn.basis import MAX_DEGREE, _integrals
+from csrkn.construction import _rank, _solve_plan
 
 # the coupled rank deficiency that CI's derive example reports
 DEFICIENT = csrkn.ConstructionSpec(csrkn.Family.SHIFTED_CHEBYSHEV1,
@@ -198,3 +210,103 @@ def test_plans_of_the_wide_spec_space_are_pinned(monkeypatch):
     keys = _plan_keys(monkeypatch, _structure_specs(12, 7, 6))
     assert len(keys) == PLAN_COUNT
     assert _plan_digest(keys) == PLAN_SHA256
+
+
+def _memo_subsets():
+    """The structures test_memo_stays_within_its_bound builds: subsets of 9
+    of the 15 pairs of alpha_range 4, two conditions, shifted Legendre."""
+    pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+    subsets = itertools.combinations(pairs, 9)
+    return [(csrkn.Family.SHIFTED_LEGENDRE, 2, 4, unknowns)
+            for unknowns in itertools.islice(subsets, 256 + 50)]
+
+
+def _unit_column_matrix(family, n_cond, r, unknowns):
+    """The condition matrix over every unknown, idle ones included, as the
+    float plan built it before its zero columns were dropped."""
+    basis = csrkn.make_basis(family, MAX_DEGREE)
+    return np.array([construction._left_sides(
+        basis, construction._expand({pair: 1.0}, 0.0), r, n_cond)
+        for pair in unknowns]).reshape(-1, (r + 1) * n_cond).T
+
+
+def test_exact_split_and_verdict_equal_the_float_ones(monkeypatch):
+    keys = _plan_keys(monkeypatch, _structure_specs(12, 7, 6))
+    keys += _memo_subsets()
+    assert len(keys) == PLAN_COUNT + 306
+    deficient = 0
+    for key in keys:
+        matrix, idle, active, error = _solve_plan.__wrapped__(*key)
+        full = _unit_column_matrix(*key)
+        zero = ~full.any(axis=0)
+        assert idle == tuple(pair for pair, off in zip(key[3], zero) if off)
+        assert active == tuple(pair for pair in key[3] if pair not in idle)
+        assert matrix.tobytes() == full[:, ~zero].tobytes(), key
+        if active:
+            assert (error is not None) == _lstsq_deficient(matrix, active), key
+        deficient += error is not None
+    # every deficient structure is one of the wide spec space's
+    assert deficient == 75
+
+
+def test_plans_build_without_svd(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the solve plan called np.linalg.svd")
+
+    _solve_plan.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    # every spec of the workloads solves or raises its rank error
+    assert len(_plan_keys(monkeypatch)) == 46
+    assert _solve_plan.cache_info().currsize == 46
+
+
+def test_exact_integrals_round_to_the_float_ones():
+    unit = [Fraction(1, i + 1) for i in range(2 * MAX_DEGREE + 1)]
+    for family in csrkn.Family:
+        polys = csrkn.make_basis(family, MAX_DEGREE).monic
+        exact = _integrals(polys, polys, unit, exact=True)
+        assert all(type(value) is Fraction for value in exact.flat)
+        assert exact.astype(float).tobytes() == (
+            construction.interval_integrals(family)[1].tobytes())
+
+
+def _independent(rng, rows, k):
+    """k independent integer columns of length rows: a unit lower triangle
+    on k shuffled rows, random entries below it and on the other rows."""
+    order = rng.sample(range(rows), rows)
+    columns = [[0] * rows for _ in range(k)]
+    for c, column in enumerate(columns):
+        column[order[c]] = 1
+        for row in order[c + 1:]:
+            column[row] = rng.randint(-9, 9)
+    return columns
+
+
+def test_rank_of_integer_combinations():
+    rng = random.Random(46)
+    for _ in range(400):
+        k = rng.randint(0, 4)
+        rows = rng.randint(max(k, 1), 7)
+        basis = _independent(rng, rows, k)
+        # k columns whose weights form a unit upper triangle span the
+        # basis; the others are any combinations, zero included
+        weights = [[1 if c == i else rng.randint(-5, 5) if c > i else 0
+                    for i in range(k)] for c in range(k)]
+        weights += [[rng.randint(-5, 5) for _ in range(k)]
+                    for _ in range(rng.randint(0, 4))]
+        columns = [[sum(w * b[row] for w, b in zip(weight, basis))
+                    for row in range(rows)] for weight in weights]
+        rng.shuffle(columns)
+        assert _rank(columns) == k, columns
+        assert _rank(columns + [[0] * rows]) == k, columns
+
+
+def test_rank_of_rational_columns():
+    rng = random.Random(7)
+    for _ in range(200):
+        rows = rng.randint(2, 7)
+        v, w = ([Fraction(x, rng.randint(1, 9)) for x in column]
+                for column in _independent(rng, rows, 2))
+        mixed = [a / 3 + b / 7 for a, b in zip(v, w)]
+        assert _rank(rng.sample([v, w, mixed], 3)) == 2, (v, w)
+        assert _rank([v, mixed]) == _rank([mixed, w]) == 2, (v, w)
