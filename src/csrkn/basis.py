@@ -306,9 +306,8 @@ def _integrals(rows, cols, moments, scale: float = 1.0, *,
     """The one exact integration path: a read-only array of scale s_r s_c
     sum_{m,n} r[m] c[n] moments[m + n] over the rows (s_r, r) and columns
     (s_c, c), for rationals r, c and moments (long enough for every
-    product) and double scales.  The sums run on integer numerators, and
-    each entry is its exact value as a Fraction if exact, else that value
-    rounded once, so an exact 0 is 0."""
+    product) and double scales, summed on integer numerators: each entry
+    is its exact value, a Fraction if exact, else rounded once (0 stays 0)."""
     top, den, mu = _over(scale, moments)
     width = max(len(r) for _, r in rows)
     # per column: sum_n c[n] moments[m + n] for m < width

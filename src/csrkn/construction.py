@@ -285,8 +285,9 @@ def solve_alpha(basis: OrthonormalBasis,
     gap = _gap(basis.family)
     pairs = [(i, j) for i in range(r + 1) for j in range(i, r + 1)]
 
-    pinned = {(i, j): 0.0 for i, j in pairs if spec.symmetric and (i + j) % 2}
+    pinned: dict[tuple[int, int], float] = {}
     if spec.symmetric:
+        pinned = {(i, j): 0.0 for i, j in pairs if (i + j) % 2}
         pinned[(0, 1)] = -0.5 * gap
     for key, value in spec.free_alpha.items():
         if key == (1, 0):
@@ -297,7 +298,7 @@ def solve_alpha(basis: OrthonormalBasis,
             raise ConstructionError(f"alpha index {key} outside range 0..{r}")
         if (i, j) in pinned and not math.isclose(pinned[(i, j)], value,
                                                  rel_tol=0.0, abs_tol=1e-13):
-            # any pair but the symmetry's is pinned by the mirrored key
+            # a pair the symmetry leaves free was pinned by the mirrored key
             other = ("the symmetry constraint value" if spec.symmetric
                      and (i + j) % 2 else f"alpha{key[::-1]} =")
             raise ConstructionError(f"alpha{key} = {value} conflicts with "

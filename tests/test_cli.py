@@ -118,7 +118,7 @@ def test_successive_calls_share_no_arguments(tmp_path):
      "alpha(2, 1) = 0.25 conflicts with alpha(1, 2) = 0.5"),
     (False, ["2", "1", "0.25", "1", "2", "0.5"],
      "alpha(1, 2) = 0.5 conflicts with alpha(2, 1) = 0.25"),
-    # a symmetric spec pins only the odd-sum pairs and alpha(0, 1)
+    # a symmetric spec pins only the odd-sum pairs, alpha(0, 1) among them
     (True, ["0", "2", "0.5", "2", "0", "0.25"],
      "alpha(2, 0) = 0.25 conflicts with alpha(0, 2) = 0.5"),
     (True, ["1", "2", "0.5"],
